@@ -50,7 +50,7 @@ TIMING_RE = re.compile(r"(_seconds|_ms|ns_per_op)$")
 # instrumentation; tiny stages are scheduler-noise-dominated), and
 # scenario-matrix cell timings (cells are gated on ACCURACY below;
 # their train/infer walltimes ride along informationally).
-WARN_ONLY_RE = re.compile(r"(^|[._\[])p99|\.stages\[|(^|\.)cells\[")
+WARN_ONLY_RE = re.compile(r"(^|[._\[])p99|(^|\.)stages\[|(^|\.)cells\[")
 # Fields used to key list entries stably.
 ID_FIELDS = ("threads", "deterministic", "kernel", "dim", "backend",
              "workload", "fence", "stage", "id")

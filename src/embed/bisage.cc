@@ -620,6 +620,7 @@ Status BiSage::Train(const graph::BipartiteGraph& graph) {
   }
   trained_ = true;
   trained_nodes_ = graph.num_nodes();
+  BuildLayer1Table(graph);
   return Status::Ok();
 }
 
@@ -646,6 +647,32 @@ size_t BiSage::ForwardNode(const Ctx& ctx, graph::NodeId node, int layer,
     scratch.arena_.resize(off + 2 * d);
     std::copy_n(ctx.h_row(node), d, scratch.arena_.data() + off);
     std::copy_n(ctx.l_row(node), d, scratch.arena_.data() + off + d);
+  } else if (layer == 1 && ctx.type(node) == graph::NodeType::kMac) {
+    // Every neighbor of a MAC is a record, and record rows are zero, so
+    // both layer-1 aggregates are exactly +0.0: (h^1, l^1) comes from
+    // the MAC table without touching the adjacency. A MAC the table
+    // lacks (first seen after training, reached only as an embedded
+    // target's self chain), or any MAC under other kernels than the
+    // table's, is computed from its rows the same way. A sampled layer
+    // still draws, keeping the per-node RNG stream aligned with the
+    // full recursion.
+    const int fanout = config_.inference_fanouts[config_.num_layers - 1];
+    if (fanout > 0) {
+      if (config_.use_edge_weights) {
+        ctx.SampleNeighbors(node, fanout, rng);
+      } else {
+        SampleUniform(ctx, node, fanout, rng);
+      }
+    }
+    off = scratch.arena_.size();
+    scratch.arena_.resize(off + 2 * d);
+    double* out = scratch.arena_.data() + off;
+    if (const double* slab = Layer1Slab(node, ops)) {
+      std::copy_n(slab, 2 * d, out);
+    } else {
+      MacLayer1(ops, ctx.h_row(node), ctx.l_row(node), scratch.temps_.data(),
+                out);
+    }
   } else {
     const size_t self_off = ForwardNode(ctx, node, layer - 1, rng, scratch);
     const int fanout = config_.inference_fanouts[config_.num_layers - layer];
@@ -706,28 +733,78 @@ size_t BiSage::ForwardNode(const Ctx& ctx, graph::NodeId node, int layer,
     }
     off = scratch.arena_.size();
     scratch.arena_.resize(off + 2 * d);
-    // Equations (4), (6): y = W [self ; agg], straight into the arena.
     const double* self = scratch.arena_.data() + self_off;
-    std::copy_n(self, d, cat);
-    std::copy_n(h_agg, d, cat + d);
-    ops.matvec(w_h_[layer - 1]->value.ptr(), d, 2 * d, cat,
+    UpdateNode(ops, layer, self, self + d, h_agg, l_agg, cat,
                scratch.arena_.data() + off);
-    std::copy_n(self + d, d, cat);
-    std::copy_n(l_agg, d, cat + d);
-    ops.matvec(w_l_[layer - 1]->value.ptr(), d, 2 * d, cat,
-               scratch.arena_.data() + off + d);
-    double* h = scratch.arena_.data() + off;
-    double* l = h + d;
-    if (layer != config_.num_layers) {  // linear top layer (see training)
-      for (int i = 0; i < d; ++i) h[i] = h[i] > 0.0 ? h[i] : 0.0;
-      for (int i = 0; i < d; ++i) l[i] = l[i] > 0.0 ? l[i] : 0.0;
-    }
-    // Equation (7).
-    NormalizeInPlace(ops, h, d);
-    NormalizeInPlace(ops, l, d);
   }
   scratch.memo_.emplace(key, off);
   return off;
+}
+
+void BiSage::UpdateNode(const math::kernels::Ops& ops, int layer,
+                        const double* self_h, const double* self_l,
+                        const double* h_agg, const double* l_agg, double* cat,
+                        double* out) const {
+  const int d = config_.dimension;
+  // Equations (4), (6): y = W [self ; agg].
+  std::copy_n(self_h, d, cat);
+  std::copy_n(h_agg, d, cat + d);
+  ops.matvec(w_h_[layer - 1]->value.ptr(), d, 2 * d, cat, out);
+  std::copy_n(self_l, d, cat);
+  std::copy_n(l_agg, d, cat + d);
+  ops.matvec(w_l_[layer - 1]->value.ptr(), d, 2 * d, cat, out + d);
+  double* h = out;
+  double* l = out + d;
+  if (layer != config_.num_layers) {  // linear top layer (see training)
+    for (int i = 0; i < d; ++i) h[i] = h[i] > 0.0 ? h[i] : 0.0;
+    for (int i = 0; i < d; ++i) l[i] = l[i] > 0.0 ? l[i] : 0.0;
+  }
+  // Equation (7).
+  NormalizeInPlace(ops, h, d);
+  NormalizeInPlace(ops, l, d);
+}
+
+void BiSage::MacLayer1(const math::kernels::Ops& ops, const double* h0,
+                       const double* l0, double* temp, double* out) const {
+  const int d = config_.dimension;
+  std::fill_n(temp, 2 * d, 0.0);
+  UpdateNode(ops, 1, h0, l0, temp, temp + d, temp + 2 * d, out);
+}
+
+void BiSage::BuildLayer1Table(const graph::BipartiteGraph& graph) {
+  const int d = config_.dimension;
+  const math::kernels::Ops& ops = math::kernels::Active();
+  layer1_.slab_of.assign(trained_nodes_, -1);
+  int macs = 0;
+  for (graph::NodeId node = 0; node < trained_nodes_; ++node) {
+    if (graph.type(node) == graph::NodeType::kMac) {
+      layer1_.slab_of[node] = macs++;
+    }
+  }
+  layer1_.slabs.assign(static_cast<size_t>(macs) * 2 * d, 0.0);
+  math::kernels::AlignedVec temp(4 * d);
+  // Const access only: the node tables may borrow a mapped snapshot.
+  const math::Matrix& h_table = h_table_;
+  const math::Matrix& l_table = l_table_;
+  for (graph::NodeId node = 0; node < trained_nodes_; ++node) {
+    const int slab = layer1_.slab_of[node];
+    if (slab < 0) continue;
+    MacLayer1(ops, h_table.RowPtr(node), l_table.RowPtr(node), temp.data(),
+              layer1_.slabs.data() + static_cast<size_t>(slab) * 2 * d);
+  }
+  layer1_.ops = &ops;
+}
+
+const double* BiSage::Layer1Slab(graph::NodeId node,
+                                 const math::kernels::Ops& ops) const {
+  if (&ops != layer1_.ops ||
+      node >= static_cast<graph::NodeId>(layer1_.slab_of.size())) {
+    return nullptr;
+  }
+  const int slab = layer1_.slab_of[node];
+  if (slab < 0) return nullptr;
+  return layer1_.slabs.data() +
+         static_cast<size_t>(slab) * 2 * config_.dimension;
 }
 
 void BiSage::EmbedForward(const graph::BipartiteGraph& graph,
@@ -875,7 +952,8 @@ BiSage::TrainedState BiSage::ExportTrained(const NodeTableDelta& tables) const {
   return state;
 }
 
-Status BiSage::RestoreTrained(TrainedState state) {
+Status BiSage::RestoreTrained(TrainedState state,
+                              const graph::BipartiteGraph& graph) {
   if (!config_status_.ok()) return config_status_;
   const int d = config_.dimension;
   if (state.w_h.size() != w_h_.size() || state.w_l.size() != w_l_.size()) {
@@ -899,6 +977,29 @@ Status BiSage::RestoreTrained(TrainedState state) {
       state.trained_nodes > state.h_table.rows()) {
     return Status::InvalidArgument("bisage state: trained_nodes out of range");
   }
+  // The layer-1 MAC table is exact only while every record row is zero
+  // (EnsureCapacity's rule). A snapshot arrives from outside the
+  // process, so check it, including that no row lies past the graph,
+  // where a future record could land on it.
+  if (state.h_table.rows() > graph.num_nodes()) {
+    return Status::InvalidArgument(
+        "bisage state: node table extends past the graph");
+  }
+  // Const access: a mapped load's tables borrow the mapping.
+  const math::Matrix& h_table = state.h_table;
+  const math::Matrix& l_table = state.l_table;
+  for (graph::NodeId node = 0; node < h_table.rows(); ++node) {
+    if (graph.type(node) != graph::NodeType::kRecord) continue;
+    const double* h = h_table.RowPtr(node);
+    const double* l = l_table.RowPtr(node);
+    for (int i = 0; i < d; ++i) {
+      if (h[i] != 0.0 || l[i] != 0.0) {
+        return Status::InvalidArgument("bisage state: record node " +
+                                       std::to_string(node) +
+                                       " has a non-zero initial row");
+      }
+    }
+  }
   h_table_ = std::move(state.h_table);
   l_table_ = std::move(state.l_table);
   for (size_t k = 0; k < w_h_.size(); ++k) {
@@ -911,6 +1012,7 @@ Status BiSage::RestoreTrained(TrainedState state) {
   trained_nodes_ = state.trained_nodes;
   last_epoch_loss_ = state.last_epoch_loss;
   trained_ = true;
+  BuildLayer1Table(graph);
   return Status::Ok();
 }
 
@@ -948,7 +1050,7 @@ Status BiSageEmbedder::RestoreFitted(graph::BipartiteGraph graph,
       return Status::InvalidArgument("embedder state: bad training node id");
     }
   }
-  const Status status = model_.RestoreTrained(std::move(model_state));
+  const Status status = model_.RestoreTrained(std::move(model_state), graph);
   if (!status.ok()) return status;
   graph_ = std::move(graph);
   num_train_ = static_cast<int>(train_nodes.size());

@@ -249,9 +249,13 @@ class BiSage {
   /// draws. Every matrix in the result owns its bytes (safe to keep
   /// after the base's backing storage unmaps).
   TrainedState ExportTrained(const NodeTableDelta& tables) const;
-  /// Overwrites the learned state; shapes must match this model's
-  /// config (dimension d, per-layer d x 2d weights).
-  Status RestoreTrained(TrainedState state);
+  /// Overwrites the learned state and rebuilds the layer-1 MAC table
+  /// for `graph`. Shapes must match this model's config (dimension d,
+  /// per-layer d x 2d weights), the node tables may not extend past
+  /// `graph`, and every record node's rows must be zero — the
+  /// invariant the table rests on (kInvalidArgument otherwise).
+  Status RestoreTrained(TrainedState state,
+                        const graph::BipartiteGraph& graph);
 
  private:
   struct NodeVars {
@@ -320,6 +324,29 @@ class BiSage {
   size_t ForwardNode(const Ctx& ctx, graph::NodeId node, int layer,
                      math::Rng& rng, InferScratch& scratch) const;
 
+  /// Equations (4), (6), (7) for one node at `layer`, written to `out`
+  /// as one 2*d slab [h | l]: h = normalize(σ(W_h [self_h ; h_agg])),
+  /// dually for l, with σ = ReLU below the top layer and the identity
+  /// at it. `cat` is 2*d scratch.
+  void UpdateNode(const math::kernels::Ops& ops, int layer,
+                  const double* self_h, const double* self_l,
+                  const double* h_agg, const double* l_agg, double* cat,
+                  double* out) const;
+
+  /// (h^1, l^1) of a MAC node from its layer-0 rows: UpdateNode with
+  /// both aggregates +0.0. `temp` is 4*d scratch.
+  void MacLayer1(const math::kernels::Ops& ops, const double* h0,
+                 const double* l0, double* temp, double* out) const;
+
+  /// Recomputes layer1_ for the MACs of `graph` below trained_nodes_
+  /// with the active kernels.
+  void BuildLayer1Table(const graph::BipartiteGraph& graph);
+
+  /// The precomputed (h^1, l^1) slab of `node`, or null when the table
+  /// has none for it or was computed with other kernels than `ops`.
+  const double* Layer1Slab(graph::NodeId node,
+                           const math::kernels::Ops& ops) const;
+
   BiSageConfig config_;
   Status config_status_;
   // Fixed initial embeddings; mutable so inference can lazily append
@@ -331,6 +358,21 @@ class BiSage {
   /// features the weight matrices never saw, so inference aggregation
   /// skips them (they still count toward graph connectivity).
   int trained_nodes_ = 0;
+  /// (h^1, l^1) of every MAC below trained_nodes_, one 2*d slab each.
+  /// Record nodes start from zero rows and a MAC's neighbors are all
+  /// records, so a MAC's layer-1 aggregates are exactly +0.0 and its
+  /// (h^1, l^1) depends only on its own rows and W^1. Derived state:
+  /// rebuilt by Train() and RestoreTrained(), never persisted.
+  struct Layer1Table {
+    /// Slab index per node id below trained_nodes_; -1 for records.
+    std::vector<int> slab_of;
+    math::kernels::AlignedVec slabs;
+    /// Kernels the slabs were computed with. Under any other backend
+    /// ForwardNode computes layer 1 instead, so results stay bit-exact
+    /// for the active backend.
+    const math::kernels::Ops* ops = nullptr;
+  };
+  Layer1Table layer1_;
   std::vector<std::unique_ptr<math::Parameter>> w_h_;
   std::vector<std::unique_ptr<math::Parameter>> w_l_;
   std::unique_ptr<math::Adam> adam_;

@@ -57,10 +57,16 @@ Result<BipartiteGraph> BipartiteGraph::FromParts(
     }
     if (type == NodeType::kMac) ++num_macs;
   }
-  for (const auto& neighbors : adjacency) {
-    for (const Neighbor& nb : neighbors) {
+  for (int id = 0; id < n; ++id) {
+    for (const Neighbor& nb : adjacency[id]) {
       if (nb.node < 0 || nb.node >= n) {
         return Status::InvalidArgument("graph state: neighbor id out of range");
+      }
+      // BiSAGE's layer-1 MAC table relies on every edge joining a
+      // record to a MAC.
+      if (types[nb.node] == types[id]) {
+        return Status::InvalidArgument(
+            "graph state: edge within one side of the bipartition");
       }
       if (!(nb.weight > 0.0) || !std::isfinite(nb.weight)) {
         return Status::InvalidArgument("graph state: non-positive edge weight");

@@ -252,6 +252,29 @@ class CheckBenchTest(unittest.TestCase):
         self.assertIn("missing from current run", result.stdout)
         self.assertIn("WARN", result.stdout)
 
+    def test_top_level_stages_missing_warn_but_p50_still_gates(self):
+        # BENCH_serve.json carries its stage table at the top level
+        # (baselined from a traced run); the gated run is untraced, so
+        # the rows are absent there and must only warn, while the
+        # end-to-end p50 still fails hard.
+        staged = json.loads(json.dumps(SERVE))
+        staged["stages"] = [{"stage": "gem.embed", "count": 400,
+                             "inclusive_seconds": 0.6,
+                             "exclusive_seconds": 0.6}]
+        self.write(self.base_dir, "BENCH_serve.json", staged)
+        self.write(self.cur_dir, "BENCH_serve.json", SERVE)
+        result = self.run_checker("BENCH_serve.json")
+        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
+        self.assertIn("stage=gem.embed", result.stdout)
+        self.assertIn("WARN", result.stdout)
+
+        slower = json.loads(json.dumps(SERVE))
+        slower["p50_ms"] *= 2.0
+        self.write(self.cur_dir, "BENCH_serve.json", slower)
+        result = self.run_checker("BENCH_serve.json")
+        self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
+        self.assertIn("p50_ms", result.stdout)
+
     def test_top_level_regression_still_fails_with_stages_present(self):
         # The stage rows must not blanket the whole file in warn-only:
         # the end-to-end train_seconds gate still fails hard.

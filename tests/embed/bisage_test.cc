@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "math/vec.h"
 #include "tests/common/test_records.h"
 
@@ -151,6 +153,48 @@ TEST(BiSageTest, ConfigValidation) {
   EXPECT_EQ(model.config_status().code(), StatusCode::kInvalidArgument);
   graph::BipartiteGraph graph;
   EXPECT_EQ(model.Train(graph).code(), StatusCode::kInvalidArgument);
+}
+
+// The layer-1 MAC table rests on record nodes starting from zero rows.
+// A restored state comes from outside the process (a snapshot), so the
+// invariant is checked there rather than assumed.
+TEST(BiSageTest, RestoreRejectsNonZeroRecordRows) {
+  const auto data = MakeTwoClusters(10, 8);
+  graph::BipartiteGraph graph;
+  for (const auto& record : data.records) graph.AddRecord(record);
+  BiSage model(FastConfig());
+  ASSERT_TRUE(model.Train(graph).ok());
+  ASSERT_EQ(graph.type(0), graph::NodeType::kRecord);
+
+  BiSage restored(FastConfig());
+  EXPECT_TRUE(restored.RestoreTrained(model.ExportTrained(), graph).ok());
+
+  BiSage::TrainedState h_state = model.ExportTrained();
+  h_state.h_table.At(0, 3) = 1e-3;
+  EXPECT_EQ(restored.RestoreTrained(std::move(h_state), graph).code(),
+            StatusCode::kInvalidArgument);
+
+  BiSage::TrainedState l_state = model.ExportTrained();
+  l_state.l_table.At(0, 0) = std::nan("");
+  EXPECT_EQ(restored.RestoreTrained(std::move(l_state), graph).code(),
+            StatusCode::kInvalidArgument);
+
+  // A row past the graph would become a future record's row.
+  BiSage::TrainedState long_state = model.ExportTrained();
+  long_state.h_table.AppendRow(math::Vec(FastConfig().dimension, 0.0));
+  long_state.l_table.AppendRow(math::Vec(FastConfig().dimension, 0.0));
+  EXPECT_EQ(restored.RestoreTrained(std::move(long_state), graph).code(),
+            StatusCode::kInvalidArgument);
+
+  // The snapshot loaders restore through the embedder.
+  graph::BipartiteGraph loaded;
+  for (const auto& record : data.records) loaded.AddRecord(record);
+  BiSageEmbedder embedder(FastConfig());
+  BiSage::TrainedState bad = model.ExportTrained();
+  bad.h_table.At(0, 0) = 0.25;
+  EXPECT_EQ(
+      embedder.RestoreFitted(std::move(loaded), {0}, std::move(bad)).code(),
+      StatusCode::kInvalidArgument);
 }
 
 }  // namespace

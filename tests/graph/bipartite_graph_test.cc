@@ -45,6 +45,24 @@ TEST(BipartiteGraphTest, EdgeWeightsFollowRss) {
   EXPECT_DOUBLE_EQ(graph.weight_sum(r), 110.0);
 }
 
+TEST(BipartiteGraphTest, FromPartsRejectsEdgesWithinOneSide) {
+  // Record 0 -- MAC 1 is a valid graph; a MAC 1 -- MAC 2 edge is not.
+  const std::vector<NodeType> types = {NodeType::kRecord, NodeType::kMac,
+                                       NodeType::kMac};
+  std::vector<std::vector<Neighbor>> adjacency = {
+      {{1, 50.0}}, {{0, 50.0}}, {}};
+  const std::vector<std::pair<std::string, NodeId>> macs = {{"a", 1},
+                                                            {"b", 2}};
+  EXPECT_TRUE(BipartiteGraph::FromParts({}, types, adjacency, macs).ok());
+
+  adjacency[1].push_back({2, 30.0});
+  adjacency[2].push_back({1, 30.0});
+  EXPECT_EQ(BipartiteGraph::FromParts({}, types, adjacency, macs)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(BipartiteGraphTest, EmptyRecordIsIsolated) {
   BipartiteGraph graph;
   const NodeId r = graph.AddRecord(rf::ScanRecord{});

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -147,6 +148,9 @@ TEST_F(ServeTest, ServesMatchDirectInference) {
 // a live reload happening mid-traffic. Run under TSan in CI.
 TEST_F(ServeTest, ConcurrentFencesWithRacingUpdatesAndReload) {
   constexpr int kFences = 4;
+  // Fence 0's request index that waits for the reload to return.
+  constexpr size_t kReloadedFrom = 8;
+  ASSERT_GT(dataset_->test.size(), kReloadedFrom);
   FenceRegistry registry;
   for (int i = 0; i < kFences; ++i) {
     ASSERT_TRUE(
@@ -155,44 +159,47 @@ TEST_F(ServeTest, ConcurrentFencesWithRacingUpdatesAndReload) {
 
   Engine engine(&registry, EngineOptions{/*num_threads=*/4});
   std::atomic<int> ok_count{0};
-  std::atomic<int> reloaded_generation_seen{0};
+  // Fence 0 has been served once, so the reload races live traffic.
+  std::latch fence0_served(1);
+  // InstallFromSnapshot has returned.
+  std::latch reloaded(1);
   std::vector<std::thread> clients;
   clients.reserve(kFences);
   for (int f = 0; f < kFences; ++f) {
     clients.emplace_back([&, f] {
       const std::string fence_id = "home_" + std::to_string(f);
-      for (const rf::ScanRecord& record : dataset_->test) {
+      for (size_t i = 0; i < dataset_->test.size(); ++i) {
+        if (f == 0 && i == kReloadedFrom) reloaded.wait();
         ServeRequest request;
         request.fence_id = fence_id;
-        request.record = record;
+        request.record = dataset_->test[i];
         ServeResponse response = engine.InferBlocking(request);
         while (response.status.code() == StatusCode::kUnavailable) {
           std::this_thread::yield();
           response = engine.InferBlocking(request);
         }
+        if (f == 0 && i == 0) fence0_served.count_down();
         ASSERT_TRUE(response.status.ok()) << response.status.ToString();
         ok_count.fetch_add(1);
-        if (response.fence_generation > 1) {
-          reloaded_generation_seen.fetch_add(1);
+        if (f == 0 && i >= kReloadedFrom) {
+          EXPECT_EQ(response.fence_generation, 2u) << "request " << i;
         }
       }
     });
   }
 
   // Live reload fence 0 while the clients are hammering it.
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  fence0_served.wait();
   const auto generation =
       registry.InstallFromSnapshot("home_0", *snapshot_path_);
-  ASSERT_TRUE(generation.ok());
-  EXPECT_EQ(generation.value(), 2u);
+  reloaded.count_down();
 
   for (std::thread& client : clients) client.join();
   engine.Shutdown();
+  ASSERT_TRUE(generation.ok());
+  EXPECT_EQ(generation.value(), 2u);
   EXPECT_EQ(ok_count.load(),
             kFences * static_cast<int>(dataset_->test.size()));
-  // The reload lands early in the stream, so later home_0 requests must
-  // observe generation 2.
-  EXPECT_GT(reloaded_generation_seen.load(), 0);
 }
 
 TEST_F(ServeTest, BackpressureRejectsWhenQueueFull) {
@@ -257,15 +264,24 @@ TEST_F(ServeTest, SubmitAfterShutdownFailsWithoutCallback) {
 }
 
 TEST_F(ServeTest, UnloadDuringTrafficFinishesInFlight) {
+  constexpr int kClients = 2;
+  constexpr int kRequests = 50;
+  // Request index each client holds until the unload has returned.
+  constexpr int kUnloadedFrom = 10;
   FenceRegistry registry;
   ASSERT_TRUE(registry.Install("home", LoadModel()).ok());
   Engine engine(&registry, EngineOptions{/*num_threads=*/2});
 
   std::atomic<int> ok_or_notfound{0};
+  // Every client has been served once, so the unload lands while both
+  // still have requests pending.
+  std::latch all_served(kClients);
+  std::latch unloaded(1);
   std::vector<std::thread> clients;
-  for (int t = 0; t < 2; ++t) {
+  for (int t = 0; t < kClients; ++t) {
     clients.emplace_back([&] {
-      for (int i = 0; i < 50; ++i) {
+      for (int i = 0; i < kRequests; ++i) {
+        if (i == kUnloadedFrom) unloaded.wait();
         ServeRequest request;
         request.fence_id = "home";
         request.record = dataset_->test[i % dataset_->test.size()];
@@ -274,19 +290,26 @@ TEST_F(ServeTest, UnloadDuringTrafficFinishesInFlight) {
           std::this_thread::yield();
           response = engine.InferBlocking(request);
         }
+        if (i == 0) all_served.count_down();
         // Every request either serves against the model it resolved or
         // cleanly reports the fence as gone — nothing crashes or hangs.
         ASSERT_TRUE(response.status.ok() ||
                     response.status.code() == StatusCode::kNotFound);
+        if (i >= kUnloadedFrom) {
+          EXPECT_EQ(response.status.code(), StatusCode::kNotFound)
+              << "request " << i;
+        }
         ok_or_notfound.fetch_add(1);
       }
     });
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  EXPECT_TRUE(registry.Unload("home").ok());
+  all_served.wait();
+  const Status unload = registry.Unload("home");
+  unloaded.count_down();
   for (std::thread& client : clients) client.join();
   engine.Shutdown();
-  EXPECT_EQ(ok_or_notfound.load(), 100);
+  EXPECT_TRUE(unload.ok());
+  EXPECT_EQ(ok_or_notfound.load(), kClients * kRequests);
 }
 
 TEST_F(ServeTest, InferBatchMatchesSequentialServes) {
