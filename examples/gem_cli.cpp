@@ -8,12 +8,12 @@
 //       test records through it, printing one decision per record and
 //       summary metrics at the end (when the CSV carries ground truth).
 //   gem_cli train <train.csv> --snapshot_out=<model.gem> [--threads=N]
-//       Train GEM and persist the fitted model as a binary snapshot.
+//       Train GEM and persist the fitted model as a v2 snapshot.
 //   gem_cli serve [--snapshots=<a.gem,...>] [--store_dir=<dir>]
 //           --requests=<records.csv> [--cache_fences=N]
 //           [--threads=N] [--queue_depth=N] [--deadline_ms=N]
 //           [--failpoints=SPEC]
-//       Load each snapshot as a fence (id = file basename without
+//       Map each snapshot as a fence (id = file basename without
 //       .gem), start the multi-tenant serving engine, and replay the
 //       request CSV across the fences round-robin. --snapshots
 //       installs the models eagerly; --store_dir registers every .gem
@@ -28,15 +28,14 @@
 //       -DGEM_ENABLE_FAILPOINTS=ON. Requests that fail under injection
 //       or deadlines are counted and reported, not fatal.
 //   gem_cli snapshot inspect <model.gem> [--json]
-//       Structural dump of a v1 or v2 snapshot: version, section
-//       table (tag, name, offset, size), per-section CRC status and
+//       Structural dump of a v2 snapshot: version, section table
+//       (tag, name, offset, size), per-section CRC status and
 //       alignment. --json emits the same facts as a single machine-
 //       readable JSON object on stdout (section offsets/lengths/CRCs,
 //       layout health) for tooling that audits mmap-served snapshot
-//       fleets. Exits 1 when the layout or any CRC is bad — usable
-//       as an integrity check in scripts either way.
-//   gem_cli snapshot migrate <src.gem> <dst.gem>
-//       Rewrite a v1 (or v2) snapshot as mmap-friendly format v2.
+//       fleets. Exits 1 when the layout or any CRC is bad (any other
+//       version is a bad layout) — usable as an integrity check in
+//       scripts either way.
 //   gem_cli matrix [--reps=N] [--threads=N] [--bench_out=PATH]
 //       Run the city-scale scenario matrix (multi-floor confusable
 //       neighbors, MAC churn storms, drift soaks, device
@@ -99,7 +98,6 @@
 #include "rf/record_io.h"
 #include "serve/engine.h"
 #include "serve/fence_registry.h"
-#include "serve/snapshot.h"
 #include "store/fence_cache.h"
 #include "store/format.h"
 #include "store/snapshot_v2.h"
@@ -121,7 +119,6 @@ constexpr const char* kUsage =
     "          [--deadline_ms=N] [--failpoints=SPEC]\n"
     "          [--metrics_every_ms=N]\n"
     "  gem_cli snapshot inspect <model.gem> [--json]\n"
-    "  gem_cli snapshot migrate <src.gem> <dst.gem>\n"
     "  gem_cli matrix [--reps=N] [--threads=N] [--bench_out=PATH]\n"
     "  any command: --metrics_out=<path|-> "
     "--metrics_format={prom,json,table}\n"
@@ -421,7 +418,7 @@ int Train(const ParsedArgs& args) {
                  gem.status().ToString().c_str());
     return 1;
   }
-  const Status saved = serve::SaveSnapshot(snapshot_out, gem.value());
+  const Status saved = store::SaveSnapshotV2(snapshot_out, gem.value());
   if (!saved.ok()) {
     std::fprintf(stderr, "snapshot write failed: %s\n",
                  saved.ToString().c_str());
@@ -498,9 +495,7 @@ int SnapshotInspect(const std::string& path, bool json) {
               "offset", "bytes", "crc32", "status");
   for (const store::SectionInfo& section : info->sections) {
     std::string status = section.crc_ok ? "OK" : "CRC MISMATCH";
-    // Alignment is a v2 layout property; v1 frames land wherever the
-    // stream put them.
-    if (info->version >= 2 && !section.aligned) status += " MISALIGNED";
+    if (!section.aligned) status += " MISALIGNED";
     if (!section.crc_ok) healthy = false;
     std::printf("  %3u  %-14s  %10llu  %10llu  0x%08x  %s\n", section.tag,
                 section.name.c_str(),
@@ -521,20 +516,6 @@ int Snapshot(const ParsedArgs& args) {
       if (key == "json" && value.empty()) json = true;
     }
     return SnapshotInspect(args.positional[2], json);
-  }
-  if (verb == "migrate") {
-    if (args.positional.size() != 4) return Usage();
-    const std::string& src = args.positional[2];
-    const std::string& dst = args.positional[3];
-    const Status migrated = store::MigrateSnapshot(src, dst);
-    if (!migrated.ok()) {
-      std::fprintf(stderr, "migrate failed: %s\n",
-                   migrated.ToString().c_str());
-      return 1;
-    }
-    std::printf("migrated %s -> %s (format v%u)\n", src.c_str(), dst.c_str(),
-                store::kSnapshotFormatVersionV2);
-    return 0;
   }
   return Usage();
 }

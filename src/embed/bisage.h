@@ -229,7 +229,7 @@ class BiSage {
   /// across epochs and batches.
   ThreadPool& thread_pool() const;
 
-  /// Snapshot support (serve/snapshot.cc): everything Train() learned
+  /// Snapshot support (store/snapshot_v2.cc): everything Train() learned
   /// plus the lazily-grown node tables and their init stream, so a
   /// restored model embeds future nodes bit-identically to the
   /// original process. Optimizer moments are NOT persisted: a
@@ -443,7 +443,7 @@ class BiSageEmbedder : public RecordEmbedder {
     return train_nodes_;
   }
 
-  /// Snapshot support (serve/snapshot.cc): swaps in a persisted graph,
+  /// Snapshot support (store/snapshot_v2.cc): swaps in a persisted graph,
   /// training-node list, and trained model state.
   Status RestoreFitted(graph::BipartiteGraph graph,
                        std::vector<graph::NodeId> train_nodes,

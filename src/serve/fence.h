@@ -49,7 +49,8 @@ struct Fence {
   /// over an mmap'd snapshot this owns the mapping. Declared before
   /// `gem`/`overlay` so it is destroyed LAST (members destruct in
   /// reverse order) — the views die before the pages they point at.
-  /// Null for copy-loaded models.
+  /// Null only for a Gem that owns its storage (FenceRegistry::Install
+  /// of an in-memory model).
   const std::shared_ptr<void> backing;
   core::Gem gem;
   /// Online updates relative to `gem`'s base: appended graph nodes,

@@ -7,7 +7,7 @@
 #include "base/check.h"
 #include "fault/failpoint.h"
 #include "obs/metrics.h"
-#include "serve/snapshot.h"
+#include "store/mapped_model.h"
 
 namespace gem::serve {
 namespace {
@@ -45,6 +45,12 @@ FenceRegistry::Shard& FenceRegistry::ShardFor(
 
 Result<uint64_t> FenceRegistry::Install(const std::string& fence_id,
                                         core::Gem gem) {
+  return InstallWithBacking(fence_id, std::move(gem), nullptr);
+}
+
+Result<uint64_t> FenceRegistry::InstallWithBacking(
+    const std::string& fence_id, core::Gem gem,
+    std::shared_ptr<void> backing) {
   if (fence_id.empty()) {
     return Status::InvalidArgument("fence id must be non-empty");
   }
@@ -68,12 +74,14 @@ Result<uint64_t> FenceRegistry::Install(const std::string& fence_id,
     if (it != shard.fences.end()) {
       generation = it->second->generation + 1;
       replaced = std::move(it->second);
-      it->second =
-          std::make_shared<Fence>(fence_id, generation, std::move(gem));
+      it->second = std::make_shared<Fence>(fence_id, generation,
+                                           std::move(gem),
+                                           std::move(backing));
     } else {
-      shard.fences.emplace(fence_id, std::make_shared<Fence>(
-                                         fence_id, generation,
-                                         std::move(gem)));
+      shard.fences.emplace(
+          fence_id, std::make_shared<Fence>(fence_id, generation,
+                                            std::move(gem),
+                                            std::move(backing)));
     }
   }
   InstallCounter().Increment();
@@ -83,19 +91,21 @@ Result<uint64_t> FenceRegistry::Install(const std::string& fence_id,
 
 Result<uint64_t> FenceRegistry::InstallFromSnapshot(
     const std::string& fence_id, const std::string& path,
-    const RetryOptions& retry) {
+    const store::RetryOptions& retry) {
   const char* phase = Find(fence_id) != nullptr ? "reload" : "initial";
-  StatusOr<core::Gem> gem = [&]() -> StatusOr<core::Gem> {
+  StatusOr<store::MappedModel> model = [&]() -> StatusOr<store::MappedModel> {
     GEM_FAILPOINT("serve.registry.reload");
-    return LoadSnapshotWithRetry(path, retry);
+    return store::OpenWithRetry(path, retry);
   }();
-  if (!gem.ok()) {
+  if (!model.ok()) {
     // Graceful degradation: the map is untouched, so an existing
     // generation keeps serving; only the metric records the failure.
     ReloadFailureCounter(phase).Increment();
-    return gem.status();
+    return model.status();
   }
-  return Install(fence_id, std::move(gem).value());
+  std::shared_ptr<store::MmapFile> backing = model->backing();
+  return InstallWithBacking(fence_id, std::move(*model).TakeGem(),
+                            std::move(backing));
 }
 
 Status FenceRegistry::Unload(const std::string& fence_id) {

@@ -12,7 +12,6 @@
 #include "base/statusor.h"
 #include "core/gem.h"
 #include "serve/fence.h"
-#include "serve/snapshot.h"
 #include "store/fence_cache.h"
 #include "store/partition_map.h"
 
@@ -44,14 +43,16 @@ class FenceRegistry {
   /// local to this instance.
   Result<uint64_t> Install(const std::string& fence_id, core::Gem gem);
 
-  /// Loads a snapshot file (retrying transient failures per `retry` —
-  /// see LoadSnapshotWithRetry) and installs it under `fence_id`.
-  /// Degrades gracefully: when the load fails for good, the previously
-  /// installed generation (if any) keeps serving untouched and
-  /// gem_serve_reload_failures_total is incremented.
+  /// Maps a v2 snapshot file (store::OpenWithRetry: transient
+  /// failures retry per `retry`) and installs it under `fence_id`; the
+  /// fence's base Gem borrows its tensors from the mapping, which
+  /// Fence::backing keeps alive for as long as any holder pins that
+  /// generation. Degrades gracefully: when the load fails for good, the
+  /// previously installed generation (if any) keeps serving untouched
+  /// and gem_serve_reload_failures_total is incremented.
   Result<uint64_t> InstallFromSnapshot(const std::string& fence_id,
                                        const std::string& path,
-                                       const RetryOptions& retry = {});
+                                       const store::RetryOptions& retry = {});
 
   /// Removes the fence; in-flight holders finish undisturbed.
   Status Unload(const std::string& fence_id);
@@ -91,6 +92,11 @@ class FenceRegistry {
   };
 
   Shard& ShardFor(const std::string& fence_id) const;
+  /// Install with the mapping (null for an owned Gem) that `gem`'s
+  /// borrowed views point into.
+  Result<uint64_t> InstallWithBacking(const std::string& fence_id,
+                                      core::Gem gem,
+                                      std::shared_ptr<void> backing);
 
   /// Fixed at construction; never resized (Shard is not movable).
   mutable std::vector<Shard> shards_;

@@ -1,17 +1,12 @@
 #include "store/fence_cache.h"
 
-#include <sys/stat.h>
-
 #include <algorithm>
 #include <chrono>
-#include <thread>
 #include <utility>
 
 #include "fault/failpoint.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/snapshot_sections.h"
-#include "store/format.h"
 #include "store/meminfo.h"
 #include "store/snapshot_v2.h"
 
@@ -46,71 +41,12 @@ struct CacheMetrics {
   }
 };
 
-/// Snapshot file size — the resident-bytes accounting unit. For a
-/// mapped model this is mapping EXTENT (virtual), not private memory;
-/// the private_dirty gauge carries the pressure signal.
-uint64_t FileSizeOrZero(const std::string& path) {
-  struct stat st;
-  return ::stat(path.c_str(), &st) == 0 ? static_cast<uint64_t>(st.st_size)
-                                        : 0;
-}
-
 /// Best-effort refresh of the process-wide Private_Dirty gauge. Cold
 /// paths only — it costs a /proc read.
 void RefreshPrivateDirtyGauge() {
   StatusOr<uint64_t> bytes = PrivateDirtyBytes();
   if (bytes.ok()) {
     CacheMetrics::Get().private_dirty.Set(static_cast<double>(*bytes));
-  }
-}
-
-/// A cold-loaded model plus (for mapped loads) the mapping that keeps
-/// its borrowed views alive.
-struct LoadedModel {
-  core::Gem gem;
-  std::shared_ptr<void> backing;  // null for copy loads
-};
-
-/// One cold load: v2 files go through MappedModel when mapped serving
-/// is on (zero-copy), everything else through the copy loader.
-StatusOr<LoadedModel> LoadForServing(const std::string& path,
-                                     const FenceCacheOptions& options) {
-  if (options.mapped_load) {
-    StatusOr<uint32_t> version = PeekSnapshotVersion(path);
-    if (version.ok() && *version == kSnapshotFormatVersionV2) {
-      StatusOr<MappedModel> mapped = MappedModel::Open(path, options.mapped);
-      if (!mapped.ok()) return mapped.status();
-      std::shared_ptr<MmapFile> backing = mapped->backing();
-      return LoadedModel{std::move(*mapped).TakeGem(), std::move(backing)};
-    }
-    // v1 files (and unreadable headers) fall through to the copy
-    // loader, which owns the established error text for both.
-  }
-  StatusOr<core::Gem> gem = LoadSnapshotAuto(path);
-  if (!gem.ok()) return gem.status();
-  return LoadedModel{std::move(gem).value(), nullptr};
-}
-
-/// LoadForServing under the v1 retry contract (same transient codes
-/// and metrics as LoadSnapshotAutoWithRetry).
-StatusOr<LoadedModel> LoadForServingWithRetry(
-    const std::string& path, const FenceCacheOptions& options) {
-  static obs::Counter& retries =
-      obs::MetricsRegistry::Get().GetCounter("gem_store_load_retries_total");
-  std::chrono::duration<double, std::milli> backoff =
-      options.retry.initial_backoff;
-  for (int attempt = 1;; ++attempt) {
-    StatusOr<LoadedModel> loaded = LoadForServing(path, options);
-    if (loaded.ok() ||
-        !serve::internal::IsTransientLoadError(loaded.code()) ||
-        attempt >= options.retry.max_attempts) {
-      return loaded;
-    }
-    retries.Increment();
-    if (backoff.count() > 0) {
-      std::this_thread::sleep_for(backoff);
-    }
-    backoff *= options.retry.backoff_multiplier;
   }
 }
 
@@ -293,17 +229,20 @@ StatusOr<std::shared_ptr<serve::Fence>> FenceCache::Acquire(
     const uint64_t epoch = entry.epoch;
     lock.unlock();
 
-    StatusOr<LoadedModel> loaded = [&]() -> StatusOr<LoadedModel> {
+    StatusOr<MappedModel> loaded = [&]() -> StatusOr<MappedModel> {
       GEM_TRACE_SPAN("store.cold_load");
       const auto start = std::chrono::steady_clock::now();
-      StatusOr<LoadedModel> result = LoadForServingWithRetry(path, options_);
+      StatusOr<MappedModel> result =
+          OpenWithRetry(path, options_.retry, options_.mapped);
       metrics.cold_load_seconds.Observe(
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         start)
               .count());
       return result;
     }();
-    const uint64_t bytes = loaded.ok() ? FileSizeOrZero(path) : 0;
+    // Mapping extent (virtual), the resident-bytes accounting unit; the
+    // private_dirty gauge carries the memory-pressure signal.
+    const uint64_t bytes = loaded.ok() ? loaded->file_bytes() : 0;
 
     lock.lock();
     auto jt = entries_.find(fence_id);
@@ -320,24 +259,19 @@ StatusOr<std::shared_ptr<serve::Fence>> FenceCache::Acquire(
     if (!loaded.ok()) return loaded.status();
 
     const uint64_t generation = loaded_entry.next_generation;
-    if (loaded_entry.epoch != epoch) {
-      // Invalidated (or repointed) while we were loading: the bytes we
-      // read may predate the new file. Discard and reload — but only a
-      // bounded number of times, so an invalidation storm degrades to
-      // serving the freshest completed load instead of livelocking.
-      if (attempt < 2) continue;
-      loaded_entry.next_generation = generation + 1;
-      auto fence = std::make_shared<serve::Fence>(
-          fence_id, generation, std::move(loaded->gem),
-          std::move(loaded->backing));
-      fence->overlay.limits = options_.overlay_limits;
-      return fence;
-    }
+    // Invalidated (or repointed) while we were loading: the bytes we
+    // read may predate the new file. Discard and reload — but only a
+    // bounded number of times, so an invalidation storm degrades to
+    // serving the freshest completed load instead of livelocking.
+    const bool stale = loaded_entry.epoch != epoch;
+    if (stale && attempt < 2) continue;
     loaded_entry.next_generation = generation + 1;
-    auto fence = std::make_shared<serve::Fence>(fence_id, generation,
-                                                std::move(loaded->gem),
-                                                std::move(loaded->backing));
+    std::shared_ptr<MmapFile> backing = loaded->backing();
+    auto fence = std::make_shared<serve::Fence>(
+        fence_id, generation, std::move(*loaded).TakeGem(),
+        std::move(backing));
     fence->overlay.limits = options_.overlay_limits;
+    if (stale) return fence;
     loaded_entry.fence = fence;
     lru_.push_front(fence_id);
     loaded_entry.lru = lru_.begin();

@@ -14,7 +14,6 @@
 #include "base/statusor.h"
 #include "core/overlay.h"
 #include "serve/fence.h"
-#include "serve/snapshot.h"
 #include "store/mapped_model.h"
 
 namespace gem::store {
@@ -24,15 +23,9 @@ struct FenceCacheOptions {
   /// unbounded (1M fences on one box is the design point); residency
   /// is what this caps.
   size_t capacity = 64;
-  /// Cold-load retry policy (v1 semantics: only transient codes retry).
-  serve::RetryOptions retry;
-  /// Serve v2 snapshots zero-copy: the cold load maps the file
-  /// read-only and the Fence's base Gem borrows its bulk tensors from
-  /// the mapping (store::MappedModel); eviction is then an munmap and
-  /// generations of the same file share clean pages. v1 snapshots
-  /// always copy-load regardless.
-  bool mapped_load = true;
-  /// Passed through to MappedModel::Open when mapped_load is on.
+  /// Cold-load retry policy (only transient codes retry).
+  RetryOptions retry;
+  /// Passed through to MappedModel::Open on every cold load.
   MappedModelOptions mapped;
   /// Installed on every loaded fence's overlay: when the overlay
   /// outgrows these limits the cache compacts it back into the
@@ -54,8 +47,8 @@ struct FenceCacheOptions {
 ///
 /// The registry of fence id -> snapshot path is cheap and unbounded;
 /// models are materialized only on Acquire (cold load: mmap + in-place
-/// validation via LoadSnapshotAuto) and evicted least-recently-used
-/// once more than `capacity` are resident. The moving parts:
+/// validation via OpenWithRetry) and evicted least-recently-used once
+/// more than `capacity` are resident. The moving parts:
 ///
 ///  - **Pinning.** Acquire returns a shared_ptr<serve::Fence>; an
 ///    in-flight request keeps serving against its pinned model even if
@@ -71,9 +64,10 @@ struct FenceCacheOptions {
 ///    discarded and re-run — an Acquire never returns a model older
 ///    than the last Invalidate it observed.
 ///
-///  - **Mapped serving.** With options.mapped_load, a v2 snapshot is
-///    served straight over its read-only mapping (store::MappedModel):
-///    cold load does no bulk memcpys, eviction is an munmap, and the
+///  - **Mapped serving.** Every snapshot is served straight over its
+///    read-only mapping (store::MappedModel): the Fence's base Gem
+///    borrows its bulk tensors from the mapping, so a cold load does
+///    no bulk memcpys, eviction is an munmap, and the
 ///    resident set's clean pages are shared + kernel-reclaimable. The
 ///    resident_bytes gauge therefore reports mapping EXTENT; the real
 ///    pressure signal is gem_store_private_dirty_bytes (process-wide

@@ -5,7 +5,7 @@
 #include <sstream>
 #include <utility>
 
-#include "serve/wire.h"
+#include "store/wire.h"
 
 namespace gem::store {
 namespace {
@@ -64,7 +64,7 @@ std::string SerializeV2(
     entries[i].tag = sections[i].first;
     entries[i].offset = cursor;
     entries[i].length = sections[i].second.size();
-    entries[i].crc = serve::Crc32(sections[i].second);
+    entries[i].crc = Crc32(sections[i].second);
     cursor = i + 1 < n ? AlignUp(cursor + entries[i].length)
                        : cursor + entries[i].length;
   }
@@ -89,8 +89,8 @@ std::string SerializeV2(
   }
   const std::string_view view(bytes);
   PutU32(bytes, 32,
-         serve::Crc32(view.substr(kHeaderSize, n * kTableEntrySize)));
-  PutU32(bytes, 36, serve::Crc32(view.substr(0, kHeaderCrcSpan)));
+         Crc32(view.substr(kHeaderSize, n * kTableEntrySize)));
+  PutU32(bytes, 36, Crc32(view.substr(0, kHeaderCrcSpan)));
   return bytes;
 }
 
@@ -109,7 +109,7 @@ StatusOr<std::vector<SectionEntry>> ParseV2(std::string_view bytes,
                                    " is not a v2 snapshot");
   }
   const uint32_t stored_header_crc = GetU32(bytes, 36);
-  if (serve::Crc32(bytes.substr(0, kHeaderCrcSpan)) != stored_header_crc) {
+  if (Crc32(bytes.substr(0, kHeaderCrcSpan)) != stored_header_crc) {
     return Status::DataLoss("v2 header checksum mismatch");
   }
   for (size_t i = 40; i < kHeaderSize; ++i) {
@@ -136,7 +136,7 @@ StatusOr<std::vector<SectionEntry>> ParseV2(std::string_view bytes,
   if (table_offset + table_bytes > bytes.size()) {
     return Status::DataLoss("v2 section table exceeds file");
   }
-  if (serve::Crc32(bytes.substr(table_offset, table_bytes)) !=
+  if (Crc32(bytes.substr(table_offset, table_bytes)) !=
       GetU32(bytes, 32)) {
     return Status::DataLoss("v2 section table checksum mismatch");
   }
@@ -185,7 +185,7 @@ StatusOr<std::vector<SectionEntry>> ParseV2(std::string_view bytes,
   }
   if (!skip_payload_crc) {
     for (const SectionEntry& entry : entries) {
-      if (serve::Crc32(bytes.substr(entry.offset, entry.length)) !=
+      if (Crc32(bytes.substr(entry.offset, entry.length)) !=
           entry.crc) {
         return Status::DataLoss("v2 section " + std::to_string(entry.tag) +
                                 " checksum mismatch");
@@ -195,16 +195,12 @@ StatusOr<std::vector<SectionEntry>> ParseV2(std::string_view bytes,
   return entries;
 }
 
-std::string SectionTagName(uint32_t tag, uint32_t version) {
+std::string SectionTagName(uint32_t tag) {
   switch (tag) {
     case kConfigTag:
       return "config";
     case kGraphTag:
       return "graph";
-    case 3:
-      return version == 1 ? "embedder" : "unknown(3)";
-    case 4:
-      return version == 1 ? "detector" : "unknown(4)";
     case kEmbedderMetaTag:
       return "embedder.meta";
     case kEmbedderDataTag:
@@ -218,68 +214,7 @@ std::string SectionTagName(uint32_t tag, uint32_t version) {
   }
 }
 
-StatusOr<uint32_t> PeekSnapshotVersion(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
-    return Status::NotFound("cannot open " + path);
-  }
-  char head[12];
-  in.read(head, sizeof(head));
-  if (in.gcount() != sizeof(head)) {
-    return Status::DataLoss(path + ": too short for a snapshot header");
-  }
-  const std::string_view view(head, sizeof(head));
-  if (!HasMagic(view)) {
-    return Status::DataLoss(path + ": not a GEM snapshot (bad magic)");
-  }
-  return GetU32(view, 8);
-}
-
 namespace {
-
-/// Best-effort v1 frame walk for inspection (tolerant counterpart of
-/// the strict loader in serve/snapshot.cc).
-void InspectV1(std::string_view bytes, SnapshotInfo* info) {
-  size_t pos = sizeof(kMagic);
-  if (bytes.size() < pos + 8) {
-    info->layout_error = "truncated v1 header";
-    return;
-  }
-  const uint32_t section_count = GetU32(bytes, pos + 4);
-  pos += 8;
-  for (uint32_t s = 0; s < section_count; ++s) {
-    if (bytes.size() - pos < 12) {
-      info->layout_error = "truncated frame header at section " +
-                           std::to_string(s);
-      return;
-    }
-    SectionInfo section;
-    section.tag = GetU32(bytes, pos);
-    section.name = SectionTagName(section.tag, 1);
-    section.length = GetU64(bytes, pos + 4);
-    pos += 12;
-    section.offset = pos;
-    if (section.length > bytes.size() - pos ||
-        bytes.size() - pos - section.length < 4) {
-      info->layout_error = "truncated payload in section " +
-                           std::to_string(section.tag);
-      info->sections.push_back(section);
-      return;
-    }
-    const std::string_view payload = bytes.substr(pos, section.length);
-    pos += section.length;
-    section.stored_crc = GetU32(bytes, pos);
-    pos += 4;
-    section.crc_ok = serve::Crc32(payload) == section.stored_crc;
-    section.aligned = section.offset % kSectionAlignment == 0;
-    info->sections.push_back(section);
-  }
-  if (pos != bytes.size()) {
-    info->layout_error = "trailing bytes after last section";
-    return;
-  }
-  info->layout_ok = true;
-}
 
 void InspectV2(std::string_view bytes, SnapshotInfo* info) {
   // Strict structural parse first (payload CRCs reported per section
@@ -300,7 +235,7 @@ void InspectV2(std::string_view bytes, SnapshotInfo* info) {
     if (at + kTableEntrySize > bytes.size()) break;
     SectionInfo section;
     section.tag = GetU32(bytes, at);
-    section.name = SectionTagName(section.tag, 2);
+    section.name = SectionTagName(section.tag);
     section.offset = GetU64(bytes, at + 8);
     section.length = GetU64(bytes, at + 16);
     section.stored_crc = GetU32(bytes, at + 24);
@@ -308,7 +243,7 @@ void InspectV2(std::string_view bytes, SnapshotInfo* info) {
     section.crc_ok =
         section.offset <= bytes.size() &&
         section.length <= bytes.size() - section.offset &&
-        serve::Crc32(bytes.substr(section.offset, section.length)) ==
+        Crc32(bytes.substr(section.offset, section.length)) ==
             section.stored_crc;
     info->sections.push_back(section);
   }
@@ -333,9 +268,7 @@ StatusOr<SnapshotInfo> InspectSnapshot(const std::string& path) {
   SnapshotInfo info;
   info.file_size = bytes.size();
   info.version = bytes.size() >= 12 ? GetU32(bytes, 8) : 0;
-  if (info.version == 1) {
-    InspectV1(bytes, &info);
-  } else if (info.version == kSnapshotFormatVersionV2) {
+  if (info.version == kSnapshotFormatVersionV2) {
     InspectV2(bytes, &info);
   } else {
     info.layout_error =

@@ -1,6 +1,7 @@
 #ifndef GEM_STORE_MAPPED_MODEL_H_
 #define GEM_STORE_MAPPED_MODEL_H_
 
+#include <chrono>
 #include <memory>
 #include <optional>
 #include <string>
@@ -16,11 +17,6 @@ namespace gem::store {
 /// Options for MappedModel::Open. Zero-initialized defaults are the
 /// production configuration; Validate() is called by Open.
 struct MappedModelOptions {
-  /// Advise the kernel the mapping is accessed randomly
-  /// (POSIX_MADV_RANDOM): inference touches scattered table rows, so
-  /// aggressive readahead just evicts someone else's pages.
-  bool advise_random = true;
-
   /// Hard cap on the snapshot file size in bytes; 0 = unlimited. A
   /// fleet-wide guard against mapping a runaway (or hostile) file.
   long max_file_bytes = 0;
@@ -46,13 +42,16 @@ struct MappedModelOptions {
 /// mapped Gem is safe under the whole serving API. Only Train() — a
 /// wholesale refit — replaces the borrowed state with owned storage.
 ///
-/// v1 snapshots cannot be mapped (per-element wire format); Open
-/// returns kInvalidArgument for them — migrate with MigrateSnapshot.
+/// This is the only way a served model is loaded: FenceCache cold
+/// loads and FenceRegistry::InstallFromSnapshot both go through
+/// OpenWithRetry below.
 class MappedModel {
  public:
   /// Maps `path` (which must be a v2 snapshot), validates it in place,
-  /// and builds the view-backed Gem. kNotFound for a missing file,
-  /// kDataLoss on corruption, kInvalidArgument for a v1 file or an
+  /// advises the kernel the mapping is read randomly (inference
+  /// touches scattered table rows), and builds the view-backed Gem.
+  /// kNotFound for a missing file, kDataLoss on corruption (bad magic
+  /// included), kInvalidArgument for any version but 2 or an
   /// over-budget file. Failpoints: `store.mmap.open`,
   /// `store.mmap.map`, `store.snapshot.validate`.
   static StatusOr<MappedModel> Open(const std::string& path,
@@ -89,6 +88,30 @@ class MappedModel {
   std::shared_ptr<MmapFile> backing_;
   std::optional<core::Gem> gem_;
 };
+
+/// Bounded exponential-backoff retry for model loads (live reloads and
+/// cold loads in a long-running server hit transient I/O failures; a
+/// load that gives up must not take the previous generation down with
+/// it).
+struct RetryOptions {
+  /// Total attempts, including the first (1 = no retry).
+  int max_attempts = 3;
+  /// Sleep before attempt 2; doubles (backoff_multiplier) per attempt.
+  std::chrono::milliseconds initial_backoff{5};
+  double backoff_multiplier = 2.0;
+
+  /// kInvalidArgument unless max_attempts >= 1, initial_backoff >= 0
+  /// and backoff_multiplier >= 1.
+  Status Validate() const;
+};
+
+/// MappedModel::Open under `retry`. Only transient codes (kUnavailable,
+/// kInternal) are retried — kNotFound, kDataLoss and kInvalidArgument
+/// are terminal and return immediately. Each retry increments
+/// gem_store_load_retries_total.
+StatusOr<MappedModel> OpenWithRetry(const std::string& path,
+                                    const RetryOptions& retry,
+                                    const MappedModelOptions& options = {});
 
 }  // namespace gem::store
 

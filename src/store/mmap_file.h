@@ -18,10 +18,10 @@ namespace gem::store {
 ///
 /// Move-only RAII: the mapping lives until the object is destroyed.
 /// Failure surfaces as Status (kNotFound for a missing file,
-/// kUnavailable for map/open failures worth retrying, kInvalidArgument
-/// for an empty file), never as a crash; the `store.mmap.open` /
-/// `store.mmap.map` failpoints inject those same outcomes for chaos
-/// tests.
+/// kUnavailable for map/open failures worth retrying, kDataLoss for an
+/// empty file — a snapshot truncated to zero bytes), never as a crash;
+/// the `store.mmap.open` / `store.mmap.map` failpoints inject those
+/// same outcomes for chaos tests.
 class MmapFile {
  public:
   /// Maps `path` read-only in full.

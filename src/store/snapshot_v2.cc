@@ -1,25 +1,264 @@
 #include "store/snapshot_v2.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <thread>
 #include <utility>
 #include <vector>
 
+#include "detect/hbos.h"
+#include "embed/bisage.h"
 #include "fault/failpoint.h"
-#include "obs/metrics.h"
-#include "serve/snapshot_sections.h"
-#include "serve/wire.h"
+#include "graph/bipartite_graph.h"
+#include "math/rng.h"
 #include "store/format.h"
 #include "store/mmap_file.h"
+#include "store/wire.h"
 
 namespace gem::store {
 namespace {
 
-using serve::WireReader;
-using serve::WireWriter;
+// --- Wire-encoded state: RNG streams, config, graph -----------------
+// The small, structure-heavy sections go through WireWriter/WireReader
+// element by element; only the bulk tensors below get aligned blocks.
+
+void PutRngState(WireWriter& w, const math::Rng::State& state) {
+  for (const uint64_t word : state.words) w.PutU64(word);
+  w.PutF64(state.cached_normal);
+  w.PutU8(state.has_cached_normal ? 1 : 0);
+}
+
+Status GetRngState(WireReader& r, math::Rng::State* out) {
+  for (uint64_t& word : out->words) {
+    Status status = r.GetU64(&word);
+    if (!status.ok()) return status;
+  }
+  Status status = r.GetF64(&out->cached_normal);
+  if (!status.ok()) return status;
+  uint8_t flag;
+  status = r.GetU8(&flag);
+  if (!status.ok()) return status;
+  out->has_cached_normal = flag != 0;
+  return Status::Ok();
+}
+
+void PutIntVec(WireWriter& w, const std::vector<int>& v) {
+  w.PutU64(v.size());
+  for (const int x : v) w.PutI32(x);
+}
+
+Status GetIntVec(WireReader& r, std::vector<int>* out) {
+  uint64_t n;
+  Status status = r.GetU64(&n);
+  if (!status.ok()) return status;
+  if (n > r.remaining() / 4) {
+    return Status::DataLoss("int vector length exceeds payload");
+  }
+  out->clear();
+  out->reserve(n);
+  for (uint64_t i = 0; i < n; ++i) {
+    int32_t x;
+    status = r.GetI32(&x);
+    if (!status.ok()) return status;
+    out->push_back(x);
+  }
+  return Status::Ok();
+}
+
+// --- Config section -------------------------------------------------
+
+std::string EncodeConfig(const core::GemConfig& config) {
+  WireWriter w;
+  w.PutU32(static_cast<uint32_t>(config.edge_weight.kind));
+  w.PutF64(config.edge_weight.offset_c);
+  w.PutF64(config.edge_weight.exp_scale);
+
+  const embed::BiSageConfig& b = config.bisage;
+  w.PutI32(b.dimension);
+  w.PutI32(b.num_layers);
+  PutIntVec(w, b.fanouts);
+  w.PutI32(b.walks_per_node);
+  w.PutI32(b.walk_length);
+  w.PutI32(b.epochs);
+  w.PutI32(b.num_negatives);
+  w.PutF64(b.learning_rate);
+  w.PutI32(b.batch_pairs);
+  PutIntVec(w, b.inference_fanouts);
+  w.PutU8(b.use_edge_weights ? 1 : 0);
+  w.PutI32(b.min_mac_degree);
+  w.PutU64(b.seed);
+
+  const detect::EnhancedHbosOptions& d = config.detector;
+  w.PutI32(d.bins);
+  w.PutF64(d.temperature);
+  w.PutF64(d.tau_upper);
+  w.PutF64(d.tau_lower);
+  w.PutU8(d.auto_calibrate ? 1 : 0);
+  w.PutI32(d.calibration_folds);
+  w.PutF64(d.calibration_upper_percentile);
+  w.PutF64(d.calibration_spread_factor);
+  w.PutF64(d.calibration_lower_percentile);
+  w.PutI64(d.max_retained_samples);
+
+  w.PutU8(config.online_update ? 1 : 0);
+  return w.TakeBytes();
+}
+
+Status DecodeConfig(std::string_view payload, core::GemConfig* out) {
+  WireReader r(payload);
+  uint32_t kind;
+  uint8_t flag;
+  Status status = r.GetU32(&kind);
+  if (!status.ok()) return status;
+  if (kind > static_cast<uint32_t>(graph::WeightKind::kSquaredOffset)) {
+    return Status::InvalidArgument("config: unknown edge-weight kind");
+  }
+  out->edge_weight.kind = static_cast<graph::WeightKind>(kind);
+  if (!(status = r.GetF64(&out->edge_weight.offset_c)).ok()) return status;
+  if (!(status = r.GetF64(&out->edge_weight.exp_scale)).ok()) return status;
+
+  embed::BiSageConfig& b = out->bisage;
+  if (!(status = r.GetI32(&b.dimension)).ok()) return status;
+  if (!(status = r.GetI32(&b.num_layers)).ok()) return status;
+  if (!(status = GetIntVec(r, &b.fanouts)).ok()) return status;
+  if (!(status = r.GetI32(&b.walks_per_node)).ok()) return status;
+  if (!(status = r.GetI32(&b.walk_length)).ok()) return status;
+  if (!(status = r.GetI32(&b.epochs)).ok()) return status;
+  if (!(status = r.GetI32(&b.num_negatives)).ok()) return status;
+  if (!(status = r.GetF64(&b.learning_rate)).ok()) return status;
+  if (!(status = r.GetI32(&b.batch_pairs)).ok()) return status;
+  if (!(status = GetIntVec(r, &b.inference_fanouts)).ok()) return status;
+  if (!(status = r.GetU8(&flag)).ok()) return status;
+  b.use_edge_weights = flag != 0;
+  if (!(status = r.GetI32(&b.min_mac_degree)).ok()) return status;
+  if (!(status = r.GetU64(&b.seed)).ok()) return status;
+  // Basic plausibility bounds on persisted bytes; full semantic
+  // validation (BiSageConfig::Validate) runs in Gem::FromParts.
+  if (b.dimension < 1 || b.dimension > 65536) {
+    return Status::InvalidArgument("config: implausible embedding dimension");
+  }
+  if (b.num_layers < 1 || b.num_layers > 64 ||
+      static_cast<int>(b.fanouts.size()) != b.num_layers ||
+      (!b.inference_fanouts.empty() &&
+       static_cast<int>(b.inference_fanouts.size()) != b.num_layers)) {
+    return Status::InvalidArgument("config: inconsistent layer layout");
+  }
+
+  detect::EnhancedHbosOptions& d = out->detector;
+  if (!(status = r.GetI32(&d.bins)).ok()) return status;
+  if (!(status = r.GetF64(&d.temperature)).ok()) return status;
+  if (!(status = r.GetF64(&d.tau_upper)).ok()) return status;
+  if (!(status = r.GetF64(&d.tau_lower)).ok()) return status;
+  if (!(status = r.GetU8(&flag)).ok()) return status;
+  d.auto_calibrate = flag != 0;
+  if (!(status = r.GetI32(&d.calibration_folds)).ok()) return status;
+  if (!(status = r.GetF64(&d.calibration_upper_percentile)).ok()) {
+    return status;
+  }
+  if (!(status = r.GetF64(&d.calibration_spread_factor)).ok()) return status;
+  if (!(status = r.GetF64(&d.calibration_lower_percentile)).ok()) {
+    return status;
+  }
+  int64_t max_retained;
+  if (!(status = r.GetI64(&max_retained)).ok()) return status;
+  d.max_retained_samples = static_cast<long>(max_retained);
+
+  if (!(status = r.GetU8(&flag)).ok()) return status;
+  out->online_update = flag != 0;
+  return Status::Ok();
+}
+
+// --- Graph section --------------------------------------------------
+
+std::string EncodeGraph(const graph::BipartiteGraph& g) {
+  WireWriter w;
+  const int n = g.num_nodes();
+  w.PutU32(static_cast<uint32_t>(n));
+  for (graph::NodeId id = 0; id < n; ++id) {
+    w.PutU8(g.type(id) == graph::NodeType::kMac ? 1 : 0);
+  }
+  for (graph::NodeId id = 0; id < n; ++id) {
+    const auto& neighbors = g.neighbors(id);
+    w.PutU64(neighbors.size());
+    for (const graph::Neighbor& nb : neighbors) {
+      w.PutU32(static_cast<uint32_t>(nb.node));
+      w.PutF64(nb.weight);
+    }
+  }
+  // Canonical order (by node id) so identical models always encode to
+  // identical bytes — unordered_map iteration order is not stable
+  // across rebuilds of the index.
+  std::vector<std::pair<graph::NodeId, std::string>> macs;
+  macs.reserve(g.mac_index().size());
+  for (const auto& [mac, id] : g.mac_index()) macs.emplace_back(id, mac);
+  std::sort(macs.begin(), macs.end());
+  w.PutU64(macs.size());
+  for (const auto& [id, mac] : macs) {
+    w.PutString(mac);
+    w.PutU32(static_cast<uint32_t>(id));
+  }
+  return w.TakeBytes();
+}
+
+Status DecodeGraph(std::string_view payload,
+                   const graph::EdgeWeightConfig& weight_config,
+                   Result<graph::BipartiteGraph>* out) {
+  WireReader r(payload);
+  uint32_t n;
+  Status status = r.GetU32(&n);
+  if (!status.ok()) return status;
+  if (n > r.remaining()) {
+    return Status::DataLoss("graph: node count exceeds payload");
+  }
+  std::vector<graph::NodeType> types;
+  types.reserve(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    uint8_t t;
+    if (!(status = r.GetU8(&t)).ok()) return status;
+    if (t > 1) return Status::InvalidArgument("graph: unknown node type");
+    types.push_back(t == 1 ? graph::NodeType::kMac
+                           : graph::NodeType::kRecord);
+  }
+  std::vector<std::vector<graph::Neighbor>> adjacency(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    uint64_t degree;
+    if (!(status = r.GetU64(&degree)).ok()) return status;
+    if (degree > r.remaining() / 12) {
+      return Status::DataLoss("graph: degree exceeds payload");
+    }
+    adjacency[i].reserve(degree);
+    for (uint64_t e = 0; e < degree; ++e) {
+      uint32_t node;
+      double weight;
+      if (!(status = r.GetU32(&node)).ok()) return status;
+      if (!(status = r.GetF64(&weight)).ok()) return status;
+      adjacency[i].push_back(
+          graph::Neighbor{static_cast<graph::NodeId>(node), weight});
+    }
+  }
+  uint64_t num_macs;
+  if (!(status = r.GetU64(&num_macs)).ok()) return status;
+  if (num_macs > r.remaining() / 12) {
+    return Status::DataLoss("graph: mac count exceeds payload");
+  }
+  std::vector<std::pair<std::string, graph::NodeId>> macs;
+  macs.reserve(num_macs);
+  for (uint64_t i = 0; i < num_macs; ++i) {
+    std::string mac;
+    uint32_t id;
+    if (!(status = r.GetString(&mac)).ok()) return status;
+    if (!(status = r.GetU32(&id)).ok()) return status;
+    macs.emplace_back(std::move(mac), static_cast<graph::NodeId>(id));
+  }
+  *out = graph::BipartiteGraph::FromParts(weight_config, std::move(types),
+                                          std::move(adjacency),
+                                          std::move(macs));
+  return Status::Ok();
+}
+
+// --- Aligned f64 data sections --------------------------------------
 
 #if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
 constexpr bool kLittleEndian = true;
@@ -188,14 +427,14 @@ void EncodeEmbedderV2(const embed::BiSageEmbedder& embedder,
                       std::string* meta_out, std::string* data_out) {
   WireWriter meta;
   DataSectionBuilder data;
-  serve::internal::PutIntVec(meta, embedder.train_nodes());
+  PutIntVec(meta, embedder.train_nodes());
   const embed::BiSage::TrainedState state = embedder.model().ExportTrained();
   PutMatrixBlock(meta, data, state.h_table);
   PutMatrixBlock(meta, data, state.l_table);
   meta.PutU32(static_cast<uint32_t>(state.w_h.size()));
   for (const math::Matrix& m : state.w_h) PutMatrixBlock(meta, data, m);
   for (const math::Matrix& m : state.w_l) PutMatrixBlock(meta, data, m);
-  serve::internal::PutRngState(meta, state.init_rng);
+  PutRngState(meta, state.init_rng);
   meta.PutI32(state.trained_nodes);
   meta.PutF64(state.last_epoch_loss);
   *meta_out = meta.TakeBytes();
@@ -207,7 +446,7 @@ Status DecodeEmbedderV2(std::string_view meta, std::string_view data,
                         embed::BiSage::TrainedState* state,
                         bool borrow = false) {
   WireReader r(meta);
-  Status status = serve::internal::GetIntVec(r, train_nodes);
+  Status status = GetIntVec(r, train_nodes);
   if (!status.ok()) return status;
   if (!(status = GetMatrixBlock(r, data, "embedder h_table",
                                 &state->h_table, borrow))
@@ -238,7 +477,7 @@ Status DecodeEmbedderV2(std::string_view meta, std::string_view data,
       return status;
     }
   }
-  if (!(status = serve::internal::GetRngState(r, &state->init_rng)).ok()) {
+  if (!(status = GetRngState(r, &state->init_rng)).ok()) {
     return status;
   }
   if (!(status = r.GetI32(&state->trained_nodes)).ok()) return status;
@@ -267,7 +506,7 @@ Status EncodeDetectorV2(const detect::EnhancedHbosDetector& detector,
   meta.PutU64(static_cast<uint64_t>(samples.rows()));
   meta.PutU64(static_cast<uint64_t>(samples.cols()));
   PutBlock(meta, data.Append(samples.ptr(), samples.size()));
-  serve::internal::PutRngState(meta, state.model.reservoir_rng);
+  PutRngState(meta, state.model.reservoir_rng);
   meta.PutF64(state.score_lo);
   meta.PutF64(state.score_hi);
   meta.PutF64(state.threshold);
@@ -334,7 +573,7 @@ Status DecodeDetectorV2(std::string_view meta, std::string_view data,
            .ok()) {
     return status;
   }
-  if (!(status = serve::internal::GetRngState(r, &state->model.reservoir_rng))
+  if (!(status = GetRngState(r, &state->model.reservoir_rng))
            .ok()) {
     return status;
   }
@@ -371,8 +610,8 @@ Status SaveSnapshotV2(const std::string& path, const core::Gem& gem) {
   if (!status.ok()) return status;
 
   const std::string bytes = SerializeV2({
-      {kConfigTag, serve::internal::EncodeConfig(gem.config())},
-      {kGraphTag, serve::internal::EncodeGraph(gem.embedder().graph())},
+      {kConfigTag, EncodeConfig(gem.config())},
+      {kGraphTag, EncodeGraph(gem.embedder().graph())},
       {kEmbedderMetaTag, std::move(embed_meta)},
       {kEmbedderDataTag, std::move(embed_data)},
       {kDetectorMetaTag, std::move(detect_meta)},
@@ -413,7 +652,7 @@ StatusOr<core::Gem> GemFromImage(std::string_view bytes,
   std::map<uint32_t, std::string_view> payloads;
   for (const SectionEntry& entry : *entries) {
     // First occurrence wins; unknown tags are skipped for forward
-    // compatibility within the version (same rule as v1).
+    // compatibility within the version.
     payloads.emplace(entry.tag,
                      bytes.substr(entry.offset, entry.length));
   }
@@ -422,17 +661,17 @@ StatusOr<core::Gem> GemFromImage(std::string_view bytes,
         kDetectorMetaTag, kDetectorDataTag}) {
     if (payloads.find(required) == payloads.end()) {
       return Status::DataLoss(path + ": missing section " +
-                              SectionTagName(required, 2));
+                              SectionTagName(required));
     }
   }
 
   core::GemConfig config;
   Status status =
-      serve::internal::DecodeConfig(payloads[kConfigTag], &config);
+      DecodeConfig(payloads[kConfigTag], &config);
   if (!status.ok()) return status;
 
   Result<graph::BipartiteGraph> graph = Status::Internal("unset");
-  if (!(status = serve::internal::DecodeGraph(
+  if (!(status = DecodeGraph(
             payloads[kGraphTag], config.edge_weight, &graph))
            .ok()) {
     return status;
@@ -482,49 +721,6 @@ StatusOr<core::Gem> LoadSnapshotV2(const std::string& path) {
   // borrow=false: the mapping dies with this scope, so every tensor is
   // copied out (the historical "copy load").
   return internal::GemFromImage(map->bytes(), path, /*borrow=*/false);
-}
-
-StatusOr<core::Gem> LoadSnapshotAuto(const std::string& path) {
-  StatusOr<uint32_t> version = PeekSnapshotVersion(path);
-  if (!version.ok()) return version.status();
-  switch (*version) {
-    case 1:
-      return serve::LoadSnapshot(path);
-    case kSnapshotFormatVersionV2:
-      return LoadSnapshotV2(path);
-    default:
-      return Status::InvalidArgument(
-          path + ": snapshot format version " + std::to_string(*version) +
-          " is newer than this binary supports (" +
-          std::to_string(kSnapshotFormatVersionV2) + ")");
-  }
-}
-
-StatusOr<core::Gem> LoadSnapshotAutoWithRetry(
-    const std::string& path, const serve::RetryOptions& retry) {
-  const Status valid = retry.Validate();
-  if (!valid.ok()) return valid;
-  static obs::Counter& retries =
-      obs::MetricsRegistry::Get().GetCounter("gem_store_load_retries_total");
-  std::chrono::duration<double, std::milli> backoff = retry.initial_backoff;
-  for (int attempt = 1;; ++attempt) {
-    StatusOr<core::Gem> gem = LoadSnapshotAuto(path);
-    if (gem.ok() || !serve::internal::IsTransientLoadError(gem.code()) ||
-        attempt >= retry.max_attempts) {
-      return gem;
-    }
-    retries.Increment();
-    if (backoff.count() > 0) {
-      std::this_thread::sleep_for(backoff);
-    }
-    backoff *= retry.backoff_multiplier;
-  }
-}
-
-Status MigrateSnapshot(const std::string& src, const std::string& dst) {
-  StatusOr<core::Gem> gem = LoadSnapshotAuto(src);
-  if (!gem.ok()) return gem.status();
-  return SaveSnapshotV2(dst, std::move(gem).value());
 }
 
 }  // namespace gem::store

@@ -7,46 +7,34 @@
 #include "base/status.h"
 #include "base/statusor.h"
 #include "core/gem.h"
-#include "serve/snapshot.h"
 
 namespace gem::store {
 
-/// v2 snapshot I/O (format.h documents the byte layout). Same model
-/// contract as the v1 functions in serve/snapshot.h — a loaded
-/// snapshot produces bit-identical Infer() scores — but the load path
-/// is built for residency: the file is mmap'd read-only, validated in
-/// place (header/table/section CRCs over the mapping, no intermediate
-/// buffer), and the bulk numeric state is materialized with one
-/// aligned block copy per tensor instead of a per-element parse.
+/// v2 snapshot I/O (format.h documents the byte layout): a versioned,
+/// self-describing binary image of a trained core::Gem — the full
+/// GemConfig, the bipartite graph, the BiSAGE node tables and layer
+/// weights (plus the init-RNG stream), and the enhanced HBOS
+/// detector's histograms / retained samples / normalization anchors /
+/// thresholds. A loaded snapshot produces bit-identical Infer() scores
+/// to the process that saved it. The file is mmap'd read-only and
+/// validated in place (header/table/section CRCs over the mapping, no
+/// intermediate buffer); MappedModel::Open is the serving load.
 
 /// Atomically writes `gem` (which must be trained) to `path` in v2
-/// layout via a temp file + rename. Failpoints:
+/// layout via a temp file + rename, so a crash mid-write never leaves
+/// a torn snapshot under the final name, and a replaced file's old
+/// inode stays valid for whoever still maps it. Failpoints:
 /// `store.snapshot.write`, `store.snapshot.rename`.
 Status SaveSnapshotV2(const std::string& path, const core::Gem& gem);
 
-/// Loads a v2 snapshot via mmap. kNotFound when missing, kDataLoss on
-/// any corruption (truncation, bit flips, misaligned or out-of-bounds
-/// sections), kInvalidArgument when `path` is a v1 snapshot (use
-/// LoadSnapshotAuto for version dispatch). Failpoints:
-/// `store.mmap.open`, `store.mmap.map`, `store.snapshot.validate`.
+/// The copy load: maps `path`, validates it, and copies every tensor
+/// out of the mapping, so the result owns its storage. The reference
+/// the mapped load is tested against. kNotFound when missing,
+/// kDataLoss on any corruption (truncation, bit flips, misaligned or
+/// out-of-bounds sections), kInvalidArgument for any version but 2.
+/// Failpoints: `store.mmap.open`, `store.mmap.map`,
+/// `store.snapshot.validate`.
 StatusOr<core::Gem> LoadSnapshotV2(const std::string& path);
-
-/// Version-dispatching load: peeks the version field and routes v1
-/// files through serve::LoadSnapshot and v2 files through
-/// LoadSnapshotV2, so callers (FenceCache, gem_cli) accept either.
-StatusOr<core::Gem> LoadSnapshotAuto(const std::string& path);
-
-/// LoadSnapshotAuto under the v1 retry contract (only kUnavailable /
-/// kInternal retry; see serve::LoadSnapshotWithRetry). Each retry
-/// increments gem_store_load_retries_total.
-StatusOr<core::Gem> LoadSnapshotAutoWithRetry(const std::string& path,
-                                              const serve::RetryOptions& retry);
-
-/// Rewrites the snapshot at `src` (v1 or v2) as a v2 snapshot at
-/// `dst` — the upgrade path for fleets with v1 snapshots on disk. The
-/// model is fully loaded and re-encoded, so the result is exactly what
-/// SaveSnapshotV2 of the restored model writes.
-Status MigrateSnapshot(const std::string& src, const std::string& dst);
 
 namespace internal {
 

@@ -1,22 +1,10 @@
-#include "serve/wire.h"
+#include "store/wire.h"
 
 #include <cstring>
+#include <vector>
 
-namespace gem::serve {
+namespace gem::store {
 namespace {
-
-/// Sanity cap on decoded container lengths: no legitimate snapshot
-/// section holds more elements than it has payload bytes, so a
-/// bit-flipped length field fails fast instead of driving a huge
-/// allocation.
-Status CheckedLength(uint64_t n, size_t remaining, size_t element_bytes,
-                     uint64_t* out) {
-  if (element_bytes > 0 && n > remaining / element_bytes) {
-    return Status::DataLoss("wire: declared length exceeds payload");
-  }
-  *out = n;
-  return Status::Ok();
-}
 
 uint64_t F64Bits(double v) {
   uint64_t bits;
@@ -52,20 +40,6 @@ void WireWriter::PutF64(double v) { PutU64(F64Bits(v)); }
 void WireWriter::PutString(std::string_view s) {
   PutU64(s.size());
   bytes_.append(s.data(), s.size());
-}
-
-void WireWriter::PutVec(const math::Vec& v) {
-  PutU64(v.size());
-  for (const double x : v) PutF64(x);
-}
-
-void WireWriter::PutMatrix(const math::Matrix& m) {
-  PutU32(static_cast<uint32_t>(m.rows()));
-  PutU32(static_cast<uint32_t>(m.cols()));
-  // ptr() rather than data(): matrices borrowed from a mapped
-  // snapshot encode the same bytes as owned ones.
-  const double* p = m.ptr();
-  for (size_t i = 0; i < m.size(); ++i) PutF64(p[i]);
 }
 
 Status WireReader::Need(size_t n) {
@@ -135,57 +109,15 @@ Status WireReader::GetF64(double* out) {
 }
 
 Status WireReader::GetString(std::string* out) {
-  uint64_t declared;
-  Status status = GetU64(&declared);
-  if (!status.ok()) return status;
   uint64_t n;
-  status = CheckedLength(declared, remaining(), 1, &n);
+  Status status = GetU64(&n);
   if (!status.ok()) return status;
+  // Bounds the declared length by the remaining payload before any
+  // allocation, so a bit-flipped length fails fast with kDataLoss.
   status = Need(n);
   if (!status.ok()) return status;
   out->assign(bytes_.data() + pos_, n);
   pos_ += n;
-  return Status::Ok();
-}
-
-Status WireReader::GetVec(math::Vec* out) {
-  uint64_t declared;
-  Status status = GetU64(&declared);
-  if (!status.ok()) return status;
-  uint64_t n;
-  status = CheckedLength(declared, remaining(), 8, &n);
-  if (!status.ok()) return status;
-  out->clear();
-  out->reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    double v = 0.0;
-    status = GetF64(&v);
-    if (!status.ok()) return status;
-    out->push_back(v);
-  }
-  return Status::Ok();
-}
-
-Status WireReader::GetMatrix(math::Matrix* out) {
-  uint32_t rows;
-  uint32_t cols;
-  Status status = GetU32(&rows);
-  if (!status.ok()) return status;
-  status = GetU32(&cols);
-  if (!status.ok()) return status;
-  if (rows > (1u << 30) || cols > (1u << 30)) {
-    return Status::DataLoss("wire: implausible matrix shape");
-  }
-  const uint64_t elems = static_cast<uint64_t>(rows) * cols;
-  uint64_t checked;
-  status = CheckedLength(elems, remaining(), 8, &checked);
-  if (!status.ok()) return status;
-  math::Matrix m(static_cast<int>(rows), static_cast<int>(cols));
-  for (double& x : m.data()) {
-    status = GetF64(&x);
-    if (!status.ok()) return status;
-  }
-  *out = std::move(m);
   return Status::Ok();
 }
 
@@ -211,4 +143,4 @@ uint32_t Crc32(std::string_view bytes, uint32_t crc) {
 
 uint32_t Crc32(std::string_view bytes) { return Crc32(bytes, 0); }
 
-}  // namespace gem::serve
+}  // namespace gem::store

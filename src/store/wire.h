@@ -1,22 +1,20 @@
-#ifndef GEM_SERVE_WIRE_H_
-#define GEM_SERVE_WIRE_H_
+#ifndef GEM_STORE_WIRE_H_
+#define GEM_STORE_WIRE_H_
 
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "base/status.h"
-#include "math/matrix.h"
-#include "math/vec.h"
 
-namespace gem::serve {
+namespace gem::store {
 
-/// Endian-stable binary primitives for the snapshot format
-/// (serve/snapshot.cc). Everything is encoded little-endian byte by
-/// byte, so snapshots written on any host read back on any other;
-/// doubles travel as their IEEE-754 bit pattern (bit-exact round
-/// trips, the contract the snapshot property tests assert).
+/// Endian-stable binary primitives for the v2 snapshot format
+/// (store/format.cc, store/snapshot_v2.cc). Everything is encoded
+/// little-endian byte by byte, so snapshots written on any host read
+/// back on any other; doubles travel as their IEEE-754 bit pattern
+/// (bit-exact round trips, the contract the snapshot property tests
+/// assert).
 
 /// Appends primitives to a growing byte buffer.
 class WireWriter {
@@ -29,12 +27,7 @@ class WireWriter {
   void PutF64(double v);
   /// u64 length + raw bytes.
   void PutString(std::string_view s);
-  /// u64 length + f64 elements.
-  void PutVec(const math::Vec& v);
-  /// u32 rows, u32 cols, row-major f64 elements.
-  void PutMatrix(const math::Matrix& m);
 
-  const std::string& bytes() const { return bytes_; }
   std::string TakeBytes() { return std::move(bytes_); }
 
  private:
@@ -55,8 +48,6 @@ class WireReader {
   Status GetI64(int64_t* out);
   Status GetF64(double* out);
   Status GetString(std::string* out);
-  Status GetVec(math::Vec* out);
-  Status GetMatrix(math::Matrix* out);
 
   size_t remaining() const { return bytes_.size() - pos_; }
   bool exhausted() const { return pos_ == bytes_.size(); }
@@ -74,11 +65,11 @@ class WireReader {
 uint32_t Crc32(std::string_view bytes);
 
 /// Chainable form (zlib crc32(crc, buf, len) semantics): feeding spans
-/// a, b through two calls equals Crc32(a + b) in one. The v2 store
-/// format uses it to checksum a header and section table assembled in
+/// a, b through two calls equals Crc32(a + b) in one. The v2 format
+/// uses it to checksum a header and section table assembled in
 /// pieces, and to validate mmap'd sections without copying them.
 uint32_t Crc32(std::string_view bytes, uint32_t crc);
 
-}  // namespace gem::serve
+}  // namespace gem::store
 
-#endif  // GEM_SERVE_WIRE_H_
+#endif  // GEM_STORE_WIRE_H_

@@ -24,7 +24,8 @@
 #include "rf/dataset.h"
 #include "serve/engine.h"
 #include "serve/fence_registry.h"
-#include "serve/snapshot.h"
+#include "store/mapped_model.h"
+#include "store/snapshot_v2.h"
 
 namespace gem::serve {
 namespace {
@@ -55,9 +56,9 @@ uint64_t ReloadFailures(const char* phase) {
       .value();
 }
 
-uint64_t SnapshotRetries() {
+uint64_t LoadRetries() {
   return obs::MetricsRegistry::Get()
-      .GetCounter("gem_serve_snapshot_retries_total")
+      .GetCounter("gem_store_load_retries_total")
       .value();
 }
 
@@ -68,15 +69,15 @@ uint64_t DeadlineExceededCount() {
       .value();
 }
 
-RetryOptions FastRetry(int attempts) {
-  RetryOptions retry;
+store::RetryOptions FastRetry(int attempts) {
+  store::RetryOptions retry;
   retry.max_attempts = attempts;
   retry.initial_backoff = std::chrono::milliseconds(1);
   return retry;
 }
 
 /// Trains once per process and snapshots; tests clone fences by
-/// loading the snapshot. Every test starts and ends with a clean
+/// copy-loading the snapshot. Every test starts and ends with a clean
 /// failpoint registry so schedules cannot leak across tests.
 class ChaosTest : public ::testing::Test {
  protected:
@@ -85,7 +86,7 @@ class ChaosTest : public ::testing::Test {
     core::Gem gem(FastConfig());
     ASSERT_TRUE(gem.Train(dataset_->train).ok());
     snapshot_path_ = new std::string(TempPath("chaos_test_model.gem"));
-    ASSERT_TRUE(SaveSnapshot(*snapshot_path_, gem).ok());
+    ASSERT_TRUE(store::SaveSnapshotV2(*snapshot_path_, gem).ok());
   }
 
   static void TearDownTestSuite() {
@@ -99,7 +100,7 @@ class ChaosTest : public ::testing::Test {
   void TearDown() override { fault::Reset(); }
 
   static core::Gem LoadModel() {
-    auto gem = LoadSnapshot(*snapshot_path_);
+    auto gem = store::LoadSnapshotV2(*snapshot_path_);
     EXPECT_TRUE(gem.ok()) << gem.status().ToString();
     return std::move(gem).value();
   }
@@ -188,15 +189,14 @@ TEST_F(ChaosTest, FailedReloadKeepsOldGenerationServing) {
   Engine engine(&registry, EngineOptions{/*num_threads=*/2});
 
   const uint64_t failures_before = ReloadFailures("reload");
-  const uint64_t retries_before = SnapshotRetries();
-  ASSERT_TRUE(
-      fault::Configure("serve.snapshot.read=always/unavailable").ok());
+  const uint64_t retries_before = LoadRetries();
+  ASSERT_TRUE(fault::Configure("store.mmap.open=always/unavailable").ok());
   const auto reload =
       registry.InstallFromSnapshot("home", *snapshot_path_, FastRetry(2));
   EXPECT_EQ(reload.code(), StatusCode::kUnavailable);
   EXPECT_EQ(ReloadFailures("reload") - failures_before, 1u);
   // 2 attempts = 1 retry before giving up.
-  EXPECT_EQ(SnapshotRetries() - retries_before, 1u);
+  EXPECT_EQ(LoadRetries() - retries_before, 1u);
 
   // Generation 1 is untouched and still answers traffic.
   const std::shared_ptr<Fence> fence = registry.Find("home");
@@ -221,8 +221,7 @@ TEST_F(ChaosTest, FailedReloadKeepsOldGenerationServing) {
 TEST_F(ChaosTest, InitialInstallFailureIsLabeledInitial) {
   FenceRegistry registry;
   const uint64_t failures_before = ReloadFailures("initial");
-  ASSERT_TRUE(
-      fault::Configure("serve.snapshot.open=always/unavailable").ok());
+  ASSERT_TRUE(fault::Configure("store.mmap.open=always/unavailable").ok());
   const auto install =
       registry.InstallFromSnapshot("fresh", *snapshot_path_, FastRetry(1));
   EXPECT_EQ(install.code(), StatusCode::kUnavailable);
@@ -243,32 +242,31 @@ TEST_F(ChaosTest, RegistryReloadInjectionDegradesGracefully) {
 }
 
 TEST_F(ChaosTest, TransientSnapshotFailureRetriesToSuccess) {
-  ASSERT_TRUE(
-      fault::Configure("serve.snapshot.read=once/unavailable").ok());
-  const uint64_t retries_before = SnapshotRetries();
-  const auto gem = LoadSnapshotWithRetry(*snapshot_path_, FastRetry(3));
-  ASSERT_TRUE(gem.ok()) << gem.status().ToString();
-  EXPECT_EQ(fault::HitCount("serve.snapshot.read"), 2u);
-  EXPECT_EQ(SnapshotRetries() - retries_before, 1u);
+  ASSERT_TRUE(fault::Configure("store.mmap.open=once/unavailable").ok());
+  const uint64_t retries_before = LoadRetries();
+  const auto model = store::OpenWithRetry(*snapshot_path_, FastRetry(3));
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  EXPECT_EQ(fault::HitCount("store.mmap.open"), 2u);
+  EXPECT_EQ(LoadRetries() - retries_before, 1u);
 }
 
 TEST_F(ChaosTest, RetryGivesUpAfterMaxAttempts) {
-  ASSERT_TRUE(
-      fault::Configure("serve.snapshot.read=always/unavailable").ok());
-  const auto gem = LoadSnapshotWithRetry(*snapshot_path_, FastRetry(3));
-  EXPECT_EQ(gem.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(fault::HitCount("serve.snapshot.read"), 3u);
+  ASSERT_TRUE(fault::Configure("store.mmap.open=always/unavailable").ok());
+  const auto model = store::OpenWithRetry(*snapshot_path_, FastRetry(3));
+  EXPECT_EQ(model.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(fault::HitCount("store.mmap.open"), 3u);
 }
 
 TEST_F(ChaosTest, TerminalCodesAreNotRetried) {
-  // An injected CRC mismatch is corruption: retrying cannot help and
-  // must not happen.
-  ASSERT_TRUE(fault::Configure("serve.snapshot.crc=always/data_loss").ok());
-  const uint64_t retries_before = SnapshotRetries();
-  const auto gem = LoadSnapshotWithRetry(*snapshot_path_, FastRetry(3));
-  EXPECT_EQ(gem.code(), StatusCode::kDataLoss);
-  EXPECT_EQ(fault::HitCount("serve.snapshot.crc"), 1u);
-  EXPECT_EQ(SnapshotRetries() - retries_before, 0u);
+  // An injected validation failure is corruption: retrying cannot help
+  // and must not happen.
+  ASSERT_TRUE(
+      fault::Configure("store.snapshot.validate=always/data_loss").ok());
+  const uint64_t retries_before = LoadRetries();
+  const auto model = store::OpenWithRetry(*snapshot_path_, FastRetry(3));
+  EXPECT_EQ(model.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(fault::HitCount("store.snapshot.validate"), 1u);
+  EXPECT_EQ(LoadRetries() - retries_before, 0u);
 }
 
 TEST_F(ChaosTest, SaveRenameInjectionLeavesNoArtifacts) {
@@ -277,14 +275,14 @@ TEST_F(ChaosTest, SaveRenameInjectionLeavesNoArtifacts) {
   std::remove(path.c_str());
   std::remove((path + ".tmp").c_str());
   core::Gem gem = LoadModel();
-  ASSERT_TRUE(fault::Configure("serve.snapshot.rename=once/internal").ok());
-  EXPECT_EQ(SaveSnapshot(path, gem).code(), StatusCode::kInternal);
+  ASSERT_TRUE(fault::Configure("store.snapshot.rename=once/internal").ok());
+  EXPECT_EQ(store::SaveSnapshotV2(path, gem).code(), StatusCode::kInternal);
   // Neither a torn final file nor a leftover temp file.
   EXPECT_FALSE(std::ifstream(path).good());
   EXPECT_FALSE(std::ifstream(path + ".tmp").good());
-  // With the failpoint exhausted the same save completes and loads.
-  ASSERT_TRUE(SaveSnapshot(path, gem).ok());
-  EXPECT_TRUE(LoadSnapshot(path).ok());
+  // With the failpoint exhausted the same save completes and maps.
+  ASSERT_TRUE(store::SaveSnapshotV2(path, gem).ok());
+  EXPECT_TRUE(store::MappedModel::Open(path).ok());
   EXPECT_FALSE(std::ifstream(path + ".tmp").good());
 }
 
@@ -445,7 +443,7 @@ TEST_F(ChaosTest, ReloadStormNeverInterruptsServing) {
   ASSERT_TRUE(registry.Install("home", LoadModel()).ok());
   Engine engine(&registry, EngineOptions{/*num_threads=*/2});
   ASSERT_TRUE(
-      fault::Configure("serve.snapshot.read=prob=0.5@5/unavailable").ok());
+      fault::Configure("store.mmap.open=prob=0.5@5/unavailable").ok());
 
   const uint64_t failures_before = ReloadFailures("reload");
   std::atomic<bool> stop{false};

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <cstring>
 #include <latch>
 #include <memory>
 #include <mutex>
@@ -11,9 +13,10 @@
 #include <vector>
 
 #include "core/gem.h"
+#include "core/overlay.h"
 #include "rf/dataset.h"
 #include "serve/fence_registry.h"
-#include "serve/snapshot.h"
+#include "store/snapshot_v2.h"
 
 namespace gem::serve {
 namespace {
@@ -38,8 +41,22 @@ core::GemConfig FastConfig() {
   return config;
 }
 
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+ServeResponse ServeOne(Engine& engine, const std::string& fence_id,
+                       const rf::ScanRecord& record) {
+  ServeRequest request;
+  request.fence_id = fence_id;
+  request.record = record;
+  return engine.InferBlocking(std::move(request));
+}
+
 /// Trains once per process and snapshots; tests clone fences by
-/// loading the snapshot (core::Gem itself is move-only).
+/// copy-loading the snapshot (core::Gem itself is move-only).
 class ServeTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -47,7 +64,7 @@ class ServeTest : public ::testing::Test {
     core::Gem gem(FastConfig());
     ASSERT_TRUE(gem.Train(dataset_->train).ok());
     snapshot_path_ = new std::string(TempPath("engine_test_model.gem"));
-    ASSERT_TRUE(SaveSnapshot(*snapshot_path_, gem).ok());
+    ASSERT_TRUE(store::SaveSnapshotV2(*snapshot_path_, gem).ok());
   }
 
   static void TearDownTestSuite() {
@@ -58,7 +75,7 @@ class ServeTest : public ::testing::Test {
   }
 
   static core::Gem LoadModel() {
-    auto gem = LoadSnapshot(*snapshot_path_);
+    auto gem = store::LoadSnapshotV2(*snapshot_path_);
     EXPECT_TRUE(gem.ok()) << gem.status().ToString();
     return std::move(gem).value();
   }
@@ -200,6 +217,99 @@ TEST_F(ServeTest, ConcurrentFencesWithRacingUpdatesAndReload) {
   EXPECT_EQ(generation.value(), 2u);
   EXPECT_EQ(ok_count.load(),
             kFences * static_cast<int>(dataset_->test.size()));
+}
+
+// InstallFromSnapshot maps the file: the fence borrows its tensors
+// from a mapping it keeps alive, and serves bit-identically to a
+// fence installed from a copy load of the same file.
+TEST_F(ServeTest, InstallFromSnapshotMapsAndMatchesCopyInstall) {
+  FenceRegistry registry;
+  ASSERT_TRUE(registry.InstallFromSnapshot("mapped", *snapshot_path_).ok());
+  ASSERT_TRUE(registry.Install("copied", LoadModel()).ok());
+  ASSERT_NE(registry.Find("mapped")->backing, nullptr);
+  EXPECT_EQ(registry.Find("copied")->backing, nullptr);
+
+  Engine engine(&registry, EngineOptions{/*num_threads=*/2});
+  int absorbed = 0;
+  for (const rf::ScanRecord& record : dataset_->test) {
+    const ServeResponse mapped = ServeOne(engine, "mapped", record);
+    const ServeResponse copied = ServeOne(engine, "copied", record);
+    ASSERT_TRUE(mapped.status.ok()) << mapped.status.ToString();
+    ASSERT_TRUE(copied.status.ok()) << copied.status.ToString();
+    ASSERT_EQ(Bits(mapped.result.score), Bits(copied.result.score));
+    ASSERT_EQ(mapped.result.decision, copied.result.decision);
+    ASSERT_EQ(mapped.result.model_updated, copied.result.model_updated);
+    absorbed += mapped.result.model_updated ? 1 : 0;
+  }
+  // Self-enhancement ran, so the overlays stayed in lockstep too.
+  EXPECT_GT(absorbed, 0);
+  engine.Shutdown();
+}
+
+// A live reload replaces the file (SaveSnapshotV2 writes a temp file
+// and renames it over the old name) and maps the new one. A request
+// that resolved generation 1 before the reload, and that a latch holds
+// until the reload has returned, still finishes correctly off its own
+// mapping of the replaced file; new requests see generation 2.
+TEST_F(ServeTest, ReloadKeepsPinnedGenerationServingOffItsMapping) {
+  const rf::Dataset other = SmallDataset(0, 11);
+  core::Gem model_a = LoadModel();
+  core::Gem model_b(FastConfig());
+  ASSERT_TRUE(model_b.Train(other.train).ok());
+  const std::string path = TempPath("engine_test_reload.gem");
+  ASSERT_TRUE(store::SaveSnapshotV2(path, model_a).ok());
+
+  FenceRegistry registry;
+  ASSERT_TRUE(registry.InstallFromSnapshot("home", path).ok());
+
+  std::latch pinned(1);
+  std::latch reloaded(1);
+  std::vector<core::InferenceResult> served;
+  std::thread request([&] {
+    // What Engine::Process does: resolve (pin), then serve under the
+    // fence mutex. The latch holds it between the two.
+    StatusOr<std::shared_ptr<Fence>> fence = registry.Resolve("home");
+    pinned.count_down();
+    reloaded.wait();
+    ASSERT_TRUE(fence.ok());
+    EXPECT_EQ((*fence)->generation, 1u);
+    std::lock_guard lock((*fence)->mutex);
+    for (const rf::ScanRecord& record : dataset_->test) {
+      served.push_back((*fence)->gem.Infer(record, (*fence)->overlay));
+    }
+  });
+
+  pinned.wait();
+  // EXPECT, not ASSERT: the held request must be released either way.
+  EXPECT_TRUE(store::SaveSnapshotV2(path, model_b).ok());
+  const auto generation = registry.InstallFromSnapshot("home", path);
+  reloaded.count_down();
+  request.join();
+  ASSERT_TRUE(generation.ok()) << generation.status().ToString();
+  EXPECT_EQ(generation.value(), 2u);
+
+  // The held request answered as model A, record for record.
+  core::GemOverlay overlay_a;
+  ASSERT_EQ(served.size(), dataset_->test.size());
+  for (size_t i = 0; i < served.size(); ++i) {
+    const core::InferenceResult expected =
+        model_a.Infer(dataset_->test[i], overlay_a);
+    ASSERT_EQ(Bits(served[i].score), Bits(expected.score)) << "record " << i;
+    ASSERT_EQ(served[i].decision, expected.decision) << "record " << i;
+  }
+
+  // New traffic resolves generation 2 and answers as model B.
+  Engine engine(&registry, EngineOptions{/*num_threads=*/1});
+  core::GemOverlay overlay_b;
+  for (size_t i = 0; i < 10 && i < other.test.size(); ++i) {
+    const ServeResponse response = ServeOne(engine, "home", other.test[i]);
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    EXPECT_EQ(response.fence_generation, 2u);
+    EXPECT_EQ(Bits(response.result.score),
+              Bits(model_b.Infer(other.test[i], overlay_b).score))
+        << "record " << i;
+  }
+  engine.Shutdown();
 }
 
 TEST_F(ServeTest, BackpressureRejectsWhenQueueFull) {

@@ -46,8 +46,9 @@ uint64_t Evictions() {
       .value();
 }
 
-/// Trains one small model per process and snapshots it in both
-/// formats; cache tests register many fence ids against these files.
+/// Trains one small model per process and snapshots it to two files;
+/// cache tests register many fence ids against them (the second file
+/// is the repoint target).
 class FenceCacheTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -63,29 +64,29 @@ class FenceCacheTest : public ::testing::Test {
     config.bisage.epochs = 1;
     core::Gem gem(config);
     ASSERT_TRUE(gem.Train(dataset_->train).ok());
-    v1_path_ = new std::string(TempPath("fence_cache_model_v1.gem"));
     v2_path_ = new std::string(TempPath("fence_cache_model_v2.gem"));
-    ASSERT_TRUE(serve::SaveSnapshot(*v1_path_, gem).ok());
+    other_path_ = new std::string(TempPath("fence_cache_model_other.gem"));
     ASSERT_TRUE(SaveSnapshotV2(*v2_path_, gem).ok());
+    ASSERT_TRUE(SaveSnapshotV2(*other_path_, gem).ok());
   }
 
   static void TearDownTestSuite() {
     delete dataset_;
-    delete v1_path_;
     delete v2_path_;
+    delete other_path_;
     dataset_ = nullptr;
-    v1_path_ = nullptr;
     v2_path_ = nullptr;
+    other_path_ = nullptr;
   }
 
   static rf::Dataset* dataset_;
-  static std::string* v1_path_;
   static std::string* v2_path_;
+  static std::string* other_path_;
 };
 
 rf::Dataset* FenceCacheTest::dataset_ = nullptr;
-std::string* FenceCacheTest::v1_path_ = nullptr;
 std::string* FenceCacheTest::v2_path_ = nullptr;
+std::string* FenceCacheTest::other_path_ = nullptr;
 
 TEST_F(FenceCacheTest, OptionsValidate) {
   FenceCacheOptions options;
@@ -116,15 +117,6 @@ TEST_F(FenceCacheTest, AcquireColdLoadsThenHits) {
   EXPECT_EQ(second.value().get(), first.value().get());
   EXPECT_EQ(Hits() - hits_before, 1u);
   EXPECT_EQ(Misses() - misses_before, 1u);
-}
-
-TEST_F(FenceCacheTest, BothSnapshotVersionsLoad) {
-  FenceCache cache;
-  ASSERT_TRUE(cache.Register("v1", *v1_path_).ok());
-  ASSERT_TRUE(cache.Register("v2", *v2_path_).ok());
-  EXPECT_TRUE(cache.Acquire("v1").ok());
-  EXPECT_TRUE(cache.Acquire("v2").ok());
-  EXPECT_EQ(cache.resident(), 2u);
 }
 
 TEST_F(FenceCacheTest, UnknownAndMissingAreNotFound) {
@@ -210,17 +202,17 @@ TEST_F(FenceCacheTest, InvalidateForcesReloadUnderNewGeneration) {
 
 TEST_F(FenceCacheTest, RegisterRepointInvalidatesSamePathDoesNot) {
   FenceCache cache;
-  ASSERT_TRUE(cache.Register("home", *v1_path_).ok());
+  ASSERT_TRUE(cache.Register("home", *v2_path_).ok());
   ASSERT_TRUE(cache.Acquire("home").ok());
   EXPECT_EQ(cache.resident(), 1u);
 
   // Re-registering the SAME path is a no-op — the resident model still
   // matches the file.
-  ASSERT_TRUE(cache.Register("home", *v1_path_).ok());
+  ASSERT_TRUE(cache.Register("home", *v2_path_).ok());
   EXPECT_EQ(cache.resident(), 1u);
 
   // Repointing to a different file drops the stale resident.
-  ASSERT_TRUE(cache.Register("home", *v2_path_).ok());
+  ASSERT_TRUE(cache.Register("home", *other_path_).ok());
   EXPECT_EQ(cache.resident(), 0u);
   auto reloaded = cache.Acquire("home");
   ASSERT_TRUE(reloaded.ok());

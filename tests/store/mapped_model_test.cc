@@ -16,7 +16,6 @@
 #include "core/gem.h"
 #include "core/overlay.h"
 #include "rf/dataset.h"
-#include "serve/snapshot.h"
 #include "store/fence_cache.h"
 #include "store/snapshot_v2.h"
 
@@ -59,15 +58,6 @@ TEST(MappedModelOptionsTest, ValidateRejectsNegativeBudget) {
 TEST(MappedModelTest, MissingFileIsNotFound) {
   EXPECT_EQ(MappedModel::Open(TempPath("no_such_model.snap")).code(),
             StatusCode::kNotFound);
-}
-
-TEST(MappedModelTest, RejectsV1Snapshots) {
-  const rf::Dataset data = SmallDataset();
-  core::Gem gem = TrainedGem(data);
-  const std::string path = TempPath("mapped_v1.snap");
-  ASSERT_TRUE(serve::SaveSnapshot(path, gem).ok());
-  const StatusOr<MappedModel> mapped = MappedModel::Open(path);
-  EXPECT_EQ(mapped.code(), StatusCode::kInvalidArgument);
 }
 
 TEST(MappedModelTest, RejectsOverBudgetFiles) {
@@ -148,7 +138,6 @@ TEST(FenceCacheMappedTest, EvictionKeepsPinnedBorrowedViewsAlive) {
 
   FenceCacheOptions options;
   options.capacity = 1;
-  options.mapped_load = true;
   FenceCache cache(options);
   ASSERT_TRUE(cache.Register("a", path_a).ok());
   ASSERT_TRUE(cache.Register("b", path_b).ok());
@@ -203,7 +192,6 @@ TEST(FenceCacheMappedTest, FlushOnEvictPersistsOverlayBitExactly) {
 
   FenceCacheOptions options;
   options.capacity = 1;
-  options.mapped_load = true;
   options.flush_on_evict = true;
   FenceCache cache(options);
   ASSERT_TRUE(cache.Register("home", path).ok());

@@ -1,11 +1,13 @@
-// Store-layer snapshot tests: the v2 mmap layout must carry the same
-// acceptance bar as v1 — a save -> load cycle yields BIT-identical
-// Infer scores — plus the structural guarantees the LRU cache leans
-// on: every byte of a v2 file is either CRC-covered or
+// Snapshot format tests. The acceptance bar: a save -> load cycle
+// yields BIT-identical Infer scores, through both the copy load
+// (LoadSnapshotV2) and the mapped load every server uses
+// (MappedModel::Open). Plus the structural guarantees the LRU cache
+// leans on: every byte of a v2 file is either CRC-covered or
 // required-to-be-zero, so truncation, bit flips, misaligned sections
 // and out-of-bounds table entries all surface as clean errors from the
-// in-place validation pass, never as UB over the mapping. This suite
-// runs under ASan/UBSan in CI.
+// in-place validation pass, never as UB over the mapping; and a file
+// of any other version is refused as such, not reported as corrupt.
+// This suite runs under ASan/UBSan in CI.
 #include "store/snapshot_v2.h"
 
 #include <gtest/gtest.h>
@@ -18,10 +20,11 @@
 #include <vector>
 
 #include "core/gem.h"
+#include "core/overlay.h"
 #include "rf/dataset.h"
-#include "serve/snapshot.h"
-#include "serve/wire.h"
 #include "store/format.h"
+#include "store/mapped_model.h"
+#include "store/wire.h"
 
 namespace gem::store {
 namespace {
@@ -96,51 +99,60 @@ std::string PatchSectionOffset(std::string bytes, size_t entry,
   const uint32_t section_count = GetU32At(bytes, 12);
   const std::string_view table(bytes.data() + kHeaderSize,
                                section_count * kTableEntrySize);
-  PutU32At(&bytes, 32, serve::Crc32(table));
-  PutU32At(&bytes, 36, serve::Crc32(std::string_view(bytes.data(), 36)));
+  PutU32At(&bytes, 32, Crc32(table));
+  PutU32At(&bytes, 36, Crc32(std::string_view(bytes.data(), 36)));
   return bytes;
 }
 
-/// Trains once per process; every test body loads from the snapshots.
+/// The two loads every contract below is checked through: the copy
+/// load and the mapped load every server uses. Both must refuse bad
+/// bytes with the same verdict.
+StatusCode CopyLoadCode(const std::string& path) {
+  return LoadSnapshotV2(path).code();
+}
+
+StatusCode MappedLoadCode(const std::string& path) {
+  return MappedModel::Open(path).code();
+}
+
+/// Trains once per process; every test body loads from the snapshot.
 class SnapshotV2Test : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     dataset_ = new rf::Dataset(SmallDataset());
     core::Gem gem(FastConfig());
     ASSERT_TRUE(gem.Train(dataset_->train).ok());
-    v1_path_ = new std::string(TempPath("store_v2_test_model_v1.gem"));
     v2_path_ = new std::string(TempPath("store_v2_test_model_v2.gem"));
-    ASSERT_TRUE(serve::SaveSnapshot(*v1_path_, gem).ok());
     ASSERT_TRUE(SaveSnapshotV2(*v2_path_, gem).ok());
   }
 
   static void TearDownTestSuite() {
     delete dataset_;
-    delete v1_path_;
     delete v2_path_;
     dataset_ = nullptr;
-    v1_path_ = nullptr;
     v2_path_ = nullptr;
   }
 
   static rf::Dataset* dataset_;
-  static std::string* v1_path_;
   static std::string* v2_path_;
 };
 
 rf::Dataset* SnapshotV2Test::dataset_ = nullptr;
-std::string* SnapshotV2Test::v1_path_ = nullptr;
 std::string* SnapshotV2Test::v2_path_ = nullptr;
 
-/// Streams the whole test segment through both models and requires
-/// bit-identical scores, decisions, and self-enhancement updates —
-/// the same bar the v1 round-trip test sets.
-void ExpectBitIdenticalStreams(core::Gem& a, core::Gem& b,
+/// Streams the whole test segment through `original` and `loaded`,
+/// each behind a fresh overlay (as the engine serves them), and
+/// requires bit-identical scores, decisions, and self-enhancement
+/// updates.
+void ExpectBitIdenticalStreams(const core::Gem& original,
+                               const core::Gem& loaded,
                                const rf::Dataset& data) {
+  core::GemOverlay original_overlay;
+  core::GemOverlay loaded_overlay;
   int absorbed = 0;
   for (const rf::ScanRecord& record : data.test) {
-    const core::InferenceResult ra = a.Infer(record);
-    const core::InferenceResult rb = b.Infer(record);
+    const core::InferenceResult ra = original.Infer(record, original_overlay);
+    const core::InferenceResult rb = loaded.Infer(record, loaded_overlay);
     ASSERT_EQ(Bits(ra.score), Bits(rb.score));
     ASSERT_EQ(ra.decision, rb.decision);
     ASSERT_EQ(ra.model_updated, rb.model_updated);
@@ -151,24 +163,33 @@ void ExpectBitIdenticalStreams(core::Gem& a, core::Gem& b,
   EXPECT_GT(absorbed, 0);
 }
 
-TEST_F(SnapshotV2Test, V2RoundTripInferenceIsBitIdenticalToV1) {
-  auto from_v1 = serve::LoadSnapshot(*v1_path_);
-  ASSERT_TRUE(from_v1.ok()) << from_v1.status().ToString();
-  auto from_v2 = LoadSnapshotV2(*v2_path_);
-  ASSERT_TRUE(from_v2.ok()) << from_v2.status().ToString();
-  ExpectBitIdenticalStreams(from_v1.value(), from_v2.value(), *dataset_);
-}
+// Across several randomized homes, save -> load yields a model whose
+// Infer scores are BIT-identical to the freshly trained original while
+// both stream the same records, through the copy load and the mapped
+// load alike.
+TEST(SnapshotV2RoundTripTest, RoundTripInferenceIsBitIdentical) {
+  struct Home {
+    int user;
+    uint64_t seed;
+  };
+  const std::vector<Home> homes = {{0, 11}, {2, 77}, {5, 123}};
+  for (const Home& home : homes) {
+    SCOPED_TRACE("user " + std::to_string(home.user));
+    const rf::Dataset data = SmallDataset(home.user, home.seed);
+    core::Gem original(FastConfig());
+    ASSERT_TRUE(original.Train(data.train).ok());
+    const std::string path =
+        TempPath("store_v2_roundtrip_" + std::to_string(home.user) + ".gem");
+    ASSERT_TRUE(SaveSnapshotV2(path, original).ok());
 
-TEST_F(SnapshotV2Test, MigratedV1SnapshotIsBitIdentical) {
-  const std::string migrated = TempPath("store_v2_migrated.gem");
-  ASSERT_TRUE(MigrateSnapshot(*v1_path_, migrated).ok());
-  ASSERT_EQ(PeekSnapshotVersion(migrated).value(), 2u);
+    StatusOr<core::Gem> copied = LoadSnapshotV2(path);
+    ASSERT_TRUE(copied.ok()) << copied.status().ToString();
+    ExpectBitIdenticalStreams(original, *copied, data);
 
-  auto original = serve::LoadSnapshot(*v1_path_);
-  ASSERT_TRUE(original.ok());
-  auto loaded = LoadSnapshotV2(migrated);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ExpectBitIdenticalStreams(original.value(), loaded.value(), *dataset_);
+    StatusOr<MappedModel> mapped = MappedModel::Open(path);
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+    ExpectBitIdenticalStreams(original, mapped->gem(), data);
+  }
 }
 
 TEST_F(SnapshotV2Test, SaveIsDeterministic) {
@@ -179,17 +200,31 @@ TEST_F(SnapshotV2Test, SaveIsDeterministic) {
   EXPECT_EQ(ReadFile(*v2_path_), ReadFile(resaved));
 }
 
-TEST_F(SnapshotV2Test, AutoLoadDispatchesOnVersion) {
-  ASSERT_EQ(PeekSnapshotVersion(*v1_path_).value(), 1u);
-  ASSERT_EQ(PeekSnapshotVersion(*v2_path_).value(), 2u);
-  EXPECT_TRUE(LoadSnapshotAuto(*v1_path_).ok());
-  EXPECT_TRUE(LoadSnapshotAuto(*v2_path_).ok());
-  // The v2-only loader refuses a v1 file with a version error, not a
-  // corruption error — the file is fine, the caller picked the wrong
-  // entry point.
-  const auto wrong = LoadSnapshotV2(*v1_path_);
-  ASSERT_FALSE(wrong.ok());
-  EXPECT_EQ(wrong.status().code(), StatusCode::kInvalidArgument);
+TEST_F(SnapshotV2Test, BadMagicRejected) {
+  const std::string path = TempPath("store_v2_bad_magic.gem");
+  WriteFile(path, "NOTASNAP" + std::string(64, '\0'));
+  EXPECT_EQ(CopyLoadCode(path), StatusCode::kDataLoss);
+  EXPECT_EQ(MappedLoadCode(path), StatusCode::kDataLoss);
+}
+
+// The retired v1 format started with the same magic followed by
+// version 1. Such a file is refused as a version mismatch — the bytes
+// may be fine, this binary no longer reads them — not as corruption.
+TEST_F(SnapshotV2Test, RetiredVersion1Rejected) {
+  std::string bytes("GEMSNAP\0", 8);
+  bytes.resize(2 * kHeaderSize, '\0');  // longer than a v2 header
+  PutU32At(&bytes, 8, 1);               // version
+  PutU32At(&bytes, 12, 4);              // v1 section count
+  const std::string path = TempPath("store_v2_retired_v1.gem");
+  WriteFile(path, bytes);
+  EXPECT_EQ(CopyLoadCode(path), StatusCode::kInvalidArgument);
+  EXPECT_EQ(MappedLoadCode(path), StatusCode::kInvalidArgument);
+
+  const auto report = InspectSnapshot(path);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report.value().version, 1u);
+  EXPECT_FALSE(report.value().layout_ok);
+  EXPECT_TRUE(report.value().sections.empty());
 }
 
 TEST_F(SnapshotV2Test, FutureVersionRejected) {
@@ -197,17 +232,16 @@ TEST_F(SnapshotV2Test, FutureVersionRejected) {
   const std::string path = TempPath("store_v2_future.gem");
   PutU32At(&bytes, 8, 3);
   // Re-seal the header CRC so ONLY the version check can fire.
-  PutU32At(&bytes, 36, serve::Crc32(std::string_view(bytes.data(), 36)));
+  PutU32At(&bytes, 36, Crc32(std::string_view(bytes.data(), 36)));
   WriteFile(path, bytes);
-  const auto loaded = LoadSnapshotAuto(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(CopyLoadCode(path), StatusCode::kInvalidArgument);
+  EXPECT_EQ(MappedLoadCode(path), StatusCode::kInvalidArgument);
 }
 
 TEST_F(SnapshotV2Test, MissingFileIsNotFound) {
-  const auto loaded = LoadSnapshotV2(TempPath("store_v2_missing.gem"));
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
+  const std::string path = TempPath("store_v2_missing.gem");
+  EXPECT_EQ(CopyLoadCode(path), StatusCode::kNotFound);
+  EXPECT_EQ(MappedLoadCode(path), StatusCode::kNotFound);
 }
 
 TEST_F(SnapshotV2Test, TruncationAtAnyLengthFailsCleanly) {
@@ -221,9 +255,8 @@ TEST_F(SnapshotV2Test, TruncationAtAnyLengthFailsCleanly) {
   for (const size_t cut : cuts) {
     SCOPED_TRACE("cut at " + std::to_string(cut));
     WriteFile(cut_path, bytes.substr(0, cut));
-    const auto loaded = LoadSnapshotV2(cut_path);
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+    EXPECT_EQ(CopyLoadCode(cut_path), StatusCode::kDataLoss);
+    EXPECT_EQ(MappedLoadCode(cut_path), StatusCode::kDataLoss);
   }
 }
 
@@ -249,11 +282,12 @@ TEST_F(SnapshotV2Test, AnyFlippedByteFailsCleanly) {
     std::string corrupt = bytes;
     corrupt[offset] = static_cast<char>(corrupt[offset] ^ 0x40);
     WriteFile(flip_path, corrupt);
-    const auto loaded = LoadSnapshotV2(flip_path);
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_TRUE(loaded.status().code() == StatusCode::kDataLoss ||
-                loaded.status().code() == StatusCode::kInvalidArgument)
-        << loaded.status().ToString();
+    for (const StatusCode code :
+         {CopyLoadCode(flip_path), MappedLoadCode(flip_path)}) {
+      EXPECT_TRUE(code == StatusCode::kDataLoss ||
+                  code == StatusCode::kInvalidArgument)
+          << Status(code, "").ToString();
+    }
   }
 }
 
@@ -307,16 +341,7 @@ TEST_F(SnapshotV2Test, OutOfBoundsSectionOffsetRejected) {
   }
 }
 
-TEST_F(SnapshotV2Test, InspectReportsBothVersions) {
-  const auto v1 = InspectSnapshot(*v1_path_);
-  ASSERT_TRUE(v1.ok());
-  EXPECT_EQ(v1.value().version, 1u);
-  EXPECT_TRUE(v1.value().layout_ok) << v1.value().layout_error;
-  ASSERT_EQ(v1.value().sections.size(), 4u);
-  for (const SectionInfo& section : v1.value().sections) {
-    EXPECT_TRUE(section.crc_ok) << section.name;
-  }
-
+TEST_F(SnapshotV2Test, InspectReportsSectionTable) {
   const auto v2 = InspectSnapshot(*v2_path_);
   ASSERT_TRUE(v2.ok());
   EXPECT_EQ(v2.value().version, 2u);

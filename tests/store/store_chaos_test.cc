@@ -21,8 +21,8 @@
 #include "fault/failpoint.h"
 #include "obs/metrics.h"
 #include "rf/dataset.h"
-#include "serve/snapshot.h"
 #include "store/fence_cache.h"
+#include "store/mapped_model.h"
 #include "store/snapshot_v2.h"
 
 namespace gem::store {
@@ -43,8 +43,8 @@ uint64_t LoadRetries() {
       .value();
 }
 
-serve::RetryOptions FastRetry(int attempts) {
-  serve::RetryOptions retry;
+RetryOptions FastRetry(int attempts) {
+  RetryOptions retry;
   retry.max_attempts = attempts;
   retry.initial_backoff = std::chrono::milliseconds(1);
   return retry;
@@ -91,7 +91,7 @@ std::string* StoreChaosTest::v2_path_ = nullptr;
 TEST_F(StoreChaosTest, TransientOpenFailureRetriesAndRecovers) {
   ASSERT_TRUE(fault::Configure("store.mmap.open=once/unavailable").ok());
   const uint64_t retries_before = LoadRetries();
-  const auto loaded = LoadSnapshotAutoWithRetry(*v2_path_, FastRetry(3));
+  const auto loaded = OpenWithRetry(*v2_path_, FastRetry(3));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(LoadRetries() - retries_before, 1u);
 }
@@ -112,7 +112,7 @@ TEST_F(StoreChaosTest, ValidateFailureIsNotRetriedAsDataLoss) {
   ASSERT_TRUE(
       fault::Configure("store.snapshot.validate=always/data_loss").ok());
   const uint64_t retries_before = LoadRetries();
-  const auto loaded = LoadSnapshotAutoWithRetry(*v2_path_, FastRetry(3));
+  const auto loaded = OpenWithRetry(*v2_path_, FastRetry(3));
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
   EXPECT_EQ(LoadRetries() - retries_before, 0u);

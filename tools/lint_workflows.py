@@ -10,15 +10,19 @@ validator catching the mistakes that actually bite us — a workflow
 that no longer parses, a job missing runs-on/steps/timeout-minutes, a
 step with both (or neither of) run:/uses:, a typo'd job or step key
 (`run-on:`, `use:`), a `needs:` edge to a job that does not exist,
-and unbalanced ${{ ... }} expressions. It deliberately does not try
-to typecheck action inputs or shellcheck run blocks; if the hosted
-runner image ever ships actionlint, CI can add it on top without
-replacing this gate.
+unbalanced ${{ ... }} expressions, and a `cmake --build --target`
+naming a target that no CMakeLists.txt in the repository defines (a
+stale target fails the job at build time, after a long setup). It
+deliberately does not try to typecheck action inputs or shellcheck
+run blocks; if the hosted runner image ever ships actionlint, CI can
+add it on top without replacing this gate.
 
 Exit codes: 0 clean, 1 lint errors, 2 usage/IO error.
 """
 
 import glob
+import os
+import re
 import sys
 
 try:
@@ -47,12 +51,65 @@ STEP_KEYS = {
 }
 
 
+# CMake commands that define a build target named by their first
+# argument; a function() wrapping one of them (gem_add_test, ...)
+# defines one too.
+TARGET_COMMANDS = ("add_executable", "add_library", "add_custom_target")
+CMAKE_CALL = re.compile(r"^\s*(\w+)\s*\(\s*([\w.+-]+)", re.M)
+CMAKE_FUNCTION = re.compile(
+    r"^\s*function\s*\(\s*(\w+)\s+(\w+)[^)]*\)(.*?)^\s*endfunction",
+    re.M | re.S)
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def cmake_targets(root):
+    """Names of every build target the CMakeLists.txt files under root
+    define (build trees and dot-directories skipped)."""
+    texts = []
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames[:] = [d for d in dirnames
+                       if not d.startswith((".", "build"))]
+        if "CMakeLists.txt" in filenames:
+            with open(os.path.join(dirpath, "CMakeLists.txt"),
+                      encoding="utf-8") as f:
+                texts.append(re.sub(r"#[^\n]*", "", f.read()))
+    definers = set(TARGET_COMMANDS)
+    for text in texts:
+        for name, param, body in CMAKE_FUNCTION.findall(text):
+            compact = re.sub(r"\s+", "", body)
+            if any(f"{command}(${{{param}}}" in compact
+                   for command in TARGET_COMMANDS):
+                definers.add(name)
+    return {target for text in texts
+            for command, target in CMAKE_CALL.findall(text)
+            if command in definers}
+
+
+def build_targets(command):
+    """Targets named by `cmake --build ... --target`/`-t` in a run:
+    block (shell variables skipped: they cannot be resolved
+    statically)."""
+    names = []
+    for line in command.replace("\\\n", " ").splitlines():
+        if "--build" not in line.split():
+            continue
+        collecting = False
+        for token in line.split():
+            if token in ("--target", "-t"):
+                collecting = True
+            elif token.startswith("-") or token in ("&&", "||", ";", "|"):
+                collecting = False
+            elif collecting:
+                names.append(token)
+    return [name for name in names if "$" not in name]
+
+
 def balanced_expressions(text):
     """True iff every ${{ has a matching }} (GitHub expression syntax)."""
     return text.count("${{") == text.count("}}")
 
 
-def lint_step(path, job_id, index, step, errors):
+def lint_step(path, job_id, index, step, targets, errors):
     where = f"{path}: jobs.{job_id}.steps[{index}]"
     if not isinstance(step, dict):
         errors.append(f"{where}: step is not a mapping")
@@ -73,9 +130,14 @@ def lint_step(path, job_id, index, step, errors):
     env = step.get("env")
     if env is not None and not isinstance(env, dict):
         errors.append(f"{where}: env must be a mapping")
+    if isinstance(step.get("run"), str):
+        for target in build_targets(step["run"]):
+            if target not in targets:
+                errors.append(f"{where}: --target '{target}' is not "
+                              f"defined by any CMakeLists.txt")
 
 
-def lint_job(path, job_id, job, job_ids, errors):
+def lint_job(path, job_id, job, job_ids, targets, errors):
     where = f"{path}: jobs.{job_id}"
     if not isinstance(job, dict):
         errors.append(f"{where}: job is not a mapping")
@@ -102,10 +164,10 @@ def lint_job(path, job_id, job, job_ids, errors):
         if dependency not in job_ids:
             errors.append(f"{where}: needs unknown job '{dependency}'")
     for index, step in enumerate(steps):
-        lint_step(path, job_id, index, step, errors)
+        lint_step(path, job_id, index, step, targets, errors)
 
 
-def lint_file(path, errors):
+def lint_file(path, targets, errors):
     with open(path, encoding="utf-8") as f:
         try:
             doc = yaml.safe_load(f)
@@ -126,7 +188,7 @@ def lint_file(path, errors):
         errors.append(f"{path}: missing or empty 'jobs:'")
         return
     for job_id, job in jobs.items():
-        lint_job(path, job_id, job, set(jobs), errors)
+        lint_job(path, job_id, job, set(jobs), targets, errors)
 
 
 def main(argv):
@@ -135,9 +197,10 @@ def main(argv):
     if not paths:
         print("error: no workflow files found", file=sys.stderr)
         return 2
+    targets = cmake_targets(REPO_ROOT)
     errors = []
     for path in paths:
-        lint_file(path, errors)
+        lint_file(path, targets, errors)
         print(f"linted {path}")
     for error in errors:
         print(f"LINT {error}")
