@@ -240,16 +240,10 @@ StatusOr<Gem> Gem::Compacted(const GemOverlay& overlay) const {
   if (!merged.ok()) return merged.status();
 
   // Merged trained state (base tables + delta rows, init stream
-  // advanced); materialized so the result owns every byte and can
-  // outlive a mapped base's backing.
+  // advanced), owning every byte so it can outlive a mapped base's
+  // backing.
   embed::BiSage::TrainedState state =
-      overlay.embedder.tables.empty()
-          ? embedder_.model().ExportTrained()
-          : embedder_.model().ExportTrained(overlay.embedder.tables);
-  state.h_table.Materialize();
-  state.l_table.Materialize();
-  for (math::Matrix& w : state.w_h) w.Materialize();
-  for (math::Matrix& w : state.w_l) w.Materialize();
+      embedder_.model().ExportTrained(overlay.embedder.tables);
 
   embed::BiSageEmbedder embedder(config_.bisage, config_.edge_weight);
   const Status restored =

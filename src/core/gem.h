@@ -163,9 +163,8 @@ class Gem : public GeofencingSystem {
   GemConfig config_;
   embed::BiSageEmbedder embedder_;
   detect::EnhancedHbosDetector detector_;
-  /// Backs the legacy mutating spellings; mutable so the const
-  /// Detect(embedding) shim can read through it.
-  mutable GemOverlay overlay_;
+  /// Backs the legacy mutating spellings.
+  GemOverlay overlay_;
   bool trained_ = false;
 };
 

@@ -67,7 +67,7 @@ void NormalizeInPlace(const math::kernels::Ops& ops, double* x, int n) {
 
 /// Uniform with-replacement neighbor draw (ablation of the
 /// weight-proportional sampling). Templated over the graph surface so
-/// the base and overlay forward paths share it.
+/// training (BipartiteGraph) and inference (OverlayGraphView) share it.
 template <typename GraphLike>
 std::vector<graph::Neighbor> SampleUniform(const GraphLike& graph,
                                            graph::NodeId node, int count,
@@ -82,48 +82,47 @@ std::vector<graph::Neighbor> SampleUniform(const GraphLike& graph,
   return sampled;
 }
 
+/// Grows the layer-0 tables (h, l), whose row 0 holds node `first`, to
+/// cover every node of `graph`, drawing from `rng`. The one row rule of
+/// every BiSage table, base or overlay delta: MAC nodes carry fixed
+/// random features — their identity in the embedding space. Record
+/// nodes start at zero: a record's identity is entirely its (weighted)
+/// MAC membership, so training and the inductive embedding of future
+/// records see exactly the same input distribution. (A per-record
+/// random h^0 would be pure noise in the self half of the CONCAT of
+/// Equations (4)/(6).) The h and l draws interleave per coordinate, so
+/// a delta continuing the base's init stream holds exactly the rows
+/// the base table would get over the same nodes.
+template <typename GraphLike>
+void AppendNodeRows(const GraphLike& graph, graph::NodeId first, int d,
+                    math::Rng& rng, math::Matrix& h, math::Matrix& l) {
+  const double scale = 1.0 / std::sqrt(static_cast<double>(d));
+  for (graph::NodeId node = first + h.rows(); node < graph.num_nodes();
+       ++node) {
+    math::Vec h_row(d, 0.0);
+    math::Vec l_row(d, 0.0);
+    if (graph.type(node) == graph::NodeType::kMac) {
+      for (int i = 0; i < d; ++i) {
+        h_row[i] = rng.Uniform(-scale, scale);
+        l_row[i] = rng.Uniform(-scale, scale);
+      }
+    }
+    h.AppendRow(h_row);
+    l.AppendRow(l_row);
+  }
+}
+
 }  // namespace
 
-/// Base forward context: reads the owning model's graph and node
-/// tables directly (the pre-overlay mutable path).
-struct BiSage::BaseCtx {
-  const graph::BipartiteGraph& graph;
-  const math::Matrix& h_table;
-  const math::Matrix& l_table;
-
-  int num_nodes() const { return graph.num_nodes(); }
-  graph::NodeType type(graph::NodeId n) const { return graph.type(n); }
-  int degree(graph::NodeId n) const { return graph.degree(n); }
-  const std::vector<graph::Neighbor>& neighbors(graph::NodeId n) const {
-    return graph.neighbors(n);
-  }
-  std::vector<graph::Neighbor> SampleNeighbors(graph::NodeId n, int count,
-                                               math::Rng& rng) const {
-    return graph.SampleNeighbors(n, count, rng);
-  }
-  const double* h_row(graph::NodeId n) const { return h_table.RowPtr(n); }
-  const double* l_row(graph::NodeId n) const { return l_table.RowPtr(n); }
-};
-
-/// Overlay forward context: graph reads go through the merged view,
-/// layer-0 rows come from the frozen base tables for pre-overlay
-/// nodes and from the delta for appended ones.
+/// Forward context: graph reads go through the merged view, layer-0
+/// rows come from the frozen base tables for nodes below them and from
+/// the delta past them.
 struct BiSage::OverlayCtx {
   const graph::OverlayGraphView& view;
   const math::Matrix& base_h;
   const math::Matrix& base_l;
   const NodeTableDelta& tables;
 
-  int num_nodes() const { return view.num_nodes(); }
-  graph::NodeType type(graph::NodeId n) const { return view.type(n); }
-  int degree(graph::NodeId n) const { return view.degree(n); }
-  const std::vector<graph::Neighbor>& neighbors(graph::NodeId n) const {
-    return view.neighbors(n);
-  }
-  std::vector<graph::Neighbor> SampleNeighbors(graph::NodeId n, int count,
-                                               math::Rng& rng) const {
-    return view.SampleNeighbors(n, count, rng);
-  }
   const double* h_row(graph::NodeId n) const {
     return n < tables.base_rows_
                ? base_h.RowPtr(n)
@@ -225,35 +224,8 @@ ThreadPool& BiSage::thread_pool() const {
   return *pool_;
 }
 
-void BiSage::EnsureCapacity(const graph::BipartiteGraph& graph,
-                            int count) const {
-  const int d = config_.dimension;
-  const double scale = 1.0 / std::sqrt(static_cast<double>(d));
-  while (h_table_.rows() < count) {
-    const graph::NodeId node = h_table_.rows();
-    math::Vec h_row(d, 0.0);
-    math::Vec l_row(d, 0.0);
-    // MAC nodes carry fixed random features — their identity in the
-    // embedding space. Record nodes start at zero: a record's identity
-    // is entirely its (weighted) MAC membership, so training and the
-    // inductive embedding of future records see exactly the same input
-    // distribution. (A per-record random h^0 would be pure noise in
-    // the self half of the CONCAT of Equations (4)/(6).)
-    if (node >= graph.num_nodes() ||
-        graph.type(node) == graph::NodeType::kMac) {
-      for (int i = 0; i < d; ++i) {
-        h_row[i] = init_rng_.Uniform(-scale, scale);
-        l_row[i] = init_rng_.Uniform(-scale, scale);
-      }
-    }
-    h_table_.AppendRow(h_row);
-    l_table_.AppendRow(l_row);
-  }
-}
-
-void BiSage::PrepareInference(const graph::BipartiteGraph& graph) const {
-  EnsureCapacity(graph, graph.num_nodes());
-  graph.WarmCaches();
+void BiSage::EnsureCapacity(const graph::BipartiteGraph& graph) {
+  AppendNodeRows(graph, 0, config_.dimension, init_rng_, h_table_, l_table_);
 }
 
 /// One gradient shard's reusable engine state. The two tape engines
@@ -407,7 +379,7 @@ Status BiSage::Train(const graph::BipartiteGraph& graph) {
   // before the first worker touches it: node tables (EnsureCapacity),
   // per-node alias samplers and the negative-sampling table
   // (WarmCaches). After this, workers only read the graph.
-  EnsureCapacity(graph, graph.num_nodes());
+  EnsureCapacity(graph);
   graph.WarmCaches();
   ThreadPool& pool = thread_pool();
 
@@ -632,13 +604,14 @@ void BiSage::InferScratch::Reset(int num_layers, int dimension) {
   coeffs_.resize(num_layers);
 }
 
-template <typename Ctx>
-size_t BiSage::ForwardNode(const Ctx& ctx, graph::NodeId node, int layer,
-                           math::Rng& rng, InferScratch& scratch) const {
+size_t BiSage::ForwardNode(const OverlayCtx& ctx, graph::NodeId node,
+                           int layer, math::Rng& rng,
+                           InferScratch& scratch) const {
   const long key = MemoKey(node, layer, config_.num_layers);
   const auto it = scratch.memo_.find(key);
   if (it != scratch.memo_.end()) return it->second;
 
+  const graph::OverlayGraphView& view = ctx.view;
   const int d = config_.dimension;
   const math::kernels::Ops& ops = math::kernels::Active();
   size_t off;
@@ -647,7 +620,7 @@ size_t BiSage::ForwardNode(const Ctx& ctx, graph::NodeId node, int layer,
     scratch.arena_.resize(off + 2 * d);
     std::copy_n(ctx.h_row(node), d, scratch.arena_.data() + off);
     std::copy_n(ctx.l_row(node), d, scratch.arena_.data() + off + d);
-  } else if (layer == 1 && ctx.type(node) == graph::NodeType::kMac) {
+  } else if (layer == 1 && view.type(node) == graph::NodeType::kMac) {
     // Every neighbor of a MAC is a record, and record rows are zero, so
     // both layer-1 aggregates are exactly +0.0: (h^1, l^1) comes from
     // the MAC table without touching the adjacency. A MAC the table
@@ -659,9 +632,9 @@ size_t BiSage::ForwardNode(const Ctx& ctx, graph::NodeId node, int layer,
     const int fanout = config_.inference_fanouts[config_.num_layers - 1];
     if (fanout > 0) {
       if (config_.use_edge_weights) {
-        ctx.SampleNeighbors(node, fanout, rng);
+        view.SampleNeighbors(node, fanout, rng);
       } else {
-        SampleUniform(ctx, node, fanout, rng);
+        SampleUniform(view, node, fanout, rng);
       }
     }
     off = scratch.arena_.size();
@@ -682,12 +655,12 @@ size_t BiSage::ForwardNode(const Ctx& ctx, graph::NodeId node, int layer,
     // per-layer buffer, never freshly allocated).
     std::vector<graph::Neighbor>& sampled = scratch.sampled_[layer - 1];
     if (fanout <= 0) {
-      const auto& adj = ctx.neighbors(node);
+      const auto& adj = view.neighbors(node);
       sampled.assign(adj.begin(), adj.end());
     } else if (config_.use_edge_weights) {
-      sampled = ctx.SampleNeighbors(node, fanout, rng);
+      sampled = view.SampleNeighbors(node, fanout, rng);
     } else {
-      sampled = SampleUniform(ctx, node, fanout, rng);
+      sampled = SampleUniform(view, node, fanout, rng);
     }
     // Drop MAC neighbors the model cannot interpret: singletons
     // (degree < min_mac_degree, e.g. a passer-by's phone — no
@@ -698,13 +671,13 @@ size_t BiSage::ForwardNode(const Ctx& ctx, graph::NodeId node, int layer,
     sampled.erase(
         std::remove_if(sampled.begin(), sampled.end(),
                        [&](const graph::Neighbor& nb) {
-                         if (ctx.type(nb.node) !=
+                         if (view.type(nb.node) !=
                              graph::NodeType::kMac) {
                            return false;
                          }
                          if (nb.node >= trained_nodes_) return true;
                          return config_.min_mac_degree > 1 &&
-                                ctx.degree(nb.node) <
+                                view.degree(nb.node) <
                                     config_.min_mac_degree;
                        }),
         sampled.end());
@@ -807,31 +780,8 @@ const double* BiSage::Layer1Slab(graph::NodeId node,
          static_cast<size_t>(slab) * 2 * config_.dimension;
 }
 
-void BiSage::EmbedForward(const graph::BipartiteGraph& graph,
-                          graph::NodeId node, InferScratch& scratch,
-                          double* h_out, double* l_out) const {
-  GEM_CHECK(config_status_.ok());
-  GEM_CHECK(node >= 0 && node < graph.num_nodes());
-  EnsureCapacity(graph, graph.num_nodes());
-  scratch.Reset(config_.num_layers, config_.dimension);
-  // Per-node deterministic sampling stream so repeated queries agree
-  // (and so a batch of nodes embeds identically at any thread count).
-  math::Rng rng(config_.seed ^ (0x9E3779B97F4A7C15ULL *
-                                (static_cast<uint64_t>(node) + 1)));
-  const BaseCtx ctx{graph, h_table_, l_table_};
-  const size_t off = ForwardNode(ctx, node, config_.num_layers, rng,
-                                 scratch);
-  const int d = config_.dimension;
-  if (h_out != nullptr) {
-    std::copy_n(scratch.arena_.data() + off, d, h_out);
-  }
-  if (l_out != nullptr) {
-    std::copy_n(scratch.arena_.data() + off + d, d, l_out);
-  }
-}
-
 void BiSage::EnsureOverlayCapacity(const graph::OverlayGraphView& view,
-                                   NodeTableDelta& tables, int count) const {
+                                   NodeTableDelta& tables) const {
   if (tables.base_rows_ < 0) {
     tables.base_rows_ = h_table_.rows();
     tables.h_rows_ = math::Matrix(0, config_.dimension);
@@ -839,33 +789,16 @@ void BiSage::EnsureOverlayCapacity(const graph::OverlayGraphView& view,
     tables.rng_.RestoreState(init_rng_.SaveState());
   }
   // The overlay contract: once a delta binds, the base tables are
-  // frozen (a grown base would desync the delta's row offsets AND its
-  // init-stream continuation).
+  // frozen (a retrain that grew them would desync the delta's row
+  // offsets AND its init-stream continuation).
   GEM_CHECK(h_table_.rows() == tables.base_rows_);
-  const int d = config_.dimension;
-  const double scale = 1.0 / std::sqrt(static_cast<double>(d));
-  while (tables.base_rows_ + tables.h_rows_.rows() < count) {
-    const graph::NodeId node = tables.base_rows_ + tables.h_rows_.rows();
-    math::Vec h_row(d, 0.0);
-    math::Vec l_row(d, 0.0);
-    // Same rule and draw order as EnsureCapacity: random rows for MAC
-    // nodes, zero rows for records — so the delta rows are bit-
-    // identical to what the mutable path would have appended.
-    if (node >= view.num_nodes() ||
-        view.type(node) == graph::NodeType::kMac) {
-      for (int i = 0; i < d; ++i) {
-        h_row[i] = tables.rng_.Uniform(-scale, scale);
-        l_row[i] = tables.rng_.Uniform(-scale, scale);
-      }
-    }
-    tables.h_rows_.AppendRow(h_row);
-    tables.l_rows_.AppendRow(l_row);
-  }
+  AppendNodeRows(view, tables.base_rows_, config_.dimension, tables.rng_,
+                 tables.h_rows_, tables.l_rows_);
 }
 
 void BiSage::PrepareInference(const graph::OverlayGraphView& view,
                               NodeTableDelta& tables) const {
-  EnsureOverlayCapacity(view, tables, view.num_nodes());
+  EnsureOverlayCapacity(view, tables);
   view.WarmCaches();
 }
 
@@ -875,11 +808,12 @@ void BiSage::EmbedForward(const graph::OverlayGraphView& view,
                           double* l_out) const {
   GEM_CHECK(config_status_.ok());
   GEM_CHECK(node >= 0 && node < view.num_nodes());
-  EnsureOverlayCapacity(view, tables, view.num_nodes());
+  EnsureOverlayCapacity(view, tables);
   scratch.Reset(config_.num_layers, config_.dimension);
-  // Same per-node stream as the mutable path: node ids (and so seeds)
-  // match because GraphDelta assigns ids in the same order AddRecord
-  // on a mutable graph would.
+  // Per-node deterministic sampling stream so repeated queries agree
+  // (and so a batch of nodes embeds identically at any thread count).
+  // GraphDelta assigns ids in the order BipartiteGraph::AddRecord
+  // would, so a node's stream does not depend on where it lives.
   math::Rng rng(config_.seed ^ (0x9E3779B97F4A7C15ULL *
                                 (static_cast<uint64_t>(node) + 1)));
   const OverlayCtx ctx{view, h_table_, l_table_, tables};
@@ -894,14 +828,6 @@ void BiSage::EmbedForward(const graph::OverlayGraphView& view,
   }
 }
 
-math::Vec BiSage::PrimaryEmbedding(const graph::BipartiteGraph& graph,
-                                   graph::NodeId node) const {
-  static thread_local InferScratch scratch;
-  math::Vec h(config_.dimension);
-  EmbedForward(graph, node, scratch, h.data(), nullptr);
-  return h;
-}
-
 math::Vec BiSage::PrimaryEmbedding(const graph::OverlayGraphView& view,
                                    NodeTableDelta& tables,
                                    graph::NodeId node) const {
@@ -911,11 +837,22 @@ math::Vec BiSage::PrimaryEmbedding(const graph::OverlayGraphView& view,
   return h;
 }
 
+math::Vec BiSage::PrimaryEmbedding(const graph::BipartiteGraph& graph,
+                                   graph::NodeId node) const {
+  const graph::GraphDelta delta;
+  NodeTableDelta tables;
+  return PrimaryEmbedding(graph::OverlayGraphView(graph, delta), tables,
+                          node);
+}
+
 math::Vec BiSage::AuxiliaryEmbedding(const graph::BipartiteGraph& graph,
                                      graph::NodeId node) const {
   static thread_local InferScratch scratch;
+  const graph::GraphDelta delta;
+  NodeTableDelta tables;
   math::Vec l(config_.dimension);
-  EmbedForward(graph, node, scratch, nullptr, l.data());
+  EmbedForward(graph::OverlayGraphView(graph, delta), tables, node, scratch,
+               nullptr, l.data());
   return l;
 }
 
@@ -1030,6 +967,7 @@ Status BiSageEmbedder::Fit(const std::vector<rf::ScanRecord>& train) {
     train_nodes_.push_back(graph_.AddRecord(record));
   }
   num_train_ = static_cast<int>(train.size());
+  overlay_ = EmbedderOverlay();
   return model_.Train(graph_);
 }
 
@@ -1055,73 +993,12 @@ Status BiSageEmbedder::RestoreFitted(graph::BipartiteGraph graph,
   graph_ = std::move(graph);
   num_train_ = static_cast<int>(train_nodes.size());
   train_nodes_ = std::move(train_nodes);
+  overlay_ = EmbedderOverlay();
   return Status::Ok();
 }
 
 StatusOr<math::Vec> BiSageEmbedder::EmbedNew(const rf::ScanRecord& record) {
-  if (!model_.trained()) {
-    return Status::FailedPrecondition("embedder is not trained");
-  }
-  // Paper footnote 3: a record sharing no MAC with the graph is an
-  // outlier outright (and per Section V-A the record is still added,
-  // so its MACs become known for later arrivals).
-  const bool connected = graph_.CountKnownMacs(record) > 0;
-  const graph::NodeId node = graph_.AddRecord(record);
-  if (!connected) {
-    return Status::NotFound("record shares no MAC with the graph");
-  }
-  return model_.PrimaryEmbedding(graph_, node);
-}
-
-std::vector<StatusOr<math::Vec>> BiSageEmbedder::EmbedNewBatch(
-    const std::vector<rf::ScanRecord>& records) {
-  std::vector<StatusOr<math::Vec>> out;
-  out.reserve(records.size());
-  if (!model_.trained()) {
-    for (size_t i = 0; i < records.size(); ++i) {
-      out.push_back(Status::FailedPrecondition("embedder is not trained"));
-    }
-    return out;
-  }
-  // Graph appends are serial and ordered (see header): each record's
-  // connectivity check sees every earlier record of the batch.
-  std::vector<graph::NodeId> nodes(records.size(), -1);
-  std::vector<char> connected(records.size(), 0);
-  for (size_t i = 0; i < records.size(); ++i) {
-    connected[i] = graph_.CountKnownMacs(records[i]) > 0 ? 1 : 0;
-    nodes[i] = graph_.AddRecord(records[i]);
-  }
-  // Grow node tables + warm sampling caches before the read-only
-  // parallel section.
-  model_.PrepareInference(graph_);
-  std::vector<math::Vec> embeddings(records.size());
-  // One tape-free forward scratch per worker, reused across the chunk's
-  // records — the batch does no per-record allocation beyond the output
-  // vectors themselves.
-  std::vector<BiSage::InferScratch> scratches(
-      model_.thread_pool().num_threads());
-  const int dimension = model_.config().dimension;
-  model_.thread_pool().ParallelFor(
-      static_cast<long>(records.size()),
-      [&](int chunk, long begin, long end) {
-        GEM_TRACE_SPAN("bisage.embed_chunk");
-        BiSage::InferScratch& scratch = scratches[chunk];
-        for (long i = begin; i < end; ++i) {
-          if (connected[i]) {
-            embeddings[i].resize(dimension);
-            model_.EmbedForward(graph_, nodes[i], scratch,
-                                embeddings[i].data());
-          }
-        }
-      });
-  for (size_t i = 0; i < records.size(); ++i) {
-    if (connected[i]) {
-      out.push_back(std::move(embeddings[i]));
-    } else {
-      out.push_back(Status::NotFound("record shares no MAC with the graph"));
-    }
-  }
-  return out;
+  return EmbedNew(record, overlay_);
 }
 
 StatusOr<math::Vec> BiSageEmbedder::EmbedNew(const rf::ScanRecord& record,
@@ -1130,9 +1007,9 @@ StatusOr<math::Vec> BiSageEmbedder::EmbedNew(const rf::ScanRecord& record,
     return Status::FailedPrecondition("embedder is not trained");
   }
   const graph::OverlayGraphView view = OverlayView(overlay);
-  // Same contract as the mutable path (paper footnote 3 / Section
-  // V-A): the record is always appended — here to the delta — and a
-  // record sharing no MAC with base + delta is an outlier outright.
+  // Paper footnote 3: a record sharing no MAC with base + delta is an
+  // outlier outright (and per Section V-A the record is still added,
+  // so its MACs become known for later arrivals).
   const bool connected = view.CountKnownMacs(record) > 0;
   const graph::NodeId node = overlay.graph.AddRecord(graph_, record);
   if (!connected) {
@@ -1153,9 +1030,8 @@ std::vector<StatusOr<math::Vec>> BiSageEmbedder::EmbedNewBatch(
     return out;
   }
   const graph::OverlayGraphView view = OverlayView(overlay);
-  // Delta appends are serial and ordered, exactly like the mutable
-  // batch path: each record's connectivity check sees every earlier
-  // record of the batch.
+  // Delta appends are serial and ordered (see header): each record's
+  // connectivity check sees every earlier record of the batch.
   std::vector<graph::NodeId> nodes(records.size(), -1);
   std::vector<char> connected(records.size(), 0);
   for (size_t i = 0; i < records.size(); ++i) {
@@ -1167,6 +1043,9 @@ std::vector<StatusOr<math::Vec>> BiSageEmbedder::EmbedNewBatch(
   // built state).
   model_.PrepareInference(view, overlay.tables);
   std::vector<math::Vec> embeddings(records.size());
+  // One tape-free forward scratch per worker, reused across the chunk's
+  // records — the batch does no per-record allocation beyond the output
+  // vectors themselves.
   std::vector<BiSage::InferScratch> scratches(
       model_.thread_pool().num_threads());
   const int dimension = model_.config().dimension;

@@ -85,12 +85,12 @@ struct BiSageConfig {
 };
 
 /// Per-overlay extension of BiSage's fixed initial-embedding tables:
-/// rows for nodes appended after the base froze, drawn from a
-/// continuation of the base's init stream — so every row matches, bit
-/// for bit, what a mutable base's lazy EnsureCapacity would have
-/// drawn. Caller-owned (one per overlay/fence); bound to a specific
-/// BiSage base on first use, after which that base's tables must not
-/// grow.
+/// rows for nodes past the trained tables, drawn from a continuation of
+/// the base's init stream by the same row rule Train() grows the base
+/// with — so every row matches, bit for bit, the row the base table
+/// would hold had it been grown over the same nodes. Caller-owned (one
+/// per overlay/fence, or call-local); bound to a specific BiSage base
+/// on first use, after which Train() must not grow that base's tables.
 class NodeTableDelta {
  public:
   NodeTableDelta() = default;
@@ -138,22 +138,23 @@ class BiSage {
   Status Train(const graph::BipartiteGraph& graph);
 
   /// Primary embedding h^K of a node via K rounds of bi-level
-  /// aggregation with the learned weights. Nodes unseen at Train()
-  /// time are initialized on first touch. Deterministic given the
-  /// node's sampled neighborhoods (internally seeded per node).
-  /// Convenience wrapper over EmbedForward with a per-thread scratch.
-  math::Vec PrimaryEmbedding(const graph::BipartiteGraph& graph,
-                             graph::NodeId node) const;
-
-  /// Overlay counterpart of PrimaryEmbedding: reads the frozen base
-  /// (graph + tables, possibly mmap-backed) through `view` and lands
-  /// every table-row append in `tables`. Bit-identical to the mutable
-  /// path for the same sequence of appended records.
+  /// aggregation with the learned weights: EmbedForward over `view`
+  /// with a per-thread scratch. Rows for nodes past the trained tables
+  /// land in `tables`. Deterministic given the node's sampled
+  /// neighborhoods (internally seeded per node).
   math::Vec PrimaryEmbedding(const graph::OverlayGraphView& view,
                              NodeTableDelta& tables,
                              graph::NodeId node) const;
 
-  /// Auxiliary embedding l^K (used by tests and diagnostics).
+  /// PrimaryEmbedding over `graph` under an empty overlay. The model is
+  /// only read: a node past the trained tables gets its rows drawn into
+  /// a call-local NodeTableDelta, so repeated calls agree bit for bit.
+  /// Streams of new records belong in an EmbedderOverlay instead.
+  math::Vec PrimaryEmbedding(const graph::BipartiteGraph& graph,
+                             graph::NodeId node) const;
+
+  /// Auxiliary embedding l^K, same contract as PrimaryEmbedding(graph,
+  /// node) (used by tests and diagnostics).
   math::Vec AuxiliaryEmbedding(const graph::BipartiteGraph& graph,
                                graph::NodeId node) const;
 
@@ -184,36 +185,25 @@ class BiSage {
   };
 
   /// Tape-free forward-only inference: evaluates Equations (3)-(7) for
-  /// `node` directly into caller-provided buffers — no Tape node
-  /// allocation, no per-node Vec copies. h_out / l_out must each hold
-  /// dimension() doubles (either may be null to skip that side; no
-  /// alignment required). Numerically identical to the removed
-  /// tape-style inference path: same per-node RNG stream, same
-  /// aggregation order, same MAC filtering. This is the hot path under
-  /// EmbedNew/EmbedNewBatch and the serving engine's Infer*.
-  void EmbedForward(const graph::BipartiteGraph& graph, graph::NodeId node,
-                    InferScratch& scratch, double* h_out,
-                    double* l_out = nullptr) const;
-
-  /// Overlay counterpart of EmbedForward: the base graph/tables are
-  /// only read (safe over an mmap-backed base shared across fences);
-  /// lazily-initialized rows for post-base nodes grow `tables`.
+  /// `node` of the merged graph `view` directly into caller-provided
+  /// buffers — no Tape node allocation, no per-node Vec copies. h_out /
+  /// l_out must each hold dimension() doubles (either may be null to
+  /// skip that side; no alignment required). The model is only read
+  /// (safe over an mmap-backed base shared across fences); layer-0 rows
+  /// for nodes past the trained tables are drawn into `tables`.
+  /// Numerically identical to the removed tape-style inference path:
+  /// same per-node RNG stream, same aggregation order, same MAC
+  /// filtering. This is the hot path under EmbedNew/EmbedNewBatch and
+  /// the serving engine's Infer*.
   void EmbedForward(const graph::OverlayGraphView& view,
                     NodeTableDelta& tables, graph::NodeId node,
                     InferScratch& scratch, double* h_out,
                     double* l_out = nullptr) const;
 
-  /// Makes concurrent PrimaryEmbedding/AuxiliaryEmbedding calls over
-  /// `graph` safe: grows the node tables to cover the whole graph and
-  /// warms the graph's sampling caches, so the parallel reads that
-  /// follow touch no lazily-built state. Must be re-run after the
-  /// graph grows. Called by EmbedNewBatch; callers doing their own
-  /// fan-out call it once before spawning.
-  void PrepareInference(const graph::BipartiteGraph& graph) const;
-
-  /// Overlay counterpart of PrepareInference: grows the delta tables
-  /// to cover the merged graph and warms base + delta sampling caches.
-  /// Must be re-run after the delta grows.
+  /// Makes concurrent EmbedForward calls over `view` and `tables` safe:
+  /// grows the delta tables to cover the merged graph and warms base +
+  /// delta sampling caches, so the parallel reads that follow touch no
+  /// lazily-built state. Must be re-run after the delta grows.
   void PrepareInference(const graph::OverlayGraphView& view,
                         NodeTableDelta& tables) const;
 
@@ -230,10 +220,10 @@ class BiSage {
   ThreadPool& thread_pool() const;
 
   /// Snapshot support (store/snapshot_v2.cc): everything Train() learned
-  /// plus the lazily-grown node tables and their init stream, so a
-  /// restored model embeds future nodes bit-identically to the
-  /// original process. Optimizer moments are NOT persisted: a
-  /// fine-tuning Train() after restore starts Adam fresh.
+  /// plus the node tables and their init stream, so a restored model
+  /// embeds future nodes bit-identically to the original process.
+  /// Optimizer moments are NOT persisted: a fine-tuning Train() after
+  /// restore starts Adam fresh.
   struct TrainedState {
     math::Matrix h_table;
     math::Matrix l_table;
@@ -246,8 +236,9 @@ class BiSage {
   TrainedState ExportTrained() const;
   /// Merged trained state for overlay compaction: base tables with the
   /// delta rows appended and the init stream advanced past the delta's
-  /// draws. Every matrix in the result owns its bytes (safe to keep
-  /// after the base's backing storage unmaps).
+  /// draws (the base state alone for a delta never bound). Every matrix
+  /// in the result owns its bytes (safe to keep after the base's
+  /// backing storage unmaps).
   TrainedState ExportTrained(const NodeTableDelta& tables) const;
   /// Overwrites the learned state and rebuilds the layer-1 MAC table
   /// for `graph`. Shapes must match this model's config (dimension d,
@@ -271,16 +262,16 @@ class BiSage {
 
   using TrainPair = std::pair<graph::NodeId, graph::NodeId>;
 
-  /// Grows the fixed initial-embedding tables to cover node ids
-  /// < count (random rows for MAC nodes, zero rows for record nodes).
-  void EnsureCapacity(const graph::BipartiteGraph& graph, int count) const;
+  /// Grows the fixed initial-embedding tables to cover every node of
+  /// `graph` (random rows for MAC nodes, zero rows for record nodes).
+  /// Only Train() grows the base tables.
+  void EnsureCapacity(const graph::BipartiteGraph& graph);
 
-  /// Overlay analogue of EnsureCapacity: binds `tables` to this base
-  /// on first call (freezing the base tables), then grows the DELTA
-  /// rows to cover node ids < count with the same draw order and
-  /// MAC/record rule as EnsureCapacity.
+  /// Binds `tables` to this base on first call, then grows the DELTA
+  /// rows to cover every node of `view` with the same row rule and
+  /// draw order as EnsureCapacity.
   void EnsureOverlayCapacity(const graph::OverlayGraphView& view,
-                             NodeTableDelta& tables, int count) const;
+                             NodeTableDelta& tables) const;
 
   /// Builds the (h^k, l^k) computation for `node` on the tape,
   /// memoized per (node, layer) within the current gradient shard.
@@ -310,18 +301,13 @@ class BiSage {
                     const std::vector<TrainPair>& pairs, size_t begin,
                     size_t end, uint64_t stream) const;
 
-  /// Forward-pass contexts: one reads the base graph/tables directly,
-  /// the other reads base + overlay through OverlayGraphView /
-  /// NodeTableDelta. Both expose the same surface, so ForwardNode is
-  /// written once (defined in bisage.cc; all instantiations live
-  /// there).
-  struct BaseCtx;
+  /// Forward-pass context: the merged graph plus the layer-0 rows of
+  /// base and delta (defined in bisage.cc).
   struct OverlayCtx;
 
   /// Recursive worker of EmbedForward: returns the arena offset of the
   /// memoized (h^layer, l^layer) slab for `node`.
-  template <typename Ctx>
-  size_t ForwardNode(const Ctx& ctx, graph::NodeId node, int layer,
+  size_t ForwardNode(const OverlayCtx& ctx, graph::NodeId node, int layer,
                      math::Rng& rng, InferScratch& scratch) const;
 
   /// Equations (4), (6), (7) for one node at `layer`, written to `out`
@@ -349,11 +335,11 @@ class BiSage {
 
   BiSageConfig config_;
   Status config_status_;
-  // Fixed initial embeddings; mutable so inference can lazily append
-  // rows for nodes that joined the graph after training.
-  mutable math::Matrix h_table_;
-  mutable math::Matrix l_table_;
-  mutable math::Rng init_rng_;
+  // Fixed initial embeddings, grown only by Train(); rows for later
+  // nodes live in a caller's NodeTableDelta.
+  math::Matrix h_table_;
+  math::Matrix l_table_;
+  math::Rng init_rng_;
   /// Node count when Train() last ran: MAC nodes added later carry
   /// features the weight matrices never saw, so inference aggregation
   /// skips them (they still count toward graph connectivity).
@@ -393,8 +379,8 @@ struct EmbedderOverlay {
 };
 
 /// RecordEmbedder adapter: owns a BipartiteGraph + BiSage, maps
-/// records to graph nodes, and adds new records to the graph at
-/// EmbedNew time.
+/// records to graph nodes, and embeds new records over an overlay: the
+/// graph stays as Fit() built it.
 class BiSageEmbedder : public RecordEmbedder {
  public:
   explicit BiSageEmbedder(BiSageConfig config = {},
@@ -403,30 +389,27 @@ class BiSageEmbedder : public RecordEmbedder {
   Status Fit(const std::vector<rf::ScanRecord>& train) override;
   math::Vec TrainEmbedding(int i) const override;
   int num_train() const override { return num_train_; }
+  /// EmbedNew(record, overlay) over the embedder's own overlay, which
+  /// Fit() and RestoreFitted() reset.
   StatusOr<math::Vec> EmbedNew(const rf::ScanRecord& record) override;
   int dimension() const override { return model_.config().dimension; }
 
+  /// Read-side EmbedNew: the base graph/model are only read, all
+  /// appends land in `overlay`. Paper footnote 3 / Section V-A: the
+  /// record is always appended (to the delta), and kNotFound signals
+  /// that it shares no MAC with base + delta; kFailedPrecondition when
+  /// the model is not trained.
+  StatusOr<math::Vec> EmbedNew(const rf::ScanRecord& record,
+                               EmbedderOverlay& overlay) const;
+
   /// Batched EmbedNew on the model's thread pool. All records are
-  /// appended to the graph first, in input order (so each record's
+  /// appended to `overlay` first, in input order (so each record's
   /// connectivity check sees every earlier record of the batch, same
   /// as sequential EmbedNew calls), then embedded in parallel against
   /// the batch-complete graph. Per-node RNG streams make the result
   /// bit-identical at any thread count. Slot i carries record i's
   /// embedding, kNotFound (no shared MAC), or kFailedPrecondition
   /// (model not trained).
-  std::vector<StatusOr<math::Vec>> EmbedNewBatch(
-      const std::vector<rf::ScanRecord>& records);
-
-  /// Read-side EmbedNew: the base graph/model are only read, all
-  /// appends land in `overlay`. Same semantics as EmbedNew (the record
-  /// is always appended — to the delta — and kNotFound signals no
-  /// shared MAC), bit-identical embeddings for the same append
-  /// sequence.
-  StatusOr<math::Vec> EmbedNew(const rf::ScanRecord& record,
-                               EmbedderOverlay& overlay) const;
-
-  /// Read-side EmbedNewBatch (see EmbedNewBatch for ordering and
-  /// determinism contracts; appends land in `overlay`).
   std::vector<StatusOr<math::Vec>> EmbedNewBatch(
       const std::vector<rf::ScanRecord>& records,
       EmbedderOverlay& overlay) const;
@@ -454,6 +437,8 @@ class BiSageEmbedder : public RecordEmbedder {
   BiSage model_;
   std::vector<graph::NodeId> train_nodes_;
   int num_train_ = 0;
+  /// Backs the RecordEmbedder stream EmbedNew(record).
+  EmbedderOverlay overlay_;
 };
 
 }  // namespace gem::embed

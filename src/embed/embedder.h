@@ -30,7 +30,7 @@ class RecordEmbedder {
   virtual int num_train() const = 0;
 
   /// Embeds a new record (inductive / out-of-sample). Implementations
-  /// may update internal state (BiSAGE adds the record to its graph).
+  /// may update internal state (BiSAGE adds the record to its overlay).
   /// Returns kNotFound when the record cannot be embedded at all —
   /// e.g. it shares no MAC with anything seen before — which GEM
   /// treats as an outright outlier (paper footnote 3), and

@@ -22,8 +22,6 @@ GraphSage::GraphSage(GraphSageConfig config)
   table_ = math::Matrix(0, config_.dimension);
   math::AdamOptions adam_options;
   adam_options.learning_rate = config_.learning_rate;
-  table_adam_ = std::make_unique<math::RowAdam>(0, config_.dimension,
-                                                adam_options);
   adam_ = std::make_unique<math::Adam>(adam_options);
   math::Rng weight_rng(config_.seed);
   for (int k = 0; k < config_.num_layers; ++k) {
@@ -51,7 +49,6 @@ void GraphSage::EnsureCapacity(const graph::BipartiteGraph& graph,
     }
     table_.AppendRow(row);
   }
-  table_adam_->Resize(table_.rows());
 }
 
 std::vector<graph::NodeId> GraphSage::SampleUniformNeighbors(
@@ -70,8 +67,7 @@ std::vector<graph::NodeId> GraphSage::SampleUniformNeighbors(
 math::VarId GraphSage::BuildNodeVar(
     math::Tape& tape, const graph::BipartiteGraph& graph,
     graph::NodeId node, int layer, math::Rng& rng,
-    std::unordered_map<long, math::VarId>& memo,
-    std::vector<std::pair<graph::NodeId, math::VarId>>* leaves) const {
+    std::unordered_map<long, math::VarId>& memo) const {
   const long key = MemoKey(node, layer, config_.num_layers);
   const auto it = memo.find(key);
   if (it != memo.end()) return it->second;
@@ -79,10 +75,9 @@ math::VarId GraphSage::BuildNodeVar(
   math::VarId var;
   if (layer == 0) {
     var = tape.Leaf(table_.Row(node));
-    leaves->emplace_back(node, var);
   } else {
     const math::VarId self =
-        BuildNodeVar(tape, graph, node, layer - 1, rng, memo, leaves);
+        BuildNodeVar(tape, graph, node, layer - 1, rng, memo);
     const int fanout = config_.fanouts[config_.num_layers - layer];
     const std::vector<graph::NodeId> sampled =
         SampleUniformNeighbors(graph, node, fanout, rng);
@@ -94,7 +89,7 @@ math::VarId GraphSage::BuildNodeVar(
       children.reserve(sampled.size());
       for (const graph::NodeId nb : sampled) {
         children.push_back(
-            BuildNodeVar(tape, graph, nb, layer - 1, rng, memo, leaves));
+            BuildNodeVar(tape, graph, nb, layer - 1, rng, memo));
       }
       // MEAN aggregator.
       const math::Vec coeffs(children.size(),
@@ -148,24 +143,20 @@ Status GraphSage::Train(const graph::BipartiteGraph& graph) {
     while (index < pairs.size()) {
       tape.Clear();
       std::unordered_map<long, math::VarId> memo;
-      std::vector<std::pair<graph::NodeId, math::VarId>> leaves;
       const size_t end = std::min(
           pairs.size(), index + static_cast<size_t>(config_.batch_pairs));
       for (; index < end; ++index) {
         const auto [x, y] = pairs[index];
-        const math::VarId vx = BuildNodeVar(tape, graph, x,
-                                            config_.num_layers, rng, memo,
-                                            &leaves);
-        const math::VarId vy = BuildNodeVar(tape, graph, y,
-                                            config_.num_layers, rng, memo,
-                                            &leaves);
+        const math::VarId vx =
+            BuildNodeVar(tape, graph, x, config_.num_layers, rng, memo);
+        const math::VarId vy =
+            BuildNodeVar(tape, graph, y, config_.num_layers, rng, memo);
         epoch_loss += tape.AddLogSigmoidLoss(tape.Dot(vx, vy), +1.0);
         ++loss_terms;
         for (int n = 0; n < config_.num_negatives; ++n) {
           const graph::NodeId z = graph.SampleNegative(rng);
-          const math::VarId vz = BuildNodeVar(tape, graph, z,
-                                              config_.num_layers, rng, memo,
-                                              &leaves);
+          const math::VarId vz =
+              BuildNodeVar(tape, graph, z, config_.num_layers, rng, memo);
           epoch_loss += tape.AddLogSigmoidLoss(tape.Dot(vx, vz), -1.0);
           ++loss_terms;
         }

@@ -57,9 +57,7 @@ class GraphSage {
   math::VarId BuildNodeVar(math::Tape& tape,
                            const graph::BipartiteGraph& graph,
                            graph::NodeId node, int layer, math::Rng& rng,
-                           std::unordered_map<long, math::VarId>& memo,
-                           std::vector<std::pair<graph::NodeId,
-                                                 math::VarId>>* leaves) const;
+                           std::unordered_map<long, math::VarId>& memo) const;
 
   math::Vec InferNode(const graph::BipartiteGraph& graph,
                       graph::NodeId node, int layer, math::Rng& rng,
@@ -72,7 +70,6 @@ class GraphSage {
 
   GraphSageConfig config_;
   mutable math::Matrix table_;
-  mutable std::unique_ptr<math::RowAdam> table_adam_;
   mutable math::Rng init_rng_;
   std::vector<std::unique_ptr<math::Parameter>> weights_;
   std::unique_ptr<math::Adam> adam_;

@@ -37,35 +37,4 @@ void Adam::Step() {
   }
 }
 
-RowAdam::RowAdam(int rows, int dim, AdamOptions options)
-    : options_(options), m_(rows, dim), v_(rows, dim), step_(rows, 0) {}
-
-void RowAdam::Update(Matrix& table, int row, const Vec& g) {
-  GEM_CHECK(row >= 0 && row < m_.rows());
-  GEM_CHECK(static_cast<int>(g.size()) == m_.cols());
-  const long t = ++step_[row];
-  const double bc1 = 1.0 - std::pow(options_.beta1, t);
-  const double bc2 = 1.0 - std::pow(options_.beta2, t);
-  double* value = table.RowPtr(row);
-  double* m = m_.RowPtr(row);
-  double* v = v_.RowPtr(row);
-  for (int i = 0; i < m_.cols(); ++i) {
-    m[i] = options_.beta1 * m[i] + (1.0 - options_.beta1) * g[i];
-    v[i] = options_.beta2 * v[i] + (1.0 - options_.beta2) * g[i] * g[i];
-    const double mhat = m[i] / bc1;
-    const double vhat = v[i] / bc2;
-    value[i] -=
-        options_.learning_rate * mhat / (std::sqrt(vhat) + options_.epsilon);
-  }
-}
-
-void RowAdam::Resize(int rows) {
-  GEM_CHECK(rows >= m_.rows());
-  while (m_.rows() < rows) {
-    m_.AppendRow(Vec(m_.cols() == 0 ? 0 : m_.cols(), 0.0));
-    v_.AppendRow(Vec(v_.cols() == 0 ? 0 : v_.cols(), 0.0));
-    step_.push_back(0);
-  }
-}
-
 }  // namespace gem::math

@@ -45,27 +45,6 @@ class Adam {
   long step_ = 0;
 };
 
-/// Sparse, per-row Adam for embedding tables: each row keeps its own
-/// moment vectors and step counter so untouched rows are never scanned.
-class RowAdam {
- public:
-  RowAdam(int rows, int dim, AdamOptions options = {});
-
-  /// Applies one Adam update to table row `row` from gradient g.
-  void Update(Matrix& table, int row, const Vec& g);
-
-  /// Extends the state for newly appended table rows.
-  void Resize(int rows);
-
-  int rows() const { return m_.rows(); }
-
- private:
-  AdamOptions options_;
-  Matrix m_;
-  Matrix v_;
-  std::vector<long> step_;
-};
-
 }  // namespace gem::math
 
 #endif  // GEM_MATH_OPTIMIZER_H_

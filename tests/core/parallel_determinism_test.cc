@@ -1,9 +1,12 @@
 // Deterministic-mode bit-identity across thread counts, and batched
 // inference equivalence with the sequential path. These tests are part
 // of the TSan CI matrix (the `parallel_` prefix), so they double as
-// data-race coverage for parallel Train / EmbedNewBatch / InferBatch.
+// data-race coverage for parallel Train / EmbedNewBatch / InferBatch
+// and for concurrent embeds over one read-only model.
 #include <cstdlib>
+#include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -160,6 +163,62 @@ TEST(ParallelDeterminismTest, InferBatchMatchesSequentialInferLoop) {
     ASSERT_EQ(batch_out[i].model_updated, one.model_updated)
         << "record " << i;
   }
+}
+
+void ExpectSameMatrix(const math::Matrix& a, const math::Matrix& b,
+                      const std::string& label) {
+  ASSERT_EQ(a.rows(), b.rows()) << label;
+  ASSERT_EQ(a.cols(), b.cols()) << label;
+  EXPECT_EQ(std::memcmp(a.ptr(), b.ptr(),
+                        static_cast<size_t>(a.rows()) * a.cols() *
+                            sizeof(double)),
+            0)
+      << label;
+}
+
+// Embedding a node past the trained tables only reads the model: each
+// call draws those nodes' rows into a delta of its own. The tables and
+// the init stream stay as Train() left them, and threads embedding
+// concurrently (no PrepareInference first) match a sequential run.
+TEST(ParallelDeterminismTest, EmbeddingPastTheTablesLeavesModelUnchanged) {
+  const rf::Dataset data = SmallDataset();
+  graph::BipartiteGraph graph;
+  for (const rf::ScanRecord& record : data.train) graph.AddRecord(record);
+  embed::BiSage model(FastBiSage(1, true));
+  ASSERT_TRUE(model.Train(graph).ok());
+  const embed::BiSage::TrainedState before = model.ExportTrained();
+
+  const graph::NodeId first = graph.num_nodes();
+  for (const rf::ScanRecord& record : data.test) graph.AddRecord(record);
+  const int appended = graph.num_nodes() - first;
+  ASSERT_GT(appended, 0);
+
+  std::vector<math::Vec> sequential;
+  for (int i = 0; i < appended; ++i) {
+    sequential.push_back(model.PrimaryEmbedding(graph, first + i));
+  }
+  std::vector<math::Vec> concurrent(appended);
+  const int num_threads = ManyThreads();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < num_threads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = t; i < appended; i += num_threads) {
+        concurrent[i] = model.PrimaryEmbedding(graph, first + i);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  ExpectBitIdentical(sequential, concurrent, "concurrent embeds");
+
+  const embed::BiSage::TrainedState after = model.ExportTrained();
+  ExpectSameMatrix(before.h_table, after.h_table, "h_table");
+  ExpectSameMatrix(before.l_table, after.l_table, "l_table");
+  EXPECT_EQ(std::memcmp(before.init_rng.words, after.init_rng.words,
+                        sizeof(before.init_rng.words)),
+            0);
+  EXPECT_EQ(before.init_rng.has_cached_normal,
+            after.init_rng.has_cached_normal);
+  EXPECT_EQ(before.init_rng.cached_normal, after.init_rng.cached_normal);
 }
 
 TEST(ParallelDeterminismTest, UntrainedBatchReportsFailedPrecondition) {

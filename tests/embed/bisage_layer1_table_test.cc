@@ -7,9 +7,10 @@
 // produce the same bits (memcmp) for every node of random bipartite
 // graphs — at K = 1, 2, 3, with and without edge weights, with and
 // without the degree filter, at full and sampled inference fanouts, on
-// the owned base, on an overlay with appended records and new MACs, on
-// a mapped v2 load with borrowed tables, and under both kernel
-// backends. Runs under ASan/UBSan in CI.
+// the owned graph grown past the model's tables (under an empty
+// overlay), on an overlay with appended records and new MACs, on a
+// mapped v2 load with borrowed tables, and under both kernel backends.
+// Runs under ASan/UBSan in CI.
 
 #include "embed/bisage.h"
 
@@ -287,23 +288,34 @@ void CheckOverlay(const BiSage& model, const graph::BipartiteGraph& base,
   }
 }
 
-/// Same over the owned, mutable base: `extra` is appended to `graph`
-/// itself, growing the model's node tables.
+/// Same over the owned graph: `extra` is appended to `graph` itself,
+/// past the model's tables, and every node is embedded through an empty
+/// overlay whose delta holds the rows past the tables. The graph
+/// conveniences, which redraw those rows into a delta of their own,
+/// must agree bit for bit.
 void CheckOwned(const BiSage& model, graph::BipartiteGraph& graph,
                 const std::vector<rf::ScanRecord>& extra) {
   for (const rf::ScanRecord& record : extra) graph.AddRecord(record);
-  model.PrepareInference(graph);
+  const graph::GraphDelta empty;
+  const graph::OverlayGraphView view(graph, empty);
+  NodeTableDelta tables;
+  model.PrepareInference(view, tables);
   const BiSage::TrainedState state = model.ExportTrained();
+  ASSERT_LT(state.h_table.rows(), graph.num_nodes());
   ReferenceForward<graph::BipartiteGraph> reference(
-      model.config(), state, graph, Rows{state.h_table, state.l_table});
+      model.config(), state, graph,
+      Rows{state.h_table, state.l_table, &tables});
 
   const int d = model.config().dimension;
   BiSage::InferScratch scratch;
   std::vector<double> h(d);
   std::vector<double> l(d);
   for (NodeId node = 0; node < graph.num_nodes(); ++node) {
-    model.EmbedForward(graph, node, scratch, h.data(), l.data());
-    ExpectSameBits(reference.Embed(node), h.data(), l.data(), d, node);
+    const std::vector<double> expected = reference.Embed(node);
+    model.EmbedForward(view, tables, node, scratch, h.data(), l.data());
+    ExpectSameBits(expected, h.data(), l.data(), d, node);
+    ExpectSameBits(expected, model.PrimaryEmbedding(graph, node).data(),
+                   model.AuxiliaryEmbedding(graph, node).data(), d, node);
   }
 }
 

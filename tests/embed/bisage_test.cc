@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "math/vec.h"
 #include "tests/common/test_records.h"
@@ -129,6 +130,51 @@ TEST(BiSageTest, UnknownMacsOnlyRecordIsUnembeddable) {
   follower.readings.push_back(rf::Reading{"never-seen-1", -62.0,
                                           rf::Band::k2_4GHz});
   EXPECT_TRUE(embedder.EmbedNew(follower).ok());
+}
+
+// The RecordEmbedder stream runs over the embedder's own overlay: the
+// same bits as an explicit overlay, while the graph keeps its post-Fit
+// shape.
+TEST(BiSageTest, RecordStreamMatchesExplicitOverlayAndFreezesGraph) {
+  const auto data = MakeTwoClusters(10, 9);
+  BiSageEmbedder streamed(FastConfig());
+  BiSageEmbedder overlaid(FastConfig());
+  ASSERT_TRUE(streamed.Fit(data.records).ok());
+  ASSERT_TRUE(overlaid.Fit(data.records).ok());
+  const int fitted_nodes = streamed.graph().num_nodes();
+
+  // Known MACs, new MACs riding along, and an unembeddable record
+  // whose MACs a later record shares.
+  math::Rng rng(19);
+  std::vector<rf::ScanRecord> stream;
+  for (int i = 0; i < 6; ++i) {
+    stream.push_back(testing::NoisyRecord({"a0", "a1", "a2", "new0"},
+                                          {"s0"}, rng));
+    stream.push_back(testing::NoisyRecord({"b0", "b1", "b2"}, {"s1"}, rng));
+  }
+  rf::ScanRecord alien;
+  alien.readings.push_back(rf::Reading{"alien", -60.0, rf::Band::k2_4GHz});
+  stream.push_back(alien);
+  alien.readings.push_back(rf::Reading{"b3", -55.0, rf::Band::k2_4GHz});
+  stream.push_back(alien);
+
+  EmbedderOverlay overlay;
+  std::vector<StatusCode> codes;
+  for (size_t i = 0; i < stream.size(); ++i) {
+    const StatusOr<math::Vec> a = streamed.EmbedNew(stream[i]);
+    const StatusOr<math::Vec> b = overlaid.EmbedNew(stream[i], overlay);
+    ASSERT_EQ(a.code(), b.code()) << "record " << i;
+    codes.push_back(a.code());
+    if (a.ok()) {
+      ASSERT_EQ(a->size(), b->size());
+      EXPECT_EQ(std::memcmp(a->data(), b->data(), a->size() * sizeof(double)),
+                0)
+          << "record " << i;
+    }
+  }
+  EXPECT_EQ(codes[stream.size() - 2], StatusCode::kNotFound);
+  EXPECT_EQ(codes.back(), StatusCode::kOk);
+  EXPECT_EQ(streamed.graph().num_nodes(), fitted_nodes);
 }
 
 TEST(BiSageTest, AuxiliaryDiffersFromPrimary) {

@@ -42,37 +42,5 @@ TEST(AdamTest, StepZeroesGradients) {
   EXPECT_DOUBLE_EQ(w.grad.At(0, 0), 0.0);
 }
 
-TEST(RowAdamTest, UpdatesOnlyTargetRow) {
-  Matrix table(3, 2, 1.0);
-  RowAdam adam(3, 2);
-  adam.Update(table, 1, {1.0, 1.0});
-  EXPECT_DOUBLE_EQ(table.At(0, 0), 1.0);
-  EXPECT_NE(table.At(1, 0), 1.0);
-  EXPECT_DOUBLE_EQ(table.At(2, 1), 1.0);
-}
-
-TEST(RowAdamTest, ConvergesRowToTarget) {
-  // Gradient of 0.5*||row - t||^2 is (row - t).
-  Matrix table(1, 3, 0.0);
-  AdamOptions opts;
-  opts.learning_rate = 0.05;
-  RowAdam adam(1, 3, opts);
-  const Vec target{0.2, -0.4, 0.9};
-  for (int i = 0; i < 1000; ++i) {
-    Vec g(3);
-    for (int k = 0; k < 3; ++k) g[k] = table.At(0, k) - target[k];
-    adam.Update(table, 0, g);
-  }
-  for (int k = 0; k < 3; ++k) EXPECT_NEAR(table.At(0, k), target[k], 1e-3);
-}
-
-TEST(RowAdamTest, ResizeExtends) {
-  RowAdam adam(2, 4);
-  adam.Resize(5);
-  EXPECT_EQ(adam.rows(), 5);
-  Matrix table(5, 4, 0.0);
-  adam.Update(table, 4, {1, 1, 1, 1});  // must not crash
-}
-
 }  // namespace
 }  // namespace gem::math

@@ -5,9 +5,10 @@ Run directly (registered in ctest as workflow_lint_test):
 
     python3 tests/tools/lint_workflows_test.py [path/to/lint_workflows.py]
 
-The repository's own workflows must lint clean, and a workflow that
-names a build target no CMakeLists.txt defines must fail the linter
-with an error naming that target.
+The repository's own workflows must lint clean. A workflow that names
+a build target no CMakeLists.txt defines must fail the linter with an
+error naming that target, and so must a `ctest -R` step without
+`--no-tests=error`.
 """
 
 import os
@@ -21,6 +22,8 @@ LINTER = (sys.argv.pop(1) if len(sys.argv) > 1 else
           os.path.join(ROOT, "tools", "lint_workflows.py"))
 CI = os.path.join(ROOT, ".github", "workflows", "ci.yml")
 STALE = os.path.join(ROOT, "tests", "data", "workflows", "stale_target.yml")
+VACUOUS = os.path.join(ROOT, "tests", "data", "workflows",
+                       "vacuous_ctest.yml")
 
 
 def run_linter(*paths):
@@ -42,6 +45,16 @@ class LintWorkflowsTest(unittest.TestCase):
         # the defined target next to it is not flagged.
         self.assertEqual(len(errors), 1, result.stdout)
         self.assertIn("--target 'serve_snapshot_test'", errors[0])
+
+    def test_unguarded_ctest_filter_fails(self):
+        result = run_linter(VACUOUS)
+        self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
+        errors = [line for line in result.stdout.splitlines()
+                  if line.startswith("LINT ")]
+        # Only the unguarded step: the guarded loop next to it passes.
+        self.assertEqual(len(errors), 1, result.stdout)
+        self.assertIn("jobs.tsan.steps[1]", errors[0])
+        self.assertIn("--no-tests=error", errors[0])
 
 
 if __name__ == "__main__":

@@ -10,9 +10,11 @@ validator catching the mistakes that actually bite us — a workflow
 that no longer parses, a job missing runs-on/steps/timeout-minutes, a
 step with both (or neither of) run:/uses:, a typo'd job or step key
 (`run-on:`, `use:`), a `needs:` edge to a job that does not exist,
-unbalanced ${{ ... }} expressions, and a `cmake --build --target`
+unbalanced ${{ ... }} expressions, a `cmake --build --target`
 naming a target that no CMakeLists.txt in the repository defines (a
-stale target fails the job at build time, after a long setup). It
+stale target fails the job at build time, after a long setup), and a
+`ctest -R` without `--no-tests=error` (ctest exits 0 when the pattern
+matches nothing, so a stale pattern would pass running no test). It
 deliberately does not try to typecheck action inputs or shellcheck
 run blocks; if the hosted runner image ever ships actionlint, CI can
 add it on top without replacing this gate.
@@ -104,6 +106,26 @@ def build_targets(command):
     return [name for name in names if "$" not in name]
 
 
+def unguarded_ctests(command):
+    """ctest invocations in a run: block that select tests with -R but
+    lack --no-tests=error."""
+    found = []
+    for line in command.replace("\\\n", " ").splitlines():
+        invocation = None
+        for token in line.split() + [";"]:
+            if token in ("&&", "||", ";", "|"):
+                if invocation and "--no-tests=error" not in invocation and any(
+                        arg.startswith(("-R", "--tests-regex"))
+                        for arg in invocation):
+                    found.append(" ".join(invocation))
+                invocation = None
+            elif invocation is not None:
+                invocation.append(token)
+            elif os.path.basename(token) == "ctest":
+                invocation = [token]
+    return found
+
+
 def balanced_expressions(text):
     """True iff every ${{ has a matching }} (GitHub expression syntax)."""
     return text.count("${{") == text.count("}}")
@@ -135,6 +157,10 @@ def lint_step(path, job_id, index, step, targets, errors):
             if target not in targets:
                 errors.append(f"{where}: --target '{target}' is not "
                               f"defined by any CMakeLists.txt")
+        for invocation in unguarded_ctests(step["run"]):
+            errors.append(f"{where}: ctest -R without --no-tests=error "
+                          f"passes when the pattern matches no test: "
+                          f"'{invocation}'")
 
 
 def lint_job(path, job_id, job, job_ids, targets, errors):
