@@ -15,7 +15,6 @@
 #include <memory>
 
 #include "core/embedding_pipeline.h"
-#include "core/gem.h"
 #include "detect/hbos.h"
 #include "embed/bisage.h"
 #include "embed/matrix_rep.h"
@@ -37,7 +36,7 @@ std::unique_ptr<core::GeofencingSystem> MakeArm(int arm, uint64_t seed) {
     case 1: {
       core::GemConfig config;
       config.bisage.use_edge_weights = false;
-      return std::make_unique<core::Gem>(config);
+      return eval::MakeSystem(eval::AlgorithmId::kGem, seed, config);
     }
     case 2:
       return eval::MakeSystem(eval::AlgorithmId::kGraphSageOd, seed);
@@ -51,7 +50,7 @@ std::unique_ptr<core::GeofencingSystem> MakeArm(int arm, uint64_t seed) {
     case 4: {
       core::GemConfig config;
       config.online_update = false;
-      return std::make_unique<core::Gem>(config);
+      return eval::MakeSystem(eval::AlgorithmId::kGem, seed, config);
     }
     case 5:
       return eval::MakeSystem(eval::AlgorithmId::kRawOd, seed);

@@ -87,12 +87,13 @@ std::vector<rf::ScanRecord> TrainRecords(const rf::Environment& env,
   return records;
 }
 
-math::InOutMetrics EvaluateStream(core::Gem& gem,
+math::InOutMetrics EvaluateStream(const core::Gem& gem,
+                                  core::GemOverlay& overlay,
                                   const std::vector<rf::ScanRecord>& stream) {
   std::vector<bool> actual, predicted;
   for (const rf::ScanRecord& record : stream) {
     actual.push_back(record.inside);
-    predicted.push_back(gem.Infer(record).decision ==
+    predicted.push_back(gem.Infer(record, overlay).decision ==
                         core::Decision::kInside);
   }
   return math::ComputeInOutMetrics(actual, predicted);
@@ -121,6 +122,7 @@ int main(int argc, char** argv) {
     for (int seed = 0; seed < kSeeds; ++seed) {
       core::Gem gem{core::GemConfig{}};
       if (!gem.Train(TrainRecords(env, model, 0.8, 1 + seed)).ok()) continue;
+      core::GemOverlay overlay;
       math::Rng rng(100 + seed);
       int slot_index = 0;
       // Live through the day: evaluate 50 walks at the three slots and
@@ -132,7 +134,7 @@ int main(int argc, char** argv) {
                              std::fabs(hour - 20.7) < 0.01;
         if (is_slot) {
           const auto stream = WalkBlock(env, model, hour, 50, rng);
-          const math::InOutMetrics m = EvaluateStream(gem, stream);
+          const math::InOutMetrics m = EvaluateStream(gem, overlay, stream);
           f_in[slot_index].push_back(m.f_in);
           f_out[slot_index].push_back(m.f_out);
           ++slot_index;
@@ -143,7 +145,7 @@ int main(int argc, char** argv) {
           // model keeps learning from.
           const auto stream = WalkBlock(env, model, hour, 6, rng);
           for (const rf::ScanRecord& record : stream) {
-            (void)gem.Infer(record);
+            (void)gem.Infer(record, overlay);
           }
         }
       }
@@ -174,7 +176,8 @@ int main(int argc, char** argv) {
         }
         math::Rng rng(200 + seed);
         const auto stream = WalkBlock(env, model, 11.2, 50, rng);
-        const math::InOutMetrics m = EvaluateStream(gem, stream);
+        core::GemOverlay overlay;
+        const math::InOutMetrics m = EvaluateStream(gem, overlay, stream);
         f_in.push_back(m.f_in);
         f_out.push_back(m.f_out);
       }
@@ -214,7 +217,8 @@ int main(int argc, char** argv) {
         }
         core::Gem gem{core::GemConfig{}};
         if (!gem.Train(train).ok()) continue;
-        const math::InOutMetrics m = EvaluateStream(gem, stream);
+        core::GemOverlay overlay;
+        const math::InOutMetrics m = EvaluateStream(gem, overlay, stream);
         f_in.push_back(m.f_in);
         f_out.push_back(m.f_out);
       }

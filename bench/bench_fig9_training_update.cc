@@ -142,8 +142,9 @@ int RunTimingOnly(const std::vector<int>& thread_counts,
     const double train_s = Seconds(train_start);
 
     const auto infer_start = std::chrono::steady_clock::now();
+    core::GemOverlay overlay;
     const std::vector<core::InferenceResult> results =
-        gem.InferBatch(data.test);
+        gem.InferBatch(data.test, overlay);
     const double infer_s = Seconds(infer_start);
     if (results.size() != data.test.size()) {
       std::fprintf(stderr, "batch size mismatch at %d threads\n",
@@ -230,10 +231,11 @@ math::InOutMetrics RunGem(const std::vector<rf::ScanRecord>& train,
   core::Gem gem(config);
   math::InOutMetrics empty;
   if (!gem.Train(train).ok()) return empty;
+  core::GemOverlay overlay;
   std::vector<bool> actual, predicted;
   for (const rf::ScanRecord& record : test) {
     actual.push_back(record.inside);
-    predicted.push_back(gem.Infer(record).decision ==
+    predicted.push_back(gem.Infer(record, overlay).decision ==
                         core::Decision::kInside);
   }
   return math::ComputeInOutMetrics(actual, predicted);
@@ -311,15 +313,18 @@ int main(int argc, char** argv) {
     core::Gem gem(config);
     if (!gem.Train(stream_data.train).ok()) break;
     const size_t burn = probe_begin * tenth / 10;
-    for (size_t i = 0; i < burn; ++i) (void)gem.Infer(stream_data.test[i]);
+    core::GemOverlay overlay;
+    for (size_t i = 0; i < burn; ++i) {
+      (void)gem.Infer(stream_data.test[i], overlay);
+    }
     // Freeze: evaluate the probe set without further updates.
     std::vector<bool> actual, predicted;
     for (const rf::ScanRecord& record : probe) {
-      const auto embedding =
-          gem.Observe(record);
+      const auto embedding = gem.Observe(record, overlay);
       bool inside = false;
       if (embedding.ok()) {
-        inside = gem.Detect(*embedding).decision == core::Decision::kInside;
+        inside = gem.Detect(*embedding, overlay).decision ==
+                 core::Decision::kInside;
       }
       actual.push_back(record.inside);
       predicted.push_back(inside);

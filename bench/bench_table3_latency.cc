@@ -37,7 +37,8 @@ namespace {
 
 using namespace gem;  // NOLINT(build/namespaces) bench binary
 
-/// Shared fixture: one trained GEM and a pool of unseen test records.
+/// Shared fixture: one trained GEM, the overlay every stage benchmark
+/// runs against, and a pool of unseen test records.
 struct LatencySetup {
   LatencySetup() {
     rf::DatasetOptions options;
@@ -50,7 +51,7 @@ struct LatencySetup {
     // Pre-embed one record per stage benchmark that needs an
     // embedding input.
     for (const rf::ScanRecord& record : data.test) {
-      auto embedding = gem->Observe(record);
+      auto embedding = gem->Observe(record, overlay);
       if (embedding.ok()) embeddings.push_back(*embedding);
       if (embeddings.size() >= 256) break;
     }
@@ -59,6 +60,7 @@ struct LatencySetup {
 
   rf::Dataset data;
   std::unique_ptr<core::Gem> gem;
+  core::GemOverlay overlay;
   std::vector<math::Vec> embeddings;
 };
 
@@ -73,7 +75,7 @@ void BM_EmbeddingGeneration(benchmark::State& state) {
   for (auto _ : state) {
     const rf::ScanRecord& record = s.data.test[i % s.data.test.size()];
     ++i;
-    auto embedding = s.gem->Observe(record);
+    auto embedding = s.gem->Observe(record, s.overlay);
     benchmark::DoNotOptimize(embedding);
   }
 }
@@ -84,7 +86,7 @@ void BM_InOutDetection(benchmark::State& state) {
   size_t i = 0;
   for (auto _ : state) {
     const core::InferenceResult result =
-        s.gem->Detect(s.embeddings[i % s.embeddings.size()]);
+        s.gem->Detect(s.embeddings[i % s.embeddings.size()], s.overlay);
     ++i;
     benchmark::DoNotOptimize(result);
   }
@@ -96,7 +98,7 @@ void BM_ModelUpdate(benchmark::State& state) {
   size_t i = 0;
   for (auto _ : state) {
     const StatusOr<bool> updated =
-        s.gem->Update(s.embeddings[i % s.embeddings.size()]);
+        s.gem->Update(s.embeddings[i % s.embeddings.size()], s.overlay);
     ++i;
     benchmark::DoNotOptimize(updated);
   }
@@ -109,7 +111,7 @@ void BM_FullInference(benchmark::State& state) {
   for (auto _ : state) {
     const rf::ScanRecord& record = s.data.test[i % s.data.test.size()];
     ++i;
-    const core::InferenceResult result = s.gem->Infer(record);
+    const core::InferenceResult result = s.gem->Infer(record, s.overlay);
     benchmark::DoNotOptimize(result);
   }
 }

@@ -18,14 +18,16 @@ using namespace gem;  // NOLINT(build/namespaces) example binary
 
 namespace {
 
-math::InOutMetrics Run(core::GeofencingSystem& system,
-                       const rf::Dataset& data) {
+/// Trains `system` on the walk, then scores the decisions `infer`
+/// makes over the test stream.
+template <typename System, typename InferFn>
+math::InOutMetrics Run(System& system, const rf::Dataset& data,
+                       InferFn infer) {
   if (!system.Train(data.train).ok()) return {};
   std::vector<bool> actual, predicted;
   for (const rf::ScanRecord& record : data.test) {
     actual.push_back(record.inside);
-    predicted.push_back(system.Infer(record).decision ==
-                        core::Decision::kInside);
+    predicted.push_back(infer(record).decision == core::Decision::kInside);
   }
   return math::ComputeInOutMetrics(actual, predicted);
 }
@@ -46,14 +48,21 @@ int main() {
               data.train.size(), data.test.size());
 
   core::Gem gem{core::GemConfig{}};
-  const math::InOutMetrics gem_metrics = Run(gem, data);
+  core::GemOverlay overlay;
+  const math::InOutMetrics gem_metrics =
+      Run(gem, data, [&](const rf::ScanRecord& record) {
+        return gem.Infer(record, overlay);
+      });
   std::printf("GEM (bipartite graph + BiSAGE):   F_in=%.3f  F_out=%.3f\n",
               gem_metrics.f_in, gem_metrics.f_out);
 
   core::EmbeddingPipeline padded(
       "padded matrix + OD", std::make_unique<embed::RawVectorEmbedder>(),
       std::make_unique<detect::EnhancedHbosDetector>());
-  const math::InOutMetrics raw_metrics = Run(padded, data);
+  const math::InOutMetrics raw_metrics =
+      Run(padded, data, [&](const rf::ScanRecord& record) {
+        return padded.Infer(record);
+      });
   std::printf("padded matrix (-120 dBm) + OD:    F_in=%.3f  F_out=%.3f\n",
               raw_metrics.f_in, raw_metrics.f_out);
 

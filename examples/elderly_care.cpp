@@ -61,13 +61,16 @@ int main() {
   std::printf("GEM trained on %zu records from the initial walk.\n\n",
               data.train.size());
 
+  // The model stays read-only; the stream's graph growth and
+  // self-enhancement accumulate in this overlay.
+  core::GemOverlay overlay;
   WanderingAlarm alarm(/*threshold=*/5);
   int alarms = 0;
   int true_outside_events = 0;
   bool was_outside = false;
   for (size_t i = 0; i < data.test.size(); ++i) {
     const rf::ScanRecord& record = data.test[i];
-    const core::InferenceResult result = gem.Infer(record);
+    const core::InferenceResult result = gem.Infer(record, overlay);
     if (!record.inside && !was_outside) ++true_outside_events;
     was_outside = !record.inside;
 

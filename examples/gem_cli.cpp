@@ -383,10 +383,11 @@ int Run(const ParsedArgs& args) {
     return 1;
   }
 
+  core::GemOverlay overlay;
   std::vector<bool> actual, predicted;
   std::printf("timestamp_s,decision,score,updated\n");
   for (const rf::ScanRecord& record : test.value()) {
-    const core::InferenceResult result = gem.value().Infer(record);
+    const core::InferenceResult result = gem.value().Infer(record, overlay);
     const bool inside = result.decision == core::Decision::kInside;
     std::printf("%.1f,%s,%.4f,%d\n", record.timestamp_s,
                 inside ? "inside" : "OUTSIDE", result.score,

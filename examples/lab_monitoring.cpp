@@ -39,7 +39,9 @@ int main() {
   // Run through the day: late morning, busy afternoon, quiet evening.
   // Unlabeled "life happens" phases keep the model adapting between
   // the scored check-ins — the model sees the day change gradually,
-  // just like a real deployment.
+  // just like a real deployment. What it learns lands in `overlay`;
+  // the trained model itself stays read-only.
+  core::GemOverlay overlay;
   const struct {
     const char* label;
     rf::TimeOfDayProfile profile;
@@ -66,7 +68,7 @@ int main() {
       for (const rf::TimedPoint& tp : traj) {
         const rf::ScanRecord record = scanner.Scan(
             tp.position, tp.floor, phase.start_s + tp.time_s, rng);
-        const core::InferenceResult result = gem.Infer(record);
+        const core::InferenceResult result = gem.Infer(record, overlay);
         correct += (result.decision == core::Decision::kInside) ==
                            record.inside
                        ? 1

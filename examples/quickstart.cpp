@@ -38,12 +38,14 @@ int main() {
 
   // 3. Stream new scans. Each Infer() embeds the record, decides
   //    inside/outside, and self-enhances on highly confident
-  //    in-premises samples.
+  //    in-premises samples. The trained model stays read-only: the
+  //    stream's graph growth and detector updates land in `overlay`.
+  core::GemOverlay overlay;
   int correct = 0;
   int alerts = 0;
   int updates = 0;
   for (const rf::ScanRecord& record : data.test) {
-    const core::InferenceResult result = gem.Infer(record);
+    const core::InferenceResult result = gem.Infer(record, overlay);
     const bool predicted_inside =
         result.decision == core::Decision::kInside;
     correct += predicted_inside == record.inside ? 1 : 0;

@@ -86,9 +86,6 @@ Status Gem::Train(const std::vector<rf::ScanRecord>& inside_records) {
     status = detector_.Fit(embeddings);
   }
   if (!status.ok()) return status;
-  // A retrain invalidates anything the legacy shims accumulated
-  // against the previous base.
-  overlay_ = GemOverlay();
   trained_ = true;
   return Status::Ok();
 }
@@ -100,20 +97,6 @@ StatusOr<math::Vec> Gem::Observe(const rf::ScanRecord& record,
   if (!trained_) return Status::FailedPrecondition("gem is not trained");
   GEM_TRACE_SPAN("gem.embed");
   return embedder_.EmbedNew(record, overlay.embedder);
-}
-
-std::vector<StatusOr<math::Vec>> Gem::ObserveBatch(
-    const std::vector<rf::ScanRecord>& records, GemOverlay& overlay) const {
-  GEM_TRACE_SPAN("gem.embed_batch");
-  if (!trained_) {
-    std::vector<StatusOr<math::Vec>> out;
-    out.reserve(records.size());
-    for (size_t i = 0; i < records.size(); ++i) {
-      out.push_back(Status::FailedPrecondition("gem is not trained"));
-    }
-    return out;
-  }
-  return embedder_.EmbedNewBatch(records, overlay.embedder);
 }
 
 InferenceResult Gem::Detect(const math::Vec& embedding,
@@ -192,8 +175,11 @@ std::vector<InferenceResult> Gem::InferBatch(
   // then run serially in input order, so the detector state evolves
   // exactly as it would under the equivalent sequence of Infer calls
   // (embeddings do not depend on detector state).
-  const std::vector<StatusOr<math::Vec>> embeddings =
-      ObserveBatch(records, overlay);
+  std::vector<StatusOr<math::Vec>> embeddings;
+  {
+    GEM_TRACE_SPAN("gem.embed_batch");
+    embeddings = embedder_.EmbedNewBatch(records, overlay.embedder);
+  }
   std::vector<InferenceResult> results;
   results.reserve(embeddings.size());
   for (const StatusOr<math::Vec>& embedding : embeddings) {
@@ -254,34 +240,6 @@ StatusOr<Gem> Gem::Compacted(const GemOverlay& overlay) const {
   detect::EnhancedHbosDetector detector = EffectiveDetector(overlay);
   detector.Materialize();
   return FromParts(config_, std::move(embedder), std::move(detector));
-}
-
-// ----- Legacy spellings over the owned overlay ----------------------
-
-InferenceResult Gem::Infer(const rf::ScanRecord& record) {
-  return Infer(record, overlay_);
-}
-
-std::vector<InferenceResult> Gem::InferBatch(
-    const std::vector<rf::ScanRecord>& records) {
-  return InferBatch(records, overlay_);
-}
-
-StatusOr<math::Vec> Gem::Observe(const rf::ScanRecord& record) {
-  return Observe(record, overlay_);
-}
-
-std::vector<StatusOr<math::Vec>> Gem::ObserveBatch(
-    const std::vector<rf::ScanRecord>& records) {
-  return ObserveBatch(records, overlay_);
-}
-
-InferenceResult Gem::Detect(const math::Vec& embedding) const {
-  return Detect(embedding, overlay_);
-}
-
-StatusOr<bool> Gem::Update(const math::Vec& embedding) {
-  return Update(embedding, overlay_);
 }
 
 }  // namespace gem::core

@@ -1,8 +1,6 @@
 #ifndef GEM_CORE_GEM_H_
 #define GEM_CORE_GEM_H_
 
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "base/statusor.h"
@@ -34,31 +32,31 @@ struct GemConfig {
 /// enhanced histogram-based one-class detection, with online
 /// embedding prediction and model self-enhancement.
 ///
-/// The inference path is split into an immutable base and a mutable
-/// overlay: the overlay-taking methods below are const — they never
-/// write the graph, the node tables, or the detector — and every
-/// side effect of serving (graph appends, lazily-drawn table rows,
-/// detector absorption) lands in the caller's GemOverlay. A base
-/// whose storage is borrowed (store::MappedModel over a v2 snapshot)
-/// therefore serves traffic zero-copy, and many fences can share one
-/// base. The overlay folds back into a standalone model with
-/// Compacted().
+/// A trained Gem is a read-only base: every method but Train is
+/// const and writes nothing in the graph, the node tables or the
+/// detector. Every side effect of serving (graph appends,
+/// lazily-drawn table rows, detector absorption) lands in the
+/// caller's GemOverlay. A base whose storage is borrowed
+/// (store::MappedModel over a v2 snapshot) therefore serves traffic
+/// zero-copy, and many fences can share one base. The overlay folds
+/// back into a standalone model with Compacted().
 ///
 /// The three inference stages (Observe/Detect/Update) are public so
 /// the latency breakdown of Table III can time them independently;
 /// Infer() composes them.
-class Gem : public GeofencingSystem {
+class Gem {
  public:
   explicit Gem(GemConfig config = GemConfig());
 
-  Status Train(const std::vector<rf::ScanRecord>& inside_records) override;
-  std::string name() const override { return "GEM (BiSAGE + OD)"; }
-
-  // ----- Read side: const against the base, mutation via overlay ----
+  /// Fits the embedder on the in-premises records, then the detector
+  /// on their embeddings. Meant to run once per Gem: a second call
+  /// adds the records to the existing graph, and overlays built
+  /// before it no longer match the base.
+  Status Train(const std::vector<rf::ScanRecord>& inside_records);
 
   /// Full inference for one record. The base stays frozen; the
   /// record's graph append and any detector absorption land in
-  /// `overlay`. Bit-identical to the mutating legacy path.
+  /// `overlay`.
   InferenceResult Infer(const rf::ScanRecord& record,
                         GemOverlay& overlay) const;
 
@@ -78,11 +76,6 @@ class Gem : public GeofencingSystem {
   /// outright, footnote 3); kFailedPrecondition when not trained.
   StatusOr<math::Vec> Observe(const rf::ScanRecord& record,
                               GemOverlay& overlay) const;
-
-  /// Batched stage 1 (see InferBatch for the append semantics); slot
-  /// i corresponds to record i.
-  std::vector<StatusOr<math::Vec>> ObserveBatch(
-      const std::vector<rf::ScanRecord>& records, GemOverlay& overlay) const;
 
   /// Stage 2: in-out detection on an embedding (Equation (11)),
   /// scored by the overlay's detector clone when one exists (i.e.
@@ -107,34 +100,9 @@ class Gem : public GeofencingSystem {
   /// over a different base.
   StatusOr<Gem> Compacted(const GemOverlay& overlay) const;
 
-  // ----- Legacy spellings (owned-overlay shims) ---------------------
-  // Single-model convenience: the same read-side machinery run
-  // against an overlay the Gem owns. Kept so GeofencingSystem
-  // call sites (baselines, eval harness) and existing callers keep
-  // working; the owned overlay is folded in automatically when the
-  // model is snapshotted.
-
-  InferenceResult Infer(const rf::ScanRecord& record) override;
-  std::vector<InferenceResult> InferBatch(
-      const std::vector<rf::ScanRecord>& records);
-  StatusOr<math::Vec> Observe(const rf::ScanRecord& record);
-  std::vector<StatusOr<math::Vec>> ObserveBatch(
-      const std::vector<rf::ScanRecord>& records);
-  /// Stage 2 against the owned overlay's effective detector.
-  InferenceResult Detect(const math::Vec& embedding) const;
-  StatusOr<bool> Update(const math::Vec& embedding);
-
-  /// Folds the owned overlay (accumulated by the legacy spellings)
-  /// into a standalone Gem. Snapshot writers call this so a saved
-  /// model captures online updates made through the legacy API.
-  StatusOr<Gem> Compacted() const { return Compacted(overlay_); }
-
   const GemConfig& config() const { return config_; }
   const embed::BiSageEmbedder& embedder() const { return embedder_; }
   const detect::EnhancedHbosDetector& detector() const { return detector_; }
-  /// The overlay behind the legacy mutating spellings (empty until
-  /// one of them runs).
-  const GemOverlay& overlay() const { return overlay_; }
   bool trained() const { return trained_; }
 
   /// Snapshot support (store/snapshot_v2.cc): reassembles a trained Gem
@@ -163,8 +131,6 @@ class Gem : public GeofencingSystem {
   GemConfig config_;
   embed::BiSageEmbedder embedder_;
   detect::EnhancedHbosDetector detector_;
-  /// Backs the legacy mutating spellings.
-  GemOverlay overlay_;
   bool trained_ = false;
 };
 

@@ -23,8 +23,10 @@ struct InferenceResult {
 
 /// A complete geofencing system: trained once on in-premises records,
 /// then fed the streaming records one at a time (stateful — GEM grows
-/// its graph and detector online). Implemented by Gem, the generic
-/// embedder+detector pipelines, SignatureHome, and Inoa.
+/// its graph and detector online). Implemented by the generic
+/// embedder+detector pipelines, SignatureHome, Inoa, and the eval
+/// harness's GEM arm (eval::MakeSystem), which pairs a read-only Gem
+/// with the GemOverlay its stream accumulates.
 class GeofencingSystem {
  public:
   virtual ~GeofencingSystem() = default;

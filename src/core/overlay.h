@@ -25,17 +25,16 @@ struct OverlayLimits {
   Status Validate() const;
 };
 
-/// The mutable half of Gem's base/overlay split. The const read side
-/// (Infer/InferBatch/Observe/Detect/Update taking an overlay) never
-/// writes the base model: graph appends, lazily-drawn node-table
-/// rows, and detector absorption all land here. That is what lets one
-/// immutable — typically mmap-backed — base serve many fences, each
-/// with its own small private overlay, and makes eviction a munmap
-/// instead of a destructor walk.
+/// The mutable half of Gem's base/overlay split, and the only state
+/// serving writes. Gem's read side (Infer/InferBatch/Observe/Detect/
+/// Update) is const and never writes the base model: graph appends,
+/// lazily-drawn node-table rows, and detector absorption all land
+/// here. That is what lets one immutable — typically mmap-backed —
+/// base serve many fences, each with its own small private overlay,
+/// and makes eviction a munmap instead of a destructor walk.
 ///
-/// Scores are bit-identical to the legacy mutating path for the same
-/// record sequence (golden-tested). An overlay binds to the base it
-/// first served; offering it to a different Gem is a checked error.
+/// An overlay binds to the base it first served; folding it into a
+/// different Gem (Compacted) is a checked error.
 struct GemOverlay {
   /// Embedding side: graph delta + node-table delta.
   embed::EmbedderOverlay embedder;

@@ -14,6 +14,35 @@
 #include "embed/mds.h"
 
 namespace gem::eval {
+namespace {
+
+/// GEM as a streaming GeofencingSystem: the read-only model plus the
+/// overlay its record stream accumulates.
+class GemSystem : public core::GeofencingSystem {
+ public:
+  explicit GemSystem(const core::GemConfig& config) : gem_(config) {}
+
+  /// A retrain starts over from a fresh model (Gem::Train on a trained
+  /// Gem adds the records to its graph a second time) and a fresh
+  /// overlay (the old one was built over the previous base).
+  Status Train(const std::vector<rf::ScanRecord>& inside_records) override {
+    gem_ = core::Gem(gem_.config());
+    overlay_ = core::GemOverlay();
+    return gem_.Train(inside_records);
+  }
+  core::InferenceResult Infer(const rf::ScanRecord& record) override {
+    return gem_.Infer(record, overlay_);
+  }
+  std::string name() const override {
+    return AlgorithmName(AlgorithmId::kGem);
+  }
+
+ private:
+  core::Gem gem_;
+  core::GemOverlay overlay_;
+};
+
+}  // namespace
 
 std::vector<AlgorithmId> TableOneAlgorithms() {
   return {AlgorithmId::kGem,
@@ -63,7 +92,7 @@ std::unique_ptr<core::GeofencingSystem> MakeSystem(
     case AlgorithmId::kGem: {
       core::GemConfig config = gem_config;
       config.bisage = bisage;
-      return std::make_unique<core::Gem>(config);
+      return std::make_unique<GemSystem>(config);
     }
     case AlgorithmId::kSignatureHome:
       return std::make_unique<core::SignatureHome>();

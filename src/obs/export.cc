@@ -160,7 +160,11 @@ std::string ExportJsonLines(const std::vector<MetricSnapshot>& snapshot) {
     for (const auto& [k, v] : snap.labels) {
       if (!first) line += ',';
       first = false;
-      line += "\"" + JsonEscape(k) + "\":\"" + JsonEscape(v) + "\"";
+      line += '"';
+      line += JsonEscape(k);
+      line += "\":\"";
+      line += JsonEscape(v);
+      line += '"';
     }
     line += "}";
     if (snap.type == MetricType::kHistogram) {

@@ -13,16 +13,24 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// The options' ring capacity, read when a thread records its first
+/// event.
+size_t EventsPerThread();
+
 /// Fixed-capacity, single-writer event buffer for one thread. The
 /// owning thread is the only writer; readers take an acquire prefix
 /// of `size` and never touch entries past it, so no entry is read
 /// while it is being written.
 struct ThreadBuffer {
-  explicit ThreadBuffer(int tid_in, size_t capacity)
-      : tid(tid_in), events(capacity) {}
+  explicit ThreadBuffer(int tid_in) : tid(tid_in) {}
 
   const int tid;
+  /// The ring, allocated at the thread's first recorded event: a
+  /// thread that only names itself with the profiler off never pays
+  /// for one. `size` is still 0 while the owner sizes it, so no
+  /// reader touches it then.
   std::vector<TimelineEvent> events;
+  bool sized = false;  // owner thread only
   std::atomic<size_t> size{0};
   std::atomic<uint64_t> dropped{0};
 
@@ -30,6 +38,10 @@ struct ThreadBuffer {
   std::string name;  // guarded by name_mutex
 
   void Push(const TimelineEvent& event) {
+    if (!sized) {
+      events.resize(EventsPerThread());
+      sized = true;
+    }
     const size_t n = size.load(std::memory_order_relaxed);
     if (n >= events.size()) {
       dropped.fetch_add(1, std::memory_order_relaxed);
@@ -54,6 +66,12 @@ TimelineState& State() {
   return *state;
 }
 
+size_t EventsPerThread() {
+  TimelineState& state = State();
+  std::lock_guard<std::mutex> lock(state.mutex);
+  return state.events_per_thread;
+}
+
 int64_t SteadyNowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              Clock::now().time_since_epoch())
@@ -65,7 +83,7 @@ ThreadBuffer& LocalBuffer() {
     TimelineState& state = State();
     std::lock_guard<std::mutex> lock(state.mutex);
     auto buffer = std::make_shared<ThreadBuffer>(
-        static_cast<int>(state.buffers.size()), state.events_per_thread);
+        static_cast<int>(state.buffers.size()));
     state.buffers.push_back(buffer);
     return buffer;
   }();

@@ -16,11 +16,11 @@ namespace gem::obs {
 /// (`GEM_PROFILE` env var / `--trace_out` flags). Disabled (the
 /// default) the record functions are one relaxed atomic load plus a
 /// branch — cheap enough to leave in every hot path permanently.
-/// Enabled, each thread appends fixed-size events to its own
-/// pre-sized buffer: single-writer, no locks, no allocation after the
-/// buffer exists. A full buffer drops NEW events and counts them
-/// (dropped_events) rather than overwriting old ones, so every
-/// recorded span keeps its matched begin/end and the loss is
+/// Enabled, each thread appends fixed-size events to its own buffer,
+/// sized at the thread's first recorded event: single-writer, no
+/// locks, no allocation after that. A full buffer drops NEW events
+/// and counts them (dropped_events) rather than overwriting old ones,
+/// so every recorded span keeps its matched begin/end and the loss is
 /// observable.
 ///
 /// Readers (Snapshot / WriteChromeTrace) may run concurrently with
@@ -86,8 +86,9 @@ class Timeline {
   }
 
   /// Starts recording: resets the epoch to "now", clears every
-  /// existing thread buffer, and applies `options` to buffers created
-  /// from here on (existing buffers keep their capacity).
+  /// existing thread buffer, and applies `options` to buffers sized
+  /// from here on, i.e. those of threads that have not recorded an
+  /// event yet (existing buffers keep their capacity).
   static void Enable(TimelineOptions options = {});
   /// Stops recording. Buffers are retained for Snapshot/Write.
   static void Disable();
@@ -116,7 +117,8 @@ class Timeline {
   static void RecordCounter(const char* name, double value);
 
   /// Names the calling thread's track in the exported trace (e.g.
-  /// "pool-worker-2"). Safe to call when disabled.
+  /// "pool-worker-2"). Safe to call when disabled; allocates no
+  /// event buffer.
   static void SetCurrentThreadName(const std::string& name);
 
   /// Point-in-time copy of every thread's recorded prefix, ordered by

@@ -56,8 +56,8 @@ struct ServeResponse {
   /// the attached store), kDeadlineExceeded (deadline passed before
   /// the model ran), kUnavailable (shut down while queued, or a
   /// transient store cold-load failure), kDataLoss (corrupt snapshot
-  /// behind a store-resolved fence), or kFailedPrecondition (the fence
-  /// belongs to another shard of a partitioned fleet).
+  /// behind a store-resolved fence), or, from InferBlocking,
+  /// kFailedPrecondition (the engine was already shut down).
   Status status;
   core::InferenceResult result;
   /// Registry generation of the model that served the request (0 when

@@ -14,14 +14,14 @@ namespace gem::serve {
 
 /// One loaded fence: a tenant's trained model (an immutable base),
 /// the overlay that accumulates its online updates, and the mutex
-/// serializing access to the pair. The engine serves through the
-/// const read API — `gem.Infer(record, overlay)` — so the base is
-/// never written: inductive graph growth and detector absorption land
-/// in `overlay`, which is why `gem` may be backed by borrowed views
-/// over a read-only snapshot mapping (store::MappedModel). The overlay
-/// IS shared mutable state, so ALL model calls must still hold
-/// `mutex`; concurrency in the serving engine comes from running many
-/// fences in parallel, not from sharing one.
+/// serializing access to the pair. `gem` is const, so the only way to
+/// serve it is `gem.Infer(record, overlay)`: inductive graph growth
+/// and detector absorption land in `overlay`, which is why `gem` may
+/// be backed by borrowed views over a read-only snapshot mapping
+/// (store::MappedModel). The overlay IS shared mutable state, so ALL
+/// model calls must still hold `mutex`; concurrency in the serving
+/// engine comes from running many fences in parallel, not from
+/// sharing one.
 ///
 /// Lives in its own header (below fence_registry.h) so the storage
 /// layer (gem::store::FenceCache) can hand out the same pinned-model
@@ -52,7 +52,7 @@ struct Fence {
   /// Null only for a Gem that owns its storage (FenceRegistry::Install
   /// of an in-memory model).
   const std::shared_ptr<void> backing;
-  core::Gem gem;
+  const core::Gem gem;
   /// Online updates relative to `gem`'s base: appended graph nodes,
   /// continued embedder state, and the detector clone absorbing
   /// confident normals. Mutated under `mutex`; folded back into a

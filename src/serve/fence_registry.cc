@@ -54,14 +54,6 @@ Result<uint64_t> FenceRegistry::InstallWithBacking(
   if (fence_id.empty()) {
     return Status::InvalidArgument("fence id must be non-empty");
   }
-  if (partitioned_ && !partition_.IsLocal(fence_id, local_rank_)) {
-    const store::ShardAssignment assignment = partition_.Assign(fence_id);
-    return Status::FailedPrecondition(
-        "fence '" + fence_id + "' is owned by shard " +
-        std::to_string(assignment.rank) + " of " +
-        std::to_string(assignment.nrank) + ", not this instance (rank " +
-        std::to_string(local_rank_) + ")");
-  }
   if (!gem.trained()) {
     return Status::FailedPrecondition("cannot install an untrained model");
   }
@@ -133,14 +125,6 @@ std::shared_ptr<Fence> FenceRegistry::Find(const std::string& fence_id) const {
 
 StatusOr<std::shared_ptr<Fence>> FenceRegistry::Resolve(
     const std::string& fence_id) const {
-  if (partitioned_ && !partition_.IsLocal(fence_id, local_rank_)) {
-    const store::ShardAssignment assignment = partition_.Assign(fence_id);
-    return Status::FailedPrecondition(
-        "fence '" + fence_id + "' is owned by shard " +
-        std::to_string(assignment.rank) + " of " +
-        std::to_string(assignment.nrank) + ", not this instance (rank " +
-        std::to_string(local_rank_) + ")");
-  }
   std::shared_ptr<Fence> fence = Find(fence_id);
   if (fence) return fence;
   if (cache_) return cache_->Acquire(fence_id);
@@ -149,19 +133,6 @@ StatusOr<std::shared_ptr<Fence>> FenceRegistry::Resolve(
 
 void FenceRegistry::AttachStore(std::shared_ptr<store::FenceCache> cache) {
   cache_ = std::move(cache);
-}
-
-Status FenceRegistry::SetPartition(store::PartitionMap map, int local_rank) {
-  if (local_rank < 0 || local_rank >= map.num_shards()) {
-    return Status::InvalidArgument(
-        "local rank " + std::to_string(local_rank) +
-        " is outside the partition's [0, " +
-        std::to_string(map.num_shards()) + ") shard range");
-  }
-  partition_ = std::move(map);
-  partitioned_ = true;
-  local_rank_ = local_rank;
-  return Status::Ok();
 }
 
 std::vector<std::string> FenceRegistry::FenceIds() const {

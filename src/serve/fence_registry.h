@@ -13,7 +13,6 @@
 #include "core/gem.h"
 #include "serve/fence.h"
 #include "store/fence_cache.h"
-#include "store/partition_map.h"
 
 namespace gem::serve {
 
@@ -24,23 +23,17 @@ namespace gem::serve {
 /// model it resolved even while a reload replaces or removes it — a
 /// live reload never blocks on draining traffic.
 ///
-/// Two optional collaborators from gem::store widen the registry from
-/// "everything installed up front" to fleet scale:
-///  - AttachStore: ids not installed here resolve through a
-///    store::FenceCache (bounded LRU over snapshot files, cold-load on
-///    miss) — registration is unbounded, residency is capped.
-///  - SetPartition: a store::PartitionMap plus this instance's rank
-///    makes the registry front one shard of an N-instance fleet;
-///    non-local ids are rejected at Install and Resolve.
-/// Both are start-up configuration: call them before serving traffic.
+/// AttachStore widens the registry from "everything installed up
+/// front" to fleet scale: ids not installed here resolve through a
+/// store::FenceCache (bounded LRU over snapshot files, cold-load on
+/// miss) — registration is unbounded, residency is capped. It is
+/// start-up configuration: call it before serving traffic.
 class FenceRegistry {
  public:
   explicit FenceRegistry(int num_shards = 16);
 
   /// Inserts or replaces (live reload) the fence. The model must be
   /// trained. Returns the installed generation (1 for a first install).
-  /// kFailedPrecondition when a partition is set and the id is not
-  /// local to this instance.
   Result<uint64_t> Install(const std::string& fence_id, core::Gem gem);
 
   /// Maps a v2 snapshot file (store::OpenWithRetry: transient
@@ -61,23 +54,16 @@ class FenceRegistry {
   /// attached store; serving paths use Resolve).
   std::shared_ptr<Fence> Find(const std::string& fence_id) const;
 
-  /// The serving lookup: partition check, then installed fences, then
-  /// the attached store (cold-load on miss). kFailedPrecondition for a
-  /// non-local id, kNotFound when the id is neither installed nor
-  /// registered in the store; store errors (kDataLoss, kUnavailable)
-  /// pass through.
+  /// The serving lookup: installed fences, then the attached store
+  /// (cold-load on miss). kNotFound when the id is neither installed
+  /// nor registered in the store; store errors (kDataLoss,
+  /// kUnavailable) pass through.
   StatusOr<std::shared_ptr<Fence>> Resolve(const std::string& fence_id) const;
 
   /// Attaches the snapshot store consulted by Resolve on a registry
   /// miss. Start-up configuration — not synchronized against in-flight
   /// Resolves.
   void AttachStore(std::shared_ptr<store::FenceCache> cache);
-
-  /// Makes this registry front shard `local_rank` of `map`'s fleet.
-  /// kInvalidArgument unless 0 <= local_rank < map.num_shards().
-  /// Start-up configuration — not synchronized against in-flight
-  /// Resolves.
-  Status SetPartition(store::PartitionMap map, int local_rank);
 
   /// Sorted ids of all installed fences (store-resident models are
   /// tracked by the cache, not here).
@@ -101,11 +87,8 @@ class FenceRegistry {
   /// Fixed at construction; never resized (Shard is not movable).
   mutable std::vector<Shard> shards_;
 
-  /// Start-up configuration (see AttachStore / SetPartition).
+  /// Start-up configuration (see AttachStore).
   std::shared_ptr<store::FenceCache> cache_;
-  store::PartitionMap partition_;
-  bool partitioned_ = false;
-  int local_rank_ = 0;
 };
 
 }  // namespace gem::serve

@@ -164,19 +164,6 @@ Status FenceCache::Flush(const std::string& fence_id) {
   return status;
 }
 
-Status FenceCache::FlushAll() {
-  Status first = Status::Ok();
-  for (const std::string& id : RegisteredIds()) {
-    const Status status = Flush(id);
-    // A Deregister racing the id list is not a flush failure.
-    if (first.ok() && !status.ok() &&
-        status.code() != StatusCode::kNotFound) {
-      first = status;
-    }
-  }
-  return first;
-}
-
 StatusOr<std::shared_ptr<serve::Fence>> FenceCache::Acquire(
     const std::string& fence_id) {
   CacheMetrics& metrics = CacheMetrics::Get();

@@ -133,10 +133,6 @@ class FenceCache {
   /// captured.
   Status Flush(const std::string& fence_id);
 
-  /// Flush() over every registered id; keeps going on error and
-  /// returns the first failure (Ok when all succeeded).
-  Status FlushAll();
-
   size_t resident() const;
   size_t registered() const;
   uint64_t resident_bytes() const;

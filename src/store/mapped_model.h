@@ -36,11 +36,10 @@ struct MappedModelOptions {
 /// munmap, and every generation mapping the same inode shares its
 /// clean pages.
 ///
-/// Mutation safety: the const read API (Infer/Observe/Detect/Update
-/// with an explicit GemOverlay) never writes the base, and the legacy
-/// mutating spellings route through the Gem's owned overlay, so a
-/// mapped Gem is safe under the whole serving API. Only Train() — a
-/// wholesale refit — replaces the borrowed state with owned storage.
+/// Mutation safety: gem() is const, and every const Gem method writes
+/// only the caller's GemOverlay, never the base. Only Train() — a
+/// wholesale refit, reachable once TakeGem() hands the Gem out —
+/// replaces the borrowed state with owned storage.
 ///
 /// This is the only way a served model is loaded: FenceCache cold
 /// loads and FenceRegistry::InstallFromSnapshot both go through
@@ -63,7 +62,6 @@ class MappedModel {
   MappedModel& operator=(const MappedModel&) = delete;
 
   const core::Gem& gem() const { return *gem_; }
-  core::Gem& gem() { return *gem_; }
 
   /// The mapping keeping the Gem's borrowed views alive. Hold a copy
   /// for as long as any Gem moved out of this object is in use.

@@ -591,13 +591,6 @@ Status SaveSnapshotV2(const std::string& path, const core::Gem& gem) {
   if (!gem.trained()) {
     return Status::FailedPrecondition("cannot snapshot an untrained model");
   }
-  // Fold in anything the legacy mutating spellings accumulated in the
-  // owned overlay, so the snapshot captures every online update.
-  if (!gem.overlay().empty()) {
-    StatusOr<core::Gem> merged = gem.Compacted();
-    if (!merged.ok()) return merged.status();
-    return SaveSnapshotV2(path, *merged);
-  }
   GEM_FAILPOINT("store.snapshot.write");
 
   std::string embed_meta;

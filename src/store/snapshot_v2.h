@@ -23,7 +23,8 @@ namespace gem::store {
 /// Atomically writes `gem` (which must be trained) to `path` in v2
 /// layout via a temp file + rename, so a crash mid-write never leaves
 /// a torn snapshot under the final name, and a replaced file's old
-/// inode stays valid for whoever still maps it. Failpoints:
+/// inode stays valid for whoever still maps it. Only the base is
+/// written; fold an overlay in first with Gem::Compacted. Failpoints:
 /// `store.snapshot.write`, `store.snapshot.rename`.
 Status SaveSnapshotV2(const std::string& path, const core::Gem& gem);
 

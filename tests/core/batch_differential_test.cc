@@ -88,10 +88,11 @@ std::vector<InferenceResult> SequentialReference(
     const rf::Dataset& data, const std::vector<rf::ScanRecord>& workload) {
   Gem gem(DeterministicConfig(1));
   EXPECT_TRUE(gem.Train(data.train).ok());
+  GemOverlay overlay;
   std::vector<InferenceResult> results;
   results.reserve(workload.size());
   for (const rf::ScanRecord& record : workload) {
-    results.push_back(gem.Infer(record));
+    results.push_back(gem.Infer(record, overlay));
   }
   return results;
 }
@@ -120,7 +121,8 @@ TEST(BatchDifferentialTest, GemInferBatchMatchesSequentialLoop) {
     for (const int threads : {1, 2, ManyThreads()}) {
       Gem batched(DeterministicConfig(threads));
       ASSERT_TRUE(batched.Train(data.train).ok());
-      ExpectFieldForField(batched.InferBatch(workload), expected,
+      GemOverlay overlay;
+      ExpectFieldForField(batched.InferBatch(workload, overlay), expected,
                           "seed " + std::to_string(seed) + ", " +
                               std::to_string(threads) + " threads");
     }

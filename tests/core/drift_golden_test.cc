@@ -94,13 +94,15 @@ TEST(DriftGoldenTest, SelfEnhancementTracksSecularDrift) {
   Gem updating(DriftConfig(/*online_update=*/true));
   ASSERT_TRUE(updating.Train(train.value()).ok());
 
+  GemOverlay frozen_overlay;
+  GemOverlay updating_overlay;
   math::Vec frozen_scores, updated_scores;
   std::vector<bool> is_outside;
   std::vector<std::string> actual;
   int absorbed = 0;
   for (const rf::ScanRecord& record : test.value()) {
-    const InferenceResult f = frozen.Infer(record);
-    const InferenceResult u = updating.Infer(record);
+    const InferenceResult f = frozen.Infer(record, frozen_overlay);
+    const InferenceResult u = updating.Infer(record, updating_overlay);
     frozen_scores.push_back(f.score);
     updated_scores.push_back(u.score);
     is_outside.push_back(!record.inside);

@@ -34,10 +34,11 @@ TEST(GemTest, EndToEndDetectionQuality) {
   Gem gem(FastConfig());
   ASSERT_TRUE(gem.Train(data.train).ok());
 
+  GemOverlay overlay;
   std::vector<bool> actual;
   std::vector<bool> predicted;
   for (const rf::ScanRecord& record : data.test) {
-    const InferenceResult result = gem.Infer(record);
+    const InferenceResult result = gem.Infer(record, overlay);
     actual.push_back(record.inside);
     predicted.push_back(result.decision == Decision::kInside);
   }
@@ -51,10 +52,11 @@ TEST(GemTest, ScoresRankOutsideAboveInside) {
   Gem gem(FastConfig());
   ASSERT_TRUE(gem.Train(data.train).ok());
 
+  GemOverlay overlay;
   math::Vec scores;
   std::vector<bool> is_outside;
   for (const rf::ScanRecord& record : data.test) {
-    const InferenceResult result = gem.Infer(record);
+    const InferenceResult result = gem.Infer(record, overlay);
     scores.push_back(result.score);
     is_outside.push_back(!record.inside);
   }
@@ -69,7 +71,8 @@ TEST(GemTest, UnknownMacRecordIsOutsideAlert) {
   rf::ScanRecord alien;
   alien.readings.push_back(
       rf::Reading{"ff:ff:00:00:00:01", -60.0, rf::Band::k2_4GHz});
-  const InferenceResult result = gem.Infer(alien);
+  GemOverlay overlay;
+  const InferenceResult result = gem.Infer(alien, overlay);
   EXPECT_EQ(result.decision, Decision::kOutside);
   EXPECT_DOUBLE_EQ(result.score, 1.0);
 }
@@ -78,7 +81,8 @@ TEST(GemTest, EmptyRecordIsOutsideAlert) {
   const rf::Dataset data = SmallDataset();
   Gem gem(FastConfig());
   ASSERT_TRUE(gem.Train(data.train).ok());
-  const InferenceResult result = gem.Infer(rf::ScanRecord{});
+  GemOverlay overlay;
+  const InferenceResult result = gem.Infer(rf::ScanRecord{}, overlay);
   EXPECT_EQ(result.decision, Decision::kOutside);
 }
 
@@ -86,9 +90,10 @@ TEST(GemTest, OnlineUpdateAbsorbsConfidentInside) {
   const rf::Dataset data = SmallDataset();
   Gem gem(FastConfig());
   ASSERT_TRUE(gem.Train(data.train).ok());
+  GemOverlay overlay;
   int updates = 0;
   for (const rf::ScanRecord& record : data.test) {
-    updates += gem.Infer(record).model_updated ? 1 : 0;
+    updates += gem.Infer(record, overlay).model_updated ? 1 : 0;
   }
   EXPECT_GT(updates, 5);
 }
@@ -99,8 +104,9 @@ TEST(GemTest, OnlineUpdateDisabledNeverUpdates) {
   config.online_update = false;
   Gem gem(config);
   ASSERT_TRUE(gem.Train(data.train).ok());
+  GemOverlay overlay;
   for (const rf::ScanRecord& record : data.test) {
-    EXPECT_FALSE(gem.Infer(record).model_updated);
+    EXPECT_FALSE(gem.Infer(record, overlay).model_updated);
   }
 }
 
@@ -108,20 +114,20 @@ TEST(GemTest, StageMethodsComposeLikeInfer) {
   const rf::Dataset data = SmallDataset();
   GemConfig config = FastConfig();
   config.online_update = false;  // keep the model static for comparison
-  Gem staged(config);
-  Gem direct(config);
-  ASSERT_TRUE(staged.Train(data.train).ok());
-  ASSERT_TRUE(direct.Train(data.train).ok());
+  Gem gem(config);
+  ASSERT_TRUE(gem.Train(data.train).ok());
+  GemOverlay staged;
+  GemOverlay direct;
 
   for (int i = 0; i < 20; ++i) {
     const rf::ScanRecord& record = data.test[i];
-    const auto embedding = staged.Observe(record);
-    const InferenceResult via_infer = direct.Infer(record);
+    const auto embedding = gem.Observe(record, staged);
+    const InferenceResult via_infer = gem.Infer(record, direct);
     if (!embedding.ok()) {
       EXPECT_EQ(via_infer.decision, Decision::kOutside);
       continue;
     }
-    const InferenceResult via_stages = staged.Detect(*embedding);
+    const InferenceResult via_stages = gem.Detect(*embedding, staged);
     EXPECT_EQ(via_stages.decision, via_infer.decision) << "record " << i;
     EXPECT_DOUBLE_EQ(via_stages.score, via_infer.score);
   }

@@ -105,10 +105,11 @@ TEST(GoldenScoresTest, InferResultsMatchCommittedGolden) {
 
   Gem gem(GoldenConfig());
   ASSERT_TRUE(gem.Train(train.value()).ok());
+  GemOverlay overlay;
   std::vector<std::string> actual;
   actual.reserve(test.value().size());
   for (const rf::ScanRecord& record : test.value()) {
-    actual.push_back(FormatResult(gem.Infer(record)));
+    actual.push_back(FormatResult(gem.Infer(record, overlay)));
   }
 
   if (regen) {

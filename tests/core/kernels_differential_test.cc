@@ -62,6 +62,7 @@ TEST(KernelsDifferentialTest, EmbeddingsAndScoresAgreeAcrossBackends) {
 
   Gem gem(DifferentialConfig());
   ASSERT_TRUE(gem.Train(data.train).ok());
+  const GemOverlay overlay;  // nothing is offered: the base detector scores
 
   const int num_nodes =
       std::min<int>(48, static_cast<int>(data.train.size()));
@@ -88,9 +89,10 @@ TEST(KernelsDifferentialTest, EmbeddingsAndScoresAgreeAcrossBackends) {
     // Layer 2: detection, scored on ONE embedding so both backends see
     // identical histogram bins (see header comment).
     kernels::ForceBackendForTest(kernels::Backend::kScalar);
-    const InferenceResult scalar_result = gem.Detect(scalar_embedding);
+    const InferenceResult scalar_result =
+        gem.Detect(scalar_embedding, overlay);
     kernels::ForceBackendForTest(kernels::Backend::kAvx2);
-    const InferenceResult avx2_result = gem.Detect(scalar_embedding);
+    const InferenceResult avx2_result = gem.Detect(scalar_embedding, overlay);
     const double score_drift =
         std::abs(scalar_result.score - avx2_result.score);
     max_score_drift = std::max(max_score_drift, score_drift);

@@ -1,9 +1,9 @@
-// Base/overlay split contract tests: the const read API
-// (Infer/Observe/Detect/Update against an explicit GemOverlay) must be
-// bit-identical to the legacy mutating spellings, the base must stay
-// byte-frozen while the overlay absorbs all serving side effects, and
-// Compacted() must fold the overlay into a standalone model that
-// continues the stream bit-identically.
+// Base/overlay split contract tests: the staged read API
+// (Observe/Detect/Update against an explicit GemOverlay) must replay
+// Infer bit for bit, the base must stay byte-frozen while the overlay
+// absorbs all serving side effects, and Compacted() must fold the
+// overlay into a standalone model that continues the stream
+// bit-identically.
 
 #include "core/overlay.h"
 
@@ -60,48 +60,27 @@ TEST(OverlayTest, EmptyAndCompactionDue) {
   EXPECT_TRUE(overlay.compaction_due());
 }
 
-// The legacy mutating path and the explicit-overlay path must produce
-// the same scores, decisions, and update flags for the same stream:
-// they are one code path, and the golden suite pins that path.
-TEST(OverlayTest, ExplicitOverlayMatchesLegacyPathBitExactly) {
-  const rf::Dataset data = SmallDataset();
-  Gem legacy(FastConfig());
-  Gem split(FastConfig());
-  ASSERT_TRUE(legacy.Train(data.train).ok());
-  ASSERT_TRUE(split.Train(data.train).ok());
-
-  GemOverlay overlay;
-  for (size_t i = 0; i < data.test.size(); ++i) {
-    const InferenceResult a = legacy.Infer(data.test[i]);
-    const InferenceResult b = split.Infer(data.test[i], overlay);
-    ASSERT_EQ(a.score, b.score) << "record " << i;
-    ASSERT_EQ(a.decision, b.decision) << "record " << i;
-    ASSERT_EQ(a.model_updated, b.model_updated) << "record " << i;
-  }
-}
-
 // Staged composition through an explicit overlay: Observe -> Detect ->
 // Update replays Infer exactly (the Table III decomposition).
 TEST(OverlayTest, StagedOverlayCallsComposeLikeInfer) {
   const rf::Dataset data = SmallDataset(0, 31);
-  Gem direct(FastConfig());
-  Gem staged(FastConfig());
-  ASSERT_TRUE(direct.Train(data.train).ok());
-  ASSERT_TRUE(staged.Train(data.train).ok());
+  Gem gem(FastConfig());
+  ASSERT_TRUE(gem.Train(data.train).ok());
 
-  GemOverlay overlay;
+  GemOverlay direct;
+  GemOverlay staged;
   for (const rf::ScanRecord& record : data.test) {
-    const InferenceResult whole = direct.Infer(record);
-    const StatusOr<math::Vec> embedding = staged.Observe(record, overlay);
+    const InferenceResult whole = gem.Infer(record, direct);
+    const StatusOr<math::Vec> embedding = gem.Observe(record, staged);
     if (!embedding.ok()) {
       EXPECT_EQ(whole.decision, Decision::kOutside);
       continue;
     }
-    const InferenceResult detected = staged.Detect(*embedding, overlay);
+    const InferenceResult detected = gem.Detect(*embedding, staged);
     ASSERT_EQ(whole.score, detected.score);
     ASSERT_EQ(whole.decision, detected.decision);
     if (detected.decision == Decision::kInside) {
-      const StatusOr<bool> updated = staged.Update(*embedding, overlay);
+      const StatusOr<bool> updated = gem.Update(*embedding, staged);
       ASSERT_TRUE(updated.ok());
       ASSERT_EQ(whole.model_updated, updated.value());
     }

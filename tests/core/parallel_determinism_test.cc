@@ -96,10 +96,11 @@ TEST(ParallelDeterminismTest, InferScoresAreBitIdenticalAcrossThreadCounts) {
   for (const int threads : {1, 2, ManyThreads()}) {
     Gem gem(FastGem(threads, true));
     ASSERT_TRUE(gem.Train(data.train).ok());
+    GemOverlay overlay;
     std::vector<double> scores;
     std::vector<Decision> decisions;
     for (const rf::ScanRecord& record : data.test) {
-      const InferenceResult result = gem.Infer(record);
+      const InferenceResult result = gem.Infer(record, overlay);
       scores.push_back(result.score);
       decisions.push_back(result.decision);
     }
@@ -116,7 +117,7 @@ TEST(ParallelDeterminismTest, InferScoresAreBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelDeterminismTest, ObserveBatchMatchesSequentialObserves) {
+TEST(ParallelDeterminismTest, EmbedNewBatchMatchesSequentialObserves) {
   const rf::Dataset data = SmallDataset(42);
   Gem sequential(FastGem(1, true));
   Gem batched(FastGem(ManyThreads(), true));
@@ -126,11 +127,13 @@ TEST(ParallelDeterminismTest, ObserveBatchMatchesSequentialObserves) {
   const size_t n = std::min<size_t>(data.test.size(), 24);
   const std::vector<rf::ScanRecord> batch(data.test.begin(),
                                           data.test.begin() + n);
+  GemOverlay batch_overlay;
   const std::vector<StatusOr<math::Vec>> batch_out =
-      batched.ObserveBatch(batch);
+      batched.embedder().EmbedNewBatch(batch, batch_overlay.embedder);
   ASSERT_EQ(batch_out.size(), n);
+  GemOverlay overlay;
   for (size_t i = 0; i < n; ++i) {
-    const StatusOr<math::Vec> one = sequential.Observe(batch[i]);
+    const StatusOr<math::Vec> one = sequential.Observe(batch[i], overlay);
     ASSERT_EQ(batch_out[i].ok(), one.ok()) << "record " << i;
     if (!one.ok()) {
       EXPECT_EQ(batch_out[i].code(), one.code());
@@ -153,11 +156,13 @@ TEST(ParallelDeterminismTest, InferBatchMatchesSequentialInferLoop) {
   // The batch path must replay the sequential semantics exactly:
   // graph appends and detector self-enhancement happen in input order,
   // so scores, decisions, AND update flags line up bitwise.
+  GemOverlay batch_overlay;
   const std::vector<InferenceResult> batch_out =
-      batched.InferBatch(data.test);
+      batched.InferBatch(data.test, batch_overlay);
   ASSERT_EQ(batch_out.size(), data.test.size());
+  GemOverlay overlay;
   for (size_t i = 0; i < data.test.size(); ++i) {
-    const InferenceResult one = sequential.Infer(data.test[i]);
+    const InferenceResult one = sequential.Infer(data.test[i], overlay);
     ASSERT_EQ(batch_out[i].score, one.score) << "record " << i;
     ASSERT_EQ(batch_out[i].decision, one.decision) << "record " << i;
     ASSERT_EQ(batch_out[i].model_updated, one.model_updated)
@@ -219,16 +224,6 @@ TEST(ParallelDeterminismTest, EmbeddingPastTheTablesLeavesModelUnchanged) {
   EXPECT_EQ(before.init_rng.has_cached_normal,
             after.init_rng.has_cached_normal);
   EXPECT_EQ(before.init_rng.cached_normal, after.init_rng.cached_normal);
-}
-
-TEST(ParallelDeterminismTest, UntrainedBatchReportsFailedPrecondition) {
-  Gem gem(FastGem(2, false));
-  const std::vector<rf::ScanRecord> batch(3);
-  const std::vector<StatusOr<math::Vec>> out = gem.ObserveBatch(batch);
-  ASSERT_EQ(out.size(), batch.size());
-  for (const StatusOr<math::Vec>& e : out) {
-    EXPECT_EQ(e.code(), StatusCode::kFailedPrecondition);
-  }
 }
 
 TEST(ParallelDeterminismTest, ParallelDatasetGenerationMatchesSequential) {

@@ -74,11 +74,12 @@ TEST(ChurnChaosTest, RenamingStormKeepsPipelineInvariants) {
   const uint64_t declined_before = CounterValue("gem_od_declined_total");
   const uint64_t evicted_before = CounterValue("gem_hbos_evicted_total");
 
+  core::GemOverlay overlay;
   int updated = 0;
   int inside = 0;
   int scored = 0;
   for (const rf::ScanRecord& record : data.test) {
-    const core::InferenceResult result = gem.Infer(record);
+    const core::InferenceResult result = gem.Infer(record, overlay);
     // Definite answer: a finite score and a two-valued decision, even
     // for records whose MACs were minted mid-storm.
     ASSERT_TRUE(std::isfinite(result.score)) << "record " << scored;
@@ -102,14 +103,14 @@ TEST(ChurnChaosTest, RenamingStormKeepsPipelineInvariants) {
   EXPECT_EQ(absorbed + declined, static_cast<uint64_t>(inside));
   EXPECT_GT(absorbed, 0u);
 
-  // Bounded growth: updates accumulate in the owned overlay's cloned
+  // Bounded growth: updates accumulate in the overlay's cloned
   // detector (the base stays frozen). Its model has seen every
   // absorbed sample, yet the reservoir sits pinned at the cap it
   // already hit during training — every absorb evicted instead of
   // growing, and the eviction counter saw each one.
   EXPECT_EQ(gem.detector().model().samples(), trained_samples);
-  ASSERT_TRUE(gem.overlay().detector.has_value());
-  const detect::HistogramModel& model = gem.overlay().detector->model();
+  ASSERT_TRUE(overlay.detector.has_value());
+  const detect::HistogramModel& model = overlay.detector->model();
   EXPECT_EQ(model.samples(),
             trained_samples + static_cast<long>(absorbed));
   EXPECT_EQ(static_cast<long>(model.data().rows()),

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <vector>
 
 #include "eval/csv.h"
 #include "eval/evaluate.h"
@@ -32,6 +33,47 @@ TEST(SystemsTest, EveryAlgorithmConstructsAndNames) {
     EXPECT_FALSE(system->name().empty());
   }
   EXPECT_NE(MakeSystem(AlgorithmId::kRawOd), nullptr);
+}
+
+void ExpectSameResult(const core::InferenceResult& actual,
+                      const core::InferenceResult& expected, size_t i) {
+  ASSERT_EQ(actual.score, expected.score) << "record " << i;
+  ASSERT_EQ(actual.decision, expected.decision) << "record " << i;
+  ASSERT_EQ(actual.model_updated, expected.model_updated) << "record " << i;
+}
+
+// The GEM arm is a read-only core::Gem plus the overlay its stream
+// accumulates: its stream equals Gem::Infer over one explicit overlay,
+// bit for bit, and a retrain starts a fresh overlay, so the same
+// records replay the same stream.
+TEST(SystemsTest, GemArmStreamsThroughOneOverlayAndRetrainResetsIt) {
+  const rf::Dataset data = TinyDataset();
+  core::GemConfig config;
+  config.bisage.dimension = 16;
+  config.bisage.epochs = 2;
+  const uint64_t seed = 5;
+  auto system = MakeSystem(AlgorithmId::kGem, seed, config);
+  ASSERT_TRUE(system->Train(data.train).ok());
+
+  core::GemConfig reference_config = config;
+  reference_config.bisage.seed ^= seed;  // as MakeSystem seeds the arm
+  core::Gem reference(reference_config);
+  ASSERT_TRUE(reference.Train(data.train).ok());
+  core::GemOverlay overlay;
+  std::vector<core::InferenceResult> first;
+  int updates = 0;
+  for (size_t i = 0; i < data.test.size(); ++i) {
+    first.push_back(system->Infer(data.test[i]));
+    ExpectSameResult(first.back(), reference.Infer(data.test[i], overlay), i);
+    updates += first.back().model_updated ? 1 : 0;
+  }
+  // The overlay carried self-enhancement from record to record.
+  EXPECT_GT(updates, 0);
+
+  ASSERT_TRUE(system->Train(data.train).ok());
+  for (size_t i = 0; i < data.test.size(); ++i) {
+    ExpectSameResult(system->Infer(data.test[i]), first[i], i);
+  }
 }
 
 TEST(EvaluateTest, RunsEveryRecordAndCountsUpdates) {

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -189,6 +190,37 @@ TEST(TimelineTest, FullRingDropsNewEventsAndCountsThem) {
   for (int i = 0; i < 4; ++i) {
     EXPECT_DOUBLE_EQ(events[i].event.value, static_cast<double>(i));
   }
+}
+
+// A thread's ring is allocated at its first recorded event, not when
+// the thread names itself: a thread named while the profiler was off
+// takes its capacity from the Enable active when it first records.
+TEST(TimelineTest, NamingAThreadWhileDisabledAllocatesNoRing) {
+  ASSERT_FALSE(Timeline::IsEnabled());
+  std::latch named(1);
+  std::latch enabled(1);
+  std::thread recorder([&] {
+    Timeline::SetCurrentThreadName("timeline_test.named_early");
+    named.count_down();
+    enabled.wait();
+    for (int i = 0; i < 10; ++i) {
+      Timeline::RecordCounter("timeline_test.late_ring",
+                              static_cast<double>(i));
+    }
+  });
+  named.wait();
+  TimelineOptions options;
+  options.events_per_thread = 4;
+  ScopedTimeline timeline(options);
+  enabled.count_down();
+  recorder.join();
+
+  EXPECT_EQ(Timeline::RecordedEvents(), 4u);
+  EXPECT_EQ(Timeline::DroppedEvents(), 6u);
+  const auto events =
+      EventsNamed(Timeline::Snapshot(), "timeline_test.late_ring");
+  ASSERT_EQ(events.size(), 4u);
+  EXPECT_EQ(events.front().thread_name, "timeline_test.named_early");
 }
 
 TEST(TimelineTest, QueueWaitUnderEngineBackpressure) {

@@ -97,7 +97,8 @@ TEST(ExportTest, PrometheusRoundTripsCounterGaugeHistogram) {
   hist.Observe(1.5);
   hist.Observe(9.0);
 
-  const std::string text = "\n" + ExportPrometheus(registry.Snapshot());
+  std::string text = "\n";
+  text += ExportPrometheus(registry.Snapshot());
   EXPECT_NE(text.find("# TYPE export_test_total counter"),
             std::string::npos);
   EXPECT_NE(text.find("# TYPE export_test_hist histogram"),

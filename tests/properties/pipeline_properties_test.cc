@@ -36,8 +36,9 @@ TEST_P(SeedProperties, PipelineTotalAndFinite) {
   config.bisage.epochs = 2;
   Gem gem(config);
   ASSERT_TRUE(gem.Train(data.train).ok());
+  GemOverlay overlay;
   for (const rf::ScanRecord& record : data.test) {
-    const InferenceResult result = gem.Infer(record);
+    const InferenceResult result = gem.Infer(record, overlay);
     EXPECT_TRUE(std::isfinite(result.score));
     // Hbar is anchored to the training min/max: a streamed record can
     // score slightly below 0 (more typical than any training sample)
@@ -55,9 +56,11 @@ TEST_P(SeedProperties, DeterministicAcrossRuns) {
   Gem b(config);
   ASSERT_TRUE(a.Train(data.train).ok());
   ASSERT_TRUE(b.Train(data.train).ok());
+  GemOverlay overlay_a;
+  GemOverlay overlay_b;
   for (int i = 0; i < 30; ++i) {
-    const InferenceResult ra = a.Infer(data.test[i]);
-    const InferenceResult rb = b.Infer(data.test[i]);
+    const InferenceResult ra = a.Infer(data.test[i], overlay_a);
+    const InferenceResult rb = b.Infer(data.test[i], overlay_b);
     EXPECT_EQ(ra.decision, rb.decision) << "record " << i;
     EXPECT_DOUBLE_EQ(ra.score, rb.score);
     EXPECT_EQ(ra.model_updated, rb.model_updated);
@@ -88,7 +91,8 @@ TEST_P(DimensionProperties, EmbeddingsUnitNormAtRequestedDimension) {
   // A far-away record (unknown MACs only) must alert regardless of d.
   rf::ScanRecord alien;
   alien.readings.push_back(rf::Reading{"zz:zz", -60.0, rf::Band::k2_4GHz});
-  EXPECT_EQ(gem.Infer(alien).decision, Decision::kOutside);
+  GemOverlay overlay;
+  EXPECT_EQ(gem.Infer(alien, overlay).decision, Decision::kOutside);
 }
 
 INSTANTIATE_TEST_SUITE_P(Dims, DimensionProperties,
@@ -111,10 +115,12 @@ TEST_P(BinProperties, ThresholdsOrderedAndQualityHolds) {
   EXPECT_LE(gem.detector().hbar_tau_lower(),
             gem.detector().hbar_tau_upper());
 
+  GemOverlay overlay;
   std::vector<bool> actual, predicted;
   for (const rf::ScanRecord& record : data.test) {
     actual.push_back(record.inside);
-    predicted.push_back(gem.Infer(record).decision == Decision::kInside);
+    predicted.push_back(gem.Infer(record, overlay).decision ==
+                        Decision::kInside);
   }
   const math::InOutMetrics m = math::ComputeInOutMetrics(actual, predicted);
   EXPECT_GT(m.f_in, 0.7) << "bins=" << GetParam();
@@ -146,10 +152,12 @@ TEST_P(WeightProperties, PositiveWeightsAndWorkingPipeline) {
       EXPECT_GT(nb.weight, 0.0);
     }
   }
+  GemOverlay overlay;
   std::vector<bool> actual, predicted;
   for (const rf::ScanRecord& record : data.test) {
     actual.push_back(record.inside);
-    predicted.push_back(gem.Infer(record).decision == Decision::kInside);
+    predicted.push_back(gem.Infer(record, overlay).decision ==
+                        Decision::kInside);
   }
   const math::InOutMetrics m = math::ComputeInOutMetrics(actual, predicted);
   EXPECT_GT(m.f_in + m.f_out, 1.2);

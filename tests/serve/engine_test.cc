@@ -144,7 +144,8 @@ TEST_F(ServeTest, UnknownFenceIsNotFound) {
 TEST_F(ServeTest, ServesMatchDirectInference) {
   FenceRegistry registry;
   ASSERT_TRUE(registry.Install("home", LoadModel()).ok());
-  core::Gem reference = LoadModel();
+  const core::Gem reference = LoadModel();
+  core::GemOverlay reference_overlay;
 
   Engine engine(&registry, EngineOptions{/*num_threads=*/1});
   for (size_t i = 0; i < 20 && i < dataset_->test.size(); ++i) {
@@ -153,7 +154,8 @@ TEST_F(ServeTest, ServesMatchDirectInference) {
     request.record = dataset_->test[i];
     const ServeResponse response = engine.InferBlocking(std::move(request));
     ASSERT_TRUE(response.status.ok());
-    const core::InferenceResult expected = reference.Infer(dataset_->test[i]);
+    const core::InferenceResult expected =
+        reference.Infer(dataset_->test[i], reference_overlay);
     EXPECT_DOUBLE_EQ(response.result.score, expected.score);
     EXPECT_EQ(response.result.decision, expected.decision);
     EXPECT_EQ(response.fence_generation, 1u);

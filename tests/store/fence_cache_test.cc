@@ -169,9 +169,11 @@ TEST_F(FenceCacheTest, PinnedHolderSurvivesEviction) {
   EXPECT_EQ(cache.resident(), 1u);
 
   // ...but the pinned holder's model is untouched and fully usable —
-  // an in-flight request never observes its fence disappearing.
+  // an in-flight request never observes its fence disappearing. (A
+  // local overlay, so the test leaves the shared snapshot unflushed.)
+  core::GemOverlay overlay;
   const core::InferenceResult result =
-      held->gem.Infer(dataset_->test.front());
+      held->gem.Infer(dataset_->test.front(), overlay);
   EXPECT_TRUE(result.score == result.score);  // produced a real score
   EXPECT_EQ(held->generation, 1u);
 
@@ -299,10 +301,12 @@ TEST_F(FenceCacheTest, EvictionUnderTrafficKeepsServing) {
           continue;
         }
         // Hold the pin across real model work, so evictions race
-        // against an in-use fence.
+        // against an in-use fence. The overlay is local: serving into
+        // the fence's own would make evictions rewrite the fixture.
+        core::GemOverlay overlay;
         std::lock_guard lock(fence.value()->mutex);
         (void)fence.value()->gem.Infer(
-            dataset_->test[i % dataset_->test.size()]);
+            dataset_->test[i % dataset_->test.size()], overlay);
       }
     });
   }
@@ -330,8 +334,9 @@ TEST_F(FenceCacheTest, InvalidationStormConvergesToFreshGeneration) {
           failures.fetch_add(1);
           continue;
         }
+        core::GemOverlay overlay;
         std::lock_guard lock(fence.value()->mutex);
-        (void)fence.value()->gem.Infer(dataset_->test.front());
+        (void)fence.value()->gem.Infer(dataset_->test.front(), overlay);
       }
     });
   }

@@ -221,9 +221,12 @@ TEST_F(StoreChaosTest, ProbabilisticOpenStormDegradesCleanly) {
       for (int i = 0; i < 16; ++i) {
         const auto fence = cache.Acquire(ids[(t + i) % ids.size()]);
         if (fence.ok()) {
+          // A local overlay: serving into the fence's own would make
+          // evictions rewrite the shared fixture snapshot.
+          core::GemOverlay overlay;
           std::lock_guard lock(fence.value()->mutex);
           (void)fence.value()->gem.Infer(
-              dataset_->test[i % dataset_->test.size()]);
+              dataset_->test[i % dataset_->test.size()], overlay);
           ok_count.fetch_add(1);
         } else if (fence.status().code() == StatusCode::kUnavailable) {
           unavailable_count.fetch_add(1);
