@@ -51,6 +51,13 @@ StatusOr<Gem> Gem::FromParts(GemConfig config, embed::BiSageEmbedder embedder,
 
 Status Gem::Train(const std::vector<rf::ScanRecord>& inside_records) {
   GEM_TRACE_SPAN("gem.train");
+  // The embedder holds training records once it has seen any: after a
+  // successful Train, a restore, or a Train that failed past the graph
+  // build. Training again would append them a second time.
+  if (embedder_.num_train() > 0) {
+    return Status::FailedPrecondition(
+        "gem was already trained; train a fresh Gem instead");
+  }
   const Status config_status = config_.Validate();
   if (!config_status.ok()) return config_status;
   static obs::Counter& train_records =

@@ -49,9 +49,9 @@ class Gem {
   explicit Gem(GemConfig config = GemConfig());
 
   /// Fits the embedder on the in-premises records, then the detector
-  /// on their embeddings. Meant to run once per Gem: a second call
-  /// adds the records to the existing graph, and overlays built
-  /// before it no longer match the base.
+  /// on their embeddings. Runs once per Gem: a later call (or any call
+  /// on a restored Gem) returns kFailedPrecondition and changes
+  /// nothing; retrain by building a fresh Gem.
   Status Train(const std::vector<rf::ScanRecord>& inside_records);
 
   /// Full inference for one record. The base stays frozen; the

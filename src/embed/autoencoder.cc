@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "base/check.h"
+#include "math/flat_tape.h"
 #include "math/rng.h"
 #include "math/vec.h"
 
@@ -52,7 +53,7 @@ Status AutoencoderEmbedder::Fit(const std::vector<rf::ScanRecord>& train) {
   std::vector<int> order(inputs.size());
   std::iota(order.begin(), order.end(), 0);
 
-  math::Tape tape;
+  math::FlatTape tape;
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
     rng.Shuffle(order);
     double epoch_loss = 0.0;

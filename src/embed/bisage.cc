@@ -6,7 +6,6 @@
 
 #include "base/check.h"
 #include "base/logging.h"
-#include "math/flat_tape.h"
 #include "math/vec.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -228,21 +227,17 @@ void BiSage::EnsureCapacity(const graph::BipartiteGraph& graph) {
   AppendNodeRows(graph, 0, config_.dimension, init_rng_, h_table_, l_table_);
 }
 
-/// One gradient shard's reusable engine state. The two tape engines
-/// coexist so the differential suite can flip use_legacy_tape without
-/// rebuilding; only one is touched per Train().
+/// One gradient shard's reusable engine state.
 struct BiSage::GradShard {
-  math::FlatTape flat;
-  math::Tape legacy;
+  math::FlatTape tape;
   math::ParamGradSink sink;
   std::unordered_map<long, NodeVars> memo;
   double loss = 0.0;
   long terms = 0;
 };
 
-template <typename TapeT>
 BiSage::NodeVars BiSage::BuildNodeVars(
-    TapeT& tape, const graph::BipartiteGraph& graph,
+    math::FlatTape& tape, const graph::BipartiteGraph& graph,
     graph::NodeId node, int layer, math::Rng& rng,
     std::unordered_map<long, NodeVars>& memo) const {
   const long key = MemoKey(node, layer, config_.num_layers);
@@ -307,8 +302,7 @@ BiSage::NodeVars BiSage::BuildNodeVars(
   return vars;
 }
 
-template <typename TapeT>
-void BiSage::AccumulateShardLoss(TapeT& tape,
+void BiSage::AccumulateShardLoss(math::FlatTape& tape,
                                  const graph::BipartiteGraph& graph,
                                  const std::vector<TrainPair>& pairs,
                                  size_t begin, size_t end, math::Rng& rng,
@@ -346,17 +340,10 @@ void BiSage::RunGradShard(GradShard& shard, const graph::BipartiteGraph& graph,
   shard.terms = 0;
   math::Rng rng(
       math::Rng::StreamSeed(config_.seed ^ kGroupStreamSalt, stream));
-  if (config_.use_legacy_tape) {
-    shard.legacy.Clear();
-    AccumulateShardLoss(shard.legacy, graph, pairs, begin, end, rng,
-                        shard.memo, shard.loss, shard.terms);
-    shard.legacy.Backward(&shard.sink);
-  } else {
-    shard.flat.Clear();
-    AccumulateShardLoss(shard.flat, graph, pairs, begin, end, rng, shard.memo,
-                        shard.loss, shard.terms);
-    shard.flat.Backward(&shard.sink);
-  }
+  shard.tape.Clear();
+  AccumulateShardLoss(shard.tape, graph, pairs, begin, end, rng, shard.memo,
+                      shard.loss, shard.terms);
+  shard.tape.Backward(&shard.sink);
 }
 
 Status BiSage::Train(const graph::BipartiteGraph& graph) {

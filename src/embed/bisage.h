@@ -13,6 +13,7 @@
 #include "graph/bipartite_graph.h"
 #include "graph/graph_delta.h"
 #include "math/autograd.h"
+#include "math/flat_tape.h"
 #include "math/kernels.h"
 #include "math/optimizer.h"
 #include "math/rng.h"
@@ -71,12 +72,6 @@ struct BiSageConfig {
   /// deterministic for a fixed num_threads, and near-linearly faster
   /// with threads. Runtime knob only, not persisted.
   bool deterministic = false;
-  /// Test-only escape hatch: route the training forward/backward
-  /// through the allocation-heavy math::Tape instead of the arena
-  /// math::FlatTape. Both engines are bit-identical by contract; the
-  /// pipeline differential suite flips this to prove it on real
-  /// training runs. Not persisted.
-  bool use_legacy_tape = false;
 
   /// kInvalidArgument describing the first offending field, Ok
   /// otherwise. Checked by BiSage at construction (softly: Train()
@@ -186,7 +181,7 @@ class BiSage {
 
   /// Tape-free forward-only inference: evaluates Equations (3)-(7) for
   /// `node` of the merged graph `view` directly into caller-provided
-  /// buffers — no Tape node allocation, no per-node Vec copies. h_out /
+  /// buffers — no tape node allocation, no per-node Vec copies. h_out /
   /// l_out must each hold dimension() doubles (either may be null to
   /// skip that side; no alignment required). The model is only read
   /// (safe over an mmap-backed base shared across fences); layer-0 rows
@@ -275,19 +270,16 @@ class BiSage {
 
   /// Builds the (h^k, l^k) computation for `node` on the tape,
   /// memoized per (node, layer) within the current gradient shard.
-  /// Templated over the tape engine (math::Tape / math::FlatTape): one
-  /// body guarantees both engines see the same op sequence and RNG
-  /// draw order, which is what makes them bit-identical end to end.
-  template <typename TapeT>
-  NodeVars BuildNodeVars(TapeT& tape, const graph::BipartiteGraph& graph,
+  NodeVars BuildNodeVars(math::FlatTape& tape,
+                         const graph::BipartiteGraph& graph,
                          graph::NodeId node, int layer, math::Rng& rng,
                          std::unordered_map<long, NodeVars>& memo) const;
 
   /// Adds the Equation (8) loss terms of pairs[begin, end) to the tape
   /// (positives plus num_negatives sampled negatives per pair), sharing
   /// `memo` across the range. Accumulates the loss value and term count.
-  template <typename TapeT>
-  void AccumulateShardLoss(TapeT& tape, const graph::BipartiteGraph& graph,
+  void AccumulateShardLoss(math::FlatTape& tape,
+                           const graph::BipartiteGraph& graph,
                            const std::vector<TrainPair>& pairs, size_t begin,
                            size_t end, math::Rng& rng,
                            std::unordered_map<long, NodeVars>& memo,

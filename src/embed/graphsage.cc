@@ -32,19 +32,17 @@ GraphSage::GraphSage(GraphSageConfig config)
   }
 }
 
-void GraphSage::EnsureCapacity(const graph::BipartiteGraph& graph,
-                               int count) const {
+void GraphSage::EnsureCapacity(const graph::BipartiteGraph& graph) {
   const int d = config_.dimension;
   const double scale = 1.0 / std::sqrt(static_cast<double>(d));
-  while (table_.rows() < count) {
+  while (table_.rows() < graph.num_nodes()) {
     const graph::NodeId node = table_.rows();
     math::Vec row(d, 0.0);
     // Same input convention as BiSAGE: MAC nodes carry fixed random
     // identity features, record nodes derive everything from their
     // neighborhoods (a random record feature would be pure noise for
     // inductive inference).
-    if (node >= graph.num_nodes() ||
-        graph.type(node) == graph::NodeType::kMac) {
+    if (graph.type(node) == graph::NodeType::kMac) {
       for (int i = 0; i < d; ++i) row[i] = init_rng_.Uniform(-scale, scale);
     }
     table_.AppendRow(row);
@@ -65,7 +63,7 @@ std::vector<graph::NodeId> GraphSage::SampleUniformNeighbors(
 }
 
 math::VarId GraphSage::BuildNodeVar(
-    math::Tape& tape, const graph::BipartiteGraph& graph,
+    math::FlatTape& tape, const graph::BipartiteGraph& graph,
     graph::NodeId node, int layer, math::Rng& rng,
     std::unordered_map<long, math::VarId>& memo) const {
   const long key = MemoKey(node, layer, config_.num_layers);
@@ -74,7 +72,8 @@ math::VarId GraphSage::BuildNodeVar(
 
   math::VarId var;
   if (layer == 0) {
-    var = tape.Leaf(table_.Row(node));
+    var = tape.Leaf(table_.RowPtr(node),
+                    static_cast<size_t>(config_.dimension));
   } else {
     const math::VarId self =
         BuildNodeVar(tape, graph, node, layer - 1, rng, memo);
@@ -111,7 +110,7 @@ Status GraphSage::Train(const graph::BipartiteGraph& graph) {
   if (graph.num_nodes() == 0) {
     return Status::FailedPrecondition("graph is empty");
   }
-  EnsureCapacity(graph, graph.num_nodes());
+  EnsureCapacity(graph);
   math::Rng rng(config_.seed);
 
   // Uniform random walks (homogeneous treatment).
@@ -134,7 +133,7 @@ Status GraphSage::Train(const graph::BipartiteGraph& graph) {
     return Status::FailedPrecondition("graph has no edges to walk");
   }
 
-  math::Tape tape;
+  math::FlatTape tape;
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
     rng.Shuffle(pairs);
     double epoch_loss = 0.0;
@@ -172,7 +171,6 @@ Status GraphSage::Train(const graph::BipartiteGraph& graph) {
 
 math::Vec GraphSage::InferNode(const graph::BipartiteGraph& graph,
                                graph::NodeId node, int layer,
-                               math::Rng& rng,
                                std::unordered_map<long, math::Vec>& memo) const {
   const long key = MemoKey(node, layer, config_.num_layers);
   const auto it = memo.find(key);
@@ -182,7 +180,7 @@ math::Vec GraphSage::InferNode(const graph::BipartiteGraph& graph,
   if (layer == 0) {
     out = table_.Row(node);
   } else {
-    const math::Vec self = InferNode(graph, node, layer - 1, rng, memo);
+    const math::Vec self = InferNode(graph, node, layer - 1, memo);
     // Full-neighborhood MEAN at inference (uniform weights — the
     // homogeneous treatment ignores edge weights by design).
     std::vector<graph::NodeId> sampled;
@@ -193,8 +191,7 @@ math::Vec GraphSage::InferNode(const graph::BipartiteGraph& graph,
     if (!sampled.empty()) {
       const double coeff = 1.0 / static_cast<double>(sampled.size());
       for (const graph::NodeId nb : sampled) {
-        math::AddScaled(agg, InferNode(graph, nb, layer - 1, rng, memo),
-                        coeff);
+        math::AddScaled(agg, InferNode(graph, nb, layer - 1, memo), coeff);
       }
     }
     out = weights_[layer - 1]->value.MatVec(math::Concat(self, agg));
@@ -210,11 +207,9 @@ math::Vec GraphSage::InferNode(const graph::BipartiteGraph& graph,
 math::Vec GraphSage::Embedding(const graph::BipartiteGraph& graph,
                                graph::NodeId node) const {
   GEM_CHECK(node >= 0 && node < graph.num_nodes());
-  EnsureCapacity(graph, graph.num_nodes());
-  math::Rng rng(config_.seed ^ (0x9E3779B97F4A7C15ULL *
-                                (static_cast<uint64_t>(node) + 1)));
+  GEM_CHECK(table_.rows() >= graph.num_nodes());
   std::unordered_map<long, math::Vec> memo;
-  return InferNode(graph, node, config_.num_layers, rng, memo);
+  return InferNode(graph, node, config_.num_layers, memo);
 }
 
 GraphSageEmbedder::GraphSageEmbedder(GraphSageConfig config,
@@ -245,6 +240,7 @@ StatusOr<math::Vec> GraphSageEmbedder::EmbedNew(
   }
   const bool connected = graph_.CountKnownMacs(record) > 0;
   const graph::NodeId node = graph_.AddRecord(record);
+  model_.EnsureCapacity(graph_);
   if (!connected) {
     return Status::NotFound("record shares no MAC with the graph");
   }

@@ -9,6 +9,7 @@
 #include "embed/embedder.h"
 #include "graph/bipartite_graph.h"
 #include "math/autograd.h"
+#include "math/flat_tape.h"
 #include "math/optimizer.h"
 #include "math/rng.h"
 
@@ -42,7 +43,13 @@ class GraphSage {
 
   Status Train(const graph::BipartiteGraph& graph);
 
-  /// Final embedding z^K of a node.
+  /// Grows the fixed initial-embedding table to cover every node of
+  /// `graph`, in node order: random identity rows for MAC nodes, zero
+  /// rows for record nodes. Train() calls it; a caller that adds nodes
+  /// to the graph afterwards calls it before Embedding().
+  void EnsureCapacity(const graph::BipartiteGraph& graph);
+
+  /// Final embedding z^K of a node. The table must cover `graph`.
   math::Vec Embedding(const graph::BipartiteGraph& graph,
                       graph::NodeId node) const;
 
@@ -51,16 +58,13 @@ class GraphSage {
   bool trained() const { return trained_; }
 
  private:
-  void EnsureCapacity(const graph::BipartiteGraph& graph,
-                      int count) const;
-
-  math::VarId BuildNodeVar(math::Tape& tape,
+  math::VarId BuildNodeVar(math::FlatTape& tape,
                            const graph::BipartiteGraph& graph,
                            graph::NodeId node, int layer, math::Rng& rng,
                            std::unordered_map<long, math::VarId>& memo) const;
 
   math::Vec InferNode(const graph::BipartiteGraph& graph,
-                      graph::NodeId node, int layer, math::Rng& rng,
+                      graph::NodeId node, int layer,
                       std::unordered_map<long, math::Vec>& memo) const;
 
   /// Uniform neighbor draw (GraphSAGE ignores edge weights).
@@ -69,8 +73,8 @@ class GraphSage {
       math::Rng& rng) const;
 
   GraphSageConfig config_;
-  mutable math::Matrix table_;
-  mutable math::Rng init_rng_;
+  math::Matrix table_;
+  math::Rng init_rng_;
   std::vector<std::unique_ptr<math::Parameter>> weights_;
   std::unique_ptr<math::Adam> adam_;
   double last_epoch_loss_ = 0.0;

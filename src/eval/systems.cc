@@ -22,9 +22,9 @@ class GemSystem : public core::GeofencingSystem {
  public:
   explicit GemSystem(const core::GemConfig& config) : gem_(config) {}
 
-  /// A retrain starts over from a fresh model (Gem::Train on a trained
-  /// Gem adds the records to its graph a second time) and a fresh
-  /// overlay (the old one was built over the previous base).
+  /// A retrain starts over from a fresh model (Gem::Train runs once
+  /// per Gem) and a fresh overlay (the old one was built over the
+  /// previous base).
   Status Train(const std::vector<rf::ScanRecord>& inside_records) override {
     gem_ = core::Gem(gem_.config());
     overlay_ = core::GemOverlay();

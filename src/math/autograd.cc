@@ -2,9 +2,6 @@
 
 #include <cmath>
 
-#include "base/check.h"
-#include "math/kernels.h"
-
 namespace gem::math {
 
 double LogSigmoid(double z) {
@@ -46,261 +43,6 @@ void ParamGradSink::ZeroAll() {
   for (Entry& entry : grads_) {
     if (entry.touched) entry.grad.Fill(0.0);
     entry.touched = false;
-  }
-}
-
-void Tape::Clear() {
-  nodes_.clear();
-  log_sigmoid_terms_.clear();
-  mse_terms_.clear();
-  loss_ = 0.0;
-}
-
-VarId Tape::Push(Node node) {
-  node.grad.assign(node.value.size(), 0.0);
-  nodes_.push_back(std::move(node));
-  return static_cast<VarId>(nodes_.size()) - 1;
-}
-
-VarId Tape::Leaf(Vec v) {
-  Node n;
-  n.op = Op::kLeaf;
-  n.value = std::move(v);
-  return Push(std::move(n));
-}
-
-VarId Tape::MatVec(Parameter* param, VarId x) {
-  GEM_DCHECK(param != nullptr);
-  Node n;
-  n.op = Op::kMatVec;
-  n.a = x;
-  n.param = param;
-  n.value = param->value.MatVec(value(x));
-  return Push(std::move(n));
-}
-
-VarId Tape::Concat(VarId a, VarId b) {
-  Node n;
-  n.op = Op::kConcat;
-  n.a = a;
-  n.b = b;
-  n.value = math::Concat(value(a), value(b));
-  return Push(std::move(n));
-}
-
-VarId Tape::WeightedSum(const std::vector<VarId>& inputs, const Vec& coeffs) {
-  GEM_CHECK(!inputs.empty());
-  GEM_CHECK(inputs.size() == coeffs.size());
-  Node n;
-  n.op = Op::kWeightedSum;
-  n.inputs = inputs;
-  n.coeffs = coeffs;
-  n.value.assign(value(inputs[0]).size(), 0.0);
-  std::vector<const double*> input_ptrs;
-  input_ptrs.reserve(inputs.size());
-  for (const VarId input : inputs) input_ptrs.push_back(value(input).data());
-  kernels::Active().weighted_sum(n.value.data(), input_ptrs.data(),
-                                 n.coeffs.data(), input_ptrs.size(),
-                                 n.value.size());
-  return Push(std::move(n));
-}
-
-VarId Tape::Add(VarId a, VarId b) {
-  Node n;
-  n.op = Op::kAdd;
-  n.a = a;
-  n.b = b;
-  n.value = value(a);
-  AddScaled(n.value, value(b), 1.0);
-  return Push(std::move(n));
-}
-
-VarId Tape::Sub(VarId a, VarId b) {
-  Node n;
-  n.op = Op::kSub;
-  n.a = a;
-  n.b = b;
-  n.value = math::Sub(value(a), value(b));
-  return Push(std::move(n));
-}
-
-VarId Tape::Relu(VarId x) {
-  Node n;
-  n.op = Op::kRelu;
-  n.a = x;
-  n.value = value(x);
-  for (double& v : n.value) v = v > 0.0 ? v : 0.0;
-  return Push(std::move(n));
-}
-
-VarId Tape::Tanh(VarId x) {
-  Node n;
-  n.op = Op::kTanh;
-  n.a = x;
-  n.value = value(x);
-  for (double& v : n.value) v = std::tanh(v);
-  return Push(std::move(n));
-}
-
-VarId Tape::Sigmoid(VarId x) {
-  Node n;
-  n.op = Op::kSigmoid;
-  n.a = x;
-  n.value = value(x);
-  for (double& v : n.value) v = SigmoidScalar(v);
-  return Push(std::move(n));
-}
-
-VarId Tape::L2Normalize(VarId x) {
-  Node n;
-  n.op = Op::kL2Normalize;
-  n.a = x;
-  n.value = value(x);
-  const double norm = Norm2(n.value);
-  if (norm > kNormEps) Scale(n.value, 1.0 / norm);
-  return Push(std::move(n));
-}
-
-VarId Tape::Dot(VarId a, VarId b) {
-  Node n;
-  n.op = Op::kDot;
-  n.a = a;
-  n.b = b;
-  n.value = {math::Dot(value(a), value(b))};
-  return Push(std::move(n));
-}
-
-double Tape::AddLogSigmoidLoss(VarId dot_var, double sign, double weight) {
-  GEM_CHECK(value(dot_var).size() == 1);
-  const double s = value(dot_var)[0];
-  const double term = -weight * LogSigmoid(sign * s);
-  log_sigmoid_terms_.push_back(LogSigmoidTerm{dot_var, sign, weight});
-  loss_ += term;
-  return term;
-}
-
-double Tape::AddMseLoss(VarId v, const Vec& target, double weight) {
-  GEM_CHECK(value(v).size() == target.size());
-  const double term = 0.5 * weight * SquaredDistance(value(v), target);
-  mse_terms_.push_back(MseTerm{v, target, weight});
-  loss_ += term;
-  return term;
-}
-
-const Vec& Tape::value(VarId id) const {
-  GEM_DCHECK(id >= 0 && id < size());
-  return nodes_[id].value;
-}
-
-const Vec& Tape::grad(VarId id) const {
-  GEM_DCHECK(id >= 0 && id < size());
-  return nodes_[id].grad;
-}
-
-void Tape::Backward(ParamGradSink* sink) {
-  // Seed gradients from the loss terms.
-  for (const LogSigmoidTerm& t : log_sigmoid_terms_) {
-    const double s = nodes_[t.var].value[0];
-    // d/ds [-w log sigmoid(sign*s)] = w * sign * (sigmoid(sign*s) - 1).
-    nodes_[t.var].grad[0] +=
-        t.weight * t.sign * (SigmoidScalar(t.sign * s) - 1.0);
-  }
-  for (const MseTerm& t : mse_terms_) {
-    Node& node = nodes_[t.var];
-    for (size_t i = 0; i < t.target.size(); ++i) {
-      node.grad[i] += t.weight * (node.value[i] - t.target[i]);
-    }
-  }
-
-  // Reverse topological order == reverse creation order.
-  for (int id = size() - 1; id >= 0; --id) {
-    Node& n = nodes_[id];
-    bool all_zero = true;
-    for (double g : n.grad) {
-      if (g != 0.0) {
-        all_zero = false;
-        break;
-      }
-    }
-    if (all_zero) continue;
-
-    switch (n.op) {
-      case Op::kLeaf:
-        break;
-      case Op::kMatVec: {
-        // y = W x:  dW += g outer x,  dx += W^T g.
-        const Vec& x = nodes_[n.a].value;
-        Matrix& dw = sink ? sink->GradFor(n.param) : n.param->grad;
-        dw.AddOuter(n.grad, x, 1.0);
-        const Vec gx = n.param->value.MatTVec(n.grad);
-        AddScaled(nodes_[n.a].grad, gx, 1.0);
-        break;
-      }
-      case Op::kConcat: {
-        Vec& ga = nodes_[n.a].grad;
-        Vec& gb = nodes_[n.b].grad;
-        const kernels::Ops& ops = kernels::Active();
-        ops.add_scaled(ga.data(), n.grad.data(), 1.0, ga.size());
-        ops.add_scaled(gb.data(), n.grad.data() + ga.size(), 1.0, gb.size());
-        break;
-      }
-      case Op::kWeightedSum:
-        for (size_t i = 0; i < n.inputs.size(); ++i) {
-          AddScaled(nodes_[n.inputs[i]].grad, n.grad, n.coeffs[i]);
-        }
-        break;
-      case Op::kAdd:
-        AddScaled(nodes_[n.a].grad, n.grad, 1.0);
-        AddScaled(nodes_[n.b].grad, n.grad, 1.0);
-        break;
-      case Op::kSub:
-        AddScaled(nodes_[n.a].grad, n.grad, 1.0);
-        AddScaled(nodes_[n.b].grad, n.grad, -1.0);
-        break;
-      case Op::kRelu: {
-        const Vec& x = nodes_[n.a].value;
-        Vec& gx = nodes_[n.a].grad;
-        for (size_t i = 0; i < x.size(); ++i) {
-          if (x[i] > 0.0) gx[i] += n.grad[i];
-        }
-        break;
-      }
-      case Op::kTanh: {
-        Vec& gx = nodes_[n.a].grad;
-        for (size_t i = 0; i < n.value.size(); ++i) {
-          gx[i] += n.grad[i] * (1.0 - n.value[i] * n.value[i]);
-        }
-        break;
-      }
-      case Op::kSigmoid: {
-        Vec& gx = nodes_[n.a].grad;
-        for (size_t i = 0; i < n.value.size(); ++i) {
-          gx[i] += n.grad[i] * n.value[i] * (1.0 - n.value[i]);
-        }
-        break;
-      }
-      case Op::kL2Normalize: {
-        // y = x / ||x||:  dx = (g - y (y . g)) / ||x||.
-        const Vec& x = nodes_[n.a].value;
-        const double norm = Norm2(x);
-        if (norm <= kNormEps) {
-          AddScaled(nodes_[n.a].grad, n.grad, 1.0);
-          break;
-        }
-        const double yg = math::Dot(n.value, n.grad);
-        Vec& gx = nodes_[n.a].grad;
-        for (size_t i = 0; i < x.size(); ++i) {
-          gx[i] += (n.grad[i] - n.value[i] * yg) / norm;
-        }
-        break;
-      }
-      case Op::kDot: {
-        const double g = n.grad[0];
-        AddScaled(nodes_[n.a].grad, nodes_[n.b].value, g);
-        AddScaled(nodes_[n.b].grad, nodes_[n.a].value, g);
-        break;
-      }
-    }
   }
 }
 

@@ -4,18 +4,15 @@
 #include <vector>
 
 #include "math/matrix.h"
-#include "math/vec.h"
 
 namespace gem::math {
 
-/// Shared L2-normalization epsilon: vectors with norm <= kNormEps pass
-/// through unchanged (forward) and propagate their gradient unchanged
-/// (backward). Tape and FlatTape must agree on this constant for their
-/// numerics to stay bit-identical.
+/// FlatTape's L2-normalization epsilon: vectors with norm <= kNormEps
+/// pass through unchanged (forward) and propagate their gradient
+/// unchanged (backward).
 inline constexpr double kNormEps = 1e-12;
 
-/// Numerically stable log(sigmoid(z)) = -softplus(-z). Shared by Tape
-/// and FlatTape so both engines' loss terms are bit-identical.
+/// Numerically stable log(sigmoid(z)) = -softplus(-z).
 double LogSigmoid(double z);
 
 /// Numerically stable sigmoid(z), branch on sign to avoid overflow.
@@ -34,12 +31,12 @@ class Parameter {
   Matrix grad;
 };
 
-/// Handle to a vector-valued node on a Tape.
+/// Handle to a vector-valued node on a FlatTape.
 using VarId = int;
 
 /// Private gradient accumulator for Parameters. Backward(&sink) writes
 /// parameter gradients here instead of the shared Parameter::grad, so
-/// several threads can each run Backward on their own Tape + sink with
+/// several threads can each run Backward on their own tape + sink with
 /// no write to shared state; the caller then folds the sinks into
 /// Parameter::grad serially, in a fixed order, via FlushToParams()
 /// (floating-point addition is not associative, so the fold order is
@@ -67,11 +64,6 @@ class ParamGradSink {
   /// can be reused across shards/batches without re-allocating.
   void ZeroAll();
 
-  /// Drops all buffers (keeps nothing allocated).
-  void Clear() { grads_.clear(); }
-
-  bool empty() const { return grads_.empty(); }
-
  private:
   struct Entry {
     Parameter* param;
@@ -79,126 +71,6 @@ class ParamGradSink {
     bool touched = true;
   };
   std::vector<Entry> grads_;
-};
-
-/// Minimal reverse-mode automatic differentiation over vector-valued
-/// nodes. Supports exactly the operations the GEM models need: matrix-
-/// vector products against Parameters, concatenation, convex/weighted
-/// sums (neighborhood aggregation), ReLU/tanh, l2-normalization, inner
-/// products, and two terminal losses (negative-sampling log-sigmoid and
-/// MSE). Build a fresh graph per minibatch with Clear() + forward ops,
-/// attach losses, then call Backward().
-///
-/// Gradients flow into Parameter::grad and into every node; leaf
-/// gradients are read back via grad() (used for the per-node embedding
-/// tables in BiSAGE/GraphSAGE).
-class Tape {
- public:
-  Tape() = default;
-  Tape(const Tape&) = delete;
-  Tape& operator=(const Tape&) = delete;
-
-  /// Drops all nodes and pending losses (Parameters are untouched).
-  void Clear();
-
-  /// Creates a leaf holding a copy of v.
-  VarId Leaf(Vec v);
-
-  /// Creates a leaf copying n doubles from data (same numerics as the
-  /// Vec overload, without requiring the caller to materialize a Vec).
-  VarId Leaf(const double* data, size_t n) { return Leaf(Vec(data, data + n)); }
-
-  /// y = param.value * x.
-  VarId MatVec(Parameter* param, VarId x);
-
-  /// y = [a; b].
-  VarId Concat(VarId a, VarId b);
-
-  /// y = sum_i coeffs[i] * inputs[i]. Coefficients are treated as
-  /// constants (no gradient to coeffs), matching the paper's
-  /// weight-proportional aggregator.
-  VarId WeightedSum(const std::vector<VarId>& inputs, const Vec& coeffs);
-
-  VarId Add(VarId a, VarId b);
-  VarId Sub(VarId a, VarId b);
-  VarId Relu(VarId x);
-  VarId Tanh(VarId x);
-  VarId Sigmoid(VarId x);
-
-  /// y = x / max(||x||, eps). A zero vector passes through unchanged.
-  VarId L2Normalize(VarId x);
-
-  /// Size-1 node holding a . b.
-  VarId Dot(VarId a, VarId b);
-
-  /// Adds the loss term  -weight * log(sigmoid(sign * s))  where s is the
-  /// (size-1) value of dot_var. Returns the term's value.
-  double AddLogSigmoidLoss(VarId dot_var, double sign, double weight = 1.0);
-
-  /// Adds the loss term  weight * 0.5 * ||value(v) - target||^2.
-  /// Returns the term's value.
-  double AddMseLoss(VarId v, const Vec& target, double weight = 1.0);
-
-  /// Total of the loss terms added since the last Clear().
-  double loss() const { return loss_; }
-
-  /// Runs reverse-mode accumulation from all attached loss terms.
-  /// With a sink, parameter gradients go to sink->GradFor(param)
-  /// instead of Parameter::grad (Parameter::value is only read), which
-  /// is what makes concurrent Backward calls over shared Parameters
-  /// safe; node gradients always stay on this tape either way.
-  void Backward() { Backward(nullptr); }
-  void Backward(ParamGradSink* sink);
-
-  const Vec& value(VarId id) const;
-  const Vec& grad(VarId id) const;
-
-  int size() const { return static_cast<int>(nodes_.size()); }
-
- private:
-  enum class Op {
-    kLeaf,
-    kMatVec,
-    kConcat,
-    kWeightedSum,
-    kAdd,
-    kSub,
-    kRelu,
-    kTanh,
-    kSigmoid,
-    kL2Normalize,
-    kDot,
-  };
-
-  struct Node {
-    Op op;
-    VarId a = -1;
-    VarId b = -1;
-    std::vector<VarId> inputs;  // kWeightedSum only
-    Vec coeffs;                 // kWeightedSum only
-    Parameter* param = nullptr; // kMatVec only
-    Vec value;
-    Vec grad;
-  };
-
-  struct LogSigmoidTerm {
-    VarId var;
-    double sign;
-    double weight;
-  };
-
-  struct MseTerm {
-    VarId var;
-    Vec target;
-    double weight;
-  };
-
-  VarId Push(Node node);
-
-  std::vector<Node> nodes_;
-  std::vector<LogSigmoidTerm> log_sigmoid_terms_;
-  std::vector<MseTerm> mse_terms_;
-  double loss_ = 0.0;
 };
 
 }  // namespace gem::math

@@ -11,7 +11,9 @@ void FlatTape::Clear() {
   values_.clear();
   inputs_pool_.clear();
   coeffs_pool_.clear();
-  loss_terms_.clear();
+  log_sigmoid_terms_.clear();
+  mse_terms_.clear();
+  mse_targets_.clear();
   loss_ = 0.0;
 }
 
@@ -90,6 +92,16 @@ VarId FlatTape::Relu(VarId x) {
   return id;
 }
 
+VarId FlatTape::Tanh(VarId x) {
+  const int len = nodes_[x].len;
+  const VarId id = Push(Op::kTanh, len);
+  nodes_[id].a = x;
+  double* out = val(id);
+  const double* in = val(x);
+  for (int i = 0; i < len; ++i) out[i] = std::tanh(in[i]);
+  return id;
+}
+
 VarId FlatTape::L2Normalize(VarId x) {
   const int len = nodes_[x].len;
   const VarId id = Push(Op::kL2Normalize, len);
@@ -119,7 +131,19 @@ double FlatTape::AddLogSigmoidLoss(VarId dot_var, double sign, double weight) {
   GEM_CHECK(nodes_[dot_var].len == 1);
   const double s = values_[nodes_[dot_var].off];
   const double term = -weight * LogSigmoid(sign * s);
-  loss_terms_.push_back(LogSigmoidTerm{dot_var, sign, weight});
+  log_sigmoid_terms_.push_back(LogSigmoidTerm{dot_var, sign, weight});
+  loss_ += term;
+  return term;
+}
+
+double FlatTape::AddMseLoss(VarId v, const Vec& target, double weight) {
+  const size_t len = static_cast<size_t>(nodes_[v].len);
+  GEM_CHECK(target.size() == len);
+  const double term =
+      0.5 * weight *
+      kernels::Active().squared_distance(val(v), target.data(), len);
+  mse_terms_.push_back(MseTerm{v, mse_targets_.size(), weight});
+  mse_targets_.insert(mse_targets_.end(), target.begin(), target.end());
   loss_ += term;
   return term;
 }
@@ -127,12 +151,21 @@ double FlatTape::AddLogSigmoidLoss(VarId dot_var, double sign, double weight) {
 void FlatTape::Backward(ParamGradSink* sink) {
   grads_.assign(values_.size(), 0.0);
 
-  // Seed gradients from the loss terms.
-  for (const LogSigmoidTerm& t : loss_terms_) {
+  // Seed gradients from the loss terms: every log-sigmoid term, then
+  // every MSE term, each in the order attached.
+  for (const LogSigmoidTerm& t : log_sigmoid_terms_) {
     const double s = values_[nodes_[t.var].off];
     // d/ds [-w log sigmoid(sign*s)] = w * sign * (sigmoid(sign*s) - 1).
     grads_[nodes_[t.var].off] +=
         t.weight * t.sign * (SigmoidScalar(t.sign * s) - 1.0);
+  }
+  for (const MseTerm& t : mse_terms_) {
+    // d/dy [w/2 ||y - target||^2] = w (y - target).
+    const Node& n = nodes_[t.var];
+    const double* y = values_.data() + n.off;
+    const double* target = mse_targets_.data() + t.target_off;
+    double* g = grads_.data() + n.off;
+    for (int i = 0; i < n.len; ++i) g[i] += t.weight * (y[i] - target[i]);
   }
 
   const kernels::Ops& ops = kernels::Active();
@@ -155,8 +188,8 @@ void FlatTape::Backward(ParamGradSink* sink) {
       case Op::kMatVec: {
         // y = W x:  dW += g outer x,  dx += W^T g. The outer product is
         // row-wise add_scaled (same as Matrix::AddOuter) and the input
-        // gradient goes through a zeroed scratch + add_scaled, matching
-        // Tape's temporary-Vec MatTVec bit for bit.
+        // gradient goes through a zeroed scratch + add_scaled: the
+        // summation order the committed goldens pin.
         const Node& xn = nodes_[n.a];
         const double* x = values_.data() + xn.off;
         Matrix& dw = sink ? sink->GradFor(n.param) : n.param->grad;
@@ -195,6 +228,12 @@ void FlatTape::Backward(ParamGradSink* sink) {
         for (int i = 0; i < n.len; ++i) {
           if (x[i] > 0.0) gx[i] += g[i];
         }
+        break;
+      }
+      case Op::kTanh: {
+        const double* y = values_.data() + n.off;
+        double* gx = grads_.data() + nodes_[n.a].off;
+        for (int i = 0; i < n.len; ++i) gx[i] += g[i] * (1.0 - y[i] * y[i]);
         break;
       }
       case Op::kL2Normalize: {

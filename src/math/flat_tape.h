@@ -11,24 +11,26 @@
 
 namespace gem::math {
 
-/// Arena-backed reverse-mode tape for the BiSAGE training loss.
+/// Minimal reverse-mode automatic differentiation over vector-valued
+/// nodes, the one engine every trained model runs on (BiSAGE, and the
+/// GraphSAGE and autoencoder baselines). Supports exactly the ops those
+/// models need: matrix-vector products against Parameters,
+/// concatenation, constant-coefficient weighted sums, ReLU/tanh,
+/// l2-normalization, inner products, and two terminal losses
+/// (negative-sampling log-sigmoid and MSE). Clear(), build the forward
+/// ops, attach losses, then call Backward().
 ///
-/// Tape allocates two Vecs (value + grad) per node and a fresh node
-/// vector per minibatch; at the paper's default shapes that is ~10k
-/// heap allocations per batch, which dominates the gradient stage and
-/// serializes threads on the allocator. FlatTape keeps every value and
-/// gradient in two reusable 32-byte-aligned arenas addressed by
-/// (offset, length), so a cleared tape rebuilds the next shard's graph
-/// with zero allocations in the steady state.
+/// Every value and gradient lives in two reusable 32-byte-aligned
+/// arenas addressed by (offset, length), so a cleared tape rebuilds the
+/// next shard's graph with zero allocations in the steady state.
 ///
-/// Numerics contract: for the op subset both engines support (Leaf /
-/// MatVec / Concat / WeightedSum / Relu / L2Normalize / Dot /
-/// AddLogSigmoidLoss), an identical op sequence produces bit-identical
-/// values, loss, node gradients, and sink gradients to math::Tape —
-/// every forward and backward step routes through the same dispatched
-/// kernels (or the same scalar expressions) in the same order. The
-/// golden-score fixtures pin this equivalence; flat_tape_test checks
-/// it op by op.
+/// Numerics contract: each forward and backward step routes through the
+/// dispatched kernels (or fixed scalar expressions) in a fixed order,
+/// so a given op sequence yields the same bits on every run and thread
+/// count for a given kernel backend. The committed golden fixtures
+/// (BiSAGE scores, drift scores, the baseline embedders) pin those
+/// bits; autograd_test checks every op's gradient by finite
+/// differences.
 class FlatTape {
  public:
   FlatTape() = default;
@@ -52,6 +54,7 @@ class FlatTape {
   VarId WeightedSum(const std::vector<VarId>& inputs, const Vec& coeffs);
 
   VarId Relu(VarId x);
+  VarId Tanh(VarId x);
 
   /// y = x / max(||x||, kNormEps); a zero vector passes through.
   VarId L2Normalize(VarId x);
@@ -62,6 +65,10 @@ class FlatTape {
   /// Adds the loss term -weight * log(sigmoid(sign * s)) where s is the
   /// (size-1) value of dot_var. Returns the term's value.
   double AddLogSigmoidLoss(VarId dot_var, double sign, double weight = 1.0);
+
+  /// Adds the loss term weight * 0.5 * ||value(v) - target||^2 (target
+  /// is copied). Returns the term's value.
+  double AddMseLoss(VarId v, const Vec& target, double weight = 1.0);
 
   /// Total of the loss terms added since the last Clear().
   double loss() const { return loss_; }
@@ -90,6 +97,7 @@ class FlatTape {
     kConcat,
     kWeightedSum,
     kRelu,
+    kTanh,
     kL2Normalize,
     kDot,
   };
@@ -111,6 +119,12 @@ class FlatTape {
     double weight;
   };
 
+  struct MseTerm {
+    VarId var;
+    size_t target_off;  // into mse_targets_, node's len doubles
+    double weight;
+  };
+
   /// Appends a node with len doubles of arena storage (value
   /// uninitialized; every op overwrites it in full).
   VarId Push(Op op, int len);
@@ -123,8 +137,10 @@ class FlatTape {
   std::vector<VarId> inputs_pool_;    // kWeightedSum inputs, by inputs_off
   std::vector<double> coeffs_pool_;   // parallel to inputs_pool_
   std::vector<const double*> ptr_scratch_;
-  Vec mattvec_scratch_;  // zeroed per MatVec backward, like Tape's temp Vec
-  std::vector<LogSigmoidTerm> loss_terms_;
+  Vec mattvec_scratch_;  // zeroed per MatVec backward
+  std::vector<LogSigmoidTerm> log_sigmoid_terms_;
+  std::vector<MseTerm> mse_terms_;
+  std::vector<double> mse_targets_;
   double loss_ = 0.0;
 };
 

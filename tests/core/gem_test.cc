@@ -29,6 +29,29 @@ TEST(GemTest, TrainRequiresRecords) {
   EXPECT_FALSE(gem.Train({}).ok());
 }
 
+TEST(GemTest, SecondTrainIsRefusedAndChangesNothing) {
+  const rf::Dataset data = SmallDataset();
+  Gem gem(FastConfig());
+  ASSERT_TRUE(gem.Train(data.train).ok());
+  const int nodes = gem.embedder().graph().num_nodes();
+
+  const Status again = gem.Train(data.train);
+  EXPECT_EQ(again.code(), StatusCode::kFailedPrecondition)
+      << again.ToString();
+  EXPECT_TRUE(gem.trained());
+  EXPECT_EQ(gem.embedder().graph().num_nodes(), nodes);
+
+  // Still the model a single Train builds, bit for bit.
+  Gem once(FastConfig());
+  ASSERT_TRUE(once.Train(data.train).ok());
+  GemOverlay overlay;
+  GemOverlay once_overlay;
+  for (const rf::ScanRecord& record : data.test) {
+    EXPECT_EQ(gem.Infer(record, overlay).score,
+              once.Infer(record, once_overlay).score);
+  }
+}
+
 TEST(GemTest, EndToEndDetectionQuality) {
   const rf::Dataset data = SmallDataset();
   Gem gem(FastConfig());

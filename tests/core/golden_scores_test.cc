@@ -16,6 +16,8 @@
 // bit-identical to the sequential scalar order, so each backend pins
 // its own bits. scores.scalar.golden is byte-identical to the
 // pre-kernel scores.golden — the scalar backend IS the seed numerics.
+// baselines.<backend>.golden pins the GraphSAGE and autoencoder
+// baselines (embeddings and final losses) the same way.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -25,6 +27,8 @@
 #include <gtest/gtest.h>
 
 #include "core/gem.h"
+#include "embed/autoencoder.h"
+#include "embed/graphsage.h"
 #include "math/kernels.h"
 #include "rf/dataset.h"
 #include "rf/record_io.h"
@@ -38,6 +42,46 @@ namespace {
 
 std::string GoldenDir() {
   return std::string(GEM_TEST_DATA_DIR) + "/golden";
+}
+
+/// This backend's fixture `<stem>.<backend>.golden`.
+std::string GoldenPath(const std::string& stem) {
+  return GoldenDir() + "/" + stem + "." +
+         math::kernels::BackendName(math::kernels::ActiveBackend()) +
+         ".golden";
+}
+
+bool Regen() { return std::getenv("GEM_REGEN_GOLDEN") != nullptr; }
+
+/// Under GEM_REGEN_GOLDEN rewrites `golden_path` with `actual` and
+/// skips; otherwise compares `actual` line by line against it.
+void CheckGolden(const std::string& golden_path,
+                 const std::vector<std::string>& actual) {
+  if (Regen()) {
+    std::ofstream out(golden_path, std::ios::trunc);
+    ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
+    for (const std::string& line : actual) out << line << '\n';
+    ASSERT_TRUE(out.good());
+    GTEST_SKIP() << "regenerated " << golden_path << " ("
+                 << actual.size() << " lines) — commit the new fixtures";
+  }
+
+  std::ifstream in(golden_path);
+  ASSERT_TRUE(in.good())
+      << golden_path << " missing — run with GEM_REGEN_GOLDEN=1";
+  std::vector<std::string> expected;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (!line.empty()) expected.push_back(line);
+  }
+
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(actual[i], expected[i])
+        << "line " << i << " of " << golden_path << " drifted; "
+        << "if the numerics change is intentional, regenerate with "
+        << "GEM_REGEN_GOLDEN=1 and commit";
+  }
 }
 
 /// Deterministic-mode config: bit-identical across machines and — by
@@ -73,13 +117,9 @@ std::string FormatResult(const InferenceResult& result) {
 TEST(GoldenScoresTest, InferResultsMatchCommittedGolden) {
   const std::string train_path = GoldenDir() + "/train.csv";
   const std::string test_path = GoldenDir() + "/test.csv";
-  const std::string golden_path =
-      GoldenDir() + "/scores." +
-      math::kernels::BackendName(math::kernels::ActiveBackend()) +
-      ".golden";
-  const bool regen = std::getenv("GEM_REGEN_GOLDEN") != nullptr;
+  const std::string golden_path = GoldenPath("scores");
 
-  if (regen) {
+  if (Regen()) {
     // The scenario itself is pinned by seed; rewriting the CSVs keeps
     // the fixtures reproducible from this file alone.
     rf::DatasetOptions options;
@@ -111,32 +151,94 @@ TEST(GoldenScoresTest, InferResultsMatchCommittedGolden) {
   for (const rf::ScanRecord& record : test.value()) {
     actual.push_back(FormatResult(gem.Infer(record, overlay)));
   }
+  CheckGolden(golden_path, actual);
+}
 
-  if (regen) {
-    std::ofstream out(golden_path, std::ios::trunc);
-    ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
-    for (const std::string& line : actual) out << line << '\n';
-    ASSERT_TRUE(out.good());
-    GTEST_SKIP() << "regenerated " << golden_path << " ("
-                 << actual.size() << " results) — commit the new fixtures";
+/// "%a" of every coordinate, after a tag naming what the vector is.
+std::string FormatVec(const std::string& tag, const math::Vec& v) {
+  std::string line = tag;
+  char buf[40];
+  for (const double x : v) {
+    std::snprintf(buf, sizeof(buf), " %a", x);
+    line += buf;
   }
+  return line;
+}
 
-  std::ifstream in(golden_path);
-  ASSERT_TRUE(in.good())
-      << golden_path << " missing — run with GEM_REGEN_GOLDEN=1";
-  std::vector<std::string> expected;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty()) expected.push_back(line);
+/// Appends an embedder's pinned outputs: every kTrainStride-th train
+/// embedding, then every EmbedNew result on `queries` in order (a
+/// marker line for NotFound, so a record that stops or starts
+/// connecting shows up too).
+void AppendEmbedderLines(const std::string& name,
+                         embed::RecordEmbedder& embedder,
+                         const std::vector<rf::ScanRecord>& queries,
+                         std::vector<std::string>& lines) {
+  constexpr int kTrainStride = 8;
+  for (int i = 0; i < embedder.num_train(); i += kTrainStride) {
+    lines.push_back(FormatVec(name + " train " + std::to_string(i),
+                              embedder.TrainEmbedding(i)));
   }
+  for (size_t j = 0; j < queries.size(); ++j) {
+    const std::string tag = name + " new " + std::to_string(j);
+    const StatusOr<math::Vec> z = embedder.EmbedNew(queries[j]);
+    if (z.ok()) {
+      lines.push_back(FormatVec(tag, z.value()));
+    } else {
+      ASSERT_EQ(z.status().code(), StatusCode::kNotFound)
+          << z.status().ToString();
+      lines.push_back(tag + " NotFound");
+    }
+  }
+}
 
-  ASSERT_EQ(actual.size(), expected.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(actual[i], expected[i])
-        << "record " << i << " drifted (format: score decision updated); "
-        << "if the numerics change is intentional, regenerate with "
-        << "GEM_REGEN_GOLDEN=1 and commit";
-  }
+// The Table I baselines (GraphSAGE + OD, Autoencoder + OD) train by
+// gradient descent too; this pins their embeddings and final losses
+// bit-exactly per kernel backend, so a change to the autograd engine
+// they run on cannot move them unnoticed. Default configs, trained on
+// the committed golden scenario; the fixture is
+// baselines.<backend>.golden (GEM_REGEN_GOLDEN rewrites only it —
+// this case leaves the CSVs alone).
+TEST(GoldenScoresTest, BaselineEmbeddersMatchCommittedGolden) {
+  const auto train = rf::LoadRecordsCsv(GoldenDir() + "/train.csv");
+  ASSERT_TRUE(train.ok()) << train.status().ToString();
+  const auto test = rf::LoadRecordsCsv(GoldenDir() + "/test.csv");
+  ASSERT_TRUE(test.ok()) << test.status().ToString();
+
+  // Two probes after the scenario's test records: one of unseen MACs
+  // (NotFound), then one linking those MACs to a known one, whose
+  // embedding reads the rows the first probe's MACs were given.
+  std::vector<rf::ScanRecord> queries = test.value();
+  rf::ScanRecord unseen;
+  unseen.readings = {{"probe:0", -60.0}, {"probe:1", -75.0}};
+  rf::ScanRecord linked = unseen;
+  linked.readings.push_back(queries.front().readings.front());
+  queries.push_back(unseen);
+  queries.push_back(linked);
+
+  std::vector<std::string> lines;
+  char buf[80];
+
+  embed::GraphSageEmbedder graphsage;
+  ASSERT_TRUE(graphsage.Fit(train.value()).ok());
+  AppendEmbedderLines("graphsage", graphsage, queries, lines);
+  // The embedder does not expose its model's loss; the same config on
+  // the same graph trains to the same bits.
+  graph::BipartiteGraph graph;
+  for (const rf::ScanRecord& record : train.value()) graph.AddRecord(record);
+  embed::GraphSage model(embed::GraphSageConfig{});
+  ASSERT_TRUE(model.Train(graph).ok());
+  std::snprintf(buf, sizeof(buf), "graphsage loss %a",
+                model.last_epoch_loss());
+  lines.push_back(buf);
+
+  embed::AutoencoderEmbedder autoencoder;
+  ASSERT_TRUE(autoencoder.Fit(train.value()).ok());
+  AppendEmbedderLines("autoencoder", autoencoder, queries, lines);
+  std::snprintf(buf, sizeof(buf), "autoencoder loss %a",
+                autoencoder.final_loss());
+  lines.push_back(buf);
+
+  CheckGolden(GoldenPath("baselines"), lines);
 }
 
 }  // namespace

@@ -11,8 +11,10 @@
 namespace gem::math {
 namespace {
 
-// The whole point of FlatTape is bit-identity with Tape on the BiSAGE
-// op subset: every comparison below is EXPECT_EQ on doubles, not NEAR.
+// FlatTape's numerics contract is run-to-run bit-identity for a given
+// op sequence, whatever the tape's history or the gradient destination:
+// every comparison below is EXPECT_EQ on doubles, not NEAR. Gradient
+// correctness is checked by finite differences in autograd_test.
 
 Vec RandomVec(Rng& rng, int n) {
   Vec v(n);
@@ -28,19 +30,17 @@ void FillParam(Parameter& p, Rng& rng) {
   }
 }
 
-/// Builds the same BiSAGE-shaped program (leaves -> weighted sums ->
-/// concat -> matvec -> relu -> l2norm -> dots -> log-sigmoid losses)
-/// on any tape engine; returns the ids of the leaves and the final
-/// vars so callers can compare values and gradients position by
-/// position.
+/// Builds a program over every op (leaves -> weighted sums -> concat
+/// -> matvec -> relu / tanh -> l2norm -> dots -> log-sigmoid and MSE
+/// losses); returns the ids of the leaves and the final vars so callers
+/// can compare values and gradients position by position.
 struct Program {
   std::vector<VarId> leaves;
   VarId out_a;
   VarId out_b;
 };
 
-template <typename TapeT>
-Program BuildProgram(TapeT& tape, const std::vector<Vec>& inputs,
+Program BuildProgram(FlatTape& tape, const std::vector<Vec>& inputs,
                      const Vec& coeffs, Parameter* w1, Parameter* w2) {
   Program prog;
   for (const Vec& v : inputs) prog.leaves.push_back(tape.Leaf(v));
@@ -53,9 +53,11 @@ Program BuildProgram(TapeT& tape, const std::vector<Vec>& inputs,
   const VarId lin_a = tape.MatVec(w1, tape.Concat(prog.leaves[0], agg_a));
   const VarId lin_b = tape.MatVec(w2, tape.Concat(prog.leaves[1], agg_b));
   prog.out_a = tape.L2Normalize(tape.Relu(lin_a));
-  prog.out_b = tape.L2Normalize(lin_b);
+  prog.out_b = tape.L2Normalize(tape.Tanh(lin_b));
   tape.AddLogSigmoidLoss(tape.Dot(prog.out_a, prog.out_b), +1.0);
   tape.AddLogSigmoidLoss(tape.Dot(prog.out_b, prog.out_a), -1.0);
+  // The MSE seed lands on a node the log-sigmoid terms also reach.
+  tape.AddMseLoss(prog.out_b, inputs[3], 0.25);
   return prog;
 }
 
@@ -69,7 +71,7 @@ void ExpectBitIdentical(const Matrix& a, const Matrix& b) {
   }
 }
 
-class FlatTapeDifferentialTest : public ::testing::Test {
+class FlatTapeProgramTest : public ::testing::Test {
  protected:
   void SetUp() override {
     Rng rng(77);
@@ -88,70 +90,37 @@ class FlatTapeDifferentialTest : public ::testing::Test {
   std::unique_ptr<Parameter> w2_;
 };
 
-TEST_F(FlatTapeDifferentialTest, ForwardValuesMatchTapeBitwise) {
-  Tape tape;
-  FlatTape flat;
-  BuildProgram(tape, inputs_, coeffs_, w1_.get(), w2_.get());
-  BuildProgram(flat, inputs_, coeffs_, w1_.get(), w2_.get());
+TEST_F(FlatTapeProgramTest, NullSinkWritesWhatASinkReceives) {
+  FlatTape with_sink;
+  BuildProgram(with_sink, inputs_, coeffs_, w1_.get(), w2_.get());
+  ParamGradSink sink;
+  with_sink.Backward(&sink);
 
-  ASSERT_EQ(tape.size(), flat.size());
-  for (VarId id = 0; id < tape.size(); ++id) {
-    const Vec& want = tape.value(id);
-    ASSERT_EQ(static_cast<int>(want.size()), flat.size_of(id));
-    for (size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(want[i], flat.value(id)[i]) << "node " << id << " lane " << i;
-    }
-  }
-  EXPECT_EQ(tape.loss(), flat.loss());
-}
+  FlatTape direct;
+  BuildProgram(direct, inputs_, coeffs_, w1_.get(), w2_.get());
+  direct.Backward();
+  ExpectBitIdentical(sink.GradFor(w1_.get()), w1_->grad);
+  ExpectBitIdentical(sink.GradFor(w2_.get()), w2_->grad);
+  w1_->ZeroGrad();
+  w2_->ZeroGrad();
 
-TEST_F(FlatTapeDifferentialTest, SinkGradientsMatchTapeBitwise) {
-  Tape tape;
-  FlatTape flat;
-  BuildProgram(tape, inputs_, coeffs_, w1_.get(), w2_.get());
-  BuildProgram(flat, inputs_, coeffs_, w1_.get(), w2_.get());
-
-  ParamGradSink ref_sink;
-  ParamGradSink got_sink;
-  tape.Backward(&ref_sink);
-  flat.Backward(&got_sink);
-
-  ExpectBitIdentical(ref_sink.GradFor(w1_.get()), got_sink.GradFor(w1_.get()));
-  ExpectBitIdentical(ref_sink.GradFor(w2_.get()), got_sink.GradFor(w2_.get()));
-
-  // Node gradients (leaf gradients feed the embedding tables in other
-  // models; they must match too).
-  for (VarId id = 0; id < tape.size(); ++id) {
-    const Vec& want = tape.grad(id);
-    for (size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(want[i], flat.grad(id)[i]) << "node " << id << " lane " << i;
+  // Node gradients do not depend on where parameter gradients go.
+  for (VarId id = 0; id < direct.size(); ++id) {
+    for (int i = 0; i < direct.size_of(id); ++i) {
+      EXPECT_EQ(with_sink.grad(id)[i], direct.grad(id)[i])
+          << "node " << id << " lane " << i;
     }
   }
 }
 
-TEST_F(FlatTapeDifferentialTest, NullSinkWritesParameterGradLikeTape) {
-  Tape tape;
-  FlatTape flat;
-  BuildProgram(tape, inputs_, coeffs_, w1_.get(), w2_.get());
-  tape.Backward();
-  Matrix want_w1 = w1_->grad;
-  Matrix want_w2 = w2_->grad;
-
-  w1_->ZeroGrad();
-  w2_->ZeroGrad();
-  BuildProgram(flat, inputs_, coeffs_, w1_.get(), w2_.get());
-  flat.Backward();
-  ExpectBitIdentical(want_w1, w1_->grad);
-  ExpectBitIdentical(want_w2, w2_->grad);
-  w1_->ZeroGrad();
-  w2_->ZeroGrad();
-}
-
-TEST_F(FlatTapeDifferentialTest, ReuseAfterClearIsBitIdenticalToFresh) {
+TEST_F(FlatTapeProgramTest, ReuseAfterClearIsBitIdenticalToFresh) {
   FlatTape reused;
-  // Warm it with a different program shape first.
-  reused.AddLogSigmoidLoss(
-      reused.Dot(reused.Leaf(inputs_[0]), reused.Leaf(inputs_[1])), +1.0);
+  // Warm it with a different program shape first, MSE terms included:
+  // Clear() must drop them and their targets.
+  const VarId warm = reused.Leaf(inputs_[1]);
+  reused.AddLogSigmoidLoss(reused.Dot(reused.Leaf(inputs_[0]), warm), +1.0);
+  reused.AddMseLoss(warm, inputs_[2]);
+  reused.AddMseLoss(reused.Tanh(warm), inputs_[3], 2.0);
   ParamGradSink scratch;
   reused.Backward(&scratch);
   reused.Clear();
@@ -173,60 +142,57 @@ TEST_F(FlatTapeDifferentialTest, ReuseAfterClearIsBitIdenticalToFresh) {
   reused.Backward(&b);
   ExpectBitIdentical(a.GradFor(w1_.get()), b.GradFor(w1_.get()));
   ExpectBitIdentical(a.GradFor(w2_.get()), b.GradFor(w2_.get()));
-}
-
-TEST(FlatTapeTest, ZeroVectorPassesThroughL2Normalize) {
-  // Matches Tape's kNormEps rule: forward is the identity, backward
-  // propagates the gradient unchanged.
-  FlatTape flat;
-  Tape tape;
-  const Vec zeros(4, 0.0);
-  const Vec other{1.0, -2.0, 0.5, 3.0};
-
-  const VarId fz = flat.L2Normalize(flat.Leaf(zeros));
-  const VarId fo = flat.Leaf(other);
-  flat.AddLogSigmoidLoss(flat.Dot(fz, fo), +1.0);
-
-  const VarId tz = tape.L2Normalize(tape.Leaf(zeros));
-  const VarId to = tape.Leaf(other);
-  tape.AddLogSigmoidLoss(tape.Dot(tz, to), +1.0);
-
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(flat.value(fz)[i], 0.0);
-  EXPECT_EQ(flat.loss(), tape.loss());
-
-  flat.Backward(nullptr);
-  tape.Backward();
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(tape.grad(0)[i], flat.grad(0)[i]);
+  for (VarId id = 0; id < fresh.size(); ++id) {
+    for (int i = 0; i < fresh.size_of(id); ++i) {
+      EXPECT_EQ(fresh.grad(id)[i], reused.grad(id)[i]);
+    }
   }
 }
 
-TEST(FlatTapeTest, SingleLaneProgram) {
+TEST(FlatTapeOpsTest, ZeroVectorPassesThroughL2Normalize) {
+  // The kNormEps rule: forward is the identity, backward propagates the
+  // gradient unchanged.
   FlatTape flat;
-  Tape tape;
+  const Vec zeros(4, 0.0);
+  const Vec other{1.0, -2.0, 0.5, 3.0};
+
+  const VarId leaf = flat.Leaf(zeros);
+  const VarId fz = flat.L2Normalize(leaf);
+  const VarId fo = flat.Leaf(other);
+  flat.AddLogSigmoidLoss(flat.Dot(fz, fo), +1.0);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(flat.value(fz)[i], 0.0);
+  EXPECT_EQ(flat.loss(), -LogSigmoid(0.0));
+
+  // d/ds of -log sigmoid(s) at s = 0 is exactly -0.5.
+  flat.Backward(nullptr);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(flat.grad(leaf)[i], -0.5 * other[i]) << "lane " << i;
+  }
+}
+
+TEST(FlatTapeOpsTest, SingleLaneProgram) {
+  FlatTape flat;
   Parameter w(1, 2);
   w.value.At(0, 0) = 0.7;
   w.value.At(0, 1) = -0.4;
   const Vec a{0.3};
   const Vec b{-1.2};
 
-  const VarId fy = flat.MatVec(&w, flat.Concat(flat.Leaf(a), flat.Leaf(b)));
-  flat.AddLogSigmoidLoss(flat.Dot(fy, flat.Leaf(a)), -1.0);
-  const VarId ty = tape.MatVec(&w, tape.Concat(tape.Leaf(a), tape.Leaf(b)));
-  tape.AddLogSigmoidLoss(tape.Dot(ty, tape.Leaf(a)), -1.0);
+  const VarId y = flat.MatVec(&w, flat.Concat(flat.Leaf(a), flat.Leaf(b)));
+  flat.AddLogSigmoidLoss(flat.Dot(y, flat.Leaf(a)), -1.0);
+  const double wy = 0.7 * 0.3 + -0.4 * -1.2;
+  EXPECT_DOUBLE_EQ(flat.value(y)[0], wy);
+  EXPECT_DOUBLE_EQ(flat.loss(), -LogSigmoid(-wy * 0.3));
 
-  EXPECT_EQ(tape.value(ty)[0], flat.value(fy)[0]);
-  EXPECT_EQ(tape.loss(), flat.loss());
-  ParamGradSink rs;
-  ParamGradSink fs;
-  tape.Backward(&rs);
-  flat.Backward(&fs);
-  EXPECT_EQ(rs.GradFor(&w).At(0, 0), fs.GradFor(&w).At(0, 0));
-  EXPECT_EQ(rs.GradFor(&w).At(0, 1), fs.GradFor(&w).At(0, 1));
-  w.ZeroGrad();
+  // dL/ds = 1 - sigmoid(-s) for L = -log sigmoid(-s), s = y * a.
+  ParamGradSink sink;
+  flat.Backward(&sink);
+  const double gy = (1.0 - SigmoidScalar(-wy * 0.3)) * 0.3;
+  EXPECT_DOUBLE_EQ(sink.GradFor(&w).At(0, 0), gy * 0.3);
+  EXPECT_DOUBLE_EQ(sink.GradFor(&w).At(0, 1), gy * -1.2);
 }
 
-TEST(FlatTapeTest, PointerLeafMatchesVecLeaf) {
+TEST(FlatTapeOpsTest, PointerLeafMatchesVecLeaf) {
   FlatTape a;
   FlatTape b;
   const Vec v{1.5, -0.25, 3.0};

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "math/autograd.h"
+#include "math/flat_tape.h"
 #include "math/rng.h"
 
 namespace gem::math {
@@ -23,7 +24,7 @@ TEST(AdamTest, MinimizesQuadratic) {
   const Vec target{0.3, 0.7};
   double last_loss = 1e9;
   for (int i = 0; i < 500; ++i) {
-    Tape tape;
+    FlatTape tape;
     const VarId xi = tape.Leaf(x);
     tape.AddMseLoss(tape.MatVec(&w, xi), target);
     last_loss = tape.loss();
