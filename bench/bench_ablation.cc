@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
   std::printf("=== Ablation: what each GEM ingredient buys ===\n");
   std::printf("(mean over 4 homes with mild AP churn)\n\n");
 
-  eval::TextTable table({"Arm", "F_in", "F_out"});
+  gem::TextTable table({"Arm", "F_in", "F_out"});
   for (int arm = 0; arm < 6; ++arm) {
     math::Vec f_in, f_out;
     for (int user : {0, 2, 5, 9}) {

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
 
   std::vector<std::string> headers{"p \\ q"};
   for (double q : grid) headers.push_back(eval::FormatValue(q));
-  eval::TextTable table(headers);
+  gem::TextTable table(headers);
 
   for (double p : grid) {
     std::vector<std::string> row{eval::FormatValue(p)};

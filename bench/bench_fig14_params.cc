@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
       rf::GenerateScenarioDataset(rf::HomePreset(2), options);
 
   auto report = [&](const char* panel, const std::string& value,
-                    const math::InOutMetrics& m, eval::TextTable& table) {
+                    const math::InOutMetrics& m, gem::TextTable& table) {
     table.AddRow({value, eval::FormatValue(m.f_in),
                   eval::FormatValue(m.f_out)});
     if (csv) {
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
 
   std::printf("=== Figure 14(a): embedding dimension d ===\n\n");
   {
-    eval::TextTable table({"d", "F_in", "F_out"});
+    gem::TextTable table({"d", "F_in", "F_out"});
     for (int d : {8, 16, 32, 64, 128}) {
       core::GemConfig config;
       config.bisage.dimension = d;
@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
   std::printf("(T reshapes the reported S_T score; decisions use the "
               "calibrated threshold, so F is stable by design)\n\n");
   {
-    eval::TextTable table({"T", "F_in", "F_out"});
+    gem::TextTable table({"T", "F_in", "F_out"});
     for (double t : {0.02, 0.06, 0.1, 0.2, 0.5}) {
       core::GemConfig config;
       config.detector.temperature = t;
@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
 
   std::printf("\n=== Figure 14(c): histogram bin count m ===\n\n");
   {
-    eval::TextTable table({"m", "F_in", "F_out"});
+    gem::TextTable table({"m", "F_in", "F_out"});
     for (int m : {5, 10, 20, 50, 100}) {
       core::GemConfig config;
       config.detector.bins = m;
@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
 
   std::printf("\n=== Figure 14(d): edge-weight function ===\n\n");
   {
-    eval::TextTable table({"f(RSS)", "F_in", "F_out"});
+    gem::TextTable table({"f(RSS)", "F_in", "F_out"});
     const std::pair<graph::WeightKind, const char*> kinds[] = {
         {graph::WeightKind::kLinearOffset, "RSS + c (paper)"},
         {graph::WeightKind::kExponential, "exp(RSS/20)"},

@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
   std::printf("=== Figure 15(b): time-of-day (train at 11 AM, live all "
               "day) ===\n\n");
   {
-    eval::TextTable table({"Time", "F_in", "F_out"});
+    gem::TextTable table({"Time", "F_in", "F_out"});
     math::Vec f_in[3], f_out[3];
     for (int seed = 0; seed < kSeeds; ++seed) {
       core::Gem gem{core::GemConfig{}};
@@ -166,7 +166,7 @@ int main(int argc, char** argv) {
 
   std::printf("\n=== Figure 15(c): training walking speed ===\n\n");
   {
-    eval::TextTable table({"Speed (m/s)", "F_in", "F_out"});
+    gem::TextTable table({"Speed (m/s)", "F_in", "F_out"});
     for (double speed : {0.4, 0.8, 1.2}) {
       math::Vec f_in, f_out;
       for (int seed = 0; seed < kSeeds; ++seed) {
@@ -196,7 +196,7 @@ int main(int argc, char** argv) {
 
   std::printf("\n=== Figure 15(d): frequency-band availability ===\n\n");
   {
-    eval::TextTable table({"Bands", "F_in", "F_out"});
+    gem::TextTable table({"Bands", "F_in", "F_out"});
     const struct {
       const char* name;
       int keep;  // 0 = 2.4 only, 1 = 5 only, 2 = both

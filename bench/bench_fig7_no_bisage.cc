@@ -55,8 +55,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "  [fig7] user %d/10 done\n", user + 1);
   }
 
-  eval::TextTable table({"Variant", "P_in", "R_in", "F_in", "P_out",
-                         "R_out", "F_out"});
+  gem::TextTable table({"Variant", "P_in", "R_in", "F_in", "P_out",
+                        "R_out", "F_out"});
   std::unique_ptr<eval::CsvWriter> csv;
   if (!csv_dir.empty()) {
     csv = std::make_unique<eval::CsvWriter>(csv_dir + "/fig7.csv");

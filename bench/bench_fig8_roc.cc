@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
   const double auc_enh = math::RocAuc(enhanced_scores, is_inside);
   const double auc_pln = math::RocAuc(plain_scores, is_inside);
 
-  eval::TextTable table({"FPR", "TPR (enhanced)", "TPR (original)"});
+  gem::TextTable table({"FPR", "TPR (enhanced)", "TPR (original)"});
   for (double fpr : {0.01, 0.02, 0.05, 0.1, 0.2, 0.5}) {
     table.AddRow({eval::FormatValue(fpr),
                   eval::FormatValue(TprAt(curve_enh, fpr)),

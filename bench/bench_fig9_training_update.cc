@@ -120,8 +120,8 @@ int RunTimingOnly(const std::vector<int>& thread_counts,
   }
 
   std::vector<Timing> timings;
-  eval::TextTable table({"Threads", "Mode", "Train (s)", "InferBatch (s)",
-                         "Train speedup"});
+  gem::TextTable table({"Threads", "Mode", "Train (s)", "InferBatch (s)",
+                        "Train speedup"});
   // Speedup is reported against the single-mode baseline: the first
   // default-mode run and the first deterministic run anchor their own
   // columns (deterministic mode is contractually sequential, so mixing
@@ -274,7 +274,7 @@ int main(int argc, char** argv) {
       rf::GenerateScenarioDataset(rf::HomePreset(2), options);
 
   std::printf("=== Figure 9(a): performance vs training-data ratio ===\n\n");
-  eval::TextTable table_a({"Train ratio", "#records", "F_in", "F_out"});
+  gem::TextTable table_a({"Train ratio", "#records", "F_in", "F_out"});
   for (int tenth = 1; tenth <= 10; ++tenth) {
     const size_t count = data.train.size() * tenth / 10;
     const std::vector<rf::ScanRecord> subset(data.train.begin(),
@@ -307,7 +307,7 @@ int main(int argc, char** argv) {
   const size_t probe_begin = stream_data.test.size() * 8 / 10;
   const std::vector<rf::ScanRecord> probe(
       stream_data.test.begin() + probe_begin, stream_data.test.end());
-  eval::TextTable table_b({"Update ratio", "F_in", "F_out"});
+  gem::TextTable table_b({"Update ratio", "F_in", "F_out"});
   for (int tenth = 0; tenth <= 10; tenth += 2) {
     core::GemConfig config;
     core::Gem gem(config);

@@ -67,8 +67,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "  [table1] user %d/10 done\n", user + 1);
   }
 
-  eval::TextTable table({"Algorithm", "P_in", "R_in", "F_in", "P_out",
-                         "R_out", "F_out"});
+  gem::TextTable table({"Algorithm", "P_in", "R_in", "F_in", "P_out",
+                        "R_out", "F_out"});
   for (const eval::AlgorithmId id : eval::TableOneAlgorithms()) {
     if (runs[id].empty()) continue;
     std::vector<std::string> cells{eval::AlgorithmName(id)};

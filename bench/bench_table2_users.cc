@@ -28,8 +28,8 @@ int main(int argc, char** argv) {
   }
 
   std::printf("=== Table II: user-level performance of GEM ===\n\n");
-  eval::TextTable table({"User", "P_in", "R_in", "F_in", "P_out", "R_out",
-                         "F_out", "#MACs", "Area(m^2)"});
+  gem::TextTable table({"User", "P_in", "R_in", "F_in", "P_out", "R_out",
+                        "F_out", "#MACs", "Area(m^2)"});
 
   std::vector<math::InOutMetrics> all;
   math::Vec macs_seen;

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
       {"9 PM", rf::ProfileAt9Pm(), 21 * 3600.0},
   };
 
-  eval::TextTable table({"Time", "Mean (dBm)", "SD (dBm)", "#MACs"});
+  gem::TextTable table({"Time", "Mean (dBm)", "SD (dBm)", "#MACs"});
   for (const TimeSlot& slot : slots) {
     rf::Scanner scanner(&env, &model);
     scanner.SetTimeOfDayProfile(slot.profile);

@@ -49,7 +49,7 @@ inline int RunPruneBench(PruneSide side, const std::string& figure_name,
     csv->WriteHeader({"algorithm", "prune_fraction", "f_in", "f_out"});
   }
 
-  eval::TextTable table({"Algorithm", "%removed", "F_in", "F_out"});
+  gem::TextTable table({"Algorithm", "%removed", "F_in", "F_out"});
   for (const eval::AlgorithmId id : algorithms) {
     for (const double fraction : {0.0, 0.05, 0.10, 0.15, 0.20, 0.25}) {
       math::Vec f_in, f_out;

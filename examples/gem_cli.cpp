@@ -313,7 +313,7 @@ bool ParseThreadsFlag(const ParsedArgs& args, const std::string& command,
   return true;
 }
 
-Result<core::Gem> TrainFromCsv(const std::string& path, int num_threads) {
+StatusOr<core::Gem> TrainFromCsv(const std::string& path, int num_threads) {
   auto train = rf::LoadRecordsCsv(path);
   if (!train.ok()) return train.status();
   core::GemConfig config;

@@ -72,11 +72,6 @@ class StatusOr {
   std::variant<T, Status> data_;
 };
 
-/// Historical name for StatusOr, kept so older call sites keep
-/// compiling; new code should spell StatusOr.
-template <typename T>
-using Result = StatusOr<T>;
-
 }  // namespace gem
 
 #endif  // GEM_BASE_STATUSOR_H_

@@ -227,7 +227,7 @@ StatusOr<Gem> Gem::Compacted(const GemOverlay& overlay) const {
       base.mac_index().begin(), base.mac_index().end());
   for (const auto& [mac, id] : delta.new_macs()) macs.emplace_back(mac, id);
 
-  Result<graph::BipartiteGraph> merged = graph::BipartiteGraph::FromParts(
+  StatusOr<graph::BipartiteGraph> merged = graph::BipartiteGraph::FromParts(
       config_.edge_weight, std::move(types), std::move(adjacency),
       std::move(macs));
   if (!merged.ok()) return merged.status();

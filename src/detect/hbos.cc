@@ -13,6 +13,15 @@ namespace {
 
 constexpr double kLaplace = 0.5;
 
+/// Threshold calibration of EnhancedHbosDetector::Fit: tau_u = P90 +
+/// 0.5 * (P90 - P50) and tau_l = P50 of 5-fold cross-validated
+/// fresh-sample scores. The spread term buys headroom proportional to
+/// how heavy the score tail is.
+constexpr int kCalibrationFolds = 5;
+constexpr double kCalibrationUpperPercentile = 90.0;
+constexpr double kCalibrationSpreadFactor = 0.5;
+constexpr double kCalibrationLowerPercentile = 50.0;
+
 /// Fixed seed for the retention reservoir: downsampling is part of the
 /// model's deterministic state, not an experiment knob.
 constexpr uint64_t kReservoirSeed = 0x9E5E7401Dull;
@@ -166,7 +175,7 @@ HistogramModel::PersistedState HistogramModel::ExportState() const {
   return state;
 }
 
-Result<HistogramModel> HistogramModel::FromState(PersistedState state) {
+StatusOr<HistogramModel> HistogramModel::FromState(PersistedState state) {
   const int d = static_cast<int>(state.lo.size());
   if (state.bins < 1 || state.samples < 1 || d < 1) {
     return Status::InvalidArgument("histogram state: empty model");
@@ -232,12 +241,6 @@ bool HbosDetector::IsOutlier(const math::Vec& x) const {
   return Score(x) > threshold_;
 }
 
-namespace {
-
-double Logit(double p) { return std::log(p / (1.0 - p)); }
-
-}  // namespace
-
 Status EnhancedHbosOptions::Validate() const {
   if (bins < 1) {
     return Status::InvalidArgument("detector: bins must be >= 1, got " +
@@ -246,34 +249,6 @@ Status EnhancedHbosOptions::Validate() const {
   if (!(temperature > 0.0) || !std::isfinite(temperature)) {
     return Status::InvalidArgument(
         "detector: temperature must be positive and finite");
-  }
-  if (!(tau_upper > 0.0 && tau_upper < 1.0)) {
-    return Status::InvalidArgument(
-        "detector: tau_upper must be in (0, 1), got " +
-        std::to_string(tau_upper));
-  }
-  if (!(tau_lower > 0.0 && tau_lower < tau_upper)) {
-    return Status::InvalidArgument(
-        "detector: tau_lower must be in (0, tau_upper), got " +
-        std::to_string(tau_lower));
-  }
-  if (auto_calibrate && calibration_folds < 2) {
-    return Status::InvalidArgument(
-        "detector: calibration needs >= 2 folds, got " +
-        std::to_string(calibration_folds));
-  }
-  if (!(calibration_upper_percentile > 0.0 &&
-        calibration_upper_percentile <= 100.0) ||
-      !(calibration_lower_percentile >= 0.0 &&
-        calibration_lower_percentile < calibration_upper_percentile)) {
-    return Status::InvalidArgument(
-        "detector: calibration percentiles must satisfy 0 <= lower < "
-        "upper <= 100");
-  }
-  if (!(calibration_spread_factor >= 0.0) ||
-      !std::isfinite(calibration_spread_factor)) {
-    return Status::InvalidArgument(
-        "detector: calibration_spread_factor must be >= 0 and finite");
   }
   if (max_retained_samples < 0) {
     return Status::InvalidArgument(
@@ -287,83 +262,68 @@ EnhancedHbosDetector::EnhancedHbosDetector(EnhancedHbosOptions options)
           HbosOptions{options.bins, 0.1, options.max_retained_samples}),
       enhanced_options_(options) {
   GEM_CHECK(options.temperature > 0.0);
-  GEM_CHECK(options.tau_lower <= options.tau_upper);
-  GEM_CHECK(options.tau_lower > 0.0 && options.tau_upper < 1.0);
 }
 
 Status EnhancedHbosDetector::Fit(const std::vector<math::Vec>& normal) {
   Status status = HbosDetector::Fit(normal);
   if (!status.ok()) return status;
 
-  if (enhanced_options_.auto_calibrate) {
-    // Estimate the normalized-score distribution of FRESH in-premises
-    // samples by k-fold cross-scoring: each contiguous fold (the data
-    // is time-ordered) is scored by an HBOS model fitted on the other
-    // folds, under that model's own min-max normalization. This
-    // captures the generalization gap that the training scores (which
-    // are at most 1 by construction) cannot show, and adapts to noisy
-    // or drifting environments where the gap is larger.
-    const int folds = std::min<int>(enhanced_options_.calibration_folds,
-                                    static_cast<int>(normal.size()));
-    const size_t n = normal.size();
-    // Two fold layouts bracket the failure modes: contiguous folds
-    // capture slow temporal drift (a fold is a stretch of time the
-    // other folds have not seen), strided folds capture regime
-    // switching (every fold model sees every regime). Each yields a
-    // tau estimate; their average is robust to both.
-    auto cv_tau = [&](bool contiguous, double* tau_low) {
-      math::Vec cv_scores;
-      cv_scores.reserve(n);
-      if (folds >= 2) {
-        for (int f = 0; f < folds; ++f) {
-          std::vector<math::Vec> rest;
-          std::vector<size_t> held;
-          for (size_t i = 0; i < n; ++i) {
-            const bool in_fold =
-                contiguous ? (i >= n * f / folds && i < n * (f + 1) / folds)
-                           : (i % folds == static_cast<size_t>(f));
-            if (in_fold) {
-              held.push_back(i);
-            } else {
-              rest.push_back(normal[i]);
-            }
-          }
-          HbosDetector fold_model(
-              HbosOptions{enhanced_options_.bins, 0.1});
-          if (!fold_model.Fit(rest).ok()) continue;
-          for (size_t i : held) {
-            cv_scores.push_back(fold_model.Score(normal[i]));
+  // Estimate the normalized-score distribution of FRESH in-premises
+  // samples by k-fold cross-scoring: each contiguous fold (the data is
+  // time-ordered) is scored by an HBOS model fitted on the other folds,
+  // under that model's own min-max normalization. This captures the
+  // generalization gap that the training scores (which are at most 1
+  // by construction) cannot show, and adapts to noisy or drifting
+  // environments where the gap is larger.
+  const int folds =
+      std::min<int>(kCalibrationFolds, static_cast<int>(normal.size()));
+  const size_t n = normal.size();
+  // Two fold layouts bracket the failure modes: contiguous folds
+  // capture slow temporal drift (a fold is a stretch of time the other
+  // folds have not seen), strided folds capture regime switching
+  // (every fold model sees every regime). Each yields a tau estimate;
+  // their average is robust to both.
+  auto cv_tau = [&](bool contiguous, double* tau_low) {
+    math::Vec cv_scores;
+    cv_scores.reserve(n);
+    if (folds >= 2) {
+      for (int f = 0; f < folds; ++f) {
+        std::vector<math::Vec> rest;
+        std::vector<size_t> held;
+        for (size_t i = 0; i < n; ++i) {
+          const bool in_fold =
+              contiguous ? (i >= n * f / folds && i < n * (f + 1) / folds)
+                         : (i % folds == static_cast<size_t>(f));
+          if (in_fold) {
+            held.push_back(i);
+          } else {
+            rest.push_back(normal[i]);
           }
         }
-      }
-      if (cv_scores.empty()) {
-        for (const math::Vec& x : normal) {
-          cv_scores.push_back(NormalizedScore(x));
+        HbosDetector fold_model(HbosOptions{enhanced_options_.bins, 0.1});
+        if (!fold_model.Fit(rest).ok()) continue;
+        for (size_t i : held) {
+          cv_scores.push_back(fold_model.Score(normal[i]));
         }
       }
-      const double p_up = math::Percentile(
-          cv_scores, enhanced_options_.calibration_upper_percentile);
-      const double p_mid = math::Percentile(cv_scores, 50.0);
-      *tau_low = math::Percentile(
-          cv_scores, enhanced_options_.calibration_lower_percentile);
-      return p_up + enhanced_options_.calibration_spread_factor *
-                        (p_up - p_mid);
-    };
-    double low_contig = 0.0;
-    double low_stride = 0.0;
-    const double tau_contig = cv_tau(true, &low_contig);
-    const double tau_stride = cv_tau(false, &low_stride);
-    hbar_tau_upper_ = 0.5 * (tau_contig + tau_stride);
-    hbar_tau_lower_ = 0.5 * (low_contig + low_stride);
-  } else {
-    // Invert Equation (10): S_T = sigmoid((2 Hbar - 1) / T).
-    hbar_tau_upper_ =
-        (1.0 + enhanced_options_.temperature *
-                   Logit(enhanced_options_.tau_upper)) / 2.0;
-    hbar_tau_lower_ =
-        (1.0 + enhanced_options_.temperature *
-                   Logit(enhanced_options_.tau_lower)) / 2.0;
-  }
+    }
+    if (cv_scores.empty()) {
+      for (const math::Vec& x : normal) {
+        cv_scores.push_back(NormalizedScore(x));
+      }
+    }
+    const double p_up =
+        math::Percentile(cv_scores, kCalibrationUpperPercentile);
+    const double p_mid = math::Percentile(cv_scores, 50.0);
+    *tau_low = math::Percentile(cv_scores, kCalibrationLowerPercentile);
+    return p_up + kCalibrationSpreadFactor * (p_up - p_mid);
+  };
+  double low_contig = 0.0;
+  double low_stride = 0.0;
+  const double tau_contig = cv_tau(true, &low_contig);
+  const double tau_stride = cv_tau(false, &low_stride);
+  hbar_tau_upper_ = 0.5 * (tau_contig + tau_stride);
+  hbar_tau_lower_ = 0.5 * (low_contig + low_stride);
   return Status::Ok();
 }
 
@@ -379,18 +339,17 @@ EnhancedHbosDetector::PersistedState EnhancedHbosDetector::ExportState()
   return state;
 }
 
-Result<EnhancedHbosDetector> EnhancedHbosDetector::FromState(
+StatusOr<EnhancedHbosDetector> EnhancedHbosDetector::FromState(
     EnhancedHbosOptions options, PersistedState state) {
-  if (!(options.temperature > 0.0) ||
-      !(options.tau_lower <= options.tau_upper) ||
-      !(options.tau_lower > 0.0 && options.tau_upper < 1.0)) {
-    return Status::InvalidArgument("detector state: invalid thresholds");
+  if (!(options.temperature > 0.0)) {
+    return Status::InvalidArgument("detector state: invalid temperature");
   }
   if (!(state.score_hi > state.score_lo)) {
     return Status::InvalidArgument(
         "detector state: degenerate score normalization range");
   }
-  Result<HistogramModel> model = HistogramModel::FromState(std::move(state.model));
+  StatusOr<HistogramModel> model =
+      HistogramModel::FromState(std::move(state.model));
   if (!model.ok()) return model.status();
   EnhancedHbosDetector detector(options);
   detector.model_ = std::move(model).value();

@@ -69,7 +69,7 @@ class HistogramModel {
     math::Rng::State reservoir_rng;
   };
   PersistedState ExportState() const;
-  static Result<HistogramModel> FromState(PersistedState state);
+  static StatusOr<HistogramModel> FromState(PersistedState state);
 
  private:
   int BinIndex(int dim, double value) const;  // -1 when out of range
@@ -138,30 +138,16 @@ class HbosDetector : public OutlierDetector {
 /// (Equation (10)), the decision threshold tau_u replaces the
 /// data-size-dependent contamination threshold (Equation (11)), and
 /// highly confident normal samples (S_T < tau_l) are folded back into
-/// the histograms online.
+/// the histograms online. The paper treats T, tau_u and tau_l as
+/// "hyperparameters to be optimized in the learning process": Fit()
+/// estimates how *fresh* in-premises samples score by k-fold
+/// cross-scoring (each fold is scored by a model fitted on the other
+/// folds) and places tau_u just above that distribution and tau_l
+/// inside its bulk.
 struct EnhancedHbosOptions {
   int bins = 10;
   /// Scaling factor T of Equation (10).
   double temperature = 0.06;
-  /// In-out decision threshold tau_u.
-  double tau_upper = 0.005;
-  /// Confident-update threshold tau_l (< tau_u).
-  double tau_lower = 0.001;
-  /// The paper treats T, tau_u and tau_l as "hyperparameters to be
-  /// optimized in the learning process". With auto_calibrate (the
-  /// default) Fit() estimates how *fresh* in-premises samples score —
-  /// k-fold cross-scoring: each fold is scored by a model fitted on
-  /// the other folds — and places tau_u just above that distribution
-  /// and tau_l inside its bulk. Set false to use the fixed
-  /// tau_upper / tau_lower literally.
-  bool auto_calibrate = true;
-  int calibration_folds = 5;
-  /// tau_u = P_u + spread_factor * (P_u - P50), where P_u is this
-  /// percentile of the cross-validated fresh-sample scores. The spread
-  /// term buys headroom proportional to how heavy the score tail is.
-  double calibration_upper_percentile = 90.0;
-  double calibration_spread_factor = 0.5;
-  double calibration_lower_percentile = 50.0;
   /// Bound on retained samples in the histogram model (0 = unlimited);
   /// see HbosOptions::max_retained_samples.
   long max_retained_samples = 0;
@@ -192,8 +178,7 @@ class EnhancedHbosDetector : public HbosDetector {
   /// Score() but free of softmax saturation.
   double NormalizedScore(const math::Vec& x) const;
 
-  /// Decision thresholds in Hbar space actually in force (after
-  /// calibration, or converted from tau_u/tau_l).
+  /// Decision thresholds in Hbar space, as Fit() calibrated them.
   double hbar_tau_upper() const { return hbar_tau_upper_; }
   double hbar_tau_lower() const { return hbar_tau_lower_; }
 
@@ -212,8 +197,8 @@ class EnhancedHbosDetector : public HbosDetector {
     double hbar_tau_lower = 0.3;
   };
   PersistedState ExportState() const;
-  static Result<EnhancedHbosDetector> FromState(EnhancedHbosOptions options,
-                                                PersistedState state);
+  static StatusOr<EnhancedHbosDetector> FromState(EnhancedHbosOptions options,
+                                                  PersistedState state);
 
  private:
   EnhancedHbosOptions enhanced_options_;

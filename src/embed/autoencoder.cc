@@ -56,9 +56,11 @@ Status AutoencoderEmbedder::Fit(const std::vector<rf::ScanRecord>& train) {
   math::FlatTape tape;
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
     rng.Shuffle(order);
-    double epoch_loss = 0.0;
+    double epoch_loss = 0.0;  // sum of batch-mean losses
+    int batches = 0;
     size_t index = 0;
     while (index < order.size()) {
+      ++batches;
       tape.Clear();
       const size_t end = std::min(
           order.size(), index + static_cast<size_t>(config_.batch_size));
@@ -75,8 +77,7 @@ Status AutoencoderEmbedder::Fit(const std::vector<rf::ScanRecord>& train) {
       tape.Backward();
       adam_->Step();
     }
-    final_loss_ = epoch_loss /
-                  (static_cast<double>(inputs.size()) / config_.batch_size);
+    final_loss_ = epoch_loss / batches;
   }
   trained_ = true;
 

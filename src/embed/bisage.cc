@@ -25,7 +25,7 @@ long MemoKey(graph::NodeId node, int layer, int num_layers) {
   return static_cast<long>(node) * (num_layers + 1) + layer;
 }
 
-/// Normalized aggregation coefficients of a sampled neighbor multiset
+/// Normalized aggregation coefficients of a neighbor multiset
 /// (the paper's weighted aggregator; uniform under the ablation),
 /// written into a caller-owned buffer so the inference hot path can
 /// reuse its capacity.
@@ -65,10 +65,8 @@ void NormalizeInPlace(const math::kernels::Ops& ops, double* x, int n) {
 }
 
 /// Uniform with-replacement neighbor draw (ablation of the
-/// weight-proportional sampling). Templated over the graph surface so
-/// training (BipartiteGraph) and inference (OverlayGraphView) share it.
-template <typename GraphLike>
-std::vector<graph::Neighbor> SampleUniform(const GraphLike& graph,
+/// weight-proportional sampling).
+std::vector<graph::Neighbor> SampleUniform(const graph::BipartiteGraph& graph,
                                            graph::NodeId node, int count,
                                            math::Rng& rng) {
   std::vector<graph::Neighbor> sampled;
@@ -156,16 +154,6 @@ Status BiSageConfig::Validate() const {
           std::to_string(fanout));
     }
   }
-  // inference_fanouts entries <= 0 mean "full neighborhood"; only the
-  // shape is constrained. Empty means "same as fanouts".
-  if (!inference_fanouts.empty() &&
-      static_cast<int>(inference_fanouts.size()) != num_layers) {
-    return Status::InvalidArgument(
-        "bisage: inference_fanouts must be empty or have one entry per "
-        "layer (" +
-        std::to_string(num_layers) + "), got " +
-        std::to_string(inference_fanouts.size()));
-  }
   if (walks_per_node < 1) {
     return Status::InvalidArgument("bisage: walks_per_node must be >= 1");
   }
@@ -193,9 +181,6 @@ Status BiSageConfig::Validate() const {
 
 BiSage::BiSage(BiSageConfig config)
     : config_(std::move(config)), init_rng_(config_.seed ^ 0xB15A6EULL) {
-  if (config_.inference_fanouts.empty()) {
-    config_.inference_fanouts = config_.fanouts;
-  }
   config_status_ = config_.Validate();
   if (!config_status_.ok()) return;
 
@@ -587,13 +572,12 @@ void BiSage::InferScratch::Reset(int num_layers, int dimension) {
   arena_.clear();
   memo_.clear();
   temps_.assign(static_cast<size_t>(num_layers) * 4 * dimension, 0.0);
-  sampled_.resize(num_layers);
+  neighbors_.resize(num_layers);
   coeffs_.resize(num_layers);
 }
 
 size_t BiSage::ForwardNode(const OverlayCtx& ctx, graph::NodeId node,
-                           int layer, math::Rng& rng,
-                           InferScratch& scratch) const {
+                           int layer, InferScratch& scratch) const {
   const long key = MemoKey(node, layer, config_.num_layers);
   const auto it = scratch.memo_.find(key);
   if (it != scratch.memo_.end()) return it->second;
@@ -613,17 +597,7 @@ size_t BiSage::ForwardNode(const OverlayCtx& ctx, graph::NodeId node,
     // the MAC table without touching the adjacency. A MAC the table
     // lacks (first seen after training, reached only as an embedded
     // target's self chain), or any MAC under other kernels than the
-    // table's, is computed from its rows the same way. A sampled layer
-    // still draws, keeping the per-node RNG stream aligned with the
-    // full recursion.
-    const int fanout = config_.inference_fanouts[config_.num_layers - 1];
-    if (fanout > 0) {
-      if (config_.use_edge_weights) {
-        view.SampleNeighbors(node, fanout, rng);
-      } else {
-        SampleUniform(view, node, fanout, rng);
-      }
-    }
+    // table's, is computed from its rows the same way.
     off = scratch.arena_.size();
     scratch.arena_.resize(off + 2 * d);
     double* out = scratch.arena_.data() + off;
@@ -634,29 +608,21 @@ size_t BiSage::ForwardNode(const OverlayCtx& ctx, graph::NodeId node,
                 out);
     }
   } else {
-    const size_t self_off = ForwardNode(ctx, node, layer - 1, rng, scratch);
-    const int fanout = config_.inference_fanouts[config_.num_layers - layer];
-    // fanout <= 0 selects the full neighborhood with exact weights:
-    // a deterministic, variance-free aggregation for inference (and the
-    // allocation-free path — the adjacency is copied into the reused
-    // per-layer buffer, never freshly allocated).
-    std::vector<graph::Neighbor>& sampled = scratch.sampled_[layer - 1];
-    if (fanout <= 0) {
-      const auto& adj = view.neighbors(node);
-      sampled.assign(adj.begin(), adj.end());
-    } else if (config_.use_edge_weights) {
-      sampled = view.SampleNeighbors(node, fanout, rng);
-    } else {
-      sampled = SampleUniform(view, node, fanout, rng);
-    }
+    const size_t self_off = ForwardNode(ctx, node, layer - 1, scratch);
+    // The full neighborhood with exact weights: a deterministic,
+    // variance-free aggregation, copied into the reused per-layer
+    // buffer, never freshly allocated.
+    std::vector<graph::Neighbor>& neighbors = scratch.neighbors_[layer - 1];
+    const auto& adj = view.neighbors(node);
+    neighbors.assign(adj.begin(), adj.end());
     // Drop MAC neighbors the model cannot interpret: singletons
     // (degree < min_mac_degree, e.g. a passer-by's phone — no
     // relational information) and MACs first seen after training
     // (their random features never passed through the learned weight
     // matrices, so they would only inject noise into embeddings the
     // detector was calibrated on).
-    sampled.erase(
-        std::remove_if(sampled.begin(), sampled.end(),
+    neighbors.erase(
+        std::remove_if(neighbors.begin(), neighbors.end(),
                        [&](const graph::Neighbor& nb) {
                          if (view.type(nb.node) !=
                              graph::NodeType::kMac) {
@@ -667,7 +633,7 @@ size_t BiSage::ForwardNode(const OverlayCtx& ctx, graph::NodeId node,
                                 view.degree(nb.node) <
                                     config_.min_mac_degree;
                        }),
-        sampled.end());
+        neighbors.end());
 
     // Stable per-layer temporaries: child recursion below may grow the
     // arena (invalidating arena pointers), so aggregation accumulates
@@ -678,12 +644,12 @@ size_t BiSage::ForwardNode(const OverlayCtx& ctx, graph::NodeId node,
     double* l_agg = temp + d;
     double* cat = temp + 2 * d;
     std::fill_n(h_agg, 2 * d, 0.0);
-    if (!sampled.empty()) {
+    if (!neighbors.empty()) {
       math::Vec& coeffs = scratch.coeffs_[layer - 1];
-      AggregationCoeffsInto(sampled, config_.use_edge_weights, coeffs);
-      for (size_t i = 0; i < sampled.size(); ++i) {
+      AggregationCoeffsInto(neighbors, config_.use_edge_weights, coeffs);
+      for (size_t i = 0; i < neighbors.size(); ++i) {
         const size_t child_off =
-            ForwardNode(ctx, sampled[i].node, layer - 1, rng, scratch);
+            ForwardNode(ctx, neighbors[i].node, layer - 1, scratch);
         const double* child = scratch.arena_.data() + child_off;
         // Equation (3): primary aggregates neighbors' auxiliaries;
         // Equation (5): auxiliary aggregates neighbors' primaries.
@@ -767,8 +733,8 @@ const double* BiSage::Layer1Slab(graph::NodeId node,
          static_cast<size_t>(slab) * 2 * config_.dimension;
 }
 
-void BiSage::EnsureOverlayCapacity(const graph::OverlayGraphView& view,
-                                   NodeTableDelta& tables) const {
+void BiSage::PrepareInference(const graph::OverlayGraphView& view,
+                              NodeTableDelta& tables) const {
   if (tables.base_rows_ < 0) {
     tables.base_rows_ = h_table_.rows();
     tables.h_rows_ = math::Matrix(0, config_.dimension);
@@ -783,29 +749,16 @@ void BiSage::EnsureOverlayCapacity(const graph::OverlayGraphView& view,
                  tables.h_rows_, tables.l_rows_);
 }
 
-void BiSage::PrepareInference(const graph::OverlayGraphView& view,
-                              NodeTableDelta& tables) const {
-  EnsureOverlayCapacity(view, tables);
-  view.WarmCaches();
-}
-
 void BiSage::EmbedForward(const graph::OverlayGraphView& view,
                           NodeTableDelta& tables, graph::NodeId node,
                           InferScratch& scratch, double* h_out,
                           double* l_out) const {
   GEM_CHECK(config_status_.ok());
   GEM_CHECK(node >= 0 && node < view.num_nodes());
-  EnsureOverlayCapacity(view, tables);
+  PrepareInference(view, tables);
   scratch.Reset(config_.num_layers, config_.dimension);
-  // Per-node deterministic sampling stream so repeated queries agree
-  // (and so a batch of nodes embeds identically at any thread count).
-  // GraphDelta assigns ids in the order BipartiteGraph::AddRecord
-  // would, so a node's stream does not depend on where it lives.
-  math::Rng rng(config_.seed ^ (0x9E3779B97F4A7C15ULL *
-                                (static_cast<uint64_t>(node) + 1)));
   const OverlayCtx ctx{view, h_table_, l_table_, tables};
-  const size_t off = ForwardNode(ctx, node, config_.num_layers, rng,
-                                 scratch);
+  const size_t off = ForwardNode(ctx, node, config_.num_layers, scratch);
   const int d = config_.dimension;
   if (h_out != nullptr) {
     std::copy_n(scratch.arena_.data() + off, d, h_out);
@@ -945,16 +898,20 @@ BiSageEmbedder::BiSageEmbedder(BiSageConfig config,
     : graph_(weight_config), model_(std::move(config)) {}
 
 Status BiSageEmbedder::Fit(const std::vector<rf::ScanRecord>& train) {
+  // A graph with nodes was built by an earlier Fit or restored; fitting
+  // again would append every record a second time.
+  if (graph_.num_nodes() > 0) {
+    return Status::FailedPrecondition(
+        "embedder is already fitted; fit a fresh embedder instead");
+  }
   if (train.empty()) {
     return Status::InvalidArgument("no training records");
   }
-  train_nodes_.clear();
   train_nodes_.reserve(train.size());
   for (const rf::ScanRecord& record : train) {
     train_nodes_.push_back(graph_.AddRecord(record));
   }
   num_train_ = static_cast<int>(train.size());
-  overlay_ = EmbedderOverlay();
   return model_.Train(graph_);
 }
 
@@ -1025,9 +982,8 @@ std::vector<StatusOr<math::Vec>> BiSageEmbedder::EmbedNewBatch(
     connected[i] = view.CountKnownMacs(records[i]) > 0 ? 1 : 0;
     nodes[i] = overlay.graph.AddRecord(graph_, records[i]);
   }
-  // Grow the delta tables + warm base/delta sampling caches before the
-  // read-only parallel section (after this, workers touch no lazily-
-  // built state).
+  // Grow the delta tables before the read-only parallel section (after
+  // this, workers write nothing).
   model_.PrepareInference(view, overlay.tables);
   std::vector<math::Vec> embeddings(records.size());
   // One tape-free forward scratch per worker, reused across the chunk's

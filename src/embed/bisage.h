@@ -28,8 +28,9 @@ struct BiSageConfig {
   int dimension = 32;
   /// K: number of aggregation layers.
   int num_layers = 2;
-  /// Per-layer neighborhood sample sizes, outermost layer first
-  /// (fanouts[0] neighbors of the target, fanouts[1] of each of those).
+  /// Per-layer neighborhood sample sizes for training, outermost layer
+  /// first (fanouts[0] neighbors of the target, fanouts[1] of each of
+  /// those). Inference aggregates full neighborhoods.
   std::vector<int> fanouts = {6, 4};
   int walks_per_node = 2;
   int walk_length = 5;
@@ -39,11 +40,6 @@ struct BiSageConfig {
   double learning_rate = 0.003;
   /// Training pairs accumulated per optimizer step.
   int batch_pairs = 16;
-  /// Per-layer sample sizes used at inference time. A value <= 0
-  /// aggregates the FULL neighborhood with exact normalized weights —
-  /// deterministic, variance-free embeddings (the default). Empty
-  /// means "same as fanouts".
-  std::vector<int> inference_fanouts = {0, 0};
   /// Ablation switch: false replaces the weight-proportional neighbor
   /// sampling, weighted aggregation coefficients, and weighted random
   /// walks with uniform ones (the bi-level aggregation is kept). Used
@@ -135,8 +131,7 @@ class BiSage {
   /// Primary embedding h^K of a node via K rounds of bi-level
   /// aggregation with the learned weights: EmbedForward over `view`
   /// with a per-thread scratch. Rows for nodes past the trained tables
-  /// land in `tables`. Deterministic given the node's sampled
-  /// neighborhoods (internally seeded per node).
+  /// land in `tables`.
   math::Vec PrimaryEmbedding(const graph::OverlayGraphView& view,
                              NodeTableDelta& tables,
                              graph::NodeId node) const;
@@ -174,8 +169,8 @@ class BiSage {
     /// Per layer: [h_agg d | l_agg d | concat 2d]. Stable storage, so
     /// aggregation can accumulate while child recursion grows arena_.
     math::kernels::AlignedVec temps_;
-    /// Per-layer sampled-neighbor and coefficient buffers.
-    std::vector<std::vector<graph::Neighbor>> sampled_;
+    /// Per-layer neighbor and coefficient buffers.
+    std::vector<std::vector<graph::Neighbor>> neighbors_;
     std::vector<math::Vec> coeffs_;
   };
 
@@ -183,22 +178,23 @@ class BiSage {
   /// `node` of the merged graph `view` directly into caller-provided
   /// buffers — no tape node allocation, no per-node Vec copies. h_out /
   /// l_out must each hold dimension() doubles (either may be null to
-  /// skip that side; no alignment required). The model is only read
-  /// (safe over an mmap-backed base shared across fences); layer-0 rows
-  /// for nodes past the trained tables are drawn into `tables`.
-  /// Numerically identical to the removed tape-style inference path:
-  /// same per-node RNG stream, same aggregation order, same MAC
-  /// filtering. This is the hot path under EmbedNew/EmbedNewBatch and
-  /// the serving engine's Infer*.
+  /// skip that side; no alignment required). Every layer aggregates
+  /// the full neighborhood with exact normalized weights (neighborhood
+  /// sampling is training-only), so an embedding is a pure function of
+  /// the graph and the model. The model is only read (safe over an
+  /// mmap-backed base shared across fences); layer-0 rows for nodes
+  /// past the trained tables are drawn into `tables`. This is the hot
+  /// path under EmbedNew/EmbedNewBatch and the serving engine's Infer*.
   void EmbedForward(const graph::OverlayGraphView& view,
                     NodeTableDelta& tables, graph::NodeId node,
                     InferScratch& scratch, double* h_out,
                     double* l_out = nullptr) const;
 
   /// Makes concurrent EmbedForward calls over `view` and `tables` safe:
-  /// grows the delta tables to cover the merged graph and warms base +
-  /// delta sampling caches, so the parallel reads that follow touch no
-  /// lazily-built state. Must be re-run after the delta grows.
+  /// binds `tables` to this base on first call, then grows the delta
+  /// rows to cover every node of `view` with the same row rule and
+  /// draw order as EnsureCapacity, so the parallel reads that follow
+  /// write nothing. Must be re-run after the delta grows.
   void PrepareInference(const graph::OverlayGraphView& view,
                         NodeTableDelta& tables) const;
 
@@ -262,12 +258,6 @@ class BiSage {
   /// Only Train() grows the base tables.
   void EnsureCapacity(const graph::BipartiteGraph& graph);
 
-  /// Binds `tables` to this base on first call, then grows the DELTA
-  /// rows to cover every node of `view` with the same row rule and
-  /// draw order as EnsureCapacity.
-  void EnsureOverlayCapacity(const graph::OverlayGraphView& view,
-                             NodeTableDelta& tables) const;
-
   /// Builds the (h^k, l^k) computation for `node` on the tape,
   /// memoized per (node, layer) within the current gradient shard.
   NodeVars BuildNodeVars(math::FlatTape& tape,
@@ -300,7 +290,7 @@ class BiSage {
   /// Recursive worker of EmbedForward: returns the arena offset of the
   /// memoized (h^layer, l^layer) slab for `node`.
   size_t ForwardNode(const OverlayCtx& ctx, graph::NodeId node, int layer,
-                     math::Rng& rng, InferScratch& scratch) const;
+                     InferScratch& scratch) const;
 
   /// Equations (4), (6), (7) for one node at `layer`, written to `out`
   /// as one 2*d slab [h | l]: h = normalize(σ(W_h [self_h ; h_agg])),
@@ -378,11 +368,14 @@ class BiSageEmbedder : public RecordEmbedder {
   explicit BiSageEmbedder(BiSageConfig config = {},
                           graph::EdgeWeightConfig weight_config = {});
 
+  /// Fits once: kFailedPrecondition, changing nothing, once the graph
+  /// holds nodes (after a Fit past the empty-input check, or after
+  /// RestoreFitted).
   Status Fit(const std::vector<rf::ScanRecord>& train) override;
   math::Vec TrainEmbedding(int i) const override;
   int num_train() const override { return num_train_; }
   /// EmbedNew(record, overlay) over the embedder's own overlay, which
-  /// Fit() and RestoreFitted() reset.
+  /// RestoreFitted() resets.
   StatusOr<math::Vec> EmbedNew(const rf::ScanRecord& record) override;
   int dimension() const override { return model_.config().dimension; }
 
@@ -398,10 +391,10 @@ class BiSageEmbedder : public RecordEmbedder {
   /// appended to `overlay` first, in input order (so each record's
   /// connectivity check sees every earlier record of the batch, same
   /// as sequential EmbedNew calls), then embedded in parallel against
-  /// the batch-complete graph. Per-node RNG streams make the result
-  /// bit-identical at any thread count. Slot i carries record i's
-  /// embedding, kNotFound (no shared MAC), or kFailedPrecondition
-  /// (model not trained).
+  /// the batch-complete graph. Each embedding is a pure function of
+  /// that graph and the model, so the result is bit-identical at any
+  /// thread count. Slot i carries record i's embedding, kNotFound (no
+  /// shared MAC), or kFailedPrecondition (model not trained).
   std::vector<StatusOr<math::Vec>> EmbedNewBatch(
       const std::vector<rf::ScanRecord>& records,
       EmbedderOverlay& overlay) const;

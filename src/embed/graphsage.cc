@@ -217,10 +217,15 @@ GraphSageEmbedder::GraphSageEmbedder(GraphSageConfig config,
     : graph_(weight_config), model_(std::move(config)) {}
 
 Status GraphSageEmbedder::Fit(const std::vector<rf::ScanRecord>& train) {
+  // A graph with nodes was built by an earlier Fit; fitting again would
+  // append every record a second time.
+  if (graph_.num_nodes() > 0) {
+    return Status::FailedPrecondition(
+        "embedder is already fitted; fit a fresh embedder instead");
+  }
   if (train.empty()) {
     return Status::InvalidArgument("no training records");
   }
-  train_nodes_.clear();
   for (const rf::ScanRecord& record : train) {
     train_nodes_.push_back(graph_.AddRecord(record));
   }

@@ -87,6 +87,8 @@ class GraphSageEmbedder : public RecordEmbedder {
   explicit GraphSageEmbedder(GraphSageConfig config = {},
                              graph::EdgeWeightConfig weight_config = {});
 
+  /// Fits once: kFailedPrecondition, changing nothing, once the graph
+  /// holds nodes (after a Fit past the empty-input check).
   Status Fit(const std::vector<rf::ScanRecord>& train) override;
   math::Vec TrainEmbedding(int i) const override;
   int num_train() const override { return num_train_; }

@@ -15,8 +15,8 @@ double Seconds(Clock::time_point a, Clock::time_point b) {
 
 }  // namespace
 
-Result<EvalResult> Evaluate(core::GeofencingSystem& system,
-                            const rf::Dataset& data) {
+StatusOr<EvalResult> Evaluate(core::GeofencingSystem& system,
+                              const rf::Dataset& data) {
   EvalResult result;
   const auto t0 = Clock::now();
   Status status = system.Train(data.train);

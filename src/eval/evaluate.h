@@ -30,8 +30,8 @@ struct EvalResult {
 /// Trains `system` on data.train and streams data.test through it in
 /// order. The system must be freshly constructed (stateful online
 /// updates). Train failures surface as a Status.
-Result<EvalResult> Evaluate(core::GeofencingSystem& system,
-                            const rf::Dataset& data);
+StatusOr<EvalResult> Evaluate(core::GeofencingSystem& system,
+                              const rf::Dataset& data);
 
 /// mean (min, max) across users/repeats for the six Table I metrics.
 struct AggregateMetrics {

@@ -295,8 +295,8 @@ double DetectionLatencyRecords(const std::vector<bool>& truth_inside,
   return transitions == 0 ? 0.0 : total / static_cast<double>(transitions);
 }
 
-Result<std::vector<CellResult>> RunMatrix(const std::vector<MatrixCell>& cells,
-                                          const MatrixOptions& options) {
+StatusOr<std::vector<CellResult>> RunMatrix(
+    const std::vector<MatrixCell>& cells, const MatrixOptions& options) {
   GEM_TRACE_SPAN("eval.run_matrix");
   GEM_CHECK(options.repetitions > 0);
   for (const MatrixCell& cell : cells) {
@@ -355,7 +355,7 @@ Result<std::vector<CellResult>> RunMatrix(const std::vector<MatrixCell>& cells,
           auto system = MakeSystem(
               AlgorithmId::kGem, options.seed + static_cast<uint64_t>(rep),
               MatrixGemConfig());
-          Result<EvalResult> result = Evaluate(*system, data);
+          StatusOr<EvalResult> result = Evaluate(*system, data);
           if (!result.ok()) {
             statuses[i] = Status(result.status().code(),
                                  "cell " + cell.id + ": " +

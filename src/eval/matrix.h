@@ -113,8 +113,8 @@ double DetectionLatencyRecords(const std::vector<bool>& truth_inside,
 /// a fresh deterministic GEM train+evaluate per job. Returns one
 /// CellResult per cell, in matrix order. Fails with a Status when a
 /// scenario config is invalid or training fails.
-Result<std::vector<CellResult>> RunMatrix(const std::vector<MatrixCell>& cells,
-                                          const MatrixOptions& options);
+StatusOr<std::vector<CellResult>> RunMatrix(
+    const std::vector<MatrixCell>& cells, const MatrixOptions& options);
 
 /// True iff every cell's hard accuracy gate passed.
 bool AllCellsPassed(const std::vector<CellResult>& results);

@@ -15,10 +15,6 @@ std::string FormatSummary(const math::Summary& summary);
 /// Formats a plain "0.98" cell.
 std::string FormatValue(double value);
 
-/// The table writer now lives in base/ (shared with the obs metrics
-/// exporter); this alias keeps the historical eval::TextTable name.
-using TextTable = ::gem::TextTable;
-
 /// Appends the six aggregate metric cells in Table I order
 /// (P_in R_in F_in P_out R_out F_out).
 void AppendMetricCells(const AggregateMetrics& aggregate,

@@ -42,7 +42,7 @@ NodeId BipartiteGraph::AddRecord(const rf::ScanRecord& record) {
   return record_id;
 }
 
-Result<BipartiteGraph> BipartiteGraph::FromParts(
+StatusOr<BipartiteGraph> BipartiteGraph::FromParts(
     EdgeWeightConfig weight_config, std::vector<NodeType> types,
     std::vector<std::vector<Neighbor>> adjacency,
     std::vector<std::pair<std::string, NodeId>> macs) {

@@ -98,7 +98,7 @@ class BipartiteGraph {
   /// `types` and `adjacency` are per-node and must be consistent with
   /// the (mac string, node id) list; weight sums and samplers are
   /// rederived. Returns InvalidArgument on any inconsistency.
-  static Result<BipartiteGraph> FromParts(
+  static StatusOr<BipartiteGraph> FromParts(
       EdgeWeightConfig weight_config, std::vector<NodeType> types,
       std::vector<std::vector<Neighbor>> adjacency,
       std::vector<std::pair<std::string, NodeId>> macs);

@@ -45,9 +45,7 @@ NodeId GraphDelta::AddRecord(const BipartiteGraph& base,
     const double w = EdgeWeight(reading.rss_dbm, base.weight_config());
     MutableAdjacency(base, record_id).push_back(Neighbor{mac_id, w});
     MutableAdjacency(base, mac_id).push_back(Neighbor{record_id, w});
-    samplers_.erase(mac_id);
   }
-  samplers_.erase(record_id);
   return record_id;
 }
 
@@ -80,51 +78,6 @@ int OverlayGraphView::CountKnownMacs(const rf::ScanRecord& record) const {
     if (FindMac(reading.mac).has_value()) ++known;
   }
   return known;
-}
-
-const math::AliasSampler& OverlayGraphView::DeltaSampler(
-    NodeId id, const std::vector<Neighbor>& adj) const {
-  auto& slot = delta_.samplers_[id];
-  if (!slot) {
-    // Same construction BipartiteGraph::NeighborSampler uses: weights
-    // in adjacency order, so the alias table (and every subsequent
-    // draw) matches a mutable graph's rebuilt table bit for bit.
-    math::Vec weights(adj.size());
-    for (size_t i = 0; i < adj.size(); ++i) weights[i] = adj[i].weight;
-    slot = std::make_unique<math::AliasSampler>(weights);
-  }
-  return *slot;
-}
-
-std::vector<Neighbor> OverlayGraphView::SampleNeighbors(NodeId id, int count,
-                                                        math::Rng& rng) const {
-  GEM_CHECK(id >= 0 && id < num_nodes());
-  GEM_CHECK(count >= 0);
-  // Untouched base rows delegate to the base's own sampler cache.
-  if (id < base_.num_nodes() && delta_.touched_.count(id) == 0) {
-    return base_.SampleNeighbors(id, count, rng);
-  }
-  std::vector<Neighbor> sampled;
-  const std::vector<Neighbor>& adj = neighbors(id);
-  if (adj.empty() || count == 0) return sampled;
-  const math::AliasSampler& sampler = DeltaSampler(id, adj);
-  sampled.reserve(count);
-  for (int i = 0; i < count; ++i) {
-    sampled.push_back(adj[sampler.Sample(rng)]);
-  }
-  return sampled;
-}
-
-void OverlayGraphView::WarmCaches() const {
-  base_.WarmCaches();
-  for (const auto& [id, adj] : delta_.touched_) {
-    if (!adj.empty()) DeltaSampler(id, adj);
-  }
-  const int base_nodes = base_.num_nodes();
-  for (size_t i = 0; i < delta_.new_adjacency_.size(); ++i) {
-    const auto& adj = delta_.new_adjacency_[i];
-    if (!adj.empty()) DeltaSampler(base_nodes + static_cast<NodeId>(i), adj);
-  }
 }
 
 }  // namespace gem::graph

@@ -1,15 +1,12 @@
 #ifndef GEM_GRAPH_GRAPH_DELTA_H_
 #define GEM_GRAPH_GRAPH_DELTA_H_
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "graph/bipartite_graph.h"
-#include "math/alias_sampler.h"
-#include "math/rng.h"
 #include "rf/types.h"
 
 namespace gem::graph {
@@ -24,8 +21,9 @@ namespace gem::graph {
 ///
 /// AddRecord mirrors BipartiteGraph::AddRecord bit for bit: same node-
 /// id assignment order, same EdgeWeight arithmetic, same adjacency
-/// append order, same sampler-invalidation points — so inference over
-/// OverlayGraphView is bit-identical to inference over a mutated base.
+/// append order — so inference over OverlayGraphView is bit-identical
+/// to inference over a mutated base. The delta keeps no sampling
+/// state: inference aggregates full neighborhoods.
 class GraphDelta {
  public:
   GraphDelta() = default;
@@ -73,13 +71,6 @@ class GraphDelta {
   std::unordered_map<NodeId, std::vector<Neighbor>> touched_;
   std::unordered_map<std::string, NodeId> new_macs_;
   int new_records_ = 0;
-
-  // Lazily built alias tables for delta-owned rows (new + touched
-  // nodes), erased when the row grows — the delta-side mirror of
-  // BipartiteGraph's sampler cache, with the same warm-before-
-  // concurrency contract.
-  mutable std::unordered_map<NodeId, std::unique_ptr<math::AliasSampler>>
-      samplers_;
 };
 
 /// Read view over base + delta presenting the merged graph with the
@@ -107,23 +98,10 @@ class OverlayGraphView {
   std::optional<NodeId> FindMac(const std::string& mac) const;
   int CountKnownMacs(const rf::ScanRecord& record) const;
 
-  /// Weighted neighbor draw, bit-identical to what a mutable base
-  /// would produce for the same merged adjacency and rng stream.
-  std::vector<Neighbor> SampleNeighbors(NodeId id, int count,
-                                        math::Rng& rng) const;
-
-  /// Builds every lazily-cached alias table (base + delta) so
-  /// SampleNeighbors is safe to call concurrently afterwards, until
-  /// the next AddRecord on the delta.
-  void WarmCaches() const;
-
   const BipartiteGraph& base() const { return base_; }
   const GraphDelta& delta() const { return delta_; }
 
  private:
-  const math::AliasSampler& DeltaSampler(NodeId id,
-                                         const std::vector<Neighbor>& adj) const;
-
   const BipartiteGraph& base_;
   const GraphDelta& delta_;
 };

@@ -6,8 +6,8 @@
 
 namespace gem::math {
 
-Result<EigenDecomposition> JacobiEigenSymmetric(const Matrix& a_in,
-                                                int max_sweeps, double tol) {
+StatusOr<EigenDecomposition> JacobiEigenSymmetric(const Matrix& a_in,
+                                                  int max_sweeps, double tol) {
   if (a_in.rows() != a_in.cols()) {
     return Status::InvalidArgument("matrix must be square");
   }

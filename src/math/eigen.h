@@ -19,9 +19,9 @@ struct EigenDecomposition {
 /// Cyclic Jacobi eigensolver for a symmetric matrix. Used by classical
 /// MDS. O(n^3) per sweep; fine for the few-hundred-point matrices GEM
 /// produces. Returns InvalidArgument for a non-square input.
-Result<EigenDecomposition> JacobiEigenSymmetric(const Matrix& a,
-                                                int max_sweeps = 50,
-                                                double tol = 1e-10);
+StatusOr<EigenDecomposition> JacobiEigenSymmetric(const Matrix& a,
+                                                  int max_sweeps = 50,
+                                                  double tol = 1e-10);
 
 }  // namespace gem::math
 

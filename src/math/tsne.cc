@@ -60,7 +60,7 @@ Matrix ConditionalAffinities(const Matrix& sqdist, double perplexity) {
 
 }  // namespace
 
-Result<Matrix> Tsne(const Matrix& points, const TsneOptions& options) {
+StatusOr<Matrix> Tsne(const Matrix& points, const TsneOptions& options) {
   const int n = points.rows();
   if (n < 3) return Status::InvalidArgument("t-SNE needs at least 3 points");
   const double perplexity =

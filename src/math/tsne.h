@@ -32,7 +32,7 @@ struct TsneOptions {
 ///
 /// Returns InvalidArgument when there are fewer than 3 points or the
 /// perplexity is infeasible for the point count.
-Result<Matrix> Tsne(const Matrix& points, const TsneOptions& options = {});
+StatusOr<Matrix> Tsne(const Matrix& points, const TsneOptions& options = {});
 
 }  // namespace gem::math
 

@@ -61,7 +61,7 @@ bool ParseDouble(const std::string& s, double* out) {
 
 }  // namespace
 
-Result<std::vector<ScanRecord>> LoadRecordsCsv(const std::string& path) {
+StatusOr<std::vector<ScanRecord>> LoadRecordsCsv(const std::string& path) {
   GEM_FAILPOINT("rf.record_io.open");
   std::ifstream in(path);
   if (!in.good()) {

@@ -24,7 +24,7 @@ Status SaveRecordsCsv(const std::string& path,
 /// Loads records saved by SaveRecordsCsv (or hand-written in the same
 /// format). Rows sharing a record_id are grouped into one record, in
 /// file order. Returns InvalidArgument on malformed rows.
-Result<std::vector<ScanRecord>> LoadRecordsCsv(const std::string& path);
+StatusOr<std::vector<ScanRecord>> LoadRecordsCsv(const std::string& path);
 
 }  // namespace gem::rf
 

@@ -43,12 +43,12 @@ FenceRegistry::Shard& FenceRegistry::ShardFor(
   return shards_[std::hash<std::string>{}(fence_id) % shards_.size()];
 }
 
-Result<uint64_t> FenceRegistry::Install(const std::string& fence_id,
-                                        core::Gem gem) {
+StatusOr<uint64_t> FenceRegistry::Install(const std::string& fence_id,
+                                          core::Gem gem) {
   return InstallWithBacking(fence_id, std::move(gem), nullptr);
 }
 
-Result<uint64_t> FenceRegistry::InstallWithBacking(
+StatusOr<uint64_t> FenceRegistry::InstallWithBacking(
     const std::string& fence_id, core::Gem gem,
     std::shared_ptr<void> backing) {
   if (fence_id.empty()) {
@@ -81,7 +81,7 @@ Result<uint64_t> FenceRegistry::InstallWithBacking(
   return generation;
 }
 
-Result<uint64_t> FenceRegistry::InstallFromSnapshot(
+StatusOr<uint64_t> FenceRegistry::InstallFromSnapshot(
     const std::string& fence_id, const std::string& path,
     const store::RetryOptions& retry) {
   const char* phase = Find(fence_id) != nullptr ? "reload" : "initial";

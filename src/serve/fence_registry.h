@@ -34,7 +34,7 @@ class FenceRegistry {
 
   /// Inserts or replaces (live reload) the fence. The model must be
   /// trained. Returns the installed generation (1 for a first install).
-  Result<uint64_t> Install(const std::string& fence_id, core::Gem gem);
+  StatusOr<uint64_t> Install(const std::string& fence_id, core::Gem gem);
 
   /// Maps a v2 snapshot file (store::OpenWithRetry: transient
   /// failures retry per `retry`) and installs it under `fence_id`; the
@@ -43,9 +43,9 @@ class FenceRegistry {
   /// generation. Degrades gracefully: when the load fails for good, the
   /// previously installed generation (if any) keeps serving untouched
   /// and gem_serve_reload_failures_total is incremented.
-  Result<uint64_t> InstallFromSnapshot(const std::string& fence_id,
-                                       const std::string& path,
-                                       const store::RetryOptions& retry = {});
+  StatusOr<uint64_t> InstallFromSnapshot(
+      const std::string& fence_id, const std::string& path,
+      const store::RetryOptions& retry = {});
 
   /// Removes the fence; in-flight holders finish undisturbed.
   Status Unload(const std::string& fence_id);
@@ -80,9 +80,9 @@ class FenceRegistry {
   Shard& ShardFor(const std::string& fence_id) const;
   /// Install with the mapping (null for an owned Gem) that `gem`'s
   /// borrowed views point into.
-  Result<uint64_t> InstallWithBacking(const std::string& fence_id,
-                                      core::Gem gem,
-                                      std::shared_ptr<void> backing);
+  StatusOr<uint64_t> InstallWithBacking(const std::string& fence_id,
+                                        core::Gem gem,
+                                        std::shared_ptr<void> backing);
 
   /// Fixed at construction; never resized (Shard is not movable).
   mutable std::vector<Shard> shards_;

@@ -68,6 +68,10 @@ Status GetIntVec(WireReader& r, std::vector<int>* out) {
 }
 
 // --- Config section -------------------------------------------------
+// Two groups of slots are retired: BiSAGE's per-layer inference
+// fanouts and the fixed-threshold detector's seven fields. They are
+// written with the values every default config carried, so no byte
+// moved when they went away.
 
 std::string EncodeConfig(const core::GemConfig& config) {
   WireWriter w;
@@ -85,7 +89,7 @@ std::string EncodeConfig(const core::GemConfig& config) {
   w.PutI32(b.num_negatives);
   w.PutF64(b.learning_rate);
   w.PutI32(b.batch_pairs);
-  PutIntVec(w, b.inference_fanouts);
+  PutIntVec(w, std::vector<int>(b.num_layers, 0));  // full neighborhoods
   w.PutU8(b.use_edge_weights ? 1 : 0);
   w.PutI32(b.min_mac_degree);
   w.PutU64(b.seed);
@@ -93,13 +97,13 @@ std::string EncodeConfig(const core::GemConfig& config) {
   const detect::EnhancedHbosOptions& d = config.detector;
   w.PutI32(d.bins);
   w.PutF64(d.temperature);
-  w.PutF64(d.tau_upper);
-  w.PutF64(d.tau_lower);
-  w.PutU8(d.auto_calibrate ? 1 : 0);
-  w.PutI32(d.calibration_folds);
-  w.PutF64(d.calibration_upper_percentile);
-  w.PutF64(d.calibration_spread_factor);
-  w.PutF64(d.calibration_lower_percentile);
+  w.PutF64(0.005);  // tau_u
+  w.PutF64(0.001);  // tau_l
+  w.PutU8(1);       // cross-validated calibration
+  w.PutI32(5);      // calibration folds
+  w.PutF64(90.0);   // upper percentile
+  w.PutF64(0.5);    // spread factor
+  w.PutF64(50.0);   // lower percentile
   w.PutI64(d.max_retained_samples);
 
   w.PutU8(config.online_update ? 1 : 0);
@@ -129,7 +133,8 @@ Status DecodeConfig(std::string_view payload, core::GemConfig* out) {
   if (!(status = r.GetI32(&b.num_negatives)).ok()) return status;
   if (!(status = r.GetF64(&b.learning_rate)).ok()) return status;
   if (!(status = r.GetI32(&b.batch_pairs)).ok()) return status;
-  if (!(status = GetIntVec(r, &b.inference_fanouts)).ok()) return status;
+  std::vector<int> inference_fanouts;
+  if (!(status = GetIntVec(r, &inference_fanouts)).ok()) return status;
   if (!(status = r.GetU8(&flag)).ok()) return status;
   b.use_edge_weights = flag != 0;
   if (!(status = r.GetI32(&b.min_mac_degree)).ok()) return status;
@@ -140,26 +145,32 @@ Status DecodeConfig(std::string_view payload, core::GemConfig* out) {
     return Status::InvalidArgument("config: implausible embedding dimension");
   }
   if (b.num_layers < 1 || b.num_layers > 64 ||
-      static_cast<int>(b.fanouts.size()) != b.num_layers ||
-      (!b.inference_fanouts.empty() &&
-       static_cast<int>(b.inference_fanouts.size()) != b.num_layers)) {
+      static_cast<int>(b.fanouts.size()) != b.num_layers) {
     return Status::InvalidArgument("config: inconsistent layer layout");
+  }
+  // A model whose inference fanouts were empty (meaning the training
+  // fanouts) or positive was served with sampled inference, which this
+  // build cannot reproduce.
+  if (static_cast<int>(inference_fanouts.size()) != b.num_layers ||
+      std::any_of(inference_fanouts.begin(), inference_fanouts.end(),
+                  [](int fanout) { return fanout > 0; })) {
+    return Status::InvalidArgument(
+        "config: sampled inference fanouts are not supported");
   }
 
   detect::EnhancedHbosOptions& d = out->detector;
   if (!(status = r.GetI32(&d.bins)).ok()) return status;
   if (!(status = r.GetF64(&d.temperature)).ok()) return status;
-  if (!(status = r.GetF64(&d.tau_upper)).ok()) return status;
-  if (!(status = r.GetF64(&d.tau_lower)).ok()) return status;
+  // The retired detector slots only ever steered Fit, and a fitted
+  // detector's thresholds are stored in its own section: read past.
+  double retired_f64;
+  int32_t retired_i32;
+  if (!(status = r.GetF64(&retired_f64)).ok()) return status;
+  if (!(status = r.GetF64(&retired_f64)).ok()) return status;
   if (!(status = r.GetU8(&flag)).ok()) return status;
-  d.auto_calibrate = flag != 0;
-  if (!(status = r.GetI32(&d.calibration_folds)).ok()) return status;
-  if (!(status = r.GetF64(&d.calibration_upper_percentile)).ok()) {
-    return status;
-  }
-  if (!(status = r.GetF64(&d.calibration_spread_factor)).ok()) return status;
-  if (!(status = r.GetF64(&d.calibration_lower_percentile)).ok()) {
-    return status;
+  if (!(status = r.GetI32(&retired_i32)).ok()) return status;
+  for (int i = 0; i < 3; ++i) {
+    if (!(status = r.GetF64(&retired_f64)).ok()) return status;
   }
   int64_t max_retained;
   if (!(status = r.GetI64(&max_retained)).ok()) return status;
@@ -204,7 +215,7 @@ std::string EncodeGraph(const graph::BipartiteGraph& g) {
 
 Status DecodeGraph(std::string_view payload,
                    const graph::EdgeWeightConfig& weight_config,
-                   Result<graph::BipartiteGraph>* out) {
+                   StatusOr<graph::BipartiteGraph>* out) {
   WireReader r(payload);
   uint32_t n;
   Status status = r.GetU32(&n);
@@ -663,7 +674,7 @@ StatusOr<core::Gem> GemFromImage(std::string_view bytes,
       DecodeConfig(payloads[kConfigTag], &config);
   if (!status.ok()) return status;
 
-  Result<graph::BipartiteGraph> graph = Status::Internal("unset");
+  StatusOr<graph::BipartiteGraph> graph = Status::Internal("unset");
   if (!(status = DecodeGraph(
             payloads[kGraphTag], config.edge_weight, &graph))
            .ok()) {
@@ -694,7 +705,7 @@ StatusOr<core::Gem> GemFromImage(std::string_view bytes,
                                   std::move(embed_state));
   if (!status.ok()) return status;
 
-  Result<detect::EnhancedHbosDetector> detector =
+  StatusOr<detect::EnhancedHbosDetector> detector =
       detect::EnhancedHbosDetector::FromState(config.detector,
                                               std::move(detect_state));
   if (!detector.ok()) return detector.status();

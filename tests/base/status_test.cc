@@ -74,13 +74,5 @@ TEST(StatusOrTest, ImplicitConversionsAtReturn) {
   EXPECT_FALSE(make(false).ok());
 }
 
-TEST(StatusOrTest, ResultAliasStillCompiles) {
-  // Result<T> is the historical name, kept as an alias during the
-  // StatusOr migration.
-  Result<int> result(3);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.value(), 3);
-}
-
 }  // namespace
 }  // namespace gem

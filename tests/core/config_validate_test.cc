@@ -44,8 +44,6 @@ TEST(ConfigValidateTest, BiSageConfigRejections) {
       {"zero layers", [](Config& c) { c.num_layers = 0; }},
       {"fanouts size mismatch", [](Config& c) { c.fanouts = {5}; }},
       {"non-positive fanout", [](Config& c) { c.fanouts = {6, 0}; }},
-      {"inference fanouts size mismatch",
-       [](Config& c) { c.inference_fanouts = {3}; }},
       {"zero walks per node", [](Config& c) { c.walks_per_node = 0; }},
       {"zero walk length", [](Config& c) { c.walk_length = 0; }},
       {"zero epochs", [](Config& c) { c.epochs = 0; }},
@@ -68,20 +66,6 @@ TEST(ConfigValidateTest, EnhancedHbosOptionsRejections) {
       {"zero temperature", [](Config& c) { c.temperature = 0.0; }},
       {"infinite temperature",
        [](Config& c) { c.temperature = std::numeric_limits<double>::infinity(); }},
-      {"tau_upper at one", [](Config& c) { c.tau_upper = 1.0; }},
-      {"tau_upper non-positive", [](Config& c) { c.tau_upper = 0.0; }},
-      {"tau_lower above tau_upper",
-       [](Config& c) { c.tau_lower = c.tau_upper * 2; }},
-      {"one calibration fold", [](Config& c) { c.calibration_folds = 1; }},
-      {"inverted percentiles",
-       [](Config& c) {
-         c.calibration_upper_percentile = 40.0;
-         c.calibration_lower_percentile = 60.0;
-       }},
-      {"percentile above 100",
-       [](Config& c) { c.calibration_upper_percentile = 101.0; }},
-      {"negative spread factor",
-       [](Config& c) { c.calibration_spread_factor = -0.5; }},
       {"negative retained samples",
        [](Config& c) { c.max_retained_samples = -1; }},
   });

@@ -17,7 +17,8 @@
 // its own bits. scores.scalar.golden is byte-identical to the
 // pre-kernel scores.golden — the scalar backend IS the seed numerics.
 // baselines.<backend>.golden pins the GraphSAGE and autoencoder
-// baselines (embeddings and final losses) the same way.
+// baselines (embeddings and final losses) the same way, and
+// snapshot.<backend>.golden the v2 snapshot of the golden model.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -32,6 +33,8 @@
 #include "math/kernels.h"
 #include "rf/dataset.h"
 #include "rf/record_io.h"
+#include "store/format.h"
+#include "store/snapshot_v2.h"
 
 #ifndef GEM_TEST_DATA_DIR
 #error "golden_scores_test needs GEM_TEST_DATA_DIR (set in CMakeLists)"
@@ -239,6 +242,38 @@ TEST(GoldenScoresTest, BaselineEmbeddersMatchCommittedGolden) {
   lines.push_back(buf);
 
   CheckGolden(GoldenPath("baselines"), lines);
+}
+
+// Pins the v2 snapshot of the golden model: the file size and each
+// section's length and CRC-32, so a change that moves any snapshot
+// byte (the config section's field order included) fails here. The
+// embedder and detector data sections hold backend-dependent bits,
+// so the fixture is snapshot.<backend>.golden. The snapshot carries
+// no thread count, so it holds at every GEM_THREADS.
+TEST(GoldenScoresTest, SnapshotBytesMatchCommittedGolden) {
+  const auto train = rf::LoadRecordsCsv(GoldenDir() + "/train.csv");
+  ASSERT_TRUE(train.ok()) << train.status().ToString();
+  Gem gem(GoldenConfig());
+  ASSERT_TRUE(gem.Train(train.value()).ok());
+  const std::string path =
+      std::string(::testing::TempDir()) + "/golden_scores_snapshot.gem";
+  ASSERT_TRUE(store::SaveSnapshotV2(path, gem).ok());
+  const StatusOr<store::SnapshotInfo> info = store::InspectSnapshot(path);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  ASSERT_TRUE(info->layout_ok) << info->layout_error;
+
+  std::vector<std::string> lines = {"file " +
+                                    std::to_string(info->file_size)};
+  char buf[96];
+  for (const store::SectionInfo& section : info->sections) {
+    ASSERT_TRUE(section.crc_ok) << section.name;
+    std::snprintf(buf, sizeof(buf), "%s %llu %08x", section.name.c_str(),
+                  static_cast<unsigned long long>(section.length),
+                  section.stored_crc);
+    lines.push_back(buf);
+  }
+  std::remove(path.c_str());
+  CheckGolden(GoldenPath("snapshot"), lines);
 }
 
 }  // namespace

@@ -150,14 +150,12 @@ TEST(EnhancedHbosDetectorTest, AbsorbedSamplesDensifyTheirRegion) {
   }
   EnhancedHbosOptions options;
   options.temperature = 0.5;  // keep S_T off its saturation plateaus
-  options.tau_lower = 0.45;
-  options.tau_upper = 0.6;
   EnhancedHbosDetector detector(options);
   ASSERT_TRUE(detector.Fit(train).ok());
 
   // A confident in-distribution location.
   const math::Vec spot{-1.0, -1.0};
-  ASSERT_LT(detector.Score(spot), options.tau_lower);
+  ASSERT_LT(detector.Score(spot), 0.45);
   const double before = detector.Score(spot);
   int updates = 0;
   for (int i = 0; i < 100; ++i) {
@@ -284,9 +282,8 @@ TEST(EnhancedHbosDetectorTest, RetentionCapFlowsThrough) {
 
 TEST(EnhancedHbosDetectorTest, ValidatesOptions) {
   EnhancedHbosOptions options;
-  options.tau_lower = 0.5;
-  options.tau_upper = 0.1;
-  EXPECT_DEATH(EnhancedHbosDetector detector(options), "tau_lower");
+  options.temperature = 0.0;
+  EXPECT_DEATH(EnhancedHbosDetector detector(options), "temperature");
 }
 
 }  // namespace

@@ -6,10 +6,10 @@
 // the pre-table forward pass, which visits every record child, must
 // produce the same bits (memcmp) for every node of random bipartite
 // graphs — at K = 1, 2, 3, with and without edge weights, with and
-// without the degree filter, at full and sampled inference fanouts, on
-// the owned graph grown past the model's tables (under an empty
-// overlay), on an overlay with appended records and new MACs, on a
-// mapped v2 load with borrowed tables, and under both kernel backends.
+// without the degree filter, on the owned graph grown past the model's
+// tables (under an empty overlay), on an overlay with appended records
+// and new MACs, on a mapped v2 load with borrowed tables, and under
+// both kernel backends.
 // Runs under ASan/UBSan in CI.
 
 #include "embed/bisage.h"
@@ -86,7 +86,6 @@ struct Case {
   int layers;
   bool use_edge_weights;
   int min_mac_degree;
-  bool sampled;
 };
 
 std::vector<Case> Cases() {
@@ -94,9 +93,7 @@ std::vector<Case> Cases() {
   for (const int layers : {1, 2, 3}) {
     for (const bool weights : {true, false}) {
       for (const int min_degree : {1, 2}) {
-        for (const bool sampled : {false, true}) {
-          cases.push_back({layers, weights, min_degree, sampled});
-        }
+        cases.push_back({layers, weights, min_degree});
       }
     }
   }
@@ -106,8 +103,7 @@ std::vector<Case> Cases() {
 std::string CaseName(const Case& c) {
   return "K=" + std::to_string(c.layers) +
          " weights=" + std::to_string(c.use_edge_weights) +
-         " min_mac_degree=" + std::to_string(c.min_mac_degree) +
-         " sampled=" + std::to_string(c.sampled);
+         " min_mac_degree=" + std::to_string(c.min_mac_degree);
 }
 
 BiSageConfig ConfigFor(const Case& c, uint64_t seed) {
@@ -117,11 +113,7 @@ BiSageConfig ConfigFor(const Case& c, uint64_t seed) {
   config.seed = seed;
   config.num_layers = c.layers;
   config.fanouts.clear();
-  config.inference_fanouts.clear();
-  for (int k = 0; k < c.layers; ++k) {
-    config.fanouts.push_back(4 - k);
-    config.inference_fanouts.push_back(c.sampled ? 3 - k / 2 : 0);
-  }
+  for (int k = 0; k < c.layers; ++k) config.fanouts.push_back(4 - k);
   config.use_edge_weights = c.use_edge_weights;
   config.min_mac_degree = c.min_mac_degree;
   return config;
@@ -146,9 +138,9 @@ struct Rows {
 };
 
 /// The inference recursion as it stood before the MAC table: every
-/// (node, layer) visits its full or sampled neighborhood — a MAC at
-/// layer 1 included — with the same RNG stream, memo, MAC filter,
-/// coefficients and kernel calls.
+/// (node, layer) visits its full neighborhood — a MAC at layer 1
+/// included — with the same memo, MAC filter, coefficients and kernel
+/// calls.
 template <typename GraphLike>
 class ReferenceForward {
  public:
@@ -160,13 +152,11 @@ class ReferenceForward {
   /// [h | l] of `node` at the top layer.
   std::vector<double> Embed(NodeId node) {
     memo_.clear();
-    math::Rng rng(config_.seed ^ (0x9E3779B97F4A7C15ULL *
-                                  (static_cast<uint64_t>(node) + 1)));
-    return Forward(node, config_.num_layers, rng);
+    return Forward(node, config_.num_layers);
   }
 
  private:
-  std::vector<double> Forward(NodeId node, int layer, math::Rng& rng) {
+  std::vector<double> Forward(NodeId node, int layer) {
     const int k = config_.num_layers;
     const long key = static_cast<long>(node) * (k + 1) + layer;
     const auto it = memo_.find(key);
@@ -179,24 +169,10 @@ class ReferenceForward {
       std::copy_n(rows_.h_row(node), d, out.data());
       std::copy_n(rows_.l_row(node), d, out.data() + d);
     } else {
-      const std::vector<double> self = Forward(node, layer - 1, rng);
-      const int fanout = config_.inference_fanouts[k - layer];
-      std::vector<Neighbor> sampled;
-      if (fanout <= 0) {
-        const auto& adj = graph_.neighbors(node);
-        sampled.assign(adj.begin(), adj.end());
-      } else if (config_.use_edge_weights) {
-        sampled = graph_.SampleNeighbors(node, fanout, rng);
-      } else {
-        const auto& adj = graph_.neighbors(node);
-        if (!adj.empty()) {
-          for (int i = 0; i < fanout; ++i) {
-            sampled.push_back(
-                adj[rng.UniformInt(static_cast<int>(adj.size()))]);
-          }
-        }
-      }
-      std::erase_if(sampled, [&](const Neighbor& nb) {
+      const std::vector<double> self = Forward(node, layer - 1);
+      const auto& adj = graph_.neighbors(node);
+      std::vector<Neighbor> neighbors(adj.begin(), adj.end());
+      std::erase_if(neighbors, [&](const Neighbor& nb) {
         if (graph_.type(nb.node) != graph::NodeType::kMac) return false;
         if (nb.node >= state_.trained_nodes) return true;
         return config_.min_mac_degree > 1 &&
@@ -204,25 +180,25 @@ class ReferenceForward {
       });
       std::vector<double> h_agg(d, 0.0);
       std::vector<double> l_agg(d, 0.0);
-      if (!sampled.empty()) {
-        std::vector<double> coeffs(sampled.size(),
-                                   1.0 / static_cast<double>(sampled.size()));
+      if (!neighbors.empty()) {
+        std::vector<double> coeffs(
+            neighbors.size(), 1.0 / static_cast<double>(neighbors.size()));
         if (config_.use_edge_weights) {
           double total = 0.0;
-          for (size_t i = 0; i < sampled.size(); ++i) {
-            coeffs[i] = sampled[i].weight;
-            total += sampled[i].weight;
+          for (size_t i = 0; i < neighbors.size(); ++i) {
+            coeffs[i] = neighbors[i].weight;
+            total += neighbors[i].weight;
           }
           if (total <= 0.0) {
             std::fill(coeffs.begin(), coeffs.end(),
-                      1.0 / static_cast<double>(sampled.size()));
+                      1.0 / static_cast<double>(neighbors.size()));
           } else {
             for (double& c : coeffs) c /= total;
           }
         }
-        for (size_t i = 0; i < sampled.size(); ++i) {
+        for (size_t i = 0; i < neighbors.size(); ++i) {
           const std::vector<double> child =
-              Forward(sampled[i].node, layer - 1, rng);
+              Forward(neighbors[i].node, layer - 1);
           ops.add_scaled(h_agg.data(), child.data() + d, coeffs[i], d);
           ops.add_scaled(l_agg.data(), child.data(), coeffs[i], d);
         }

@@ -177,6 +177,32 @@ TEST(BiSageTest, RecordStreamMatchesExplicitOverlayAndFreezesGraph) {
   EXPECT_EQ(streamed.graph().num_nodes(), fitted_nodes);
 }
 
+// Fit runs once. A second Fit, or a Fit after RestoreFitted, would
+// append every training record to the graph again.
+TEST(BiSageTest, SecondFitIsRefusedAndChangesNothing) {
+  const auto data = MakeTwoClusters(10, 10);
+  BiSageEmbedder embedder(FastConfig());
+  ASSERT_TRUE(embedder.Fit(data.records).ok());
+  const int nodes = embedder.graph().num_nodes();
+  const math::Vec before = embedder.TrainEmbedding(0);
+  EXPECT_EQ(embedder.Fit(data.records).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(embedder.graph().num_nodes(), nodes);
+  EXPECT_EQ(embedder.num_train(), static_cast<int>(data.records.size()));
+  EXPECT_EQ(embedder.TrainEmbedding(0), before);
+
+  graph::BipartiteGraph graph;
+  for (const auto& record : data.records) graph.AddRecord(record);
+  BiSageEmbedder restored(FastConfig());
+  ASSERT_TRUE(restored
+                  .RestoreFitted(std::move(graph), embedder.train_nodes(),
+                                 embedder.model().ExportTrained())
+                  .ok());
+  EXPECT_EQ(restored.Fit(data.records).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(restored.graph().num_nodes(), nodes);
+}
+
 TEST(BiSageTest, AuxiliaryDiffersFromPrimary) {
   const auto data = MakeTwoClusters(10, 7);
   graph::BipartiteGraph graph;

@@ -75,6 +75,19 @@ TEST(GraphSageTest, InductiveEmbedding) {
   EXPECT_EQ(static_cast<int>(e->size()), embedder.dimension());
 }
 
+// Fit runs once: a second Fit would append every training record to
+// the graph again and retrain on top of the first run's weights.
+TEST(GraphSageTest, SecondFitIsRefusedAndChangesNothing) {
+  const auto data = MakeTwoClusters(12, 6);
+  GraphSageEmbedder embedder(FastConfig());
+  ASSERT_TRUE(embedder.Fit(data.records).ok());
+  const math::Vec before = embedder.TrainEmbedding(0);
+  EXPECT_EQ(embedder.Fit(data.records).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(embedder.num_train(), static_cast<int>(data.records.size()));
+  EXPECT_EQ(embedder.TrainEmbedding(0), before);
+}
+
 TEST(GraphSageTest, UnknownOnlyRecordUnembeddable) {
   const auto data = MakeTwoClusters(12, 5);
   GraphSageEmbedder embedder(FastConfig());

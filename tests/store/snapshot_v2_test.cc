@@ -88,19 +88,24 @@ uint32_t GetU32At(const std::string& bytes, size_t at) {
   return v;
 }
 
-/// Rewrites one section-table entry's offset field and re-seals the
-/// table and header CRCs, so ONLY the targeted invariant (alignment,
-/// bounds, overlap) trips — not the checksums that would otherwise
-/// mask it.
+/// Re-seals the table and header CRCs after an edit to the section
+/// table, so ONLY the targeted invariant trips — not the checksums
+/// that would otherwise mask it.
+void ResealTableAndHeader(std::string* bytes) {
+  const uint32_t section_count = GetU32At(*bytes, 12);
+  const std::string_view table(bytes->data() + kHeaderSize,
+                               section_count * kTableEntrySize);
+  PutU32At(bytes, 32, Crc32(table));
+  PutU32At(bytes, 36, Crc32(std::string_view(bytes->data(), 36)));
+}
+
+/// Rewrites one section-table entry's offset field and re-seals, so
+/// only the targeted invariant (alignment, bounds, overlap) trips.
 std::string PatchSectionOffset(std::string bytes, size_t entry,
                                uint64_t new_offset) {
   const size_t entry_at = kHeaderSize + entry * kTableEntrySize;
   PutU64At(&bytes, entry_at + 8, new_offset);
-  const uint32_t section_count = GetU32At(bytes, 12);
-  const std::string_view table(bytes.data() + kHeaderSize,
-                               section_count * kTableEntrySize);
-  PutU32At(&bytes, 32, Crc32(table));
-  PutU32At(&bytes, 36, Crc32(std::string_view(bytes.data(), 36)));
+  ResealTableAndHeader(&bytes);
   return bytes;
 }
 
@@ -339,6 +344,38 @@ TEST_F(SnapshotV2Test, OutOfBoundsSectionOffsetRejected) {
       EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
     }
   }
+}
+
+// A config with a positive inference fanout was served by sampled
+// inference, which this build cannot reproduce: both loads refuse it
+// as an invalid argument instead of serving other answers. The edit
+// is re-sealed (section, table and header CRCs), so only the fanout
+// trips.
+TEST_F(SnapshotV2Test, SampledInferenceFanoutRejected) {
+  std::string bytes = ReadFile(*v2_path_);
+  const auto entries = ParseV2(bytes);
+  ASSERT_TRUE(entries.ok()) << entries.status().ToString();
+  size_t entry = 0;
+  while (entry < entries->size() && (*entries)[entry].tag != kConfigTag) {
+    ++entry;
+  }
+  ASSERT_LT(entry, entries->size());
+  const SectionEntry& config = (*entries)[entry];
+  // Default two-layer config: the inference-fanout count sits at
+  // payload offset 72, its entries at 80 and 84.
+  ASSERT_EQ(GetU32At(bytes, config.offset + 72), 2u);
+  ASSERT_EQ(GetU32At(bytes, config.offset + 80), 0u);
+  ASSERT_EQ(GetU32At(bytes, config.offset + 84), 0u);
+  PutU32At(&bytes, config.offset + 80, 3);
+  PutU32At(&bytes, kHeaderSize + entry * kTableEntrySize + 24,
+           Crc32(std::string_view(bytes.data() + config.offset,
+                                  config.length)));
+  ResealTableAndHeader(&bytes);
+
+  const std::string path = TempPath("store_v2_sampled_fanout.gem");
+  WriteFile(path, bytes);
+  EXPECT_EQ(CopyLoadCode(path), StatusCode::kInvalidArgument);
+  EXPECT_EQ(MappedLoadCode(path), StatusCode::kInvalidArgument);
 }
 
 TEST_F(SnapshotV2Test, InspectReportsSectionTable) {
