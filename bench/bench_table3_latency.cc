@@ -8,17 +8,22 @@
 //   bench_table3_latency --bench_out=BENCH_serve.json [--requests=N]
 //                        [--trace_out=trace.json]
 // skips google-benchmark and instead drives the full serving path —
-// FenceRegistry lookup, per-fence serialization, Gem::Infer — through
-// serve::Engine::InferBlocking, then writes p50/p99/mean request
-// latency as JSON. --trace_out (or GEM_PROFILE=<path>) records the
-// per-thread timeline to Chrome trace-event JSON and adds a "stages"
-// attribution array to the bench JSON.
+// FenceCache lookup of the mapped model, per-fence serialization,
+// Gem::Infer — through serve::Engine::InferBlocking, then writes
+// p50/p99/mean request latency as JSON. --trace_out (or
+// GEM_PROFILE=<path>) records the per-thread timeline to Chrome
+// trace-event JSON and adds a "stages" attribution array to the bench
+// JSON.
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -32,6 +37,8 @@
 #include "rf/dataset.h"
 #include "serve/engine.h"
 #include "serve/fence_registry.h"
+#include "store/fence_cache.h"
+#include "store/snapshot_v2.h"
 
 namespace {
 
@@ -139,9 +146,23 @@ double PercentileMs(const std::vector<double>& sorted, double q) {
 int RunServeLatency(const std::string& bench_out, int request_count,
                     const std::string& trace_out) {
   LatencySetup setup;
-  serve::FenceRegistry registry;
-  const auto generation = registry.Install("home", std::move(*setup.gem));
+  // Served like every fence: a v2 snapshot mapped into a FenceCache.
+  // The default zero OverlayLimits never compact, so the overlay grows
+  // across every request. Nothing is written back, so the scratch file
+  // can go as soon as it is mapped.
+  const std::string snapshot =
+      (std::filesystem::temp_directory_path() /
+       ("bench_table3_latency_" + std::to_string(::getpid()) + ".gem"))
+          .string();
+  GEM_CHECK(store::SaveSnapshotV2(snapshot, *setup.gem).ok());
+  store::FenceCacheOptions cache_options;
+  cache_options.flush_on_evict = false;
+  auto cache = std::make_shared<store::FenceCache>(cache_options);
+  const auto generation = cache->Install("home", snapshot);
+  std::remove(snapshot.c_str());
   GEM_CHECK(generation.ok());
+  serve::FenceRegistry registry;
+  registry.AttachStore(cache);
 
   const bool tracing = !trace_out.empty();
   std::unique_ptr<obs::ResourceSampler> sampler;

@@ -15,14 +15,17 @@
 //           [--failpoints=SPEC]
 //       Map each snapshot as a fence (id = file basename without
 //       .gem), start the multi-tenant serving engine, and replay the
-//       request CSV across the fences round-robin. --snapshots
-//       installs the models eagerly; --store_dir registers every .gem
-//       under the directory with the snapshot store instead, so models
-//       cold-load on first request and at most --cache_fences
-//       (default 64) stay resident (LRU). The two can be combined; at
-//       least one is required. --deadline_ms sets the engine's default
-//       per-request deadline. --failpoints installs a fault-injection
-//       schedule (grammar in src/fault/failpoint.h, e.g.
+//       request CSV across the fences round-robin. --snapshots maps
+//       and validates each file at start-up (a bad file exits 1) and
+//       keeps it resident; --store_dir registers every .gem under the
+//       directory instead, so models cold-load on first request and at
+//       most --cache_fences (default 64) of them stay resident (LRU).
+//       The two can be combined (a --snapshots file wins over a store
+//       file of the same id); at least one is required. Every fence's
+//       online updates are folded back into its snapshot file when its
+//       model is evicted and at exit. --deadline_ms sets the engine's
+//       default per-request deadline. --failpoints installs a
+//       fault-injection schedule (grammar in src/fault/failpoint.h, e.g.
 //       "serve.engine.process=prob=0.01@7/unavailable"); it is an
 //       error (exit 2) unless the binary was built with
 //       -DGEM_ENABLE_FAILPOINTS=ON. Requests that fail under injection
@@ -118,6 +121,7 @@ constexpr const char* kUsage =
     "          [--cache_fences=N] [--threads=N] [--queue_depth=N]\n"
     "          [--deadline_ms=N] [--failpoints=SPEC]\n"
     "          [--metrics_every_ms=N]\n"
+    "          (online updates are written back to the .gem files)\n"
     "  gem_cli snapshot inspect <model.gem> [--json]\n"
     "  gem_cli matrix [--reps=N] [--threads=N] [--bench_out=PATH]\n"
     "  any command: --metrics_out=<path|-> "
@@ -652,26 +656,13 @@ int Serve(const ParsedArgs& args, const MetricsFlags& metrics) {
     std::fprintf(stderr, "failpoints armed: %s\n", failpoints.c_str());
   }
 
-  serve::FenceRegistry registry;
-  for (const std::string& path : snapshot_paths) {
-    const std::string fence_id = FenceIdFromPath(path);
-    auto generation = registry.InstallFromSnapshot(fence_id, path);
-    if (!generation.ok()) {
-      std::fprintf(stderr, "cannot load snapshot %s: %s\n", path.c_str(),
-                   generation.status().ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "loaded fence '%s' (generation %llu) from %s\n",
-                 fence_id.c_str(),
-                 static_cast<unsigned long long>(generation.value()),
-                 path.c_str());
-  }
-
-  std::shared_ptr<store::FenceCache> cache;
+  // One cache owns every fence, sized so that no --snapshots model is
+  // ever evicted; --store_dir models cold-load into the rest.
+  store::FenceCacheOptions cache_options;
+  cache_options.capacity =
+      snapshot_paths.size() + static_cast<size_t>(cache_fences);
+  auto cache = std::make_shared<store::FenceCache>(cache_options);
   if (!store_dir.empty()) {
-    store::FenceCacheOptions cache_options;
-    cache_options.capacity = static_cast<size_t>(cache_fences);
-    cache = std::make_shared<store::FenceCache>(cache_options);
     const std::vector<std::string> store_paths = ListSnapshotFiles(store_dir);
     if (store_paths.empty()) {
       std::fprintf(stderr, "no .gem snapshots under %s\n", store_dir.c_str());
@@ -685,12 +676,28 @@ int Serve(const ParsedArgs& args, const MetricsFlags& metrics) {
         return 1;
       }
     }
-    registry.AttachStore(cache);
     std::fprintf(stderr,
                  "store attached: %zu snapshots under %s, at most %d "
                  "resident (LRU)\n",
                  store_paths.size(), store_dir.c_str(), cache_fences);
   }
+  // Installed after the store is registered, so a --snapshots file
+  // takes over a store file of the same fence id.
+  for (const std::string& path : snapshot_paths) {
+    const std::string fence_id = FenceIdFromPath(path);
+    auto generation = cache->Install(fence_id, path);
+    if (!generation.ok()) {
+      std::fprintf(stderr, "cannot load snapshot %s: %s\n", path.c_str(),
+                   generation.status().ToString().c_str());
+      return 1;
+    }
+    std::fprintf(stderr, "loaded fence '%s' (generation %llu) from %s\n",
+                 fence_id.c_str(),
+                 static_cast<unsigned long long>(generation.value()),
+                 path.c_str());
+  }
+  serve::FenceRegistry registry;
+  registry.AttachStore(cache);
 
   auto requests = rf::LoadRecordsCsv(requests_path);
   if (!requests.ok()) {
@@ -699,18 +706,8 @@ int Serve(const ParsedArgs& args, const MetricsFlags& metrics) {
     return 1;
   }
 
-  // Replay round-robins across installed fences plus everything the
-  // store can materialize on demand.
-  std::vector<std::string> fence_ids = registry.FenceIds();
-  if (cache) {
-    for (std::string& id : cache->RegisteredIds()) {
-      if (std::find(fence_ids.begin(), fence_ids.end(), id) ==
-          fence_ids.end()) {
-        fence_ids.push_back(std::move(id));
-      }
-    }
-    std::sort(fence_ids.begin(), fence_ids.end());
-  }
+  // Replay round-robins across every registered fence.
+  const std::vector<std::string> fence_ids = cache->RegisteredIds();
   serve::Engine engine(&registry, options);
   std::unique_ptr<PeriodicMetricsFlusher> flusher;
   if (metrics_every_ms > 0) {

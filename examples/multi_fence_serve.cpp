@@ -1,16 +1,18 @@
 // multi_fence_serve — the full snapshot + serving lifecycle in one run.
 //
 // 1. Train GEM on four simulated homes and snapshot each to disk.
-// 2. Start a fresh FenceRegistry (as a restarted server process would)
+// 2. Start a fresh FenceCache (as a restarted server process would)
 //    and map every snapshot back.
 // 3. Drive mixed traffic for all four fences through the serving
 //    engine from several client threads at once.
 // 4. Mid-stream, live-reload one fence from its snapshot and watch the
 //    generation counter tick without dropping traffic.
-// 5. Dump the gem::obs metrics the engine recorded.
+// 5. Dump the gem::obs metrics the engine recorded. The cache then
+//    folds each fence's online updates back into its snapshot file.
 
 #include <atomic>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "rf/dataset.h"
 #include "serve/engine.h"
 #include "serve/fence_registry.h"
+#include "store/fence_cache.h"
 #include "store/snapshot_v2.h"
 
 using namespace gem;  // NOLINT(build/namespaces) example binary
@@ -65,12 +68,11 @@ int main() {
                 path.c_str());
   }
 
-  // --- Phase 2: "restart" — a fresh registry loads the snapshots. ----
-  serve::FenceRegistry registry;
+  // --- Phase 2: "restart" — a fresh cache maps the snapshots. -------
+  auto cache = std::make_shared<store::FenceCache>();
   for (int user = 0; user < kNumFences; ++user) {
     const std::string fence_id = "home_" + std::to_string(user);
-    auto generation =
-        registry.InstallFromSnapshot(fence_id, snapshot_paths[user]);
+    auto generation = cache->Install(fence_id, snapshot_paths[user]);
     if (!generation.ok()) {
       std::fprintf(stderr, "loading %s failed: %s\n",
                    snapshot_paths[user].c_str(),
@@ -78,9 +80,11 @@ int main() {
       return 1;
     }
   }
-  std::printf("registry serving %zu fences\n", registry.size());
+  std::printf("cache serving %zu fences\n", cache->resident());
 
   // --- Phase 3+4: concurrent mixed traffic with a live reload. -------
+  serve::FenceRegistry registry;
+  registry.AttachStore(cache);
   serve::Engine engine(&registry);
   std::atomic<int> served{0};
   std::atomic<int> shed{0};
@@ -108,8 +112,7 @@ int main() {
   // in-flight requests finish against the model they resolved; new
   // requests see generation 2.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  auto reloaded =
-      registry.InstallFromSnapshot("home_0", snapshot_paths[0]);
+  auto reloaded = cache->Install("home_0", snapshot_paths[0]);
   if (!reloaded.ok()) {
     std::fprintf(stderr, "live reload failed: %s\n",
                  reloaded.status().ToString().c_str());

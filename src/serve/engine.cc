@@ -274,9 +274,9 @@ ServeResponse Engine::Process(
 
   std::shared_ptr<Fence> fence;
   {
-    // Resolve covers the installed map plus the attached store — a
-    // registry miss may cold-load a snapshot here (its own
-    // store.cold_load span nests under this lookup).
+    // Resolve pins the fence through the store; a miss cold-loads its
+    // snapshot here (its own store.cold_load span nests under this
+    // lookup).
     GEM_TRACE_SPAN("serve.lookup");
     StatusOr<std::shared_ptr<Fence>> resolved =
         registry_->Resolve(request.fence_id);

@@ -52,15 +52,15 @@ struct ServeRequest {
 };
 
 struct ServeResponse {
-  /// kOk with `result` filled, kNotFound (fence neither loaded nor in
-  /// the attached store), kDeadlineExceeded (deadline passed before
-  /// the model ran), kUnavailable (shut down while queued, or a
-  /// transient store cold-load failure), kDataLoss (corrupt snapshot
-  /// behind a store-resolved fence), or, from InferBlocking,
-  /// kFailedPrecondition (the engine was already shut down).
+  /// kOk with `result` filled, kNotFound (fence not registered in the
+  /// store), kDeadlineExceeded (deadline passed before the model ran),
+  /// kUnavailable (shut down while queued, or a transient cold-load
+  /// failure), kDataLoss (corrupt snapshot found by a cold load), or,
+  /// from InferBlocking, kFailedPrecondition (the engine was already
+  /// shut down).
   Status status;
   core::InferenceResult result;
-  /// Registry generation of the model that served the request (0 when
+  /// Fence::generation of the model that served the request (0 when
   /// status is not OK) — lets callers observe live reloads.
   uint64_t fence_generation = 0;
 };
@@ -73,10 +73,13 @@ struct BatchServeResponse {
 };
 
 /// Multi-tenant serving engine: a fixed thread pool draining a bounded
-/// request queue against a FenceRegistry.
+/// request queue against the fences of the store::FenceCache its
+/// FenceRegistry resolves through.
 ///
 /// Threading model (see DESIGN.md "Serving"):
-///  - Registry lookups are sharded-shared-lock reads — concurrent.
+///  - A lookup pins the fence through FenceCache::Acquire: a hit holds
+///    the cache mutex for a map find and an LRU splice; a cold load
+///    maps its file outside it.
 ///  - Per fence, model access is serialized under Fence::mutex, because
 ///    Gem::Infer both grows the graph and (self-enhancement) updates
 ///    the detector. Requests for DIFFERENT fences run fully in
@@ -117,7 +120,7 @@ class Engine {
   /// a single serialized unit, exactly like a run of queued requests —
   /// and the model parallelizes the embedding stage internally on its
   /// own pool (see Gem::InferBatch). kNotFound when the fence is not
-  /// loaded, kFailedPrecondition after Shutdown.
+  /// registered, kFailedPrecondition after Shutdown.
   BatchServeResponse InferBatch(const std::string& fence_id,
                                 const std::vector<rf::ScanRecord>& records);
 

@@ -12,23 +12,23 @@
 
 namespace gem::serve {
 
-/// One loaded fence: a tenant's trained model (an immutable base),
-/// the overlay that accumulates its online updates, and the mutex
+/// One loaded fence: a tenant's trained model (an immutable base
+/// borrowing its tensors from a read-only snapshot mapping), the
+/// overlay that accumulates its online updates, and the mutex
 /// serializing access to the pair. `gem` is const, so the only way to
 /// serve it is `gem.Infer(record, overlay)`: inductive graph growth
-/// and detector absorption land in `overlay`, which is why `gem` may
-/// be backed by borrowed views over a read-only snapshot mapping
-/// (store::MappedModel). The overlay IS shared mutable state, so ALL
-/// model calls must still hold `mutex`; concurrency in the serving
-/// engine comes from running many fences in parallel, not from
-/// sharing one.
+/// and detector absorption land in `overlay`, never in the mapped
+/// base. The overlay IS shared mutable state, so ALL model calls must
+/// still hold `mutex`; concurrency in the serving engine comes from
+/// running many fences in parallel, not from sharing one.
 ///
-/// Lives in its own header (below fence_registry.h) so the storage
-/// layer (gem::store::FenceCache) can hand out the same pinned-model
-/// currency as the registry without depending on the registry.
+/// store::FenceCache creates and owns every Fence; the serving engine
+/// pins one per request through serve::FenceRegistry::Resolve. The
+/// struct lives in its own header so the storage layer can hand out
+/// this pinned-model currency without depending on the serve library.
 struct Fence {
   Fence(std::string id_in, uint64_t generation_in, core::Gem gem_in,
-        std::shared_ptr<void> backing_in = nullptr)
+        std::shared_ptr<void> backing_in)
       : id(std::move(id_in)),
         generation(generation_in),
         backing(std::move(backing_in)),
@@ -41,16 +41,14 @@ struct Fence {
   Fence& operator=(const Fence&) = delete;
 
   const std::string id;
-  /// Bumped each time the fence id is (re)installed; lets callers
-  /// observe that a live reload swapped the model under them.
+  /// Bumped each time the cache loads or installs the fence id; lets
+  /// callers observe that a live reload swapped the model under them.
   const uint64_t generation;
   std::mutex mutex;
-  /// Keep-alive for a mapped base: when `gem` holds borrowed views
-  /// over an mmap'd snapshot this owns the mapping. Declared before
+  /// Keep-alive for the mapped base: `gem` holds borrowed views over
+  /// an mmap'd snapshot and this owns the mapping. Declared before
   /// `gem`/`overlay` so it is destroyed LAST (members destruct in
   /// reverse order) — the views die before the pages they point at.
-  /// Null only for a Gem that owns its storage (FenceRegistry::Install
-  /// of an in-memory model).
   const std::shared_ptr<void> backing;
   const core::Gem gem;
   /// Online updates relative to `gem`'s base: appended graph nodes,
@@ -60,7 +58,7 @@ struct Fence {
   core::GemOverlay overlay;
 
   /// Count of Fence objects currently alive across the process: the
-  /// installed generation of every fence PLUS any replaced generations
+  /// resident generation of every fence PLUS any dropped generations
   /// still pinned by in-flight readers. A live reload bumps it to 2
   /// for that fence until the last holder of the old generation drops
   /// it — the reload-storm chaos test asserts it settles back down, so

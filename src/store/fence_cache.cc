@@ -4,6 +4,7 @@
 #include <chrono>
 #include <utility>
 
+#include "base/check.h"
 #include "fault/failpoint.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -41,6 +42,13 @@ struct CacheMetrics {
   }
 };
 
+/// phase = "reload" when the id was already registered (the failure
+/// left its old file serving), "initial" for a first install.
+obs::Counter& InstallFailureCounter(const char* phase) {
+  return obs::MetricsRegistry::Get().GetCounter(
+      "gem_store_install_failures_total", {{"phase", phase}});
+}
+
 /// Best-effort refresh of the process-wide Private_Dirty gauge. Cold
 /// paths only — it costs a /proc read.
 void RefreshPrivateDirtyGauge() {
@@ -75,7 +83,9 @@ Status FenceCacheOptions::Validate() const {
 }
 
 FenceCache::FenceCache(FenceCacheOptions options)
-    : options_(std::move(options)) {}
+    : options_(std::move(options)) {
+  GEM_CHECK(options_.Validate().ok());
+}
 
 FenceCache::~FenceCache() {
   std::lock_guard lock(mutex_);
@@ -95,19 +105,41 @@ Status FenceCache::Register(const std::string& fence_id,
   }
   std::lock_guard lock(mutex_);
   auto [it, inserted] = entries_.try_emplace(fence_id);
-  Entry& entry = it->second;
-  if (inserted) {
-    entry.path = path;
-    return Status::Ok();
+  if (inserted) it->second.path = path;
+  if (it->second.path == path) return Status::Ok();
+  return Status::FailedPrecondition("fence '" + fence_id +
+                                    "' is registered to " + it->second.path +
+                                    "; Install repoints it");
+}
+
+StatusOr<uint64_t> FenceCache::Install(const std::string& fence_id,
+                                       const std::string& path) {
+  if (fence_id.empty()) {
+    return Status::InvalidArgument("fence id must be non-empty");
   }
-  if (entry.path == path) return Status::Ok();
-  // Repoint: the resident model (if any) no longer matches the
-  // registered file. No overlay flush — it would target the OLD path's
-  // model with the caller already looking at a new file.
+  if (path.empty()) {
+    return Status::InvalidArgument("snapshot path must be non-empty");
+  }
+  // Map and validate before touching the entry: a file that fails to
+  // load must leave the current generation serving.
+  StatusOr<MappedModel> model = [&]() -> StatusOr<MappedModel> {
+    GEM_FAILPOINT("store.cache.install");
+    return OpenWithRetry(path, options_.retry, options_.mapped);
+  }();
+  std::lock_guard lock(mutex_);
+  if (!model.ok()) {
+    InstallFailureCounter(entries_.count(fence_id) ? "reload" : "initial")
+        .Increment();
+    return model.status();
+  }
+  Entry& entry = entries_[fence_id];
   entry.path = path;
+  // A cold load of the old file still on disk is discarded when it
+  // lands. No overlay flush: the new file wins, and compacting the old
+  // base over it would clobber it.
   ++entry.epoch;
   DropResidentLocked(&entry);
-  return Status::Ok();
+  return MakeResidentLocked(fence_id, &entry, std::move(*model))->generation;
 }
 
 Status FenceCache::Deregister(const std::string& fence_id) {
@@ -123,21 +155,6 @@ Status FenceCache::Deregister(const std::string& fence_id) {
   // An in-flight cold load of this id observes the missing entry and
   // reports NotFound; its waiters re-check and do the same.
   load_done_.notify_all();
-  return Status::Ok();
-}
-
-Status FenceCache::Invalidate(const std::string& fence_id) {
-  std::lock_guard lock(mutex_);
-  auto it = entries_.find(fence_id);
-  if (it == entries_.end()) {
-    return Status::NotFound("fence '" + fence_id +
-                            "' is not registered in the store");
-  }
-  ++it->second.epoch;
-  // Deliberately no flush: the file changed under us, so the resident
-  // overlay's base is stale and compacting it over the new snapshot
-  // would lose the external update.
-  DropResidentLocked(&it->second);
   return Status::Ok();
 }
 
@@ -169,7 +186,7 @@ StatusOr<std::shared_ptr<serve::Fence>> FenceCache::Acquire(
   CacheMetrics& metrics = CacheMetrics::Get();
   std::unique_lock lock(mutex_);
   bool waited = false;
-  for (int attempt = 0;; ++attempt) {
+  for (;;) {
     auto it = entries_.find(fence_id);
     if (it == entries_.end()) {
       return Status::NotFound("fence '" + fence_id +
@@ -227,9 +244,6 @@ StatusOr<std::shared_ptr<serve::Fence>> FenceCache::Acquire(
               .count());
       return result;
     }();
-    // Mapping extent (virtual), the resident-bytes accounting unit; the
-    // private_dirty gauge carries the memory-pressure signal.
-    const uint64_t bytes = loaded.ok() ? loaded->file_bytes() : 0;
 
     lock.lock();
     auto jt = entries_.find(fence_id);
@@ -242,34 +256,41 @@ StatusOr<std::shared_ptr<serve::Fence>> FenceCache::Acquire(
     Entry& loaded_entry = jt->second;
     loaded_entry.loading = false;
     load_done_.notify_all();
+    if (loaded_entry.epoch != epoch) {
+      // An Install landed while we were loading: whatever we read may
+      // predate its file. Discard it; the next pass serves the
+      // installed model (a miss: we paid for the disk) or, if that is
+      // already gone, loads the current file.
+      waited = true;
+      continue;
+    }
     metrics.misses.Increment();
     if (!loaded.ok()) return loaded.status();
-
-    const uint64_t generation = loaded_entry.next_generation;
-    // Invalidated (or repointed) while we were loading: the bytes we
-    // read may predate the new file. Discard and reload — but only a
-    // bounded number of times, so an invalidation storm degrades to
-    // serving the freshest completed load instead of livelocking.
-    const bool stale = loaded_entry.epoch != epoch;
-    if (stale && attempt < 2) continue;
-    loaded_entry.next_generation = generation + 1;
-    std::shared_ptr<MmapFile> backing = loaded->backing();
-    auto fence = std::make_shared<serve::Fence>(
-        fence_id, generation, std::move(*loaded).TakeGem(),
-        std::move(backing));
-    fence->overlay.limits = options_.overlay_limits;
-    if (stale) return fence;
-    loaded_entry.fence = fence;
-    lru_.push_front(fence_id);
-    loaded_entry.lru = lru_.begin();
-    loaded_entry.bytes = bytes;
-    ++num_resident_;
-    resident_bytes_ += bytes;
-    metrics.resident.Set(static_cast<double>(num_resident_));
-    metrics.resident_bytes.Set(static_cast<double>(resident_bytes_));
-    EvictToCapacityLocked();
-    return fence;
+    return MakeResidentLocked(fence_id, &loaded_entry, std::move(*loaded));
   }
+}
+
+std::shared_ptr<serve::Fence> FenceCache::MakeResidentLocked(
+    const std::string& fence_id, Entry* entry, MappedModel model) {
+  // Mapping extent (virtual), the resident-bytes accounting unit; the
+  // private_dirty gauge carries the memory-pressure signal.
+  const uint64_t bytes = model.file_bytes();
+  std::shared_ptr<MmapFile> backing = model.backing();
+  auto fence = std::make_shared<serve::Fence>(
+      fence_id, entry->next_generation++, std::move(model).TakeGem(),
+      std::move(backing));
+  fence->overlay.limits = options_.overlay_limits;
+  entry->fence = fence;
+  lru_.push_front(fence_id);
+  entry->lru = lru_.begin();
+  entry->bytes = bytes;
+  ++num_resident_;
+  resident_bytes_ += bytes;
+  CacheMetrics& metrics = CacheMetrics::Get();
+  metrics.resident.Set(static_cast<double>(num_resident_));
+  metrics.resident_bytes.Set(static_cast<double>(resident_bytes_));
+  EvictToCapacityLocked();
+  return fence;
 }
 
 std::shared_ptr<serve::Fence> FenceCache::DropResidentLocked(Entry* entry) {

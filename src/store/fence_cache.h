@@ -43,32 +43,34 @@ struct FenceCacheOptions {
   Status Validate() const;
 };
 
-/// Bounded LRU of resident fence models over a snapshot directory.
+/// Bounded LRU of resident fence models over a snapshot directory, and
+/// the one owner of every served fence.
 ///
 /// The registry of fence id -> snapshot path is cheap and unbounded;
-/// models are materialized only on Acquire (cold load: mmap + in-place
-/// validation via OpenWithRetry) and evicted least-recently-used once
-/// more than `capacity` are resident. The moving parts:
+/// models are materialized on Install (eager: map + validate, then
+/// resident) or on Acquire (cold load: mmap + in-place validation via
+/// OpenWithRetry) and evicted least-recently-used once more than
+/// `capacity` are resident. The moving parts:
 ///
 ///  - **Pinning.** Acquire returns a shared_ptr<serve::Fence>; an
 ///    in-flight request keeps serving against its pinned model even if
-///    eviction or invalidation drops the cache's reference mid-request.
+///    eviction or a reload drops the cache's reference mid-request.
 ///    Eviction never blocks on or invalidates pinned holders.
 ///  - **Single-flight cold loads.** Concurrent Acquires of the same
 ///    cold fence collapse to one disk load; the others wait on it and
 ///    share the result (counted as misses — they did wait for disk).
-///  - **Generation-aware invalidation.** Invalidate(id) marks the
-///    resident model stale (dropped from the cache; pinned holders are
-///    undisturbed) so the next Acquire cold-loads the file again under
-///    a bumped Fence::generation. A load that races an Invalidate is
-///    discarded and re-run — an Acquire never returns a model older
-///    than the last Invalidate it observed.
+///  - **Live reload.** Install(id, path) maps and validates the new
+///    file before it touches the entry, so a file that fails to load
+///    leaves the old generation serving. On success the new model is
+///    resident under a bumped Fence::generation; a cold load that
+///    raced the Install is discarded, so an Acquire never returns a
+///    model older than the last Install it observed.
 ///
 ///  - **Mapped serving.** Every snapshot is served straight over its
 ///    read-only mapping (store::MappedModel): the Fence's base Gem
-///    borrows its bulk tensors from the mapping, so a cold load does
-///    no bulk memcpys, eviction is an munmap, and the
-///    resident set's clean pages are shared + kernel-reclaimable. The
+///    borrows its bulk tensors from the mapping, so a load does no
+///    bulk memcpys, eviction is an munmap, and the resident set's
+///    clean pages are shared + kernel-reclaimable. The
 ///    resident_bytes gauge therefore reports mapping EXTENT; the real
 ///    pressure signal is gem_store_private_dirty_bytes (process-wide
 ///    Private_Dirty via /proc/self/smaps_rollup, refreshed on flush
@@ -79,7 +81,7 @@ struct FenceCacheOptions {
 ///    deregister, teardown) — or an overlay outgrows
 ///    options.overlay_limits — the overlay is compacted into the base
 ///    and the snapshot file atomically rewritten (v2), so the next
-///    cold load serves the updated model. Flush never runs while other
+///    load serves the updated model. Flush never runs while other
 ///    holders pin the fence; their in-flight traffic finishes against
 ///    the pre-flush model.
 ///
@@ -88,12 +90,15 @@ struct FenceCacheOptions {
 /// file size, the paging footprint of the resident set), the
 /// gem_store_private_dirty_bytes gauge, the
 /// gem_store_overlay_flushes_total / _flush_failures_total counters,
-/// the gem_store_cold_load_seconds histogram, and a `store.cold_load`
-/// timeline span per disk load. Failpoints: the load path inherits
+/// gem_store_install_failures_total{phase}, the
+/// gem_store_cold_load_seconds histogram, and a `store.cold_load`
+/// timeline span per disk load. Failpoints: both load paths inherit
 /// store.mmap.open / store.mmap.map / store.snapshot.validate;
-/// store.cache.evict fires on the eviction path.
+/// store.cache.install fires before Install maps its file and
+/// store.cache.evict on the eviction path.
 class FenceCache {
  public:
+  /// The options must be valid (GEM_CHECKed).
   explicit FenceCache(FenceCacheOptions options = {});
   /// Drops every resident model (pinned holders finish undisturbed) so
   /// the resident gauges read zero after the cache is torn down.
@@ -102,9 +107,22 @@ class FenceCache {
   FenceCache(const FenceCache&) = delete;
   FenceCache& operator=(const FenceCache&) = delete;
 
-  /// Registers (or repoints) the snapshot path backing `fence_id`.
-  /// Repointing an id with a resident model invalidates it.
+  /// Registers the snapshot path backing `fence_id`; the model loads
+  /// on first Acquire. Ok and a no-op when the id is already registered
+  /// to `path`, kFailedPrecondition when it is registered to another
+  /// file (Install repoints).
   Status Register(const std::string& fence_id, const std::string& path);
+
+  /// Maps and validates `path` (OpenWithRetry), then registers or
+  /// repoints `fence_id` at it and makes the model resident under the
+  /// next generation, which it returns. The old resident model, if
+  /// any, is dropped WITHOUT a flush: the new file wins, and pinned
+  /// holders finish against the old mapping. On failure nothing
+  /// changes — an existing generation keeps serving — and
+  /// gem_store_install_failures_total{phase} counts it (`reload` for a
+  /// registered id, `initial` otherwise).
+  StatusOr<uint64_t> Install(const std::string& fence_id,
+                             const std::string& path);
 
   /// Drops the registration and any resident model; pinned holders
   /// finish undisturbed. kNotFound when the id is unknown.
@@ -116,13 +134,6 @@ class FenceCache {
   /// transient load failure after retries.
   StatusOr<std::shared_ptr<serve::Fence>> Acquire(
       const std::string& fence_id);
-
-  /// Marks `fence_id`'s resident model (if any) stale; the next
-  /// Acquire reloads from disk. kNotFound when the id is unknown. The
-  /// overlay is NOT flushed first: invalidation means the file changed
-  /// externally, and compacting a stale base over it would clobber the
-  /// new snapshot.
-  Status Invalidate(const std::string& fence_id);
 
   /// Compacts `fence_id`'s resident overlay into its base, atomically
   /// rewrites the snapshot file (v2 layout), and drops the resident
@@ -144,11 +155,11 @@ class FenceCache {
   struct Entry {
     std::string path;
     /// Fence::generation for the next successful load of this id.
-    /// Monotonic across evictions and invalidations for the lifetime
-    /// of the registration.
+    /// Monotonic across evictions and reloads for the lifetime of the
+    /// registration.
     uint64_t next_generation = 1;
-    /// Bumped by Invalidate/Register-repoint; a cold load started
-    /// under an older epoch is discarded instead of cached.
+    /// Bumped by Install; a cold load started under an older epoch is
+    /// discarded instead of cached.
     uint64_t epoch = 0;
     /// Single-flight: true while one thread runs the disk load.
     bool loading = false;
@@ -158,6 +169,12 @@ class FenceCache {
     uint64_t bytes = 0;
   };
 
+  /// Wraps `model` in a Fence under `entry`'s next generation, makes
+  /// it resident at the LRU front and evicts down to capacity. Caller
+  /// holds mutex_.
+  std::shared_ptr<serve::Fence> MakeResidentLocked(const std::string& fence_id,
+                                                   Entry* entry,
+                                                   MappedModel model);
   /// Drops `entry`'s resident model (cache ref only; holders keep it)
   /// and returns the dropped reference so the caller can decide
   /// whether to flush its overlay. Caller holds mutex_.

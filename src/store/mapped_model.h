@@ -41,9 +41,8 @@ struct MappedModelOptions {
 /// wholesale refit, reachable once TakeGem() hands the Gem out —
 /// replaces the borrowed state with owned storage.
 ///
-/// This is the only way a served model is loaded: FenceCache cold
-/// loads and FenceRegistry::InstallFromSnapshot both go through
-/// OpenWithRetry below.
+/// This is the only way a served model is loaded: FenceCache's cold
+/// loads and its Install both go through OpenWithRetry below.
 class MappedModel {
  public:
   /// Maps `path` (which must be a v2 snapshot), validates it in place,

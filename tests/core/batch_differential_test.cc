@@ -1,13 +1,16 @@
 // Differential testing of the batch inference paths: randomized (but
 // seeded) workloads through Gem::InferBatch and serve::Engine::InferBatch
 // must match a sequential Infer loop field-for-field — score, decision,
-// AND model_updated — at 1, 2, and GEM_THREADS threads. Deterministic
-// mode makes identically-configured models bit-identical across thread
-// counts, so each leg trains a fresh model and compares against one
-// precomputed sequential reference. Part of the TSan CI matrix via the
-// `parallel_` prefix.
+// AND model_updated. Gem::InferBatch runs at 1, 2, and GEM_THREADS
+// threads: deterministic mode makes identically-configured models
+// bit-identical across thread counts, so each leg trains a fresh model
+// and compares against one precomputed sequential reference. The engine
+// serves a mapped snapshot, whose pool has one thread (the thread count
+// is not persisted). Part of the TSan CI matrix via the `parallel_`
+// prefix.
 #include <algorithm>
 #include <cstdlib>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -18,6 +21,8 @@
 #include "rf/dataset.h"
 #include "serve/engine.h"
 #include "serve/fence_registry.h"
+#include "store/fence_cache.h"
+#include "store/snapshot_v2.h"
 
 namespace gem::core {
 namespace {
@@ -136,25 +141,24 @@ TEST(BatchDifferentialTest, EngineInferBatchMatchesSequentialLoop) {
   const std::vector<InferenceResult> expected =
       SequentialReference(data, workload);
 
-  for (const int threads : {1, 2, ManyThreads()}) {
-    // The model's own pool does the intra-batch parallelism; the
-    // engine's worker count just mirrors it for coverage.
-    Gem model(DeterministicConfig(threads));
-    ASSERT_TRUE(model.Train(data.train).ok());
+  Gem model(DeterministicConfig(1));
+  ASSERT_TRUE(model.Train(data.train).ok());
+  const std::string path =
+      std::string(::testing::TempDir()) + "/batch_differential_model.gem";
+  ASSERT_TRUE(store::SaveSnapshotV2(path, model).ok());
+  store::FenceCacheOptions cache_options;
+  cache_options.flush_on_evict = false;
+  auto cache = std::make_shared<store::FenceCache>(cache_options);
+  ASSERT_TRUE(cache->Install("home", path).ok());
+  serve::FenceRegistry registry;
+  registry.AttachStore(cache);
+  serve::Engine engine(&registry, serve::EngineOptions{/*num_threads=*/1});
 
-    serve::FenceRegistry registry;
-    ASSERT_TRUE(registry.Install("home", std::move(model)).ok());
-    serve::EngineOptions options;
-    options.num_threads = threads;
-    serve::Engine engine(&registry, options);
-
-    const serve::BatchServeResponse response =
-        engine.InferBatch("home", workload);
-    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-    ExpectFieldForField(response.results, expected,
-                        std::to_string(threads) + " engine threads");
-    engine.Shutdown();
-  }
+  const serve::BatchServeResponse response =
+      engine.InferBatch("home", workload);
+  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  ExpectFieldForField(response.results, expected, "engine");
+  engine.Shutdown();
 }
 
 }  // namespace

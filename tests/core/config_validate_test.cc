@@ -14,6 +14,7 @@
 #include "detect/hbos.h"
 #include "embed/bisage.h"
 #include "serve/engine.h"
+#include "store/fence_cache.h"
 
 namespace gem {
 namespace {
@@ -114,6 +115,14 @@ TEST(ConfigValidateTest, EngineCreateRefusesInvalidOptions) {
   EXPECT_EQ(engine.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(serve::Engine::Create(nullptr, serve::EngineOptions{}).code(),
             StatusCode::kInvalidArgument);
+}
+
+// A zero-capacity cache would keep nothing resident and reload (under
+// a new generation) on every Acquire, so the constructor refuses it.
+TEST(ConfigValidateTest, FenceCacheRefusesInvalidOptions) {
+  store::FenceCacheOptions options;
+  options.capacity = 0;
+  EXPECT_DEATH(store::FenceCache cache(options), "Validate");
 }
 
 }  // namespace

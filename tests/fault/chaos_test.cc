@@ -3,8 +3,9 @@
 // no crash, no stuck request, a definite Status for every request,
 // and an old fence generation that keeps serving across failed live
 // reloads. Schedules are seeded (prob=P@SEED) so every run, including
-// the TSan CI run, replays the same injection pattern. This binary
-// only exists in builds configured with -DGEM_ENABLE_FAILPOINTS=ON.
+// the TSan CI run, replays the same injection pattern, and no case
+// orders events with a sleep. This binary only exists in builds
+// configured with -DGEM_ENABLE_FAILPOINTS=ON.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,6 +25,7 @@
 #include "rf/dataset.h"
 #include "serve/engine.h"
 #include "serve/fence_registry.h"
+#include "store/fence_cache.h"
 #include "store/mapped_model.h"
 #include "store/snapshot_v2.h"
 
@@ -50,15 +52,21 @@ core::GemConfig FastConfig() {
   return config;
 }
 
-uint64_t ReloadFailures(const char* phase) {
+uint64_t InstallFailures(const char* phase) {
   return obs::MetricsRegistry::Get()
-      .GetCounter("gem_serve_reload_failures_total", {{"phase", phase}})
+      .GetCounter("gem_store_install_failures_total", {{"phase", phase}})
       .value();
 }
 
 uint64_t LoadRetries() {
   return obs::MetricsRegistry::Get()
       .GetCounter("gem_store_load_retries_total")
+      .value();
+}
+
+uint64_t CacheHits() {
+  return obs::MetricsRegistry::Get()
+      .GetCounter("gem_store_cache_hits_total")
       .value();
 }
 
@@ -76,8 +84,27 @@ store::RetryOptions FastRetry(int attempts) {
   return retry;
 }
 
-/// Trains once per process and snapshots; tests clone fences by
-/// copy-loading the snapshot. Every test starts and ends with a clean
+/// A cache whose loads make `attempts` attempts and that never folds
+/// overlays back into their files: the tests serve the shared fixture
+/// snapshot, which must stay as trained.
+std::shared_ptr<store::FenceCache> MakeCache(int attempts = 1) {
+  store::FenceCacheOptions options;
+  options.retry = FastRetry(attempts);
+  options.flush_on_evict = false;
+  return std::make_shared<store::FenceCache>(options);
+}
+
+/// Blocks until steady_clock has passed `t`. Callers take `t` as
+/// now() + deadline just after Submit returns, so it is no earlier than
+/// the deadline the engine computed inside Submit.
+void WaitPast(std::chrono::steady_clock::time_point t) {
+  while (std::chrono::steady_clock::now() <= t) {
+    std::this_thread::sleep_until(t);
+  }
+}
+
+/// Trains once per process and snapshots; tests serve fences mapped
+/// from the snapshot. Every test starts and ends with a clean
 /// failpoint registry so schedules cannot leak across tests.
 class ChaosTest : public ::testing::Test {
  protected:
@@ -105,6 +132,18 @@ class ChaosTest : public ::testing::Test {
     return std::move(gem).value();
   }
 
+  /// Installs the fixture snapshot under each of `ids` in `cache` and
+  /// attaches the cache to `registry`.
+  static void ServeFixture(const std::shared_ptr<store::FenceCache>& cache,
+                           FenceRegistry& registry,
+                           const std::vector<std::string>& ids) {
+    for (const std::string& id : ids) {
+      const auto generation = cache->Install(id, *snapshot_path_);
+      EXPECT_TRUE(generation.ok()) << generation.status().ToString();
+    }
+    registry.AttachStore(cache);
+  }
+
   static rf::Dataset* dataset_;
   static std::string* snapshot_path_;
 };
@@ -130,10 +169,8 @@ TEST_F(ChaosTest, SeededChaosEveryRequestGetsADefiniteAnswer) {
                     .ok());
 
     FenceRegistry registry;
-    for (int f = 0; f < kFences; ++f) {
-      ASSERT_TRUE(
-          registry.Install("home_" + std::to_string(f), LoadModel()).ok());
-    }
+    ServeFixture(MakeCache(), registry,
+                 {"home_0", "home_1", "home_2", "home_3"});
     EngineOptions options;
     options.num_threads = 4;
     options.max_queue_depth = 32;
@@ -181,27 +218,27 @@ TEST_F(ChaosTest, SeededChaosEveryRequestGetsADefiniteAnswer) {
 
 // The acceptance scenario: a live reload whose snapshot load fails for
 // good must leave the previously installed generation serving, visible
-// both through gem_serve_reload_failures_total and through a
+// both through gem_store_install_failures_total and through a
 // successful post-failure request against generation 1.
 TEST_F(ChaosTest, FailedReloadKeepsOldGenerationServing) {
+  const auto cache = MakeCache(/*attempts=*/2);
   FenceRegistry registry;
-  ASSERT_TRUE(registry.Install("home", LoadModel()).ok());
+  ServeFixture(cache, registry, {"home"});
   Engine engine(&registry, EngineOptions{/*num_threads=*/2});
 
-  const uint64_t failures_before = ReloadFailures("reload");
+  const uint64_t failures_before = InstallFailures("reload");
   const uint64_t retries_before = LoadRetries();
   ASSERT_TRUE(fault::Configure("store.mmap.open=always/unavailable").ok());
-  const auto reload =
-      registry.InstallFromSnapshot("home", *snapshot_path_, FastRetry(2));
+  const auto reload = cache->Install("home", *snapshot_path_);
   EXPECT_EQ(reload.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(ReloadFailures("reload") - failures_before, 1u);
+  EXPECT_EQ(InstallFailures("reload") - failures_before, 1u);
   // 2 attempts = 1 retry before giving up.
   EXPECT_EQ(LoadRetries() - retries_before, 1u);
 
   // Generation 1 is untouched and still answers traffic.
-  const std::shared_ptr<Fence> fence = registry.Find("home");
-  ASSERT_NE(fence, nullptr);
-  EXPECT_EQ(fence->generation, 1u);
+  const auto fence = cache->Acquire("home");
+  ASSERT_TRUE(fence.ok()) << fence.status().ToString();
+  EXPECT_EQ(fence.value()->generation, 1u);
   ServeRequest request;
   request.fence_id = "home";
   request.record = dataset_->test.front();
@@ -211,34 +248,31 @@ TEST_F(ChaosTest, FailedReloadKeepsOldGenerationServing) {
 
   // Clearing the schedule lets the same reload succeed: generation 2.
   fault::Reset();
-  const auto healed =
-      registry.InstallFromSnapshot("home", *snapshot_path_, FastRetry(2));
+  const auto healed = cache->Install("home", *snapshot_path_);
   ASSERT_TRUE(healed.ok()) << healed.status().ToString();
   EXPECT_EQ(healed.value(), 2u);
   engine.Shutdown();
 }
 
 TEST_F(ChaosTest, InitialInstallFailureIsLabeledInitial) {
-  FenceRegistry registry;
-  const uint64_t failures_before = ReloadFailures("initial");
+  const auto cache = MakeCache();
+  const uint64_t failures_before = InstallFailures("initial");
   ASSERT_TRUE(fault::Configure("store.mmap.open=always/unavailable").ok());
-  const auto install =
-      registry.InstallFromSnapshot("fresh", *snapshot_path_, FastRetry(1));
+  const auto install = cache->Install("fresh", *snapshot_path_);
   EXPECT_EQ(install.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(ReloadFailures("initial") - failures_before, 1u);
-  EXPECT_EQ(registry.Find("fresh"), nullptr);
+  EXPECT_EQ(InstallFailures("initial") - failures_before, 1u);
+  EXPECT_EQ(cache->Acquire("fresh").status().code(), StatusCode::kNotFound);
 }
 
 TEST_F(ChaosTest, RegistryReloadInjectionDegradesGracefully) {
-  FenceRegistry registry;
-  ASSERT_TRUE(registry.Install("home", LoadModel()).ok());
-  const uint64_t failures_before = ReloadFailures("reload");
-  ASSERT_TRUE(fault::Configure("serve.registry.reload=once/internal").ok());
-  const auto reload =
-      registry.InstallFromSnapshot("home", *snapshot_path_, FastRetry(1));
+  const auto cache = MakeCache();
+  ASSERT_TRUE(cache->Install("home", *snapshot_path_).ok());
+  const uint64_t failures_before = InstallFailures("reload");
+  ASSERT_TRUE(fault::Configure("store.cache.install=once/internal").ok());
+  const auto reload = cache->Install("home", *snapshot_path_);
   EXPECT_EQ(reload.code(), StatusCode::kInternal);
-  EXPECT_EQ(ReloadFailures("reload") - failures_before, 1u);
-  EXPECT_EQ(registry.Find("home")->generation, 1u);
+  EXPECT_EQ(InstallFailures("reload") - failures_before, 1u);
+  EXPECT_EQ(cache->Acquire("home").value()->generation, 1u);
 }
 
 TEST_F(ChaosTest, TransientSnapshotFailureRetriesToSuccess) {
@@ -288,7 +322,7 @@ TEST_F(ChaosTest, SaveRenameInjectionLeavesNoArtifacts) {
 
 TEST_F(ChaosTest, WorkerInjectionAnswersWithInjectedStatus) {
   FenceRegistry registry;
-  ASSERT_TRUE(registry.Install("home", LoadModel()).ok());
+  ServeFixture(MakeCache(), registry, {"home"});
   Engine engine(&registry, EngineOptions{/*num_threads=*/1});
   ASSERT_TRUE(fault::Configure("serve.engine.process=once/internal").ok());
 
@@ -305,11 +339,11 @@ TEST_F(ChaosTest, WorkerInjectionAnswersWithInjectedStatus) {
 // --- Deadlines ------------------------------------------------------
 
 TEST_F(ChaosTest, DeadlineExpiresInQueueBehindSlowWork) {
+  const auto cache = MakeCache();
   FenceRegistry registry;
-  ASSERT_TRUE(registry.Install("home", LoadModel()).ok());
+  ServeFixture(cache, registry, {"home"});
   Engine engine(&registry, EngineOptions{/*num_threads=*/1});
-  const std::shared_ptr<Fence> fence = registry.Find("home");
-  ASSERT_NE(fence, nullptr);
+  const std::shared_ptr<Fence> fence = cache->Acquire("home").value();
 
   const uint64_t exceeded_before = DeadlineExceededCount();
   std::promise<ServeResponse> first_done;
@@ -339,7 +373,7 @@ TEST_F(ChaosTest, DeadlineExpiresInQueueBehindSlowWork) {
                               second_done.set_value(std::move(r));
                             })
                     .ok());
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    WaitPast(std::chrono::steady_clock::now() + second.deadline);
   }
   // First request had no deadline: it serves once the stall lifts.
   EXPECT_TRUE(first_done.get_future().get().status.ok());
@@ -351,44 +385,61 @@ TEST_F(ChaosTest, DeadlineExpiresInQueueBehindSlowWork) {
 }
 
 TEST_F(ChaosTest, DeadlineExpiresWaitingForBusyFence) {
+  const auto cache = MakeCache();
   FenceRegistry registry;
-  ASSERT_TRUE(registry.Install("home", LoadModel()).ok());
+  ServeFixture(cache, registry, {"home"});
   Engine engine(&registry, EngineOptions{/*num_threads=*/1});
-  const std::shared_ptr<Fence> fence = registry.Find("home");
-  ASSERT_NE(fence, nullptr);
+  const std::shared_ptr<Fence> fence = cache->Acquire("home").value();
 
   std::promise<ServeResponse> done;
+  std::future<ServeResponse> answer = done.get_future();
   {
-    // The worker dequeues immediately (queue-side check passes) and
-    // then outwaits its deadline blocked on the fence mutex.
+    // The worker dequeues (the queue-side check passes: the deadline is
+    // far above any dequeue latency), pins the fence, and then outwaits
+    // its deadline blocked on the fence mutex.
     std::unique_lock stall(fence->mutex);
     ServeRequest request;
     request.fence_id = "home";
     request.record = dataset_->test.front();
-    request.deadline = std::chrono::milliseconds(20);
+    request.deadline = std::chrono::seconds(1);
+    const uint64_t hits_at_submit = CacheHits();
     ASSERT_TRUE(engine
                     .Submit(request,
                             [&](ServeResponse r) {
                               done.set_value(std::move(r));
                             })
                     .ok());
-    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+    const auto expired_at = std::chrono::steady_clock::now() + request.deadline;
+    // Process resolves the fence only after its queue-side check, so a
+    // cache hit means the worker is past that check.
+    bool answered_early = false;
+    while (CacheHits() == hits_at_submit) {
+      if (answer.wait_for(std::chrono::seconds(0)) ==
+          std::future_status::ready) {
+        answered_early = true;  // fails the expectations below
+        break;
+      }
+      std::this_thread::yield();
+    }
+    if (!answered_early) WaitPast(expired_at);
   }
-  const ServeResponse expired = done.get_future().get();
+  const ServeResponse expired = answer.get();
   EXPECT_EQ(expired.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_NE(expired.status.message().find("waiting for fence"),
-            std::string::npos);
+            std::string::npos)
+      << expired.status.ToString();
   engine.Shutdown();
 }
 
 TEST_F(ChaosTest, EngineDefaultDeadlineApplies) {
+  const auto cache = MakeCache();
   FenceRegistry registry;
-  ASSERT_TRUE(registry.Install("home", LoadModel()).ok());
+  ServeFixture(cache, registry, {"home"});
   EngineOptions options;
   options.num_threads = 1;
   options.default_deadline = std::chrono::milliseconds(15);
   Engine engine(&registry, options);
-  const std::shared_ptr<Fence> fence = registry.Find("home");
+  const std::shared_ptr<Fence> fence = cache->Acquire("home").value();
 
   std::promise<ServeResponse> done;
   {
@@ -402,7 +453,7 @@ TEST_F(ChaosTest, EngineDefaultDeadlineApplies) {
                               done.set_value(std::move(r));
                             })
                     .ok());
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    WaitPast(std::chrono::steady_clock::now() + options.default_deadline);
   }
   EXPECT_EQ(done.get_future().get().status.code(),
             StatusCode::kDeadlineExceeded);
@@ -411,7 +462,7 @@ TEST_F(ChaosTest, EngineDefaultDeadlineApplies) {
 
 TEST_F(ChaosTest, NegativeDeadlineIsRejectedAtSubmit) {
   FenceRegistry registry;
-  ASSERT_TRUE(registry.Install("home", LoadModel()).ok());
+  ServeFixture(MakeCache(), registry, {"home"});
   Engine engine(&registry, EngineOptions{/*num_threads=*/1});
   ServeRequest request;
   request.fence_id = "home";
@@ -434,18 +485,19 @@ TEST_F(ChaosTest, ReloadStormNeverInterruptsServing) {
   // Every Fence construction bumps gem_registry_generations_live and
   // every destruction decrements it; across a storm of reloads (each
   // success replaces a generation) the gauge must return EXACTLY to
-  // its pre-test value once the registry dies — a residue would mean a
+  // its pre-test value once the cache dies — a residue would mean a
   // generation leaked past the storm (held forever, or double-counted).
   const double generations_before =
       Fence::GenerationsLiveGauge().value();
   {
+  const auto cache = MakeCache();
   FenceRegistry registry;
-  ASSERT_TRUE(registry.Install("home", LoadModel()).ok());
+  ServeFixture(cache, registry, {"home"});
   Engine engine(&registry, EngineOptions{/*num_threads=*/2});
   ASSERT_TRUE(
       fault::Configure("store.mmap.open=prob=0.5@5/unavailable").ok());
 
-  const uint64_t failures_before = ReloadFailures("reload");
+  const uint64_t failures_before = InstallFailures("reload");
   std::atomic<bool> stop{false};
   std::atomic<int> served{0};
   std::vector<std::thread> clients;
@@ -470,15 +522,14 @@ TEST_F(ChaosTest, ReloadStormNeverInterruptsServing) {
   int reload_failures = 0;
   int reload_successes = 0;
   for (int i = 0; i < 8; ++i) {
-    const auto reload =
-        registry.InstallFromSnapshot("home", *snapshot_path_, FastRetry(1));
+    const auto reload = cache->Install("home", *snapshot_path_);
     if (reload.ok()) {
       ++reload_successes;
     } else {
       ++reload_failures;
     }
     // The fence is ALWAYS resolvable, whatever the reload outcome.
-    ASSERT_NE(registry.Find("home"), nullptr);
+    ASSERT_TRUE(cache->Acquire("home").ok());
   }
   // The reload storm outpaces the clients; let traffic prove the fence
   // stayed serviceable before stopping (the ctest TIMEOUT bounds this).
@@ -488,12 +539,12 @@ TEST_F(ChaosTest, ReloadStormNeverInterruptsServing) {
   engine.Shutdown();
 
   EXPECT_EQ(reload_failures + reload_successes, 8);
-  EXPECT_EQ(ReloadFailures("reload") - failures_before,
+  EXPECT_EQ(InstallFailures("reload") - failures_before,
             static_cast<uint64_t>(reload_failures));
-  EXPECT_EQ(registry.Find("home")->generation,
+  EXPECT_EQ(cache->Acquire("home").value()->generation,
             static_cast<uint64_t>(1 + reload_successes));
   EXPECT_GT(served.load(), 0);
-  // While the registry lives it holds exactly one generation of "home"
+  // While the cache lives it holds exactly one generation of "home"
   // (replaced generations died with their last in-flight holder).
   EXPECT_EQ(Fence::GenerationsLiveGauge().value(),
             generations_before + 1.0);

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <latch>
 #include <memory>
 #include <mutex>
@@ -16,6 +17,7 @@
 #include "core/overlay.h"
 #include "rf/dataset.h"
 #include "serve/fence_registry.h"
+#include "store/fence_cache.h"
 #include "store/snapshot_v2.h"
 
 namespace gem::serve {
@@ -47,6 +49,14 @@ uint64_t Bits(double v) {
   return bits;
 }
 
+/// A cache that never folds overlays back into their files: most tests
+/// serve the shared fixture snapshot, which must stay as trained.
+std::shared_ptr<store::FenceCache> NoFlushCache() {
+  store::FenceCacheOptions options;
+  options.flush_on_evict = false;
+  return std::make_shared<store::FenceCache>(options);
+}
+
 ServeResponse ServeOne(Engine& engine, const std::string& fence_id,
                        const rf::ScanRecord& record) {
   ServeRequest request;
@@ -55,8 +65,9 @@ ServeResponse ServeOne(Engine& engine, const std::string& fence_id,
   return engine.InferBlocking(std::move(request));
 }
 
-/// Trains once per process and snapshots; tests clone fences by
-/// copy-loading the snapshot (core::Gem itself is move-only).
+/// Trains once per process and snapshots; tests serve fences mapped
+/// from the snapshot and compare against copy loads of it (core::Gem
+/// itself is move-only).
 class ServeTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -80,6 +91,19 @@ class ServeTest : public ::testing::Test {
     return std::move(gem).value();
   }
 
+  /// Installs the fixture snapshot under each of `ids` in a fresh
+  /// NoFlushCache and attaches it to `registry`.
+  static std::shared_ptr<store::FenceCache> ServeFixture(
+      FenceRegistry& registry, const std::vector<std::string>& ids) {
+    std::shared_ptr<store::FenceCache> cache = NoFlushCache();
+    for (const std::string& id : ids) {
+      const auto generation = cache->Install(id, *snapshot_path_);
+      EXPECT_TRUE(generation.ok()) << generation.status().ToString();
+    }
+    registry.AttachStore(cache);
+    return cache;
+  }
+
   static rf::Dataset* dataset_;
   static std::string* snapshot_path_;
 };
@@ -87,48 +111,36 @@ class ServeTest : public ::testing::Test {
 rf::Dataset* ServeTest::dataset_ = nullptr;
 std::string* ServeTest::snapshot_path_ = nullptr;
 
-TEST_F(ServeTest, RegistryInstallFindUnload) {
+TEST_F(ServeTest, InstallResolveDeregister) {
+  std::shared_ptr<store::FenceCache> cache = NoFlushCache();
   FenceRegistry registry;
-  EXPECT_EQ(registry.size(), 0u);
-  EXPECT_EQ(registry.Find("home_a"), nullptr);
+  registry.AttachStore(cache);
+  EXPECT_EQ(cache->registered(), 0u);
+  EXPECT_EQ(registry.Resolve("home_a").status().code(),
+            StatusCode::kNotFound);
 
-  auto generation = registry.Install("home_a", LoadModel());
+  auto generation = cache->Install("home_a", *snapshot_path_);
   ASSERT_TRUE(generation.ok());
   EXPECT_EQ(generation.value(), 1u);
-  EXPECT_EQ(registry.size(), 1u);
+  EXPECT_EQ(cache->registered(), 1u);
 
-  const std::shared_ptr<Fence> fence = registry.Find("home_a");
-  ASSERT_NE(fence, nullptr);
+  const auto resolved = registry.Resolve("home_a");
+  ASSERT_TRUE(resolved.ok());
+  const std::shared_ptr<Fence> fence = resolved.value();
   EXPECT_EQ(fence->id, "home_a");
   EXPECT_EQ(fence->generation, 1u);
 
   // Reinstall = live reload: generation bumps, old handle still valid.
-  generation = registry.Install("home_a", LoadModel());
+  generation = cache->Install("home_a", *snapshot_path_);
   ASSERT_TRUE(generation.ok());
   EXPECT_EQ(generation.value(), 2u);
   EXPECT_EQ(fence->generation, 1u);  // the pre-reload handle
-  EXPECT_EQ(registry.Find("home_a")->generation, 2u);
+  EXPECT_EQ(registry.Resolve("home_a").value()->generation, 2u);
 
-  EXPECT_TRUE(registry.Unload("home_a").ok());
-  EXPECT_EQ(registry.Find("home_a"), nullptr);
-  EXPECT_EQ(registry.Unload("home_a").code(), StatusCode::kNotFound);
-}
-
-TEST_F(ServeTest, RegistryRejectsUntrainedAndEmptyId) {
-  FenceRegistry registry;
-  EXPECT_EQ(registry.Install("x", core::Gem(FastConfig())).status().code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(registry.Install("", LoadModel()).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST_F(ServeTest, RegistryFenceIdsSorted) {
-  FenceRegistry registry;
-  for (const char* id : {"zeta", "alpha", "mid"}) {
-    ASSERT_TRUE(registry.Install(id, LoadModel()).ok());
-  }
-  EXPECT_EQ(registry.FenceIds(),
-            (std::vector<std::string>{"alpha", "mid", "zeta"}));
+  EXPECT_TRUE(cache->Deregister("home_a").ok());
+  EXPECT_EQ(registry.Resolve("home_a").status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(cache->Deregister("home_a").code(), StatusCode::kNotFound);
 }
 
 TEST_F(ServeTest, UnknownFenceIsNotFound) {
@@ -141,25 +153,69 @@ TEST_F(ServeTest, UnknownFenceIsNotFound) {
   EXPECT_EQ(response.status.code(), StatusCode::kNotFound);
 }
 
+// The served fence borrows its tensors from the snapshot mapping and
+// answers bit-identically to a copy load of the same file, through a
+// stream long enough that self-enhancement runs.
 TEST_F(ServeTest, ServesMatchDirectInference) {
   FenceRegistry registry;
-  ASSERT_TRUE(registry.Install("home", LoadModel()).ok());
+  ServeFixture(registry, {"home"});
   const core::Gem reference = LoadModel();
   core::GemOverlay reference_overlay;
 
   Engine engine(&registry, EngineOptions{/*num_threads=*/1});
-  for (size_t i = 0; i < 20 && i < dataset_->test.size(); ++i) {
-    ServeRequest request;
-    request.fence_id = "home";
-    request.record = dataset_->test[i];
-    const ServeResponse response = engine.InferBlocking(std::move(request));
-    ASSERT_TRUE(response.status.ok());
+  int absorbed = 0;
+  for (const rf::ScanRecord& record : dataset_->test) {
+    const ServeResponse response = ServeOne(engine, "home", record);
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
     const core::InferenceResult expected =
-        reference.Infer(dataset_->test[i], reference_overlay);
-    EXPECT_DOUBLE_EQ(response.result.score, expected.score);
-    EXPECT_EQ(response.result.decision, expected.decision);
+        reference.Infer(record, reference_overlay);
+    ASSERT_EQ(Bits(response.result.score), Bits(expected.score));
+    ASSERT_EQ(response.result.decision, expected.decision);
+    ASSERT_EQ(response.result.model_updated, expected.model_updated);
     EXPECT_EQ(response.fence_generation, 1u);
+    absorbed += response.result.model_updated ? 1 : 0;
   }
+  // Self-enhancement ran, so the overlays stayed in lockstep too.
+  EXPECT_GT(absorbed, 0);
+  engine.Shutdown();
+}
+
+// An installed fence gets the cache's OverlayLimits: whenever its
+// overlay outgrows them, the next unpinned lookup folds it into the
+// snapshot and reloads, and the reloaded generations continue the
+// stream bit for bit.
+TEST_F(ServeTest, InstalledFenceHonoursLimitsAndContinuesItsStream) {
+  const std::string path = TempPath("engine_test_limits.gem");
+  std::filesystem::copy_file(
+      *snapshot_path_, path,
+      std::filesystem::copy_options::overwrite_existing);
+  store::FenceCacheOptions options;
+  options.overlay_limits.max_new_nodes = 8;
+  auto cache = std::make_shared<store::FenceCache>(options);
+  ASSERT_TRUE(cache->Install("home", path).ok());
+  FenceRegistry registry;
+  registry.AttachStore(cache);
+  Engine engine(&registry, EngineOptions{/*num_threads=*/1});
+
+  const core::Gem reference = LoadModel();
+  core::GemOverlay overlay;
+  uint64_t generation = 0;
+  for (size_t i = 0; i < dataset_->test.size(); ++i) {
+    const ServeResponse response =
+        ServeOne(engine, "home", dataset_->test[i]);
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    const core::InferenceResult expected =
+        reference.Infer(dataset_->test[i], overlay);
+    ASSERT_EQ(Bits(response.result.score), Bits(expected.score))
+        << "record " << i;
+    ASSERT_EQ(response.result.decision, expected.decision) << "record " << i;
+    ASSERT_EQ(response.result.model_updated, expected.model_updated)
+        << "record " << i;
+    generation = response.fence_generation;
+  }
+  // The overlay was folded back at least once.
+  EXPECT_GT(generation, 1u);
+  engine.Shutdown();
 }
 
 // The acceptance scenario: >= 4 fences served concurrently, each
@@ -171,16 +227,14 @@ TEST_F(ServeTest, ConcurrentFencesWithRacingUpdatesAndReload) {
   constexpr size_t kReloadedFrom = 8;
   ASSERT_GT(dataset_->test.size(), kReloadedFrom);
   FenceRegistry registry;
-  for (int i = 0; i < kFences; ++i) {
-    ASSERT_TRUE(
-        registry.Install("home_" + std::to_string(i), LoadModel()).ok());
-  }
+  const auto cache =
+      ServeFixture(registry, {"home_0", "home_1", "home_2", "home_3"});
 
   Engine engine(&registry, EngineOptions{/*num_threads=*/4});
   std::atomic<int> ok_count{0};
   // Fence 0 has been served once, so the reload races live traffic.
   std::latch fence0_served(1);
-  // InstallFromSnapshot has returned.
+  // The reloading Install has returned.
   std::latch reloaded(1);
   std::vector<std::thread> clients;
   clients.reserve(kFences);
@@ -209,8 +263,7 @@ TEST_F(ServeTest, ConcurrentFencesWithRacingUpdatesAndReload) {
 
   // Live reload fence 0 while the clients are hammering it.
   fence0_served.wait();
-  const auto generation =
-      registry.InstallFromSnapshot("home_0", *snapshot_path_);
+  const auto generation = cache->Install("home_0", *snapshot_path_);
   reloaded.count_down();
 
   for (std::thread& client : clients) client.join();
@@ -219,33 +272,6 @@ TEST_F(ServeTest, ConcurrentFencesWithRacingUpdatesAndReload) {
   EXPECT_EQ(generation.value(), 2u);
   EXPECT_EQ(ok_count.load(),
             kFences * static_cast<int>(dataset_->test.size()));
-}
-
-// InstallFromSnapshot maps the file: the fence borrows its tensors
-// from a mapping it keeps alive, and serves bit-identically to a
-// fence installed from a copy load of the same file.
-TEST_F(ServeTest, InstallFromSnapshotMapsAndMatchesCopyInstall) {
-  FenceRegistry registry;
-  ASSERT_TRUE(registry.InstallFromSnapshot("mapped", *snapshot_path_).ok());
-  ASSERT_TRUE(registry.Install("copied", LoadModel()).ok());
-  ASSERT_NE(registry.Find("mapped")->backing, nullptr);
-  EXPECT_EQ(registry.Find("copied")->backing, nullptr);
-
-  Engine engine(&registry, EngineOptions{/*num_threads=*/2});
-  int absorbed = 0;
-  for (const rf::ScanRecord& record : dataset_->test) {
-    const ServeResponse mapped = ServeOne(engine, "mapped", record);
-    const ServeResponse copied = ServeOne(engine, "copied", record);
-    ASSERT_TRUE(mapped.status.ok()) << mapped.status.ToString();
-    ASSERT_TRUE(copied.status.ok()) << copied.status.ToString();
-    ASSERT_EQ(Bits(mapped.result.score), Bits(copied.result.score));
-    ASSERT_EQ(mapped.result.decision, copied.result.decision);
-    ASSERT_EQ(mapped.result.model_updated, copied.result.model_updated);
-    absorbed += mapped.result.model_updated ? 1 : 0;
-  }
-  // Self-enhancement ran, so the overlays stayed in lockstep too.
-  EXPECT_GT(absorbed, 0);
-  engine.Shutdown();
 }
 
 // A live reload replaces the file (SaveSnapshotV2 writes a temp file
@@ -261,8 +287,10 @@ TEST_F(ServeTest, ReloadKeepsPinnedGenerationServingOffItsMapping) {
   const std::string path = TempPath("engine_test_reload.gem");
   ASSERT_TRUE(store::SaveSnapshotV2(path, model_a).ok());
 
+  std::shared_ptr<store::FenceCache> cache = NoFlushCache();
+  ASSERT_TRUE(cache->Install("home", path).ok());
   FenceRegistry registry;
-  ASSERT_TRUE(registry.InstallFromSnapshot("home", path).ok());
+  registry.AttachStore(cache);
 
   std::latch pinned(1);
   std::latch reloaded(1);
@@ -284,7 +312,7 @@ TEST_F(ServeTest, ReloadKeepsPinnedGenerationServingOffItsMapping) {
   pinned.wait();
   // EXPECT, not ASSERT: the held request must be released either way.
   EXPECT_TRUE(store::SaveSnapshotV2(path, model_b).ok());
-  const auto generation = registry.InstallFromSnapshot("home", path);
+  const auto generation = cache->Install("home", path);
   reloaded.count_down();
   request.join();
   ASSERT_TRUE(generation.ok()) << generation.status().ToString();
@@ -316,7 +344,7 @@ TEST_F(ServeTest, ReloadKeepsPinnedGenerationServingOffItsMapping) {
 
 TEST_F(ServeTest, BackpressureRejectsWhenQueueFull) {
   FenceRegistry registry;
-  ASSERT_TRUE(registry.Install("home", LoadModel()).ok());
+  const auto cache = ServeFixture(registry, {"home"});
 
   EngineOptions options;
   options.num_threads = 1;
@@ -325,7 +353,7 @@ TEST_F(ServeTest, BackpressureRejectsWhenQueueFull) {
 
   // Stall the single worker by holding the fence's model mutex, then
   // saturate: 1 in-flight + 2 queued, everything after is shed.
-  const std::shared_ptr<Fence> fence = registry.Find("home");
+  const std::shared_ptr<Fence> fence = cache->Acquire("home").value();
   std::atomic<int> completed{0};
   std::vector<Status> verdicts;
   {
@@ -360,7 +388,7 @@ TEST_F(ServeTest, BackpressureRejectsWhenQueueFull) {
 
 TEST_F(ServeTest, SubmitAfterShutdownFailsWithoutCallback) {
   FenceRegistry registry;
-  ASSERT_TRUE(registry.Install("home", LoadModel()).ok());
+  ServeFixture(registry, {"home"});
   Engine engine(&registry);
   engine.Shutdown();
   engine.Shutdown();  // idempotent
@@ -375,17 +403,17 @@ TEST_F(ServeTest, SubmitAfterShutdownFailsWithoutCallback) {
   EXPECT_FALSE(callback_ran);
 }
 
-TEST_F(ServeTest, UnloadDuringTrafficFinishesInFlight) {
+TEST_F(ServeTest, DeregisterDuringTrafficFinishesInFlight) {
   constexpr int kClients = 2;
   constexpr int kRequests = 50;
-  // Request index each client holds until the unload has returned.
+  // Request index each client holds until Deregister has returned.
   constexpr int kUnloadedFrom = 10;
   FenceRegistry registry;
-  ASSERT_TRUE(registry.Install("home", LoadModel()).ok());
+  const auto cache = ServeFixture(registry, {"home"});
   Engine engine(&registry, EngineOptions{/*num_threads=*/2});
 
   std::atomic<int> ok_or_notfound{0};
-  // Every client has been served once, so the unload lands while both
+  // Every client has been served once, so Deregister lands while both
   // still have requests pending.
   std::latch all_served(kClients);
   std::latch unloaded(1);
@@ -416,7 +444,7 @@ TEST_F(ServeTest, UnloadDuringTrafficFinishesInFlight) {
     });
   }
   all_served.wait();
-  const Status unload = registry.Unload("home");
+  const Status unload = cache->Deregister("home");
   unloaded.count_down();
   for (std::thread& client : clients) client.join();
   engine.Shutdown();
@@ -426,8 +454,7 @@ TEST_F(ServeTest, UnloadDuringTrafficFinishesInFlight) {
 
 TEST_F(ServeTest, InferBatchMatchesSequentialServes) {
   FenceRegistry registry;
-  ASSERT_TRUE(registry.Install("batch", LoadModel()).ok());
-  ASSERT_TRUE(registry.Install("serial", LoadModel()).ok());
+  ServeFixture(registry, {"batch", "serial"});
   Engine engine(&registry, EngineOptions{2, 16});
 
   const std::vector<rf::ScanRecord> records(dataset_->test.begin(),
@@ -468,7 +495,7 @@ TEST_F(ServeTest, InferBatchReportsMissingFenceAndShutdown) {
 
 TEST_F(ServeTest, ConcurrentBatchesAgainstOneFenceStaySerialized) {
   FenceRegistry registry;
-  ASSERT_TRUE(registry.Install("home", LoadModel()).ok());
+  ServeFixture(registry, {"home"});
   Engine engine(&registry, EngineOptions{4, 64});
 
   const std::vector<rf::ScanRecord> records(dataset_->test.begin(),

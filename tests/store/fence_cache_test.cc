@@ -1,8 +1,8 @@
 // FenceCache behavior: LRU order, hit/miss accounting, pinning across
-// eviction, generation-aware invalidation, and the concurrency
+// eviction, live reload through Install, and the concurrency
 // invariants the TSan CI job race-checks — concurrent cold loads of
 // one fence collapse to a single disk read, eviction never invalidates
-// a pinned holder mid-request, and an invalidation storm under live
+// a pinned holder mid-request, and an install storm under live
 // traffic converges without serving a stale generation.
 #include "store/fence_cache.h"
 
@@ -13,6 +13,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/gem.h"
@@ -46,9 +47,16 @@ uint64_t Evictions() {
       .value();
 }
 
+uint64_t ReloadFailures() {
+  return obs::MetricsRegistry::Get()
+      .GetCounter("gem_store_install_failures_total", {{"phase", "reload"}})
+      .value();
+}
+
 /// Trains one small model per process and snapshots it to two files;
 /// cache tests register many fence ids against them (the second file
-/// is the repoint target).
+/// is the repoint target). No test serves into a cached fence's own
+/// overlay, so no flush ever rewrites the shared files.
 class FenceCacheTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -185,27 +193,63 @@ TEST_F(FenceCacheTest, PinnedHolderSurvivesEviction) {
   EXPECT_EQ(again.value()->generation, 2u);
 }
 
-TEST_F(FenceCacheTest, InvalidateForcesReloadUnderNewGeneration) {
+TEST_F(FenceCacheTest, EmptyIdOrPathIsInvalid) {
+  FenceCache cache;
+  for (const auto& [id, path] : {std::pair<std::string, std::string>{
+                                     "", *v2_path_},
+                                 {"home", ""}}) {
+    EXPECT_EQ(cache.Register(id, path).code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(cache.Install(id, path).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(cache.registered(), 0u);
+}
+
+TEST_F(FenceCacheTest, RegisteredIdsAreSorted) {
+  FenceCache cache;
+  for (const char* id : {"zeta", "alpha", "mid"}) {
+    ASSERT_TRUE(cache.Register(id, *v2_path_).ok());
+  }
+  EXPECT_EQ(cache.RegisteredIds(),
+            (std::vector<std::string>{"alpha", "mid", "zeta"}));
+}
+
+TEST_F(FenceCacheTest, InstallReloadsUnderNewGeneration) {
   FenceCache cache;
   ASSERT_TRUE(cache.Register("home", *v2_path_).ok());
   auto first = cache.Acquire("home");
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first.value()->generation, 1u);
 
-  EXPECT_EQ(cache.Invalidate("nope").code(), StatusCode::kNotFound);
-  ASSERT_TRUE(cache.Invalidate("home").ok());
-  EXPECT_EQ(cache.resident(), 0u);
+  // A file that fails to load changes nothing: generation 1 still
+  // serves, and the failure is counted as a reload.
+  const uint64_t failures_before = ReloadFailures();
+  EXPECT_EQ(
+      cache.Install("home", TempPath("no_such_snapshot.gem")).status().code(),
+      StatusCode::kNotFound);
+  EXPECT_EQ(ReloadFailures() - failures_before, 1u);
+  EXPECT_EQ(cache.Acquire("home").value().get(), first.value().get());
 
+  // A good file is mapped and resident at once, under a new generation;
+  // the old holder keeps its model.
+  const uint64_t misses_before = Misses();
+  auto installed = cache.Install("home", *v2_path_);
+  ASSERT_TRUE(installed.ok());
+  EXPECT_EQ(installed.value(), 2u);
+  EXPECT_EQ(cache.resident(), 1u);
   auto second = cache.Acquire("home");
   ASSERT_TRUE(second.ok());
+  EXPECT_EQ(Misses() - misses_before, 0u);
   EXPECT_NE(second.value().get(), first.value().get());
   EXPECT_EQ(second.value()->generation, 2u);
+  EXPECT_EQ(first.value()->generation, 1u);
 }
 
-TEST_F(FenceCacheTest, RegisterRepointInvalidatesSamePathDoesNot) {
+TEST_F(FenceCacheTest, RegisterSamePathIsNoOpInstallRepoints) {
   FenceCache cache;
   ASSERT_TRUE(cache.Register("home", *v2_path_).ok());
-  ASSERT_TRUE(cache.Acquire("home").ok());
+  auto first = cache.Acquire("home");
+  ASSERT_TRUE(first.ok());
   EXPECT_EQ(cache.resident(), 1u);
 
   // Re-registering the SAME path is a no-op — the resident model still
@@ -213,12 +257,22 @@ TEST_F(FenceCacheTest, RegisterRepointInvalidatesSamePathDoesNot) {
   ASSERT_TRUE(cache.Register("home", *v2_path_).ok());
   EXPECT_EQ(cache.resident(), 1u);
 
-  // Repointing to a different file drops the stale resident.
-  ASSERT_TRUE(cache.Register("home", *other_path_).ok());
-  EXPECT_EQ(cache.resident(), 0u);
-  auto reloaded = cache.Acquire("home");
-  ASSERT_TRUE(reloaded.ok());
-  EXPECT_EQ(reloaded.value()->generation, 2u);
+  // Register never repoints: another file is refused and the resident
+  // model stays.
+  EXPECT_EQ(cache.Register("home", *other_path_).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(cache.Acquire("home").value().get(), first.value().get());
+
+  // Install repoints: the other file serves under generation 2, and a
+  // Register of it is now the no-op.
+  auto repointed = cache.Install("home", *other_path_);
+  ASSERT_TRUE(repointed.ok());
+  EXPECT_EQ(repointed.value(), 2u);
+  EXPECT_EQ(cache.resident(), 1u);
+  EXPECT_TRUE(cache.Register("home", *other_path_).ok());
+  EXPECT_EQ(cache.Register("home", *v2_path_).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(cache.Acquire("home").value()->generation, 2u);
 }
 
 TEST_F(FenceCacheTest, DeregisterDropsRegistrationAndResident) {
@@ -315,11 +369,11 @@ TEST_F(FenceCacheTest, EvictionUnderTrafficKeepsServing) {
   EXPECT_LE(cache.resident(), 2u);
 }
 
-TEST_F(FenceCacheTest, InvalidationStormConvergesToFreshGeneration) {
-  // A pin-vs-invalidate race: readers Acquire and infer while the main
-  // thread storms Invalidate. Readers must always get a usable model,
-  // and the post-storm Acquire must observe a generation at least as
-  // fresh as every invalidation that completed before it.
+TEST_F(FenceCacheTest, InstallStormConvergesToFreshGeneration) {
+  // A pin-vs-reload race: readers Acquire and infer while the main
+  // thread storms Install. Readers must always get a usable model, and
+  // the post-storm Acquire must observe a generation at least as fresh
+  // as every install that completed before it.
   FenceCache cache;
   ASSERT_TRUE(cache.Register("home", *v2_path_).ok());
 
@@ -340,24 +394,32 @@ TEST_F(FenceCacheTest, InvalidationStormConvergesToFreshGeneration) {
       }
     });
   }
+  uint64_t last_installed = 0;
   for (int i = 0; i < 16; ++i) {
-    ASSERT_TRUE(cache.Invalidate("home").ok());
+    auto installed = cache.Install("home", *v2_path_);
+    // EXPECT, not ASSERT: the readers must be stopped either way.
+    EXPECT_TRUE(installed.ok()) << installed.status().ToString();
+    if (!installed.ok()) continue;
+    EXPECT_GT(installed.value(), last_installed);
+    last_installed = installed.value();
     std::this_thread::yield();
   }
   stop.store(true);
   for (std::thread& reader : readers) reader.join();
 
   EXPECT_EQ(failures.load(), 0);
-  // Generations stayed monotonic through the storm: one more
-  // invalidate + reload advances by exactly one — no generation was
-  // double-issued or lost to a discarded racing load.
+  // Generations stayed monotonic through the storm: one more install
+  // advances by exactly one — no generation was double-issued or lost
+  // to a discarded racing load.
   auto settled = cache.Acquire("home");
   ASSERT_TRUE(settled.ok());
   const uint64_t settled_generation = settled.value()->generation;
-  ASSERT_TRUE(cache.Invalidate("home").ok());
-  auto fresh = cache.Acquire("home");
+  EXPECT_GE(settled_generation, last_installed);
+  auto fresh = cache.Install("home", *v2_path_);
   ASSERT_TRUE(fresh.ok());
-  EXPECT_EQ(fresh.value()->generation, settled_generation + 1);
+  EXPECT_EQ(fresh.value(), settled_generation + 1);
+  EXPECT_EQ(cache.Acquire("home").value()->generation,
+            settled_generation + 1);
 }
 
 }  // namespace
