@@ -4,14 +4,11 @@
 //
 // Timing mode (used by CI and the README's threading numbers):
 //   bench_fig9_training_update --timing_only [--threads=1,2,4,8]
-//                              [--deterministic]
 //                              [--bench_out=BENCH_train.json]
 //                              [--trace_out=trace.json]
 // trains the same workload once per thread count, times Train and the
-// batched inference pass, and writes the measurements as JSON.
-// --deterministic appends a second pass over the same thread list
-// with bisage.deterministic=true; those entries carry
-// "deterministic": true in the JSON. The top-level "host_cpus" field
+// batched inference pass, and writes the measurements as JSON. Every
+// thread count trains the same model. The top-level "host_cpus" field
 // records std::thread::hardware_concurrency() so the scaling gate in
 // bench/check_bench.py knows which thread counts the machine could
 // genuinely run in parallel (budgets above host_cpus are warn-only).
@@ -80,7 +77,7 @@ double Seconds(std::chrono::steady_clock::time_point start) {
 ///   {"workload": "fig9_train", "train_records": ...,
 ///    "results": [{"threads": 1, "train_seconds": ..., ...}, ...]}
 int RunTimingOnly(const std::vector<int>& thread_counts,
-                  bool deterministic_pass, const std::string& bench_out,
+                  const std::string& bench_out,
                   const std::string& trace_out) {
   rf::DatasetOptions options;
   options.seed = 321;
@@ -101,7 +98,6 @@ int RunTimingOnly(const std::vector<int>& thread_counts,
 
   struct Timing {
     int threads;
-    bool deterministic;
     double train_seconds;
     double infer_batch_seconds;
     /// Timeline window of this run, for per-run attribution.
@@ -109,34 +105,20 @@ int RunTimingOnly(const std::vector<int>& thread_counts,
     int64_t window_end_ns;
     std::string stages_json;
   };
-  struct RunSpec {
-    int threads;
-    bool deterministic;
-  };
-  std::vector<RunSpec> specs;
-  for (const int threads : thread_counts) specs.push_back({threads, false});
-  if (deterministic_pass) {
-    for (const int threads : thread_counts) specs.push_back({threads, true});
-  }
-
   std::vector<Timing> timings;
-  gem::TextTable table({"Threads", "Mode", "Train (s)", "InferBatch (s)",
+  gem::TextTable table({"Threads", "Train (s)", "InferBatch (s)",
                         "Train speedup"});
-  // Speedup is reported against the single-mode baseline: the first
-  // default-mode run and the first deterministic run anchor their own
-  // columns (deterministic mode is contractually sequential, so mixing
-  // the anchors would make its "speedup" read as a regression).
-  double baselines[2] = {0.0, 0.0};
-  for (const RunSpec& spec : specs) {
+  // Speedup is reported against the first run.
+  double baseline = 0.0;
+  for (const int threads : thread_counts) {
     core::GemConfig config;
-    config.bisage.num_threads = spec.threads;
-    config.bisage.deterministic = spec.deterministic;
+    config.bisage.num_threads = threads;
     core::Gem gem(config);
 
     const int64_t window_begin_ns = obs::Timeline::NowNs();
     const auto train_start = std::chrono::steady_clock::now();
     if (!gem.Train(data.train).ok()) {
-      std::fprintf(stderr, "training failed at %d threads\n", spec.threads);
+      std::fprintf(stderr, "training failed at %d threads\n", threads);
       return 1;
     }
     const double train_s = Seconds(train_start);
@@ -147,23 +129,19 @@ int RunTimingOnly(const std::vector<int>& thread_counts,
         gem.InferBatch(data.test, overlay);
     const double infer_s = Seconds(infer_start);
     if (results.size() != data.test.size()) {
-      std::fprintf(stderr, "batch size mismatch at %d threads\n",
-                   spec.threads);
+      std::fprintf(stderr, "batch size mismatch at %d threads\n", threads);
       return 1;
     }
     const int64_t window_end_ns = obs::Timeline::NowNs();
 
-    double& baseline = baselines[spec.deterministic ? 1 : 0];
     if (baseline == 0.0) baseline = train_s;
-    timings.push_back({spec.threads, spec.deterministic, train_s, infer_s,
-                       window_begin_ns, window_end_ns, ""});
-    table.AddRow({std::to_string(spec.threads),
-                  spec.deterministic ? "det" : "default",
-                  eval::FormatValue(train_s), eval::FormatValue(infer_s),
+    timings.push_back(
+        {threads, train_s, infer_s, window_begin_ns, window_end_ns, ""});
+    table.AddRow({std::to_string(threads), eval::FormatValue(train_s),
+                  eval::FormatValue(infer_s),
                   eval::FormatValue(baseline / train_s)});
-    std::fprintf(stderr, "  [timing] %d thread(s)%s: train %.3fs, "
-                 "infer-batch %.3fs\n", spec.threads,
-                 spec.deterministic ? " [det]" : "", train_s, infer_s);
+    std::fprintf(stderr, "  [timing] %d thread(s): train %.3fs, "
+                 "infer-batch %.3fs\n", threads, train_s, infer_s);
   }
   std::printf("=== Training / batched-inference timing ===\n\n");
   table.Print();
@@ -177,9 +155,8 @@ int RunTimingOnly(const std::vector<int>& thread_counts,
       const obs::AttributionReport report = obs::BuildAttribution(
           events, timing.window_begin_ns, timing.window_end_ns);
       timing.stages_json = obs::AttributionJson(report);
-      std::printf("\n=== Stage attribution @ %d thread(s)%s ===\n\n%s",
-                  timing.threads, timing.deterministic ? " [det]" : "",
-                  obs::AttributionTable(report).c_str());
+      std::printf("\n=== Stage attribution @ %d thread(s) ===\n\n%s",
+                  timing.threads, obs::AttributionTable(report).c_str());
     }
     const Status written = obs::WriteChromeTrace(trace_out);
     if (!written.ok()) {
@@ -208,8 +185,6 @@ int RunTimingOnly(const std::vector<int>& thread_counts,
     for (size_t i = 0; i < timings.size(); ++i) {
       if (i > 0) out << ", ";
       out << "{\"threads\": " << timings[i].threads
-          << ", \"deterministic\": "
-          << (timings[i].deterministic ? "true" : "false")
           << ", \"train_seconds\": " << timings[i].train_seconds
           << ", \"infer_batch_seconds\": " << timings[i].infer_batch_seconds;
       if (!timings[i].stages_json.empty()) {
@@ -245,19 +220,14 @@ math::InOutMetrics RunGem(const std::vector<rf::ScanRecord>& train,
 
 int main(int argc, char** argv) {
   bool timing_only = false;
-  bool deterministic_pass = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--timing_only") == 0) timing_only = true;
-    if (std::strcmp(argv[i], "--deterministic") == 0) {
-      deterministic_pass = true;
-    }
   }
   if (timing_only) {
     std::string trace_out = FlagValueFromArgs(argc, argv, "--trace_out=");
     if (trace_out.empty()) trace_out = obs::TraceOutPathFromEnv();
     return RunTimingOnly(
         ParseThreadList(FlagValueFromArgs(argc, argv, "--threads=")),
-        deterministic_pass,
         FlagValueFromArgs(argc, argv, "--bench_out="), trace_out);
   }
 

@@ -47,7 +47,9 @@
 //       Exits 1 when any cell misses its accuracy floor.
 //
 // --threads=N sets the BiSAGE training / batch-embedding worker count
-// for run and train, and the engine worker count for serve. The value
+// for run and train, and the engine worker count for serve. It never
+// changes the trained model: train writes the same bytes at every N,
+// and training puts at most 4 threads to work. The value
 // is recorded in the metrics dump as the gem_cli_threads gauge
 // (labeled by command), so a --metrics_out file documents how the run
 // was parallelized.
@@ -124,6 +126,8 @@ constexpr const char* kUsage =
     "          (online updates are written back to the .gem files)\n"
     "  gem_cli snapshot inspect <model.gem> [--json]\n"
     "  gem_cli matrix [--reps=N] [--threads=N] [--bench_out=PATH]\n"
+    "  --threads=N: worker threads (default 1); the trained model is\n"
+    "               the same at every N, training uses at most 4\n"
     "  any command: --metrics_out=<path|-> "
     "--metrics_format={prom,json,table}\n"
     "               --trace_out=<path|-> (Chrome trace-event JSON)\n";

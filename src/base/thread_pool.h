@@ -119,9 +119,9 @@ class ThreadPool {
                        body);
 
   /// As above with an explicit chunk count (clamped to [1, n]); used
-  /// when the work wants finer granularity than one chunk per thread
-  /// (e.g. BiSAGE's deterministic mode runs one chunk per example so
-  /// the reduction order cannot depend on the thread count).
+  /// when the work wants other than one chunk per thread (BiSAGE
+  /// training hands its four walk chunks and four shards per wave to
+  /// at most four executors, one chunk each).
   void ParallelForChunked(long n, long num_chunks,
                           const std::function<void(int chunk, long begin,
                                                    long end)>& body);

@@ -20,6 +20,14 @@ constexpr uint64_t kWalkStreamSalt = 0x9E2AB15A6E000001ULL;
 constexpr uint64_t kShuffleStreamSalt = 0x9E2AB15A6E000002ULL;
 constexpr uint64_t kGroupStreamSalt = 0x9E2AB15A6E000003ULL;
 
+/// Shards per training wave, and walk chunks per epoch: the one
+/// training schedule. A wave is up to kWaveShards shards of batch_pairs
+/// pairs, folded into one Adam step, and the walks split into the same
+/// number of chunk streams, whatever the thread count. So the thread
+/// count cannot reach the learned bits, and at most kWaveShards
+/// threads do training work.
+constexpr int kWaveShards = 4;
+
 /// Memoization key for (node, layer) pairs.
 long MemoKey(graph::NodeId node, int layer, int num_layers) {
   return static_cast<long>(node) * (num_layers + 1) + layer;
@@ -212,11 +220,15 @@ void BiSage::EnsureCapacity(const graph::BipartiteGraph& graph) {
   AppendNodeRows(graph, 0, config_.dimension, init_rng_, h_table_, l_table_);
 }
 
-/// One gradient shard's reusable engine state.
-struct BiSage::GradShard {
+// Each on its own cache lines: executors grow their tapes and memos,
+// and shards add up their losses, concurrently.
+struct alignas(64) BiSage::GradExecutor {
   math::FlatTape tape;
-  math::ParamGradSink sink;
   std::unordered_map<long, NodeVars> memo;
+};
+
+struct alignas(64) BiSage::GradShard {
+  math::ParamGradSink sink;
   double loss = 0.0;
   long terms = 0;
 };
@@ -315,20 +327,21 @@ void BiSage::AccumulateShardLoss(math::FlatTape& tape,
   }
 }
 
-void BiSage::RunGradShard(GradShard& shard, const graph::BipartiteGraph& graph,
+void BiSage::RunGradShard(GradExecutor& executor, GradShard& shard,
+                          const graph::BipartiteGraph& graph,
                           const std::vector<TrainPair>& pairs, size_t begin,
                           size_t end, uint64_t stream) const {
   GEM_TRACE_SPAN("bisage.gradient");
   shard.sink.ZeroAll();
-  shard.memo.clear();
+  executor.memo.clear();
   shard.loss = 0.0;
   shard.terms = 0;
   math::Rng rng(
       math::Rng::StreamSeed(config_.seed ^ kGroupStreamSalt, stream));
-  shard.tape.Clear();
-  AccumulateShardLoss(shard.tape, graph, pairs, begin, end, rng, shard.memo,
-                      shard.loss, shard.terms);
-  shard.tape.Backward(&shard.sink);
+  executor.tape.Clear();
+  AccumulateShardLoss(executor.tape, graph, pairs, begin, end, rng,
+                      executor.memo, shard.loss, shard.terms);
+  executor.tape.Backward(&shard.sink);
 }
 
 Status BiSage::Train(const graph::BipartiteGraph& graph) {
@@ -368,47 +381,48 @@ Status BiSage::Train(const graph::BipartiteGraph& graph) {
     return Status::FailedPrecondition("graph has no edges to walk");
   }
 
+  // Both stages split their work into kWaveShards items (walk chunks,
+  // gradient shards) and hand each EXECUTOR (the calling thread or a
+  // pool task) a contiguous run of items: at 4 threads one item each,
+  // at 1 thread all of them. An item's bits depend only on its index.
+  const int num_executors = std::min(pool.num_threads(), kWaveShards);
+
   // Generate the training pairs from weighted random walks: every
-  // consecutive (x, y) in a walk is a positive pair. Each chunk writes
-  // its own buffer; concatenating the buffers in chunk-index order
-  // yields the same pair list run-to-run. In deterministic mode each
-  // START NODE additionally draws from its own RNG stream, so the list
-  // is invariant to the chunking itself (= to the thread count).
-  std::vector<std::vector<std::pair<graph::NodeId, graph::NodeId>>>
-      chunk_pairs(pool.num_threads());
+  // consecutive (x, y) in a walk is a positive pair. The starts split
+  // into kWaveShards chunks; chunk c draws from walk stream c and
+  // writes its own buffer, and the buffers concatenate in chunk order.
+  std::vector<std::vector<TrainPair>> chunk_pairs(kWaveShards);
   {
   GEM_TRACE_SPAN("bisage.walks");
-  pool.ParallelFor(
-      static_cast<long>(starts.size()),
-      [&](int chunk, long begin, long end) {
-        GEM_TRACE_SPAN("bisage.walk_chunk");
-        auto& out = chunk_pairs[chunk];
-        math::Rng chunk_rng(
-            math::Rng::StreamSeed(config_.seed ^ kWalkStreamSalt,
-                                  static_cast<uint64_t>(chunk)));
-        for (long i = begin; i < end; ++i) {
-          const graph::NodeId node = starts[i];
-          math::Rng node_rng(
-              math::Rng::StreamSeed(config_.seed ^ kWalkStreamSalt,
-                                    static_cast<uint64_t>(node)));
-          math::Rng& rng = config_.deterministic ? node_rng : chunk_rng;
-          for (int w = 0; w < config_.walks_per_node; ++w) {
-            std::vector<graph::NodeId> walk;
-            if (config_.use_edge_weights) {
-              walk = graph.RandomWalk(node, config_.walk_length, rng);
-            } else {
-              walk.push_back(node);
-              graph::NodeId current = node;
-              for (int step = 0; step < config_.walk_length; ++step) {
-                const auto& adj = graph.neighbors(current);
-                if (adj.empty()) break;
-                current =
-                    adj[rng.UniformInt(static_cast<int>(adj.size()))].node;
-                walk.push_back(current);
+  pool.ParallelForChunked(
+      kWaveShards, num_executors, [&](int, long first, long last) {
+        for (long chunk = first; chunk < last; ++chunk) {
+          GEM_TRACE_SPAN("bisage.walk_chunk");
+          auto& out = chunk_pairs[chunk];
+          math::Rng rng(math::Rng::StreamSeed(
+              config_.seed ^ kWalkStreamSalt, static_cast<uint64_t>(chunk)));
+          const auto [begin, end] = StaticChunkRange(
+              static_cast<long>(starts.size()), kWaveShards, chunk);
+          for (long i = begin; i < end; ++i) {
+            const graph::NodeId node = starts[i];
+            for (int w = 0; w < config_.walks_per_node; ++w) {
+              std::vector<graph::NodeId> walk;
+              if (config_.use_edge_weights) {
+                walk = graph.RandomWalk(node, config_.walk_length, rng);
+              } else {
+                walk.push_back(node);
+                graph::NodeId current = node;
+                for (int step = 0; step < config_.walk_length; ++step) {
+                  const auto& adj = graph.neighbors(current);
+                  if (adj.empty()) break;
+                  current =
+                      adj[rng.UniformInt(static_cast<int>(adj.size()))].node;
+                  walk.push_back(current);
+                }
               }
-            }
-            for (size_t j = 0; j + 1 < walk.size(); ++j) {
-              out.emplace_back(walk[j], walk[j + 1]);
+              for (size_t j = 0; j + 1 < walk.size(); ++j) {
+                out.emplace_back(walk[j], walk[j + 1]);
+              }
             }
           }
         }
@@ -417,7 +431,7 @@ Status BiSage::Train(const graph::BipartiteGraph& graph) {
   walk_count.Increment(starts.size() *
                        static_cast<size_t>(config_.walks_per_node));
 
-  std::vector<std::pair<graph::NodeId, graph::NodeId>> pairs;
+  std::vector<TrainPair> pairs;
   {
     GEM_TRACE_SPAN("bisage.concat_pairs");
     size_t total_pairs = 0;
@@ -432,35 +446,18 @@ Status BiSage::Train(const graph::BipartiteGraph& graph) {
   }
   pair_count.Increment(pairs.size());
 
-  // Gradient stage, staged-pipeline form. A SHARD is one optimizer
-  // batch of up to batch_pairs pairs: it builds its own tape (with its
-  // own neighborhood samples and negatives from its own RNG stream)
-  // and collects parameter gradients in a private sink. Shard engine
-  // state (tape arenas, sink buffers, memo tables) is allocated once
-  // here and reused across every wave of every epoch.
-  //
-  // Deterministic mode runs one pair per sink, sequentially on the
-  // calling thread (no pool dispatch at all): the flush order is the
-  // shuffled pair order, independent of the thread count, so the
-  // learned weights are bit-identical at ANY num_threads.
-  //
-  // Default mode runs a WAVE of up to num_threads shards as one coarse
-  // pool task each (batch-submitted, counted down on a per-wave latch
-  // — no per-batch latch, no per-pair tasks), folds the shard sinks
-  // tree-wise (fixed shape for a fixed shard count), flushes once, and
-  // takes ONE Adam step per wave: a synchronous data-parallel step
-  // whose effective batch is num_shards * batch_pairs. At num_threads
-  // = 1 the wave degenerates to exactly one shard per batch — the same
-  // schedule, stream ids, and reduction as the sequential loop — so
-  // single-thread default numerics are unchanged; for a fixed
-  // num_threads > 1 the result is still run-to-run deterministic.
-  const int num_workers = pool.num_threads();
-  std::vector<std::unique_ptr<GradShard>> shards;
-  const int shard_slots = config_.deterministic ? 1 : num_workers;
-  shards.reserve(shard_slots);
-  for (int i = 0; i < shard_slots; ++i) {
-    shards.push_back(std::make_unique<GradShard>());
-  }
+  // Gradient stage. A WAVE is up to kWaveShards SHARDS of batch_pairs
+  // pairs each: shard s covers pairs [wave_start + s*batch_pairs, ...)
+  // and draws its neighborhood samples and negatives from stream
+  // group_stream + s. Each executor builds its shards on its own tape,
+  // each into the shard's private sink. The sinks then fold tree-wise
+  // (the shape fixed by the shard count), get flushed once, and the
+  // wave takes ONE Adam step. Which executor ran which shard cannot
+  // reach the bits: a shard writes only its own sink and the fold
+  // order depends on the shard count alone.
+  std::vector<GradExecutor> executors(num_executors);
+  std::vector<GradShard> shards(kWaveShards);
+  const size_t full = static_cast<size_t>(config_.batch_pairs);
 
   uint64_t group_stream = 0;
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
@@ -474,85 +471,36 @@ Status BiSage::Train(const graph::BipartiteGraph& graph) {
     double epoch_loss = 0.0;
     long loss_terms = 0;
 
-    if (config_.deterministic) {
-      size_t batch_start = 0;
-      while (batch_start < pairs.size()) {
-        const size_t batch_size =
-            std::min(pairs.size() - batch_start,
-                     static_cast<size_t>(config_.batch_pairs));
-        {
-          GEM_TRACE_SPAN("bisage.gradient");
-          for (size_t p = 0; p < batch_size; ++p) {
-            GradShard& shard = *shards[0];
-            RunGradShard(shard, graph, pairs, batch_start + p,
-                         batch_start + p + 1, group_stream + p);
-            shard.sink.FlushToParams();
-            epoch_loss += shard.loss;
-            loss_terms += shard.terms;
-          }
-        }
-        {
-          GEM_TRACE_SPAN("bisage.reduce");
-          adam_->Step();
-        }
-        group_stream += static_cast<uint64_t>(batch_size);
-        batch_start += batch_size;
-      }
-    } else {
-      size_t wave_start = 0;
-      while (wave_start < pairs.size()) {
-        const size_t remaining = pairs.size() - wave_start;
-        const size_t full = static_cast<size_t>(config_.batch_pairs);
-        const long num_shards = std::min<long>(
-            num_workers, static_cast<long>((remaining + full - 1) / full));
-        const size_t wave_pairs = std::min(remaining, num_shards * full);
-        // Shard s covers pairs [wave_start + s*full, ...) — fixed-size
-        // slabs, so shard boundaries equal batch boundaries and the
-        // last shard of the last wave may run short.
-        const auto shard_range = [&](long s) {
-          const size_t begin = wave_start + static_cast<size_t>(s) * full;
-          return std::pair<size_t, size_t>(
-              begin, std::min(begin + full, pairs.size()));
-        };
-        if (num_shards == 1) {
-          const auto [begin, end] = shard_range(0);
-          RunGradShard(*shards[0], graph, pairs, begin, end, group_stream);
-        } else {
-          CountLatch latch(num_shards - 1);
-          std::vector<std::function<void()>> tasks;
-          tasks.reserve(static_cast<size_t>(num_shards) - 1);
-          for (long s = 1; s < num_shards; ++s) {
-            tasks.push_back([&, s] {
-              const auto [begin, end] = shard_range(s);
-              RunGradShard(*shards[s], graph, pairs, begin, end,
+    size_t wave_start = 0;
+    while (wave_start < pairs.size()) {
+      const size_t remaining = pairs.size() - wave_start;
+      const long num_shards = std::min<long>(
+          kWaveShards, static_cast<long>((remaining + full - 1) / full));
+      pool.ParallelForChunked(
+          num_shards, num_executors, [&](int executor, long first, long last) {
+            for (long s = first; s < last; ++s) {
+              const size_t begin = wave_start + static_cast<size_t>(s) * full;
+              RunGradShard(executors[executor], shards[s], graph, pairs,
+                           begin, std::min(begin + full, pairs.size()),
                            group_stream + static_cast<uint64_t>(s));
-              latch.CountDown();
-            });
-          }
-          pool.SubmitBatch(std::move(tasks));
-          const auto [begin, end] = shard_range(0);
-          RunGradShard(*shards[0], graph, pairs, begin, end, group_stream);
-          latch.Wait();
-        }
-        {
-          // Tree-wise fold of the shard sinks (fixed shape for a fixed
-          // shard count), one flush, one Adam step per wave.
-          GEM_TRACE_SPAN("bisage.reduce");
-          for (long stride = 1; stride < num_shards; stride *= 2) {
-            for (long i = 0; i + stride < num_shards; i += 2 * stride) {
-              shards[i]->sink.MergeFrom(shards[i + stride]->sink);
-              shards[i]->loss += shards[i + stride]->loss;
-              shards[i]->terms += shards[i + stride]->terms;
             }
+          });
+      {
+        GEM_TRACE_SPAN("bisage.reduce");
+        for (long stride = 1; stride < num_shards; stride *= 2) {
+          for (long i = 0; i + stride < num_shards; i += 2 * stride) {
+            shards[i].sink.MergeFrom(shards[i + stride].sink);
+            shards[i].loss += shards[i + stride].loss;
+            shards[i].terms += shards[i + stride].terms;
           }
-          shards[0]->sink.FlushToParams();
-          epoch_loss += shards[0]->loss;
-          loss_terms += shards[0]->terms;
-          adam_->Step();
         }
-        group_stream += static_cast<uint64_t>(num_shards);
-        wave_start += wave_pairs;
+        shards[0].sink.FlushToParams();
+        epoch_loss += shards[0].loss;
+        loss_terms += shards[0].terms;
+        adam_->Step();
       }
+      group_stream += static_cast<uint64_t>(num_shards);
+      wave_start += std::min(remaining, static_cast<size_t>(num_shards) * full);
     }
     last_epoch_loss_ = epoch_loss / static_cast<double>(loss_terms);
     loss_gauge.Set(last_epoch_loss_);

@@ -54,20 +54,10 @@ struct BiSageConfig {
   int min_mac_degree = 2;
   uint64_t seed = 13;
   /// Worker threads used by Train() and batched inference. Runtime
-  /// knob only: it does not change the model and is not persisted in
-  /// snapshots.
+  /// knob only: the model is bit-identical at every value and the
+  /// count is not persisted in snapshots. Training runs its fixed
+  /// four-shard waves on at most four of them (DESIGN.md §8).
   int num_threads = 1;
-  /// When true, training draws every random walk from a per-node RNG
-  /// stream and reduces gradients one training pair at a time on the
-  /// calling thread, so the learned weights are bit-identical at ANY
-  /// thread count (including 1). When false (the default), gradient
-  /// shards of batch_pairs pairs each run as one coarse pool task per
-  /// shard, with up to num_threads shards folded tree-wise into a
-  /// single optimizer step per wave (the effective optimizer batch is
-  /// num_threads * batch_pairs at full occupancy): still fully
-  /// deterministic for a fixed num_threads, and near-linearly faster
-  /// with threads. Runtime knob only, not persisted.
-  bool deterministic = false;
 
   /// kInvalidArgument describing the first offending field, Ok
   /// otherwise. Checked by BiSage at construction (softly: Train()
@@ -124,8 +114,8 @@ class BiSage {
   /// Trains the weight matrices on the graph; the graph must contain
   /// at least one edge. Can be called again after the graph grows to
   /// fine-tune (not required for inference). Runs on
-  /// config().num_threads workers; see BiSageConfig::deterministic for
-  /// the reproducibility contract.
+  /// config().num_threads workers; the learned bits do not depend on
+  /// that count.
   Status Train(const graph::BipartiteGraph& graph);
 
   /// Primary embedding h^K of a node via K rounds of bi-level
@@ -245,10 +235,12 @@ class BiSage {
     math::VarId l;
   };
 
-  /// One gradient shard's reusable engine state (tape + private sink +
-  /// memo), allocated once per Train() and reused across every wave of
-  /// every epoch so the steady-state gradient stage is allocation-free.
-  /// Defined in bisage.cc.
+  /// The gradient stage's reusable state, allocated once per Train()
+  /// and reused across every wave of every epoch so the steady-state
+  /// stage is allocation-free. An executor (the calling thread or a
+  /// pool task) owns a tape and a memo; a shard owns its private sink
+  /// and loss. Defined in bisage.cc.
+  struct GradExecutor;
   struct GradShard;
 
   using TrainPair = std::pair<graph::NodeId, graph::NodeId>;
@@ -275,11 +267,12 @@ class BiSage {
                            std::unordered_map<long, NodeVars>& memo,
                            double& loss, long& terms) const;
 
-  /// One staged-pipeline gradient task: resets the shard's engine
-  /// state, seeds its RNG from `stream`, builds and backpropagates the
-  /// loss of pairs[begin, end) into the shard's private sink. Runs on a
-  /// pool worker (or inline); touches no shared mutable state.
-  void RunGradShard(GradShard& shard, const graph::BipartiteGraph& graph,
+  /// One gradient shard on `executor`: resets the executor's tape and
+  /// memo and the shard's sink, seeds the RNG from `stream`, builds and
+  /// backpropagates the loss of pairs[begin, end) into the shard's
+  /// sink. Writes nothing but `executor` and `shard`.
+  void RunGradShard(GradExecutor& executor, GradShard& shard,
+                    const graph::BipartiteGraph& graph,
                     const std::vector<TrainPair>& pairs, size_t begin,
                     size_t end, uint64_t stream) const;
 

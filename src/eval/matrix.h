@@ -90,9 +90,8 @@ struct MatrixOptions {
   uint64_t seed = 40;
 };
 
-/// The deterministic single-threaded GEM config every cell trains
-/// with (same shape as the golden-score fixtures: dimension 16,
-/// 2 epochs, deterministic reductions), so cell metrics are
+/// The single-threaded GEM config every cell trains with. Training is
+/// bit-identical at every thread count, so cell metrics are
 /// reproducible run-to-run on a given kernel backend.
 core::GemConfig MatrixGemConfig();
 
@@ -110,9 +109,9 @@ double DetectionLatencyRecords(const std::vector<bool>& truth_inside,
 
 /// Runs every (cell x repetition) job: parallel dataset generation
 /// via rf::GenerateScenarioDatasets, per-job stream transforms, then
-/// a fresh deterministic GEM train+evaluate per job. Returns one
-/// CellResult per cell, in matrix order. Fails with a Status when a
-/// scenario config is invalid or training fails.
+/// a fresh GEM train+evaluate per job. Returns one CellResult per
+/// cell, in matrix order. Fails with a Status when a scenario config
+/// is invalid or training fails.
 StatusOr<std::vector<CellResult>> RunMatrix(
     const std::vector<MatrixCell>& cells, const MatrixOptions& options);
 

@@ -105,7 +105,10 @@ Status FenceCache::Register(const std::string& fence_id,
   }
   std::lock_guard lock(mutex_);
   auto [it, inserted] = entries_.try_emplace(fence_id);
-  if (inserted) it->second.path = path;
+  if (inserted) {
+    it->second.path = path;
+    it->second.registration = ++registrations_;
+  }
   if (it->second.path == path) return Status::Ok();
   return Status::FailedPrecondition("fence '" + fence_id +
                                     "' is registered to " + it->second.path +
@@ -134,10 +137,13 @@ StatusOr<uint64_t> FenceCache::Install(const std::string& fence_id,
   }
   Entry& entry = entries_[fence_id];
   entry.path = path;
-  // A cold load of the old file still on disk is discarded when it
-  // lands. No overlay flush: the new file wins, and compacting the old
-  // base over it would clobber it.
-  ++entry.epoch;
+  // A cold load of the old file still on disk belongs to the old
+  // registration: it is discarded when it lands, and its waiters wake
+  // to the installed model. No overlay flush: the new file wins, and
+  // compacting the old base over it would clobber it.
+  entry.registration = ++registrations_;
+  entry.loading = false;
+  load_done_.notify_all();
   DropResidentLocked(&entry);
   return MakeResidentLocked(fence_id, &entry, std::move(*model))->generation;
 }
@@ -152,8 +158,9 @@ Status FenceCache::Deregister(const std::string& fence_id) {
   const std::string path = it->second.path;
   MaybeFlushDroppedLocked(path, DropResidentLocked(&it->second));
   entries_.erase(it);
-  // An in-flight cold load of this id observes the missing entry and
-  // reports NotFound; its waiters re-check and do the same.
+  // An in-flight cold load of this id finds the entry gone, or a new
+  // registration in its place, and re-examines the id; so do its
+  // waiters.
   load_done_.notify_all();
   return Status::Ok();
 }
@@ -227,10 +234,10 @@ StatusOr<std::shared_ptr<serve::Fence>> FenceCache::Acquire(
       continue;
     }
 
-    // We are the loader for this id.
+    // We are the loader for this registration.
     entry.loading = true;
     const std::string path = entry.path;
-    const uint64_t epoch = entry.epoch;
+    const uint64_t registration = entry.registration;
     lock.unlock();
 
     StatusOr<MappedModel> loaded = [&]() -> StatusOr<MappedModel> {
@@ -247,23 +254,17 @@ StatusOr<std::shared_ptr<serve::Fence>> FenceCache::Acquire(
 
     lock.lock();
     auto jt = entries_.find(fence_id);
-    if (jt == entries_.end()) {
-      // Deregistered while we were on disk.
-      load_done_.notify_all();
-      return Status::NotFound("fence '" + fence_id +
-                              "' is not registered in the store");
+    if (jt == entries_.end() || jt->second.registration != registration) {
+      // Deregistered, re-registered or installed while we were on
+      // disk: what we read may not be the id's current file, and the
+      // entry's single-flight state is not ours. Discard it and
+      // re-examine the id (a miss: we paid for the disk).
+      waited = true;
+      continue;
     }
     Entry& loaded_entry = jt->second;
     loaded_entry.loading = false;
     load_done_.notify_all();
-    if (loaded_entry.epoch != epoch) {
-      // An Install landed while we were loading: whatever we read may
-      // predate its file. Discard it; the next pass serves the
-      // installed model (a miss: we paid for the disk) or, if that is
-      // already gone, loads the current file.
-      waited = true;
-      continue;
-    }
     metrics.misses.Increment();
     if (!loaded.ok()) return loaded.status();
     return MakeResidentLocked(fence_id, &loaded_entry, std::move(*loaded));

@@ -156,12 +156,15 @@ class FenceCache {
     std::string path;
     /// Fence::generation for the next successful load of this id.
     /// Monotonic across evictions and reloads for the lifetime of the
-    /// registration.
+    /// entry.
     uint64_t next_generation = 1;
-    /// Bumped by Install; a cold load started under an older epoch is
-    /// discarded instead of cached.
-    uint64_t epoch = 0;
-    /// Single-flight: true while one thread runs the disk load.
+    /// Cache-wide unique identity, drawn from `registrations_` by a
+    /// Register that creates the entry and by every Install. A cold
+    /// load that returns to another identity leaves the entry alone
+    /// and re-examines the id.
+    uint64_t registration = 0;
+    /// Single-flight: true while one thread runs the disk load for
+    /// this registration.
     bool loading = false;
     /// Resident state (null when cold). `lru` is valid iff fence set.
     std::shared_ptr<serve::Fence> fence;
@@ -193,6 +196,8 @@ class FenceCache {
   mutable std::mutex mutex_;
   std::condition_variable load_done_;
   std::unordered_map<std::string, Entry> entries_;
+  /// Last Entry::registration handed out.
+  uint64_t registrations_ = 0;
   /// Most-recently-used at the front; contains exactly the resident ids.
   std::list<std::string> lru_;
   size_t num_resident_ = 0;

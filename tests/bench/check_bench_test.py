@@ -52,8 +52,8 @@ OLD_TRAIN = {"workload": "fig9_train", "train_records": 240,
                           "infer_batch_seconds": 0.0739823},
                          {"threads": 4, "train_seconds": 2.11517,
                           "infer_batch_seconds": 0.12809}]}
-# A post-pipeline artifact shape: host_cpus recorded, deterministic
-# legs tagged, curve within every budget.
+# A post-pipeline artifact shape: host_cpus recorded, curve within
+# every budget.
 SCALED_TRAIN = {"workload": "fig9_train", "train_records": 1000,
                 "host_cpus": 8,
                 "results": [
@@ -64,11 +64,7 @@ SCALED_TRAIN = {"workload": "fig9_train", "train_records": 1000,
                     {"threads": 4, "train_seconds": 1.3,
                      "infer_batch_seconds": 0.4},
                     {"threads": 8, "train_seconds": 1.0,
-                     "infer_batch_seconds": 0.3},
-                    {"threads": 1, "deterministic": True,
-                     "train_seconds": 4.2, "infer_batch_seconds": 1.0},
-                    {"threads": 4, "deterministic": True,
-                     "train_seconds": 4.8, "infer_batch_seconds": 0.4}]}
+                     "infer_batch_seconds": 0.3}]}
 # Scenario-matrix artifact: cells are self-gating (their accuracy
 # thresholds ride in the JSON); *_seconds columns are warn-only.
 MATRIX = {"workload": "scenario_matrix", "repetitions": 3,
@@ -385,7 +381,7 @@ class CheckBenchTest(unittest.TestCase):
         capped = json.loads(json.dumps(SCALED_TRAIN))
         capped["host_cpus"] = 2
         for entry in capped["results"]:
-            if entry["threads"] > 2 and not entry.get("deterministic"):
+            if entry["threads"] > 2:
                 entry["train_seconds"] = 4.5  # ratio > 1, over every budget
         self.seed_train(capped)
         result = self.run_checker("BENCH_train.json")
@@ -396,22 +392,12 @@ class CheckBenchTest(unittest.TestCase):
     def test_scaling_over_budget_within_host_cpus_fails(self):
         flat = json.loads(json.dumps(SCALED_TRAIN))
         for entry in flat["results"]:
-            if entry["threads"] == 4 and not entry.get("deterministic"):
+            if entry["threads"] == 4:
                 entry["train_seconds"] = 3.0  # ratio 0.75 > 0.60 budget
         self.seed_train(flat)
         result = self.run_checker("BENCH_train.json")
         self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
         self.assertIn("train_seconds@4/@1", result.stdout)
-
-    def test_scaling_deterministic_over_budget_fails(self):
-        det = json.loads(json.dumps(SCALED_TRAIN))
-        for entry in det["results"]:
-            if entry["threads"] == 4 and entry.get("deterministic"):
-                entry["train_seconds"] = 6.0  # ratio 1.43 > 1.3 budget
-        self.seed_train(det)
-        result = self.run_checker("BENCH_train.json")
-        self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
-        self.assertIn("deterministic train_seconds@4/@1", result.stdout)
 
     def test_scaling_missing_thread1_reference_fails(self):
         anchorless = json.loads(json.dumps(SCALED_TRAIN))
@@ -429,17 +415,6 @@ class CheckBenchTest(unittest.TestCase):
         self.write(self.cur_dir, "BENCH_serve.json", SERVE)
         result = self.run_checker("BENCH_serve.json")
         self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
-
-    def test_deterministic_entries_key_separately_in_comparison(self):
-        # threads=4 appears twice (default + deterministic leg); the
-        # ID fields must keep the rows aligned even when reordered.
-        self.seed_train(SCALED_TRAIN)
-        reordered = json.loads(json.dumps(SCALED_TRAIN))
-        reordered["results"].reverse()
-        self.write(self.cur_dir, "BENCH_train.json", reordered)
-        result = self.run_checker("BENCH_train.json")
-        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
-        self.assertIn("OK: 0 regression(s)", result.stdout)
 
     def test_explicit_name_list_restricts_comparison(self):
         self.seed_all()

@@ -2,8 +2,8 @@
 // seeded) workloads through Gem::InferBatch and serve::Engine::InferBatch
 // must match a sequential Infer loop field-for-field — score, decision,
 // AND model_updated. Gem::InferBatch runs at 1, 2, and GEM_THREADS
-// threads: deterministic mode makes identically-configured models
-// bit-identical across thread counts, so each leg trains a fresh model
+// threads: identically-configured models train bit-identically at
+// every thread count, so each leg trains a fresh model
 // and compares against one precomputed sequential reference. The engine
 // serves a mapped snapshot, whose pool has one thread (the thread count
 // is not persisted). Part of the TSan CI matrix via the `parallel_`
@@ -46,13 +46,12 @@ rf::Dataset TwoClusterDataset(uint64_t seed) {
   return rf::GenerateScenarioDataset(rf::HomePreset(2), options);
 }
 
-GemConfig DeterministicConfig(int num_threads) {
+GemConfig TestConfig(int num_threads) {
   GemConfig config;
   config.bisage.dimension = 16;
   config.bisage.epochs = 2;
   config.bisage.seed = 5;
   config.bisage.num_threads = num_threads;
-  config.bisage.deterministic = true;
   return config;
 }
 
@@ -91,7 +90,7 @@ std::vector<rf::ScanRecord> BuildWorkload(const rf::Dataset& data,
 /// workload one record at a time.
 std::vector<InferenceResult> SequentialReference(
     const rf::Dataset& data, const std::vector<rf::ScanRecord>& workload) {
-  Gem gem(DeterministicConfig(1));
+  Gem gem(TestConfig(1));
   EXPECT_TRUE(gem.Train(data.train).ok());
   GemOverlay overlay;
   std::vector<InferenceResult> results;
@@ -124,7 +123,7 @@ TEST(BatchDifferentialTest, GemInferBatchMatchesSequentialLoop) {
         SequentialReference(data, workload);
 
     for (const int threads : {1, 2, ManyThreads()}) {
-      Gem batched(DeterministicConfig(threads));
+      Gem batched(TestConfig(threads));
       ASSERT_TRUE(batched.Train(data.train).ok());
       GemOverlay overlay;
       ExpectFieldForField(batched.InferBatch(workload, overlay), expected,
@@ -141,7 +140,7 @@ TEST(BatchDifferentialTest, EngineInferBatchMatchesSequentialLoop) {
   const std::vector<InferenceResult> expected =
       SequentialReference(data, workload);
 
-  Gem model(DeterministicConfig(1));
+  Gem model(TestConfig(1));
   ASSERT_TRUE(model.Train(data.train).ok());
   const std::string path =
       std::string(::testing::TempDir()) + "/batch_differential_model.gem";

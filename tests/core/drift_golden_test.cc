@@ -6,7 +6,8 @@
 // backend). On top of the bits, the test asserts the *direction* of
 // the mechanism: the updating pass must (a) actually absorb records
 // and (b) rank inside/outside at least as well as the frozen model,
-// i.e. label-free Update tracks the drift instead of fighting it.
+// i.e. label-free Update tracks the drift instead of fighting it. A
+// second case repeats the direction check over twelve BiSAGE seeds.
 // Regenerate fixtures after an intentional numerics change:
 //
 //   GEM_REGEN_GOLDEN=1 GEM_KERNELS=scalar ./drift_golden_test
@@ -39,17 +40,59 @@ std::string GoldenDir() {
   return std::string(GEM_TEST_DATA_DIR) + "/golden";
 }
 
-/// Same deterministic single-threaded shape as golden_scores_test, so
-/// one fixture serves any machine/thread count per kernel backend.
-GemConfig DriftConfig(bool online_update) {
+/// Same shape as golden_scores_test, so one fixture serves any
+/// machine and thread count per kernel backend. GEM_THREADS sets the
+/// pool size, as it does there.
+GemConfig DriftConfig(bool online_update, uint64_t seed = 5) {
   GemConfig config;
   config.bisage.dimension = 16;
   config.bisage.epochs = 2;
-  config.bisage.seed = 5;
+  config.bisage.seed = seed;
   config.bisage.num_threads = 1;
-  config.bisage.deterministic = true;
+  if (const char* env = std::getenv("GEM_THREADS")) {
+    const int parsed = std::atoi(env);
+    if (parsed >= 1) config.bisage.num_threads = parsed;
+  }
   config.online_update = online_update;
   return config;
+}
+
+/// The soak stream through a frozen model and an updating one, both
+/// trained at `seed`.
+struct SoakRun {
+  math::Vec frozen_scores;
+  math::Vec updated_scores;
+  std::vector<bool> is_outside;
+  std::vector<bool> model_updated;
+  int absorbed = 0;
+
+  double frozen_auc() const { return math::RocAuc(frozen_scores, is_outside); }
+  double updated_auc() const {
+    return math::RocAuc(updated_scores, is_outside);
+  }
+};
+
+SoakRun RunSoak(const std::vector<rf::ScanRecord>& train,
+                const std::vector<rf::ScanRecord>& test, uint64_t seed) {
+  SoakRun run;
+  // Pass 1: frozen model (self-enhancement off).
+  Gem frozen(DriftConfig(/*online_update=*/false, seed));
+  EXPECT_TRUE(frozen.Train(train).ok());
+  // Pass 2: identical training, label-free updates on.
+  Gem updating(DriftConfig(/*online_update=*/true, seed));
+  EXPECT_TRUE(updating.Train(train).ok());
+  GemOverlay frozen_overlay;
+  GemOverlay updating_overlay;
+  for (const rf::ScanRecord& record : test) {
+    const InferenceResult f = frozen.Infer(record, frozen_overlay);
+    const InferenceResult u = updating.Infer(record, updating_overlay);
+    run.frozen_scores.push_back(f.score);
+    run.updated_scores.push_back(u.score);
+    run.is_outside.push_back(!record.inside);
+    run.model_updated.push_back(u.model_updated);
+    run.absorbed += u.model_updated ? 1 : 0;
+  }
+  return run;
 }
 
 TEST(DriftGoldenTest, SelfEnhancementTracksSecularDrift) {
@@ -87,37 +130,21 @@ TEST(DriftGoldenTest, SelfEnhancementTracksSecularDrift) {
   ASSERT_TRUE(test.ok()) << test.status().ToString();
   ASSERT_FALSE(test.value().empty());
 
-  // Pass 1: frozen model (self-enhancement off).
-  Gem frozen(DriftConfig(/*online_update=*/false));
-  ASSERT_TRUE(frozen.Train(train.value()).ok());
-  // Pass 2: identical training, label-free updates on.
-  Gem updating(DriftConfig(/*online_update=*/true));
-  ASSERT_TRUE(updating.Train(train.value()).ok());
-
-  GemOverlay frozen_overlay;
-  GemOverlay updating_overlay;
-  math::Vec frozen_scores, updated_scores;
-  std::vector<bool> is_outside;
+  const SoakRun run = RunSoak(train.value(), test.value(), /*seed=*/5);
   std::vector<std::string> actual;
-  int absorbed = 0;
-  for (const rf::ScanRecord& record : test.value()) {
-    const InferenceResult f = frozen.Infer(record, frozen_overlay);
-    const InferenceResult u = updating.Infer(record, updating_overlay);
-    frozen_scores.push_back(f.score);
-    updated_scores.push_back(u.score);
-    is_outside.push_back(!record.inside);
-    absorbed += u.model_updated ? 1 : 0;
+  for (size_t i = 0; i < run.frozen_scores.size(); ++i) {
     char buf[96];
-    std::snprintf(buf, sizeof(buf), "%a %a %d", f.score, u.score,
-                  u.model_updated ? 1 : 0);
+    std::snprintf(buf, sizeof(buf), "%a %a %d", run.frozen_scores[i],
+                  run.updated_scores[i], run.model_updated[i] ? 1 : 0);
     actual.push_back(buf);
   }
 
   // Mechanism direction, independent of the exact bits: the soak must
   // trigger absorption, and absorbing confident normals during drift
   // must not cost ranking quality — the paper's self-enhancement claim.
-  const double frozen_auc = math::RocAuc(frozen_scores, is_outside);
-  const double updated_auc = math::RocAuc(updated_scores, is_outside);
+  const double frozen_auc = run.frozen_auc();
+  const double updated_auc = run.updated_auc();
+  const int absorbed = run.absorbed;
   EXPECT_GT(absorbed, 0) << "soak never exercised self-enhancement";
   EXPECT_GE(updated_auc, frozen_auc - 1e-9)
       << "label-free updates degraded ranking under drift";
@@ -150,6 +177,30 @@ TEST(DriftGoldenTest, SelfEnhancementTracksSecularDrift) {
         << "if the numerics change is intentional, regenerate with "
         << "GEM_REGEN_GOLDEN=1 and commit";
   }
+}
+
+// The direction check above rests on one seed. Over BiSAGE seeds 1-12
+// of the same config, every updating pass must absorb records, and
+// updating must beat freezing in the mean AUC.
+TEST(DriftGoldenTest, SelfEnhancementGainsOnAverageOverSeeds) {
+  const auto train = rf::LoadRecordsCsv(GoldenDir() + "/drift_train.csv");
+  ASSERT_TRUE(train.ok()) << train.status().ToString();
+  const auto test = rf::LoadRecordsCsv(GoldenDir() + "/drift_test.csv");
+  ASSERT_TRUE(test.ok()) << test.status().ToString();
+
+  constexpr int kSeeds = 12;
+  double gain_sum = 0.0;
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    const SoakRun run = RunSoak(train.value(), test.value(), seed);
+    EXPECT_GT(run.absorbed, 0) << "seed " << seed << " absorbed nothing";
+    const double gain = run.updated_auc() - run.frozen_auc();
+    std::printf("seed %2d: frozen auc %.4f, updating auc %.4f (%+.4f)\n",
+                static_cast<int>(seed), run.frozen_auc(), run.updated_auc(),
+                gain);
+    gain_sum += gain;
+  }
+  EXPECT_GT(gain_sum / kSeeds, 0.0)
+      << "label-free updates did not improve ranking on average";
 }
 
 }  // namespace

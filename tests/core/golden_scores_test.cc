@@ -1,7 +1,7 @@
-// Golden regression over the full train -> infer pipeline: retrains in
-// deterministic mode on a committed scenario dataset and compares every
-// Infer result bit-exactly (hex-float scores, decisions, update flags)
-// against a committed golden file. Any change to training, embedding,
+// Golden regression over the full train -> infer pipeline: retrains on
+// a committed scenario dataset and compares every Infer result
+// bit-exactly (hex-float scores, decisions, update flags) against a
+// committed golden file. Any change to training, embedding,
 // detection, or self-enhancement numerics shows up as a diff here —
 // intentional changes regenerate with:
 //
@@ -87,12 +87,12 @@ void CheckGolden(const std::string& golden_path,
   }
 }
 
-/// Deterministic-mode config: bit-identical across machines and — by
-/// the training pipeline's determinism contract (DESIGN.md §8) —
-/// across thread counts, so the golden file is independent of where it
-/// was produced. GEM_THREADS overrides the pool size: CI reruns this
-/// suite at 1/2/4 threads against the SAME committed golden, turning
-/// the cross-thread bit-identity claim into a gated assertion.
+/// Bit-identical across machines and — by the training schedule's
+/// contract (DESIGN.md §8) — across thread counts, so the golden file
+/// is independent of where it was produced. GEM_THREADS overrides the
+/// pool size: CI reruns this suite at 1/2/4/8 threads against the SAME
+/// committed golden, turning the cross-thread bit-identity claim into
+/// a gated assertion.
 GemConfig GoldenConfig() {
   GemConfig config;
   config.bisage.dimension = 16;
@@ -103,7 +103,6 @@ GemConfig GoldenConfig() {
     const int parsed = std::atoi(env);
     if (parsed >= 1) config.bisage.num_threads = parsed;
   }
-  config.bisage.deterministic = true;
   return config;
 }
 

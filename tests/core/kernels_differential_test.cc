@@ -1,7 +1,7 @@
 // Scalar-vs-AVX2 differential over the full inference path: train one
-// deterministic model (under the scalar backend, so the weights are a
-// fixed reference), then recompute training-node embeddings and
-// detector scores under each kernel backend and bound the drift.
+// model (under the scalar backend, so the weights are a fixed
+// reference), then recompute training-node embeddings and detector
+// scores under each kernel backend and bound the drift.
 //
 // The two backends are NOT bit-exact by contract — AVX2 reassociates
 // reductions into fixed lane order and FMA rounds once — but for the
@@ -41,7 +41,6 @@ GemConfig DifferentialConfig() {
   config.bisage.epochs = 2;
   config.bisage.seed = 5;
   config.bisage.num_threads = 1;
-  config.bisage.deterministic = true;
   return config;
 }
 

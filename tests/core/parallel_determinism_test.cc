@@ -1,10 +1,12 @@
-// Deterministic-mode bit-identity across thread counts, and batched
-// inference equivalence with the sequential path. These tests are part
-// of the TSan CI matrix (the `parallel_` prefix), so they double as
+// Training bit-identity across thread counts, and batched inference
+// equivalence with the sequential path. These tests are part of the
+// TSan CI matrix (the `parallel_` prefix), so they double as
 // data-race coverage for parallel Train / EmbedNewBatch / InferBatch
 // and for concurrent embeds over one read-only model.
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "graph/bipartite_graph.h"
 #include "math/vec.h"
 #include "rf/dataset.h"
+#include "store/snapshot_v2.h"
 
 namespace gem::core {
 namespace {
@@ -39,25 +42,24 @@ rf::Dataset SmallDataset(uint64_t seed = 77) {
   return rf::GenerateScenarioDataset(rf::HomePreset(2), options);
 }
 
-embed::BiSageConfig FastBiSage(int num_threads, bool deterministic) {
+embed::BiSageConfig FastBiSage(int num_threads) {
   embed::BiSageConfig config;
   config.dimension = 16;
   config.epochs = 2;
   config.seed = 5;
   config.num_threads = num_threads;
-  config.deterministic = deterministic;
   return config;
 }
 
-GemConfig FastGem(int num_threads, bool deterministic) {
+GemConfig FastGem(int num_threads) {
   GemConfig config;
-  config.bisage = FastBiSage(num_threads, deterministic);
+  config.bisage = FastBiSage(num_threads);
   return config;
 }
 
 std::vector<math::Vec> TrainEmbeddings(const rf::Dataset& data,
                                        int num_threads) {
-  embed::BiSageEmbedder embedder(FastBiSage(num_threads, true));
+  embed::BiSageEmbedder embedder(FastBiSage(num_threads));
   EXPECT_TRUE(embedder.Fit(data.train).ok());
   std::vector<math::Vec> embeddings;
   embeddings.reserve(embedder.num_train());
@@ -89,12 +91,39 @@ TEST(ParallelDeterminismTest, TrainIsBitIdenticalAcrossThreadCounts) {
                      "many threads");
 }
 
+// The whole trained model, as the v2 snapshot it saves to, is the same
+// file at every thread count: the count reaches neither the learned
+// bits nor the saved config.
+TEST(ParallelDeterminismTest, SnapshotBytesAreIdenticalAcrossThreadCounts) {
+  const rf::Dataset data = SmallDataset(13);
+  std::string reference;
+  for (const int threads : {1, 2, ManyThreads()}) {
+    Gem gem(FastGem(threads));
+    ASSERT_TRUE(gem.Train(data.train).ok());
+    const std::string path = std::string(::testing::TempDir()) +
+                             "/parallel_determinism_" +
+                             std::to_string(threads) + ".gem";
+    ASSERT_TRUE(store::SaveSnapshotV2(path, gem).ok());
+    std::ifstream in(path, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    ASSERT_FALSE(bytes.empty());
+    if (threads == 1) {
+      reference = bytes;
+      continue;
+    }
+    ASSERT_EQ(bytes.size(), reference.size()) << threads << " threads";
+    EXPECT_TRUE(bytes == reference)
+        << "snapshot bytes differ at " << threads << " threads";
+  }
+}
+
 TEST(ParallelDeterminismTest, InferScoresAreBitIdenticalAcrossThreadCounts) {
   const rf::Dataset data = SmallDataset(31);
   std::vector<double> serial_scores;
   std::vector<Decision> serial_decisions;
   for (const int threads : {1, 2, ManyThreads()}) {
-    Gem gem(FastGem(threads, true));
+    Gem gem(FastGem(threads));
     ASSERT_TRUE(gem.Train(data.train).ok());
     GemOverlay overlay;
     std::vector<double> scores;
@@ -119,8 +148,8 @@ TEST(ParallelDeterminismTest, InferScoresAreBitIdenticalAcrossThreadCounts) {
 
 TEST(ParallelDeterminismTest, EmbedNewBatchMatchesSequentialObserves) {
   const rf::Dataset data = SmallDataset(42);
-  Gem sequential(FastGem(1, true));
-  Gem batched(FastGem(ManyThreads(), true));
+  Gem sequential(FastGem(1));
+  Gem batched(FastGem(ManyThreads()));
   ASSERT_TRUE(sequential.Train(data.train).ok());
   ASSERT_TRUE(batched.Train(data.train).ok());
 
@@ -148,8 +177,8 @@ TEST(ParallelDeterminismTest, EmbedNewBatchMatchesSequentialObserves) {
 
 TEST(ParallelDeterminismTest, InferBatchMatchesSequentialInferLoop) {
   const rf::Dataset data = SmallDataset(9);
-  Gem sequential(FastGem(1, true));
-  Gem batched(FastGem(ManyThreads(), true));
+  Gem sequential(FastGem(1));
+  Gem batched(FastGem(ManyThreads()));
   ASSERT_TRUE(sequential.Train(data.train).ok());
   ASSERT_TRUE(batched.Train(data.train).ok());
 
@@ -189,7 +218,7 @@ TEST(ParallelDeterminismTest, EmbeddingPastTheTablesLeavesModelUnchanged) {
   const rf::Dataset data = SmallDataset();
   graph::BipartiteGraph graph;
   for (const rf::ScanRecord& record : data.train) graph.AddRecord(record);
-  embed::BiSage model(FastBiSage(1, true));
+  embed::BiSage model(FastBiSage(1));
   ASSERT_TRUE(model.Train(graph).ok());
   const embed::BiSage::TrainedState before = model.ExportTrained();
 

@@ -43,7 +43,6 @@ core::GemConfig ChurnConfig() {
   config.bisage.dimension = 16;
   config.bisage.epochs = 2;
   config.bisage.num_threads = 1;
-  config.bisage.deterministic = true;
   // The bounded-growth invariant under test: absorption must evict,
   // not accumulate. Deliberately below the ~75-record training set so
   // the reservoir is already full when the storm starts.

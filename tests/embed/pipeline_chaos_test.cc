@@ -1,8 +1,9 @@
-// Mid-epoch failpoint injection against the staged training pipeline:
-// a slow / preempted pool worker (base.thread_pool.task latency) must
-// neither fail training nor change the deterministic-mode numerics —
-// the per-wave latch has to absorb arbitrary per-task delays. Only
-// built with -DGEM_ENABLE_FAILPOINTS=ON (see tests/CMakeLists.txt).
+// Mid-epoch failpoint injection against the training schedule: a slow
+// or preempted pool worker (base.thread_pool.task latency) must neither
+// fail training nor move the trained bits off a 1-thread run's — the
+// per-wave latch has to absorb arbitrary per-task delays, and the
+// order in which executors finish must not matter. Only built with
+// -DGEM_ENABLE_FAILPOINTS=ON (see tests/CMakeLists.txt).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -60,20 +61,19 @@ TEST_F(PipelineChaosTest, SlowWorkersDoNotFailTraining) {
   EXPECT_GT(fault::HitCount("base.thread_pool.task"), 0u);
 }
 
-TEST_F(PipelineChaosTest, DeterministicNumericsSurviveInjectedLatency) {
+TEST_F(PipelineChaosTest, InjectedLatencyKeepsSingleThreadBits) {
   const auto data = MakeTwoClusters(8, 42);
   const auto graph = BuildGraph(data.records);
 
   BiSageConfig config = FastConfig();
-  config.deterministic = true;
   config.num_threads = 1;
   BiSage clean(config);
   ASSERT_TRUE(clean.Train(graph).ok());
   const auto reference = clean.ExportTrained();
 
-  // Every third pool dispatch stalls 2 ms mid-epoch. Deterministic
-  // weights must come out bit-identical anyway (walks still fan out
-  // on the pool even in deterministic mode).
+  // Every third pool dispatch stalls 2 ms mid-epoch, so the stalled
+  // executors finish their shards last. The 4-thread weights must
+  // still be the 1-thread weights, bit for bit.
   ASSERT_TRUE(fault::Configure("base.thread_pool.task=every=3/delay=2/ok").ok());
   config.num_threads = 4;
   BiSage chaotic(config);
@@ -83,34 +83,6 @@ TEST_F(PipelineChaosTest, DeterministicNumericsSurviveInjectedLatency) {
   ExpectSameMatrices(reference.h_table, state.h_table);
   ExpectSameMatrices(reference.l_table, state.l_table);
   ASSERT_EQ(reference.w_h.size(), state.w_h.size());
-  for (size_t k = 0; k < reference.w_h.size(); ++k) {
-    ExpectSameMatrices(reference.w_h[k], state.w_h[k]);
-    ExpectSameMatrices(reference.w_l[k], state.w_l[k]);
-  }
-  EXPECT_EQ(reference.last_epoch_loss, state.last_epoch_loss);
-}
-
-TEST_F(PipelineChaosTest, DefaultModeSurvivesLatencyAtFixedThreads) {
-  const auto data = MakeTwoClusters(8, 43);
-  const auto graph = BuildGraph(data.records);
-
-  BiSageConfig config = FastConfig();
-  config.num_threads = 4;
-  BiSage clean(config);
-  ASSERT_TRUE(clean.Train(graph).ok());
-  const auto reference = clean.ExportTrained();
-
-  // Fixed thread count + injected latency: the wave schedule and
-  // reduction shape depend only on (num_threads, batch_pairs), never
-  // on timing, so default mode stays run-to-run deterministic even
-  // with workers stalling.
-  ASSERT_TRUE(
-      fault::Configure("base.thread_pool.task=every=5/delay=1/ok").ok());
-  BiSage chaotic(config);
-  ASSERT_TRUE(chaotic.Train(graph).ok());
-  const auto state = chaotic.ExportTrained();
-
-  ExpectSameMatrices(reference.h_table, state.h_table);
   for (size_t k = 0; k < reference.w_h.size(); ++k) {
     ExpectSameMatrices(reference.w_h[k], state.w_h[k]);
     ExpectSameMatrices(reference.w_l[k], state.w_l[k]);

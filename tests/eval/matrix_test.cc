@@ -164,7 +164,7 @@ TEST(RunMatrixTest, AccuracyMetricsAreThreadCountInvariant) {
   ASSERT_EQ(a.value().size(), b.value().size());
   for (size_t i = 0; i < a.value().size(); ++i) {
     // Bit-equality, not tolerance: datasets are seeded per job and
-    // training is forced deterministic single-thread.
+    // training is bit-identical at every thread count.
     EXPECT_EQ(a.value()[i].auc.mean, b.value()[i].auc.mean) << i;
     EXPECT_EQ(a.value()[i].fpr.mean, b.value()[i].fpr.mean) << i;
     EXPECT_EQ(a.value()[i].latency_records.mean,

@@ -2,22 +2,27 @@
 // eviction, live reload through Install, and the concurrency
 // invariants the TSan CI job race-checks — concurrent cold loads of
 // one fence collapse to a single disk read, eviction never invalidates
-// a pinned holder mid-request, and an install storm under live
-// traffic converges without serving a stale generation.
+// a pinned holder mid-request, an install storm under live traffic
+// converges without serving a stale generation, and a cold load that
+// straddles a re-registration never serves the old file.
 #include "store/fence_cache.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "base/logging.h"
 #include "core/gem.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "rf/dataset.h"
 #include "serve/fence.h"
 #include "store/snapshot_v2.h"
@@ -287,6 +292,60 @@ TEST_F(FenceCacheTest, DeregisterDropsRegistrationAndResident) {
   EXPECT_EQ(cache.Deregister("home").code(), StatusCode::kNotFound);
   // The pinned holder is still serviceable after deregistration.
   EXPECT_EQ(held.value()->id, "home");
+}
+
+// A cold load that is on disk while its id is deregistered and
+// registered again, to a missing file, belongs to the old registration:
+// it must not make the old file resident under the new one. The loader
+// is parked, by event, in the log sink that receives its
+// store.cold_load span line: after the disk read, before it relocks.
+TEST_F(FenceCacheTest, ColdLoadAcrossReregistrationServesTheNewFile) {
+  FenceCache cache;
+  ASSERT_TRUE(cache.Register("f", *v2_path_).ok());
+
+  std::mutex mutex;
+  std::condition_variable changed;
+  bool parked = false;
+  bool released = false;
+  const int shift_before = obs::GetSpanSamplingShift();
+  const LogLevel level_before = GetLogLevel();
+  obs::SetSpanSamplingShift(0);  // every span entry logs its line
+  SetLogLevel(LogLevel::kDebug);
+  SetLogSink([&](LogLevel, const std::string& line) {
+    if (line.find("span store.cold_load") == std::string::npos) return;
+    std::unique_lock lock(mutex);
+    if (parked) return;  // only the first cold load parks
+    parked = true;
+    changed.notify_all();
+    changed.wait(lock, [&] { return released; });
+  });
+
+  StatusCode loader_code = StatusCode::kOk;
+  std::thread loader([&] { loader_code = cache.Acquire("f").status().code(); });
+  {
+    std::unique_lock lock(mutex);
+    changed.wait(lock, [&] { return parked; });
+  }
+  // Neither call logs, so neither waits on the parked sink.
+  const Status deregistered = cache.Deregister("f");
+  const Status registered =
+      cache.Register("f", TempPath("no_such_snapshot.gem"));
+  {
+    std::lock_guard lock(mutex);
+    released = true;
+  }
+  changed.notify_all();
+  loader.join();
+  SetLogSink(nullptr);
+  SetLogLevel(level_before);
+  obs::SetSpanSamplingShift(shift_before);
+
+  ASSERT_TRUE(deregistered.ok());
+  ASSERT_TRUE(registered.ok());
+  EXPECT_EQ(loader_code, StatusCode::kNotFound);
+  EXPECT_EQ(cache.resident(), 0u);
+  EXPECT_EQ(cache.Acquire("f").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(cache.resident(), 0u);
 }
 
 TEST_F(FenceCacheTest, DestructionReturnsGenerationGaugeToBaseline) {
