@@ -1,7 +1,8 @@
 // Microbenchmarks of the dispatched SIMD math kernels (math/kernels.h)
 // over the dims the embedding pipeline actually runs: d = 16..256 for
-// Dot/AddScaled/WeightedSum and the BiSAGE MatVec shape (d rows x 2d
-// cols). Every kernel is measured twice — scalar backend and the
+// Dot/AddScaled/WeightedSum, and the BiSAGE weight shape (d rows x 2d
+// cols) for MatVec and for the backward's transposed MatTVec; d = 32
+// is the model's default. Every kernel is measured twice — scalar backend and the
 // dispatched backend (AVX2+FMA where the CPU has it) — so the speedup
 // is visible directly.
 //
@@ -30,7 +31,7 @@ namespace {
 
 using namespace gem::math;  // NOLINT(build/namespaces) bench binary
 
-constexpr int kDims[] = {16, 64, 128, 256};
+constexpr int kDims[] = {16, 32, 64, 128, 256};
 constexpr size_t kWeightedSumInputs = 8;
 
 /// Deterministically filled operand set for one dimension.
@@ -50,13 +51,14 @@ struct Operands {
     fill(inputs_flat, kWeightedSumInputs * n);
     coeffs.resize(kWeightedSumInputs);
     for (double& c : coeffs) c = rng.Uniform(0.0, 1.0);
+    fill(y2, 2 * static_cast<size_t>(n));
     for (size_t k = 0; k < kWeightedSumInputs; ++k) {
       input_ptrs.push_back(inputs_flat.data() + k * n);
     }
   }
 
   size_t n;
-  kernels::AlignedVec a, b, out, matrix, x2, y, inputs_flat;
+  kernels::AlignedVec a, b, out, matrix, x2, y, y2, inputs_flat;
   std::vector<double> coeffs;
   std::vector<const double*> input_ptrs;
 };
@@ -91,6 +93,11 @@ void RunMatVec(const kernels::Ops& ops, Operands& od) {
              static_cast<int>(2 * od.n), od.x2.data(), od.y.data());
   benchmark::DoNotOptimize(od.y.data());
 }
+void RunMatTVec(const kernels::Ops& ops, Operands& od) {
+  ops.mattvec(od.matrix.data(), static_cast<int>(od.n),
+              static_cast<int>(2 * od.n), od.y.data(), od.y2.data());
+  benchmark::DoNotOptimize(od.y2.data());
+}
 
 using KernelFn = void (*)(const kernels::Ops&, Operands&);
 
@@ -104,6 +111,7 @@ constexpr KernelCase kKernelCases[] = {
     {"add_scaled", RunAddScaled},
     {"weighted_sum", RunWeightedSum},
     {"matvec", RunMatVec},
+    {"mattvec", RunMatTVec},
 };
 
 // --------------------------------------------------------------------------

@@ -339,8 +339,12 @@ void BiSage::RunGradShard(GradExecutor& executor, GradShard& shard,
   math::Rng rng(
       math::Rng::StreamSeed(config_.seed ^ kGroupStreamSalt, stream));
   executor.tape.Clear();
-  AccumulateShardLoss(executor.tape, graph, pairs, begin, end, rng,
-                      executor.memo, shard.loss, shard.terms);
+  {
+    GEM_TRACE_SPAN("bisage.forward");
+    AccumulateShardLoss(executor.tape, graph, pairs, begin, end, rng,
+                        executor.memo, shard.loss, shard.terms);
+  }
+  GEM_TRACE_SPAN("bisage.backward");
   executor.tape.Backward(&shard.sink);
 }
 

@@ -37,8 +37,9 @@ void CsvWriter::WriteNumericRow(const std::vector<double>& values) {
 }
 
 std::string CsvDirFromArgs(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--csv") == 0) return argv[i + 1];
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--csv=", 6) == 0) return argv[i] + 6;
+    if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) return argv[i + 1];
   }
   return "";
 }

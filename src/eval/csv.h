@@ -30,8 +30,9 @@ class CsvWriter {
   std::ofstream out_;
 };
 
-/// Parses "--csv <dir>" style flags shared by the bench binaries.
-/// Returns the directory or an empty string when the flag is absent.
+/// Parses the "--csv <dir>" or "--csv=<dir>" flag shared by the bench
+/// binaries. Returns the directory or an empty string when the flag is
+/// absent.
 std::string CsvDirFromArgs(int argc, char** argv);
 
 /// True when "--full" was passed (paper-scale repeats instead of the

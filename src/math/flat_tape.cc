@@ -17,9 +17,10 @@ void FlatTape::Clear() {
   loss_ = 0.0;
 }
 
-VarId FlatTape::Push(Op op, int len) {
+VarId FlatTape::Push(Op op, int len, bool tracked) {
   Node n;
   n.op = op;
+  n.tracked = tracked;
   n.off = values_.size();
   n.len = len;
   values_.resize(values_.size() + static_cast<size_t>(len));
@@ -28,16 +29,22 @@ VarId FlatTape::Push(Op op, int len) {
 }
 
 VarId FlatTape::Leaf(const double* data, size_t n) {
-  const VarId id = Push(Op::kLeaf, static_cast<int>(n));
+  const VarId id = Push(Op::kLeaf, static_cast<int>(n), false);
   double* out = val(id);
   for (size_t i = 0; i < n; ++i) out[i] = data[i];
+  return id;
+}
+
+VarId FlatTape::Input(const double* data, size_t n) {
+  const VarId id = Leaf(data, n);
+  nodes_[id].tracked = true;
   return id;
 }
 
 VarId FlatTape::MatVec(Parameter* param, VarId x) {
   GEM_DCHECK(param != nullptr);
   GEM_DCHECK(param->value.cols() == nodes_[x].len);
-  const VarId id = Push(Op::kMatVec, param->value.rows());
+  const VarId id = Push(Op::kMatVec, param->value.rows(), true);
   Node& n = nodes_[id];
   n.a = x;
   n.param = param;
@@ -51,7 +58,8 @@ VarId FlatTape::MatVec(Parameter* param, VarId x) {
 VarId FlatTape::Concat(VarId a, VarId b) {
   const int la = nodes_[a].len;
   const int lb = nodes_[b].len;
-  const VarId id = Push(Op::kConcat, la + lb);
+  const VarId id =
+      Push(Op::kConcat, la + lb, nodes_[a].tracked || nodes_[b].tracked);
   Node& n = nodes_[id];
   n.a = a;
   n.b = b;
@@ -68,7 +76,9 @@ VarId FlatTape::WeightedSum(const std::vector<VarId>& inputs,
   GEM_CHECK(!inputs.empty());
   GEM_CHECK(inputs.size() == coeffs.size());
   const int len = nodes_[inputs[0]].len;
-  const VarId id = Push(Op::kWeightedSum, len);
+  bool tracked = false;
+  for (const VarId input : inputs) tracked = tracked || nodes_[input].tracked;
+  const VarId id = Push(Op::kWeightedSum, len, tracked);
   Node& n = nodes_[id];
   n.inputs_off = static_cast<int>(inputs_pool_.size());
   n.inputs_count = static_cast<int>(inputs.size());
@@ -84,7 +94,7 @@ VarId FlatTape::WeightedSum(const std::vector<VarId>& inputs,
 
 VarId FlatTape::Relu(VarId x) {
   const int len = nodes_[x].len;
-  const VarId id = Push(Op::kRelu, len);
+  const VarId id = Push(Op::kRelu, len, nodes_[x].tracked);
   nodes_[id].a = x;
   double* out = val(id);
   const double* in = val(x);
@@ -94,7 +104,7 @@ VarId FlatTape::Relu(VarId x) {
 
 VarId FlatTape::Tanh(VarId x) {
   const int len = nodes_[x].len;
-  const VarId id = Push(Op::kTanh, len);
+  const VarId id = Push(Op::kTanh, len, nodes_[x].tracked);
   nodes_[id].a = x;
   double* out = val(id);
   const double* in = val(x);
@@ -104,7 +114,7 @@ VarId FlatTape::Tanh(VarId x) {
 
 VarId FlatTape::L2Normalize(VarId x) {
   const int len = nodes_[x].len;
-  const VarId id = Push(Op::kL2Normalize, len);
+  const VarId id = Push(Op::kL2Normalize, len, nodes_[x].tracked);
   nodes_[id].a = x;
   double* out = val(id);
   const double* in = val(x);
@@ -118,7 +128,8 @@ VarId FlatTape::L2Normalize(VarId x) {
 
 VarId FlatTape::Dot(VarId a, VarId b) {
   GEM_DCHECK(nodes_[a].len == nodes_[b].len);
-  const VarId id = Push(Op::kDot, 1);
+  const VarId id =
+      Push(Op::kDot, 1, nodes_[a].tracked || nodes_[b].tracked);
   Node& n = nodes_[id];
   n.a = a;
   n.b = b;
@@ -169,9 +180,18 @@ void FlatTape::Backward(ParamGradSink* sink) {
   }
 
   const kernels::Ops& ops = kernels::Active();
-  // Reverse topological order == reverse creation order.
+  // grad(x) += scale * src along an edge into x, skipped when x is
+  // untracked (a unary op is tracked exactly when its input is).
+  auto add_into = [&](const Node& x, const double* src, double scale) {
+    if (!x.tracked) return;
+    ops.add_scaled(grads_.data() + x.off, src, scale,
+                   static_cast<size_t>(x.len));
+  };
+  // Reverse topological order == reverse creation order; untracked
+  // nodes are skipped.
   for (int id = size() - 1; id >= 0; --id) {
     const Node& n = nodes_[id];
+    if (!n.tracked) continue;
     const double* g = grads_.data() + n.off;
     bool all_zero = true;
     for (int i = 0; i < n.len; ++i) {
@@ -197,28 +217,23 @@ void FlatTape::Backward(ParamGradSink* sink) {
         for (int r = 0; r < n.len; ++r) {
           ops.add_scaled(dw.RowPtr(r), x, g[r], cols);
         }
+        if (!xn.tracked) break;
         mattvec_scratch_.assign(cols, 0.0);
         ops.mattvec(n.param->value.ptr(), n.len, xn.len, g,
                     mattvec_scratch_.data());
-        ops.add_scaled(grads_.data() + xn.off, mattvec_scratch_.data(), 1.0,
-                       cols);
+        add_into(xn, mattvec_scratch_.data(), 1.0);
         break;
       }
       case Op::kConcat: {
         const Node& an = nodes_[n.a];
-        const Node& bn = nodes_[n.b];
-        ops.add_scaled(grads_.data() + an.off, g, 1.0,
-                       static_cast<size_t>(an.len));
-        ops.add_scaled(grads_.data() + bn.off, g + an.len, 1.0,
-                       static_cast<size_t>(bn.len));
+        add_into(an, g, 1.0);
+        add_into(nodes_[n.b], g + an.len, 1.0);
         break;
       }
       case Op::kWeightedSum:
         for (int i = 0; i < n.inputs_count; ++i) {
-          const Node& in = nodes_[inputs_pool_[n.inputs_off + i]];
-          ops.add_scaled(grads_.data() + in.off, g,
-                         coeffs_pool_[n.inputs_off + i],
-                         static_cast<size_t>(in.len));
+          add_into(nodes_[inputs_pool_[n.inputs_off + i]], g,
+                   coeffs_pool_[n.inputs_off + i]);
         }
         break;
       case Op::kRelu: {
@@ -243,7 +258,7 @@ void FlatTape::Backward(ParamGradSink* sink) {
         const size_t len = static_cast<size_t>(n.len);
         const double norm = std::sqrt(ops.dot(x, x, len));
         if (norm <= kNormEps) {
-          ops.add_scaled(grads_.data() + xn.off, g, 1.0, len);
+          add_into(xn, g, 1.0);
           break;
         }
         const double* y = values_.data() + n.off;
@@ -257,11 +272,8 @@ void FlatTape::Backward(ParamGradSink* sink) {
       case Op::kDot: {
         const Node& an = nodes_[n.a];
         const Node& bn = nodes_[n.b];
-        const double g0 = g[0];
-        ops.add_scaled(grads_.data() + an.off, values_.data() + bn.off, g0,
-                       static_cast<size_t>(an.len));
-        ops.add_scaled(grads_.data() + bn.off, values_.data() + an.off, g0,
-                       static_cast<size_t>(bn.len));
+        add_into(an, values_.data() + bn.off, g[0]);
+        add_into(bn, values_.data() + an.off, g[0]);
         break;
       }
     }

@@ -20,6 +20,17 @@ namespace gem::math {
 /// (negative-sampling log-sigmoid and MSE). Clear(), build the forward
 /// ops, attach losses, then call Backward().
 ///
+/// Gradients flow only where something is learned. A node is
+/// GRAD-TRACKED when a Parameter (or an Input leaf) lies beneath it:
+/// MatVec and Input set the mark, every other op takes it from its
+/// inputs, and a constant Leaf never carries it. Backward skips every
+/// untracked node and every edge into one, so a MatVec over constants
+/// (BiSAGE's layer 1, whose inputs are fixed initial embeddings) costs
+/// only its dW += g x^T, never the W^T g that nothing reads. Every
+/// parameter gradient gets the bits an all-tracked program gives it:
+/// no tracked node reads an untracked node's gradient, and the tracked
+/// nodes accumulate in the same order.
+///
 /// Every value and gradient lives in two reusable 32-byte-aligned
 /// arenas addressed by (offset, length), so a cleared tape rebuilds the
 /// next shard's graph with zero allocations in the steady state.
@@ -40,9 +51,17 @@ class FlatTape {
   /// Drops all nodes and pending losses, keeping arena capacity.
   void Clear();
 
-  /// Creates a leaf copying n doubles from data.
+  /// Creates a constant leaf copying n doubles from data. Backward
+  /// computes no gradient into it.
   VarId Leaf(const double* data, size_t n);
   VarId Leaf(const Vec& v) { return Leaf(v.data(), v.size()); }
+
+  /// Creates a grad-tracked leaf copying n doubles from data: Backward
+  /// computes its gradient. Gradient checks read it, and a program
+  /// built from Inputs prunes nothing, so it is also the unpruned
+  /// reference for Leaf-built programs.
+  VarId Input(const double* data, size_t n);
+  VarId Input(const Vec& v) { return Input(v.data(), v.size()); }
 
   /// y = param.value * x.
   VarId MatVec(Parameter* param, VarId x);
@@ -75,8 +94,10 @@ class FlatTape {
 
   /// Reverse-mode accumulation from all attached loss terms. Parameter
   /// gradients go to sink->GradFor(param) (or Parameter::grad when
-  /// sink is null); node gradients land in the grad arena and stay
-  /// valid until the next forward op or Clear().
+  /// sink is null). Node gradients exist only on grad-tracked nodes:
+  /// they land in the grad arena and stay valid until the next forward
+  /// op or Clear(). An untracked node's grad() reads zero, or just the
+  /// seed of a loss term attached to it directly.
   void Backward(ParamGradSink* sink);
   void Backward() { Backward(nullptr); }
 
@@ -104,6 +125,7 @@ class FlatTape {
 
   struct Node {
     Op op;
+    bool tracked = false;  // a Parameter or an Input lies beneath it
     VarId a = -1;
     VarId b = -1;
     int inputs_off = 0;   // kWeightedSum: offset into inputs_/coeffs_ pools
@@ -127,7 +149,7 @@ class FlatTape {
 
   /// Appends a node with len doubles of arena storage (value
   /// uninitialized; every op overwrites it in full).
-  VarId Push(Op op, int len);
+  VarId Push(Op op, int len, bool tracked);
 
   double* val(VarId id) { return values_.data() + nodes_[id].off; }
 

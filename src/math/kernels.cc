@@ -1,5 +1,6 @@
 #include "math/kernels.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -120,7 +121,9 @@ double DotAvx2(const double* a, const double* b, size_t n) {
     i += 4;
   }
   double sum = HSum(_mm256_add_pd(acc0, acc1));
-  for (; i < n; ++i) sum += a[i] * b[i];
+  // An explicit fma, so MatVecAvx2's four-row tail rounds the same way
+  // whatever the compiler contracts or vectorizes.
+  for (; i < n; ++i) sum = std::fma(a[i], b[i], sum);
   return sum;
 }
 
@@ -223,24 +226,102 @@ void WeightedSumAvx2(double* out, const double* const* inputs,
 __attribute__((target("avx2,fma")))
 void MatVecAvx2(const double* m, int rows, int cols, const double* x,
                 double* y) {
-  for (int r = 0; r < rows; ++r) {
-    y[r] = DotAvx2(m + static_cast<size_t>(r) * cols, x, cols);
+  // Four rows per sweep share each load of x. Every row keeps
+  // DotAvx2's exact shape (two accumulators over 8-blocks, a 4-block
+  // into the first, HSum of their sum, then the sequential tail), so
+  // y[r] has the bits of DotAvx2(row r, x).
+  const size_t n = static_cast<size_t>(cols);
+  int r = 0;
+  for (; r + 4 <= rows; r += 4) {
+    const double* m0 = m + static_cast<size_t>(r) * n;
+    const double* m1 = m0 + n;
+    const double* m2 = m1 + n;
+    const double* m3 = m2 + n;
+    __m256d a0 = _mm256_setzero_pd(), b0 = _mm256_setzero_pd();
+    __m256d a1 = _mm256_setzero_pd(), b1 = _mm256_setzero_pd();
+    __m256d a2 = _mm256_setzero_pd(), b2 = _mm256_setzero_pd();
+    __m256d a3 = _mm256_setzero_pd(), b3 = _mm256_setzero_pd();
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+      const __m256d xl = _mm256_loadu_pd(x + i);
+      const __m256d xh = _mm256_loadu_pd(x + i + 4);
+      a0 = _mm256_fmadd_pd(_mm256_loadu_pd(m0 + i), xl, a0);
+      b0 = _mm256_fmadd_pd(_mm256_loadu_pd(m0 + i + 4), xh, b0);
+      a1 = _mm256_fmadd_pd(_mm256_loadu_pd(m1 + i), xl, a1);
+      b1 = _mm256_fmadd_pd(_mm256_loadu_pd(m1 + i + 4), xh, b1);
+      a2 = _mm256_fmadd_pd(_mm256_loadu_pd(m2 + i), xl, a2);
+      b2 = _mm256_fmadd_pd(_mm256_loadu_pd(m2 + i + 4), xh, b2);
+      a3 = _mm256_fmadd_pd(_mm256_loadu_pd(m3 + i), xl, a3);
+      b3 = _mm256_fmadd_pd(_mm256_loadu_pd(m3 + i + 4), xh, b3);
+    }
+    if (i + 4 <= n) {
+      const __m256d xl = _mm256_loadu_pd(x + i);
+      a0 = _mm256_fmadd_pd(_mm256_loadu_pd(m0 + i), xl, a0);
+      a1 = _mm256_fmadd_pd(_mm256_loadu_pd(m1 + i), xl, a1);
+      a2 = _mm256_fmadd_pd(_mm256_loadu_pd(m2 + i), xl, a2);
+      a3 = _mm256_fmadd_pd(_mm256_loadu_pd(m3 + i), xl, a3);
+      i += 4;
+    }
+    double s0 = HSum(_mm256_add_pd(a0, b0));
+    double s1 = HSum(_mm256_add_pd(a1, b1));
+    double s2 = HSum(_mm256_add_pd(a2, b2));
+    double s3 = HSum(_mm256_add_pd(a3, b3));
+    for (; i < n; ++i) {
+      s0 = std::fma(m0[i], x[i], s0);
+      s1 = std::fma(m1[i], x[i], s1);
+      s2 = std::fma(m2[i], x[i], s2);
+      s3 = std::fma(m3[i], x[i], s3);
+    }
+    y[r] = s0;
+    y[r + 1] = s1;
+    y[r + 2] = s2;
+    y[r + 3] = s3;
   }
+  for (; r < rows; ++r) y[r] = DotAvx2(m + static_cast<size_t>(r) * n, x, n);
 }
 
 __attribute__((target("avx2,fma")))
 void MatTVecAvx2(const double* m, int rows, int cols, const double* x,
                  double* y) {
-  for (int r = 0; r < rows; ++r) {
-    const double* row = m + static_cast<size_t>(r) * cols;
-    const __m256d xr = _mm256_set1_pd(x[r]);
-    int c = 0;
-    for (; c + 4 <= cols; c += 4) {
-      _mm256_storeu_pd(
-          y + c, _mm256_fmadd_pd(xr, _mm256_loadu_pd(row + c),
-                                 _mm256_loadu_pd(y + c)));
+  // A block of output columns (16, then 4, then 1) stays in registers
+  // across all rows, so y is loaded and stored once per block, not once
+  // per row. Every y[c] still takes fma(x[r], m[r][c], y[c]) in
+  // ascending r: the bits of add_scaled(y, row r, x[r]) over each row
+  // in turn.
+  const size_t stride = static_cast<size_t>(cols);
+  int c = 0;
+  for (; c + 16 <= cols; c += 16) {
+    __m256d y0 = _mm256_loadu_pd(y + c);
+    __m256d y1 = _mm256_loadu_pd(y + c + 4);
+    __m256d y2 = _mm256_loadu_pd(y + c + 8);
+    __m256d y3 = _mm256_loadu_pd(y + c + 12);
+    for (int r = 0; r < rows; ++r) {
+      const double* col = m + static_cast<size_t>(r) * stride + c;
+      const __m256d xr = _mm256_set1_pd(x[r]);
+      y0 = _mm256_fmadd_pd(xr, _mm256_loadu_pd(col), y0);
+      y1 = _mm256_fmadd_pd(xr, _mm256_loadu_pd(col + 4), y1);
+      y2 = _mm256_fmadd_pd(xr, _mm256_loadu_pd(col + 8), y2);
+      y3 = _mm256_fmadd_pd(xr, _mm256_loadu_pd(col + 12), y3);
     }
-    for (; c < cols; ++c) y[c] += row[c] * x[r];
+    _mm256_storeu_pd(y + c, y0);
+    _mm256_storeu_pd(y + c + 4, y1);
+    _mm256_storeu_pd(y + c + 8, y2);
+    _mm256_storeu_pd(y + c + 12, y3);
+  }
+  for (; c + 4 <= cols; c += 4) {
+    __m256d y0 = _mm256_loadu_pd(y + c);
+    for (int r = 0; r < rows; ++r) {
+      const double* col = m + static_cast<size_t>(r) * stride + c;
+      y0 = _mm256_fmadd_pd(_mm256_set1_pd(x[r]), _mm256_loadu_pd(col), y0);
+    }
+    _mm256_storeu_pd(y + c, y0);
+  }
+  for (; c < cols; ++c) {
+    double yc = y[c];
+    for (int r = 0; r < rows; ++r) {
+      yc = std::fma(m[static_cast<size_t>(r) * stride + c], x[r], yc);
+    }
+    y[c] = yc;
   }
 }
 

@@ -150,6 +150,10 @@ TEST(FlagsTest, ParsesCsvAndFullFlags) {
   const char* argv[] = {"prog", "--csv", "/tmp/x", "--full"};
   EXPECT_EQ(CsvDirFromArgs(4, const_cast<char**>(argv)), "/tmp/x");
   EXPECT_TRUE(FullScaleFromArgs(4, const_cast<char**>(argv)));
+  const char* joined[] = {"prog", "--full", "--csv=/tmp/y"};
+  EXPECT_EQ(CsvDirFromArgs(3, const_cast<char**>(joined)), "/tmp/y");
+  const char* dangling[] = {"prog", "--csv"};
+  EXPECT_EQ(CsvDirFromArgs(2, const_cast<char**>(dangling)), "");
   const char* bare[] = {"prog"};
   EXPECT_EQ(CsvDirFromArgs(1, const_cast<char**>(bare)), "");
   EXPECT_FALSE(FullScaleFromArgs(1, const_cast<char**>(bare)));

@@ -16,6 +16,8 @@ namespace {
 /// of the total loss against the analytic leaf gradient.
 ///
 /// `build` maps leaf values -> (tape with losses attached, leaf ids).
+/// The leaves must be grad-tracked Inputs: Backward computes nothing
+/// into a constant Leaf.
 struct BuiltGraph {
   std::vector<VarId> leaves;
 };
@@ -65,8 +67,8 @@ TEST(AutogradTest, DotForward) {
 TEST(AutogradTest, GradDotViaMse) {
   CheckLeafGradients(
       [](FlatTape& t, const std::vector<Vec>& leaves) {
-        const VarId a = t.Leaf(leaves[0]);
-        const VarId b = t.Leaf(leaves[1]);
+        const VarId a = t.Input(leaves[0]);
+        const VarId b = t.Input(leaves[1]);
         t.AddMseLoss(t.Dot(a, b), {1.0});
         return BuiltGraph{{a, b}};
       },
@@ -76,8 +78,8 @@ TEST(AutogradTest, GradDotViaMse) {
 TEST(AutogradTest, GradLogSigmoidLoss) {
   CheckLeafGradients(
       [](FlatTape& t, const std::vector<Vec>& leaves) {
-        const VarId a = t.Leaf(leaves[0]);
-        const VarId b = t.Leaf(leaves[1]);
+        const VarId a = t.Input(leaves[0]);
+        const VarId b = t.Input(leaves[1]);
         const VarId d = t.Dot(a, b);
         t.AddLogSigmoidLoss(d, +1.0);
         t.AddLogSigmoidLoss(d, -1.0, 0.5);
@@ -89,7 +91,7 @@ TEST(AutogradTest, GradLogSigmoidLoss) {
 TEST(AutogradTest, GradRelu) {
   CheckLeafGradients(
       [](FlatTape& t, const std::vector<Vec>& leaves) {
-        const VarId x = t.Leaf(leaves[0]);
+        const VarId x = t.Input(leaves[0]);
         t.AddMseLoss(t.Relu(x), {1.0, -1.0, 0.5});
         return BuiltGraph{{x}};
       },
@@ -100,7 +102,7 @@ TEST(AutogradTest, GradRelu) {
 TEST(AutogradTest, GradTanh) {
   CheckLeafGradients(
       [](FlatTape& t, const std::vector<Vec>& leaves) {
-        const VarId x = t.Leaf(leaves[0]);
+        const VarId x = t.Input(leaves[0]);
         t.AddMseLoss(t.Tanh(x), {0.2, -0.3});
         return BuiltGraph{{x}};
       },
@@ -110,7 +112,7 @@ TEST(AutogradTest, GradTanh) {
 TEST(AutogradTest, GradL2Normalize) {
   CheckLeafGradients(
       [](FlatTape& t, const std::vector<Vec>& leaves) {
-        const VarId x = t.Leaf(leaves[0]);
+        const VarId x = t.Input(leaves[0]);
         t.AddMseLoss(t.L2Normalize(x), {0.5, -0.5, 0.1});
         return BuiltGraph{{x}};
       },
@@ -120,9 +122,9 @@ TEST(AutogradTest, GradL2Normalize) {
 TEST(AutogradTest, GradConcatAndWeightedSum) {
   CheckLeafGradients(
       [](FlatTape& t, const std::vector<Vec>& leaves) {
-        const VarId a = t.Leaf(leaves[0]);
-        const VarId b = t.Leaf(leaves[1]);
-        const VarId c = t.Leaf(leaves[2]);
+        const VarId a = t.Input(leaves[0]);
+        const VarId b = t.Input(leaves[1]);
+        const VarId c = t.Input(leaves[2]);
         const VarId ws = t.WeightedSum({a, b}, {0.7, 0.3});
         const VarId cat = t.Concat(ws, c);
         t.AddMseLoss(cat, {0.1, 0.2, 0.3, 0.4});
@@ -138,7 +140,7 @@ TEST(AutogradTest, GradMatVecIntoLeaf) {
   w.value.FillUniform(rng, 0.5);
   CheckLeafGradients(
       [&w](FlatTape& t, const std::vector<Vec>& leaves) {
-        const VarId x = t.Leaf(leaves[0]);
+        const VarId x = t.Input(leaves[0]);
         t.AddMseLoss(t.MatVec(&w, x), {0.1, -0.2});
         return BuiltGraph{{x}};
       },
@@ -190,10 +192,10 @@ TEST(AutogradTest, DeepCompositionGradient) {
   w.value.FillUniform(rng, 0.4);
   CheckLeafGradients(
       [&w](FlatTape& t, const std::vector<Vec>& leaves) {
-        const VarId self = t.Leaf(leaves[0]);
-        const VarId n1 = t.Leaf(leaves[1]);
-        const VarId n2 = t.Leaf(leaves[2]);
-        const VarId other = t.Leaf(leaves[3]);
+        const VarId self = t.Input(leaves[0]);
+        const VarId n1 = t.Input(leaves[1]);
+        const VarId n2 = t.Input(leaves[2]);
+        const VarId other = t.Input(leaves[3]);
         const VarId agg = t.WeightedSum({n1, n2}, {0.6, 0.4});
         const VarId cat = t.Concat(self, agg);
         const VarId lin = t.MatVec(&w, cat);
@@ -224,7 +226,7 @@ TEST(AutogradTest, AutoencoderShapedGradient) {
       [&](FlatTape& t, const std::vector<Vec>& leaves) {
         BuiltGraph g;
         for (const Vec& x : leaves) {
-          const VarId xi = t.Leaf(x);
+          const VarId xi = t.Input(x);
           const VarId h = t.Relu(t.MatVec(&enc, xi));
           const VarId z = t.Tanh(t.MatVec(&code, h));
           t.AddMseLoss(t.MatVec(&dec, z), {0.5, 0.2, 0.9, 0.4}, 0.5);
@@ -260,8 +262,8 @@ TEST(AutogradTest, ClearResetsState) {
 TEST(AutogradTest, ZeroGradSkipsPropagation) {
   // Nodes not connected to any loss keep zero gradients.
   FlatTape tape;
-  const VarId a = tape.Leaf({1.0, 2.0});
-  const VarId b = tape.Leaf({3.0, 4.0});
+  const VarId a = tape.Input({1.0, 2.0});
+  const VarId b = tape.Input({3.0, 4.0});
   tape.Relu(b);                 // dangling
   tape.AddMseLoss(a, {0.0, 0.0});
   tape.Backward();

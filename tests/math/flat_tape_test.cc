@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "math/autograd.h"
+#include "math/kernels.h"
 #include "math/rng.h"
 #include "math/vec.h"
 
@@ -156,7 +160,7 @@ TEST(FlatTapeOpsTest, ZeroVectorPassesThroughL2Normalize) {
   const Vec zeros(4, 0.0);
   const Vec other{1.0, -2.0, 0.5, 3.0};
 
-  const VarId leaf = flat.Leaf(zeros);
+  const VarId leaf = flat.Input(zeros);
   const VarId fz = flat.L2Normalize(leaf);
   const VarId fo = flat.Leaf(other);
   flat.AddLogSigmoidLoss(flat.Dot(fz, fo), +1.0);
@@ -199,6 +203,164 @@ TEST(FlatTapeOpsTest, PointerLeafMatchesVecLeaf) {
   const VarId ia = a.Leaf(v);
   const VarId ib = b.Leaf(v.data(), v.size());
   for (int i = 0; i < 3; ++i) EXPECT_EQ(a.value(ia)[i], b.value(ib)[i]);
+}
+
+/// A two-layer BiSAGE-shaped program (DESIGN.md §4) over a 7-node
+/// bipartite graph. Records 0-2 and MACs 4-6 share neighbors, so the
+/// memo hands several parents one child's vars; record 3 is isolated,
+/// so both of its layers aggregate a zero leaf. Built from constant
+/// Leafs, Backward prunes every layer-1 W^T g and everything below it;
+/// built from Inputs, it prunes nothing.
+class BiSageShapedProgram {
+ public:
+  static constexpr int kDim = 6;
+  static constexpr int kLayers = 2;
+
+  BiSageShapedProgram() {
+    Rng rng(31);
+    for (int node = 0; node < kNodes; ++node) {
+      h0_.push_back(RandomVec(rng, kDim));
+      l0_.push_back(RandomVec(rng, kDim));
+    }
+    for (int k = 0; k < kLayers; ++k) {
+      w_h_.push_back(std::make_unique<Parameter>(kDim, 2 * kDim));
+      w_l_.push_back(std::make_unique<Parameter>(kDim, 2 * kDim));
+      FillParam(*w_h_.back(), rng);
+      FillParam(*w_l_.back(), rng);
+    }
+  }
+
+  std::vector<Parameter*> params() const {
+    return {w_h_[0].get(), w_l_[0].get(), w_h_[1].get(), w_l_[1].get()};
+  }
+
+  /// Builds the program and its walk-pair losses on a cleared tape;
+  /// returns the ids of the layer-0 rows and zero aggregates.
+  std::vector<VarId> Build(FlatTape& tape, bool tracked_leaves) {
+    tape.Clear();
+    memo_.clear();
+    leaves_.clear();
+    tracked_leaves_ = tracked_leaves;
+    // (x, y, sign): positive walk pairs, then negatives.
+    const int pairs[][3] = {{0, 4, +1}, {1, 5, +1}, {4, 2, +1}, {3, 6, +1},
+                            {0, 5, -1}, {3, 4, -1}, {2, 6, -1}};
+    for (const auto& [x, y, sign] : pairs) {
+      const NodeVars vx = Node(tape, x, kLayers);
+      const NodeVars vy = Node(tape, y, kLayers);
+      tape.AddLogSigmoidLoss(tape.Dot(vx.h, vy.l), sign);
+      tape.AddLogSigmoidLoss(tape.Dot(vx.l, vy.h), sign);
+    }
+    return leaves_;
+  }
+
+ private:
+  static constexpr int kNodes = 7;
+
+  struct NodeVars {
+    VarId h;
+    VarId l;
+  };
+
+  VarId Row(FlatTape& tape, const Vec& v) {
+    const VarId id = tracked_leaves_ ? tape.Input(v) : tape.Leaf(v);
+    leaves_.push_back(id);
+    return id;
+  }
+
+  NodeVars Node(FlatTape& tape, int node, int layer) {
+    const auto it = memo_.find({node, layer});
+    if (it != memo_.end()) return it->second;
+    NodeVars vars;
+    if (layer == 0) {
+      vars.h = Row(tape, h0_[node]);
+      vars.l = Row(tape, l0_[node]);
+    } else {
+      const NodeVars self = Node(tape, node, layer - 1);
+      // Sampled with replacement, as BiSAGE samples: MAC 4 twice.
+      static const std::vector<int> kNeighbors[kNodes] = {
+          {4, 4, 5}, {4, 6}, {5, 6, 4}, {}, {0, 1, 2}, {2, 0}, {1, 2}};
+      const std::vector<int>& sampled = kNeighbors[node];
+      VarId h_agg;
+      VarId l_agg;
+      if (sampled.empty()) {
+        const Vec zeros(kDim, 0.0);
+        h_agg = Row(tape, zeros);
+        l_agg = Row(tape, zeros);
+      } else {
+        std::vector<VarId> neighbor_l;
+        std::vector<VarId> neighbor_h;
+        Vec coeffs;
+        for (size_t i = 0; i < sampled.size(); ++i) {
+          const NodeVars child = Node(tape, sampled[i], layer - 1);
+          neighbor_l.push_back(child.l);
+          neighbor_h.push_back(child.h);
+          coeffs.push_back((1.0 + static_cast<double>(i)) /
+                           static_cast<double>(sampled.size() * 2));
+        }
+        h_agg = tape.WeightedSum(neighbor_l, coeffs);
+        l_agg = tape.WeightedSum(neighbor_h, coeffs);
+      }
+      const VarId h_lin =
+          tape.MatVec(w_h_[layer - 1].get(), tape.Concat(self.h, h_agg));
+      const VarId l_lin =
+          tape.MatVec(w_l_[layer - 1].get(), tape.Concat(self.l, l_agg));
+      if (layer == kLayers) {
+        vars.h = tape.L2Normalize(h_lin);
+        vars.l = tape.L2Normalize(l_lin);
+      } else {
+        vars.h = tape.L2Normalize(tape.Relu(h_lin));
+        vars.l = tape.L2Normalize(tape.Relu(l_lin));
+      }
+    }
+    memo_.emplace(std::make_pair(node, layer), vars);
+    return vars;
+  }
+
+  std::vector<Vec> h0_;
+  std::vector<Vec> l0_;
+  std::vector<std::unique_ptr<Parameter>> w_h_;
+  std::vector<std::unique_ptr<Parameter>> w_l_;
+  std::map<std::pair<int, int>, NodeVars> memo_;
+  std::vector<VarId> leaves_;
+  bool tracked_leaves_ = false;
+};
+
+TEST(FlatTapePruningTest, BiSageShapedProgramMatchesUnprunedReference) {
+  std::vector<kernels::Backend> backends = {kernels::Backend::kScalar};
+  if (kernels::Avx2Available()) backends.push_back(kernels::Backend::kAvx2);
+  for (const kernels::Backend backend : backends) {
+    SCOPED_TRACE(kernels::BackendName(backend));
+    const kernels::Backend previous = kernels::ForceBackendForTest(backend);
+    BiSageShapedProgram program;
+
+    FlatTape pruned;
+    const std::vector<VarId> constants = program.Build(pruned, false);
+    ParamGradSink pruned_sink;
+    pruned.Backward(&pruned_sink);
+
+    FlatTape reference;
+    const std::vector<VarId> inputs = program.Build(reference, true);
+    ParamGradSink reference_sink;
+    reference.Backward(&reference_sink);
+
+    ASSERT_EQ(pruned.size(), reference.size());
+    EXPECT_EQ(pruned.loss(), reference.loss());
+    for (Parameter* param : program.params()) {
+      ExpectBitIdentical(pruned_sink.GradFor(param),
+                         reference_sink.GradFor(param));
+    }
+    // The reference really did the work the pruned tape skips.
+    bool any_input_grad = false;
+    for (size_t i = 0; i < constants.size(); ++i) {
+      for (int lane = 0; lane < pruned.size_of(constants[i]); ++lane) {
+        EXPECT_EQ(pruned.grad(constants[i])[lane], 0.0);
+        any_input_grad =
+            any_input_grad || reference.grad(inputs[i])[lane] != 0.0;
+      }
+    }
+    EXPECT_TRUE(any_input_grad);
+    kernels::ForceBackendForTest(previous);
+  }
 }
 
 }  // namespace

@@ -223,6 +223,61 @@ TEST(KernelsTest, MatVecAndMatTVecMatchReference) {
   }
 }
 
+// The blocked matvec/mattvec must keep each element's order: a matvec
+// row is exactly dot(row, x), and mattvec is exactly add_scaled of each
+// row in ascending row order. Shapes straddle the 4-row and 16/4-column
+// blocks; the last case feeds pointers one double off alignment.
+void ExpectBlockedKernelsKeepBits(const Ops& ops, int rows, int cols,
+                                  const double* m, const double* x,
+                                  const double* xt, double* y, double* yt) {
+  SCOPED_TRACE(testing::Message() << rows << "x" << cols);
+  ops.matvec(m, rows, cols, x, y);
+  for (int r = 0; r < rows; ++r) {
+    EXPECT_EQ(y[r], ops.dot(m + static_cast<size_t>(r) * cols, x,
+                            static_cast<size_t>(cols)))
+        << "row " << r;
+  }
+  std::vector<double> want(yt, yt + cols);
+  for (int r = 0; r < rows; ++r) {
+    ops.add_scaled(want.data(), m + static_cast<size_t>(r) * cols, xt[r],
+                   static_cast<size_t>(cols));
+  }
+  ops.mattvec(m, rows, cols, xt, yt);
+  for (int c = 0; c < cols; ++c) EXPECT_EQ(yt[c], want[c]) << "col " << c;
+}
+
+TEST(KernelsTest, MatVecRowsAreDotsAndMatTVecIsRowOrderAddScaled) {
+  Rng rng(18);
+  for (const Backend backend : {Backend::kScalar, Backend::kAvx2}) {
+    if (backend == Backend::kAvx2 && !Avx2Available()) continue;
+    SCOPED_TRACE(BackendName(backend));
+    const Ops& ops = OpsFor(backend);
+    for (const int rows : {0, 1, 3, 4, 5, 32, 33}) {
+      for (const int cols : {0, 1, 3, 4, 5, 8, 16, 17, 32, 33, 64, 65}) {
+        const std::vector<double> m =
+            RandomVec(rng, static_cast<size_t>(rows) * cols);
+        const std::vector<double> x = RandomVec(rng, cols);
+        const std::vector<double> xt = RandomVec(rng, rows);
+        std::vector<double> y(rows, -9.0);
+        std::vector<double> yt = RandomVec(rng, cols);
+        ExpectBlockedKernelsKeepBits(ops, rows, cols, m.data(), x.data(),
+                                     xt.data(), y.data(), yt.data());
+      }
+    }
+    constexpr int kRows = 33;
+    constexpr int kCols = 65;
+    AlignedVec m(kRows * kCols + 1), x(kCols + 1), xt(kRows + 1),
+        y(kRows + 1), yt(kCols + 1);
+    for (AlignedVec* v : {&m, &x, &xt, &yt}) {
+      for (double& e : *v) e = rng.Uniform(-2.0, 2.0);
+    }
+    ASSERT_NE(reinterpret_cast<uintptr_t>(m.data() + 1) % 32, 0u);
+    ExpectBlockedKernelsKeepBits(ops, kRows, kCols, m.data() + 1,
+                                 x.data() + 1, xt.data() + 1, y.data() + 1,
+                                 yt.data() + 1);
+  }
+}
+
 TEST(KernelsTest, UnalignedBuffersWork) {
   // The kernels use unaligned loads; feed pointers offset one double
   // (8 bytes) off the allocator's 32-byte boundary to prove it.
