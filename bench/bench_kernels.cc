@@ -2,9 +2,9 @@
 // over the dims the embedding pipeline actually runs: d = 16..256 for
 // Dot/AddScaled/WeightedSum, and the BiSAGE weight shape (d rows x 2d
 // cols) for MatVec and for the backward's transposed MatTVec; d = 32
-// is the model's default. Every kernel is measured twice — scalar backend and the
-// dispatched backend (AVX2+FMA where the CPU has it) — so the speedup
-// is visible directly.
+// is the model's default. Every kernel is measured twice — scalar
+// backend and the dispatched backend (AVX2+FMA where the CPU has it) —
+// so the speedup is visible directly.
 //
 // Default mode runs under google-benchmark. CI's perf gate instead uses:
 //   bench_kernels --bench_out=BENCH_kernels.json [--min_ms=20]

@@ -88,7 +88,9 @@ constexpr Ops kScalarOps = {
 // accumulators, folded acc0+acc1, then lanes as (l0+l1)+(l2+l3), then
 // the sequential scalar tail — so a given (backend, n) always sums in
 // the same order: deterministic run-to-run, but a different order (and
-// single-rounding FMA) vs. the scalar backend. Unaligned loads
+// single-rounding FMA) vs. the scalar backend. Every scalar tail is an
+// explicit std::fma, so its rounding holds at any optimization level,
+// not only where the compiler contracts a * b + c. Unaligned loads
 // throughout: callers owe no alignment.
 // ---------------------------------------------------------------------------
 
@@ -104,26 +106,52 @@ __attribute__((target("avx2,fma"))) inline double HSum(__m256d v) {
   return (l0 + l1) + (l2 + l3);
 }
 
-__attribute__((target("avx2,fma")))
-double DotAvx2(const double* a, const double* b, size_t n) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
+// Dots R rows (row k at m + k * stride) with one x in a single sweep,
+// so the rows share each load of x. Every row has the same fixed shape
+// whatever R is: two accumulators over 8-blocks, a 4-block into the
+// first, HSum of their sum, then the sequential tail. So out[k] has the
+// bits of the R = 1 case, which is DotAvx2. The loops over R (R <= 4)
+// are unrolled so lo and hi live in registers; without the pragma GCC
+// keeps them on the stack.
+template <int R>
+__attribute__((target("avx2,fma"))) inline void DotRowsAvx2(
+    const double* m, size_t stride, const double* x, size_t n, double* out) {
+  __m256d lo[R];
+  __m256d hi[R];
+#pragma GCC unroll 4
+  for (int k = 0; k < R; ++k) lo[k] = hi[k] = _mm256_setzero_pd();
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i),
-                           acc0);
-    acc1 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i + 4),
-                           _mm256_loadu_pd(b + i + 4), acc1);
+    const __m256d xl = _mm256_loadu_pd(x + i);
+    const __m256d xh = _mm256_loadu_pd(x + i + 4);
+#pragma GCC unroll 4
+    for (int k = 0; k < R; ++k) {
+      const double* row = m + k * stride;
+      lo[k] = _mm256_fmadd_pd(_mm256_loadu_pd(row + i), xl, lo[k]);
+      hi[k] = _mm256_fmadd_pd(_mm256_loadu_pd(row + i + 4), xh, hi[k]);
+    }
   }
   if (i + 4 <= n) {
-    acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i),
-                           acc0);
+    const __m256d xl = _mm256_loadu_pd(x + i);
+#pragma GCC unroll 4
+    for (int k = 0; k < R; ++k) {
+      lo[k] = _mm256_fmadd_pd(_mm256_loadu_pd(m + k * stride + i), xl, lo[k]);
+    }
     i += 4;
   }
-  double sum = HSum(_mm256_add_pd(acc0, acc1));
-  // An explicit fma, so MatVecAvx2's four-row tail rounds the same way
-  // whatever the compiler contracts or vectorizes.
-  for (; i < n; ++i) sum = std::fma(a[i], b[i], sum);
+#pragma GCC unroll 4
+  for (int k = 0; k < R; ++k) {
+    const double* row = m + k * stride;
+    double sum = HSum(_mm256_add_pd(lo[k], hi[k]));
+    for (size_t j = i; j < n; ++j) sum = std::fma(row[j], x[j], sum);
+    out[k] = sum;
+  }
+}
+
+__attribute__((target("avx2,fma")))
+double DotAvx2(const double* a, const double* b, size_t n) {
+  double sum;
+  DotRowsAvx2<1>(a, 0, b, n, &sum);
   return sum;
 }
 
@@ -149,7 +177,7 @@ double SquaredDistanceAvx2(const double* a, const double* b, size_t n) {
   double sum = HSum(_mm256_add_pd(acc0, acc1));
   for (; i < n; ++i) {
     const double d = a[i] - b[i];
-    sum += d * d;
+    sum = std::fma(d, d, sum);
   }
   return sum;
 }
@@ -173,7 +201,7 @@ void AddScaledAvx2(double* a, const double* b, double scale, size_t n) {
         a + i, _mm256_fmadd_pd(s, _mm256_loadu_pd(b + i),
                                _mm256_loadu_pd(a + i)));
   }
-  for (; i < n; ++i) a[i] += scale * b[i];
+  for (; i < n; ++i) a[i] = std::fma(scale, b[i], a[i]);
 }
 
 __attribute__((target("avx2,fma")))
@@ -218,7 +246,9 @@ void WeightedSumAvx2(double* out, const double* const* inputs,
   }
   for (; j < n; ++j) {
     double sum = 0.0;
-    for (size_t i = 0; i < k; ++i) sum += coeffs[i] * inputs[i][j];
+    for (size_t i = 0; i < k; ++i) {
+      sum = std::fma(coeffs[i], inputs[i][j], sum);
+    }
     out[j] = sum;
   }
 }
@@ -226,58 +256,15 @@ void WeightedSumAvx2(double* out, const double* const* inputs,
 __attribute__((target("avx2,fma")))
 void MatVecAvx2(const double* m, int rows, int cols, const double* x,
                 double* y) {
-  // Four rows per sweep share each load of x. Every row keeps
-  // DotAvx2's exact shape (two accumulators over 8-blocks, a 4-block
-  // into the first, HSum of their sum, then the sequential tail), so
-  // y[r] has the bits of DotAvx2(row r, x).
+  // Four rows per sweep, then the leftover rows one at a time.
   const size_t n = static_cast<size_t>(cols);
   int r = 0;
   for (; r + 4 <= rows; r += 4) {
-    const double* m0 = m + static_cast<size_t>(r) * n;
-    const double* m1 = m0 + n;
-    const double* m2 = m1 + n;
-    const double* m3 = m2 + n;
-    __m256d a0 = _mm256_setzero_pd(), b0 = _mm256_setzero_pd();
-    __m256d a1 = _mm256_setzero_pd(), b1 = _mm256_setzero_pd();
-    __m256d a2 = _mm256_setzero_pd(), b2 = _mm256_setzero_pd();
-    __m256d a3 = _mm256_setzero_pd(), b3 = _mm256_setzero_pd();
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-      const __m256d xl = _mm256_loadu_pd(x + i);
-      const __m256d xh = _mm256_loadu_pd(x + i + 4);
-      a0 = _mm256_fmadd_pd(_mm256_loadu_pd(m0 + i), xl, a0);
-      b0 = _mm256_fmadd_pd(_mm256_loadu_pd(m0 + i + 4), xh, b0);
-      a1 = _mm256_fmadd_pd(_mm256_loadu_pd(m1 + i), xl, a1);
-      b1 = _mm256_fmadd_pd(_mm256_loadu_pd(m1 + i + 4), xh, b1);
-      a2 = _mm256_fmadd_pd(_mm256_loadu_pd(m2 + i), xl, a2);
-      b2 = _mm256_fmadd_pd(_mm256_loadu_pd(m2 + i + 4), xh, b2);
-      a3 = _mm256_fmadd_pd(_mm256_loadu_pd(m3 + i), xl, a3);
-      b3 = _mm256_fmadd_pd(_mm256_loadu_pd(m3 + i + 4), xh, b3);
-    }
-    if (i + 4 <= n) {
-      const __m256d xl = _mm256_loadu_pd(x + i);
-      a0 = _mm256_fmadd_pd(_mm256_loadu_pd(m0 + i), xl, a0);
-      a1 = _mm256_fmadd_pd(_mm256_loadu_pd(m1 + i), xl, a1);
-      a2 = _mm256_fmadd_pd(_mm256_loadu_pd(m2 + i), xl, a2);
-      a3 = _mm256_fmadd_pd(_mm256_loadu_pd(m3 + i), xl, a3);
-      i += 4;
-    }
-    double s0 = HSum(_mm256_add_pd(a0, b0));
-    double s1 = HSum(_mm256_add_pd(a1, b1));
-    double s2 = HSum(_mm256_add_pd(a2, b2));
-    double s3 = HSum(_mm256_add_pd(a3, b3));
-    for (; i < n; ++i) {
-      s0 = std::fma(m0[i], x[i], s0);
-      s1 = std::fma(m1[i], x[i], s1);
-      s2 = std::fma(m2[i], x[i], s2);
-      s3 = std::fma(m3[i], x[i], s3);
-    }
-    y[r] = s0;
-    y[r + 1] = s1;
-    y[r + 2] = s2;
-    y[r + 3] = s3;
+    DotRowsAvx2<4>(m + static_cast<size_t>(r) * n, n, x, n, y + r);
   }
-  for (; r < rows; ++r) y[r] = DotAvx2(m + static_cast<size_t>(r) * n, x, n);
+  for (; r < rows; ++r) {
+    DotRowsAvx2<1>(m + static_cast<size_t>(r) * n, n, x, n, y + r);
+  }
 }
 
 __attribute__((target("avx2,fma")))

@@ -37,7 +37,9 @@ void FillParam(Parameter& p, Rng& rng) {
 /// Builds a program over every op (leaves -> weighted sums -> concat
 /// -> matvec -> relu / tanh -> l2norm -> dots -> log-sigmoid and MSE
 /// losses); returns the ids of the leaves and the final vars so callers
-/// can compare values and gradients position by position.
+/// can compare values and gradients position by position. With
+/// constant Leafs, Backward prunes everything below the two MatVecs;
+/// with Inputs it runs the full backward, W^T g included.
 struct Program {
   std::vector<VarId> leaves;
   VarId out_a;
@@ -45,9 +47,12 @@ struct Program {
 };
 
 Program BuildProgram(FlatTape& tape, const std::vector<Vec>& inputs,
-                     const Vec& coeffs, Parameter* w1, Parameter* w2) {
+                     const Vec& coeffs, Parameter* w1, Parameter* w2,
+                     bool tracked_leaves) {
   Program prog;
-  for (const Vec& v : inputs) prog.leaves.push_back(tape.Leaf(v));
+  for (const Vec& v : inputs) {
+    prog.leaves.push_back(tracked_leaves ? tape.Input(v) : tape.Leaf(v));
+  }
   const VarId agg_a =
       tape.WeightedSum({prog.leaves[0], prog.leaves[1], prog.leaves[2]},
                        coeffs);
@@ -95,60 +100,76 @@ class FlatTapeProgramTest : public ::testing::Test {
 };
 
 TEST_F(FlatTapeProgramTest, NullSinkWritesWhatASinkReceives) {
-  FlatTape with_sink;
-  BuildProgram(with_sink, inputs_, coeffs_, w1_.get(), w2_.get());
-  ParamGradSink sink;
-  with_sink.Backward(&sink);
+  for (const bool tracked_leaves : {false, true}) {
+    SCOPED_TRACE(tracked_leaves ? "Input leaves" : "constant leaves");
+    FlatTape with_sink;
+    BuildProgram(with_sink, inputs_, coeffs_, w1_.get(), w2_.get(),
+                 tracked_leaves);
+    ParamGradSink sink;
+    with_sink.Backward(&sink);
 
-  FlatTape direct;
-  BuildProgram(direct, inputs_, coeffs_, w1_.get(), w2_.get());
-  direct.Backward();
-  ExpectBitIdentical(sink.GradFor(w1_.get()), w1_->grad);
-  ExpectBitIdentical(sink.GradFor(w2_.get()), w2_->grad);
-  w1_->ZeroGrad();
-  w2_->ZeroGrad();
+    FlatTape direct;
+    BuildProgram(direct, inputs_, coeffs_, w1_.get(), w2_.get(),
+                 tracked_leaves);
+    direct.Backward();
+    ExpectBitIdentical(sink.GradFor(w1_.get()), w1_->grad);
+    ExpectBitIdentical(sink.GradFor(w2_.get()), w2_->grad);
+    w1_->ZeroGrad();
+    w2_->ZeroGrad();
 
-  // Node gradients do not depend on where parameter gradients go.
-  for (VarId id = 0; id < direct.size(); ++id) {
-    for (int i = 0; i < direct.size_of(id); ++i) {
-      EXPECT_EQ(with_sink.grad(id)[i], direct.grad(id)[i])
-          << "node " << id << " lane " << i;
+    // Node gradients do not depend on where parameter gradients go.
+    for (VarId id = 0; id < direct.size(); ++id) {
+      for (int i = 0; i < direct.size_of(id); ++i) {
+        EXPECT_EQ(with_sink.grad(id)[i], direct.grad(id)[i])
+            << "node " << id << " lane " << i;
+      }
     }
   }
 }
 
 TEST_F(FlatTapeProgramTest, ReuseAfterClearIsBitIdenticalToFresh) {
-  FlatTape reused;
-  // Warm it with a different program shape first, MSE terms included:
-  // Clear() must drop them and their targets.
-  const VarId warm = reused.Leaf(inputs_[1]);
-  reused.AddLogSigmoidLoss(reused.Dot(reused.Leaf(inputs_[0]), warm), +1.0);
-  reused.AddMseLoss(warm, inputs_[2]);
-  reused.AddMseLoss(reused.Tanh(warm), inputs_[3], 2.0);
-  ParamGradSink scratch;
-  reused.Backward(&scratch);
-  reused.Clear();
+  for (const bool tracked_leaves : {false, true}) {
+    SCOPED_TRACE(tracked_leaves ? "Input leaves" : "constant leaves");
+    FlatTape reused;
+    // Warm it with a different program shape first, MSE terms and a
+    // MatVec over Inputs included, so its backward fills the grad arena
+    // and the W^T g scratch: Clear() must drop the terms and their
+    // targets, and no leftover may reach the next Backward.
+    const VarId warm = reused.Input(inputs_[1]);
+    reused.AddLogSigmoidLoss(reused.Dot(reused.Input(inputs_[0]), warm),
+                             +1.0);
+    reused.AddMseLoss(warm, inputs_[2]);
+    reused.AddMseLoss(reused.Tanh(warm), inputs_[3], 2.0);
+    const VarId warm_lin = reused.MatVec(
+        w1_.get(), reused.Concat(warm, reused.Input(inputs_[2])));
+    reused.AddMseLoss(warm_lin, inputs_[0], 0.5);
+    ParamGradSink scratch;
+    reused.Backward(&scratch);
+    reused.Clear();
 
-  FlatTape fresh;
-  BuildProgram(reused, inputs_, coeffs_, w1_.get(), w2_.get());
-  BuildProgram(fresh, inputs_, coeffs_, w1_.get(), w2_.get());
-  ASSERT_EQ(reused.size(), fresh.size());
-  for (VarId id = 0; id < fresh.size(); ++id) {
-    for (int i = 0; i < fresh.size_of(id); ++i) {
-      EXPECT_EQ(fresh.value(id)[i], reused.value(id)[i]);
+    FlatTape fresh;
+    BuildProgram(reused, inputs_, coeffs_, w1_.get(), w2_.get(),
+                 tracked_leaves);
+    BuildProgram(fresh, inputs_, coeffs_, w1_.get(), w2_.get(),
+                 tracked_leaves);
+    ASSERT_EQ(reused.size(), fresh.size());
+    for (VarId id = 0; id < fresh.size(); ++id) {
+      for (int i = 0; i < fresh.size_of(id); ++i) {
+        EXPECT_EQ(fresh.value(id)[i], reused.value(id)[i]);
+      }
     }
-  }
-  EXPECT_EQ(fresh.loss(), reused.loss());
+    EXPECT_EQ(fresh.loss(), reused.loss());
 
-  ParamGradSink a;
-  ParamGradSink b;
-  fresh.Backward(&a);
-  reused.Backward(&b);
-  ExpectBitIdentical(a.GradFor(w1_.get()), b.GradFor(w1_.get()));
-  ExpectBitIdentical(a.GradFor(w2_.get()), b.GradFor(w2_.get()));
-  for (VarId id = 0; id < fresh.size(); ++id) {
-    for (int i = 0; i < fresh.size_of(id); ++i) {
-      EXPECT_EQ(fresh.grad(id)[i], reused.grad(id)[i]);
+    ParamGradSink a;
+    ParamGradSink b;
+    fresh.Backward(&a);
+    reused.Backward(&b);
+    ExpectBitIdentical(a.GradFor(w1_.get()), b.GradFor(w1_.get()));
+    ExpectBitIdentical(a.GradFor(w2_.get()), b.GradFor(w2_.get()));
+    for (VarId id = 0; id < fresh.size(); ++id) {
+      for (int i = 0; i < fresh.size_of(id); ++i) {
+        EXPECT_EQ(fresh.grad(id)[i], reused.grad(id)[i]);
+      }
     }
   }
 }
