@@ -40,14 +40,6 @@ namespace {
 
 using namespace gem;  // NOLINT(build/namespaces) bench binary
 
-std::string FlagValueFromArgs(int argc, char** argv, const char* prefix) {
-  const size_t len = std::strlen(prefix);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix, len) == 0) return argv[i] + len;
-  }
-  return "";
-}
-
 std::vector<int> ParseThreadList(const std::string& s) {
   std::vector<int> threads;
   size_t start = 0;
@@ -224,11 +216,11 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--timing_only") == 0) timing_only = true;
   }
   if (timing_only) {
-    std::string trace_out = FlagValueFromArgs(argc, argv, "--trace_out=");
+    std::string trace_out = eval::FlagValueFromArgs(argc, argv, "--trace_out=");
     if (trace_out.empty()) trace_out = obs::TraceOutPathFromEnv();
     return RunTimingOnly(
-        ParseThreadList(FlagValueFromArgs(argc, argv, "--threads=")),
-        FlagValueFromArgs(argc, argv, "--bench_out="), trace_out);
+        ParseThreadList(eval::FlagValueFromArgs(argc, argv, "--threads=")),
+        eval::FlagValueFromArgs(argc, argv, "--bench_out="), trace_out);
   }
 
   const std::string csv_dir = eval::CsvDirFromArgs(argc, argv);

@@ -19,11 +19,11 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "eval/csv.h"
 #include "math/kernels.h"
 #include "math/rng.h"
 
@@ -225,21 +225,13 @@ int RunManual(const std::string& bench_out, double min_ms) {
   return out ? 0 : 1;
 }
 
-std::string FlagValueFromArgs(int argc, char** argv, const char* prefix) {
-  const size_t len = std::strlen(prefix);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix, len) == 0) return argv[i] + len;
-  }
-  return "";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string bench_out = FlagValueFromArgs(argc, argv, "--bench_out=");
+  const std::string bench_out = gem::eval::FlagValueFromArgs(argc, argv, "--bench_out=");
   if (!bench_out.empty()) {
     const std::string min_ms_flag =
-        FlagValueFromArgs(argc, argv, "--min_ms=");
+        gem::eval::FlagValueFromArgs(argc, argv, "--min_ms=");
     double min_ms = 20.0;
     if (!min_ms_flag.empty()) min_ms = std::atof(min_ms_flag.c_str());
     if (min_ms <= 0.0) {

@@ -22,7 +22,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -31,6 +30,7 @@
 
 #include "base/check.h"
 #include "core/gem.h"
+#include "eval/csv.h"
 #include "obs/attribution.h"
 #include "obs/resource_sampler.h"
 #include "obs/timeline.h"
@@ -123,14 +123,6 @@ void BM_FullInference(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullInference)->Unit(benchmark::kMillisecond);
-
-std::string FlagValueFromArgs(int argc, char** argv, const char* prefix) {
-  const size_t len = std::strlen(prefix);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix, len) == 0) return argv[i] + len;
-  }
-  return "";
-}
 
 double PercentileMs(const std::vector<double>& sorted, double q) {
   const size_t index =
@@ -250,17 +242,17 @@ int RunServeLatency(const std::string& bench_out, int request_count,
 
 int main(int argc, char** argv) {
   const std::string bench_out =
-      FlagValueFromArgs(argc, argv, "--bench_out=");
+      eval::FlagValueFromArgs(argc, argv, "--bench_out=");
   if (!bench_out.empty()) {
     const std::string requests_flag =
-        FlagValueFromArgs(argc, argv, "--requests=");
+        eval::FlagValueFromArgs(argc, argv, "--requests=");
     int requests = 400;
     if (!requests_flag.empty()) requests = std::atoi(requests_flag.c_str());
     if (requests < 1) {
       std::fprintf(stderr, "--requests must be >= 1\n");
       return 2;
     }
-    std::string trace_out = FlagValueFromArgs(argc, argv, "--trace_out=");
+    std::string trace_out = eval::FlagValueFromArgs(argc, argv, "--trace_out=");
     if (trace_out.empty()) trace_out = obs::TraceOutPathFromEnv();
     return RunServeLatency(bench_out, requests, trace_out);
   }

@@ -62,12 +62,6 @@ class StatusOr {
   const T* operator->() const { return &value(); }
   T* operator->() { return &value(); }
 
-  /// The value, or `fallback` when this holds an error.
-  template <typename U>
-  T value_or(U&& fallback) const& {
-    return ok() ? std::get<T>(data_) : static_cast<T>(std::forward<U>(fallback));
-  }
-
  private:
   std::variant<T, Status> data_;
 };

@@ -11,16 +11,32 @@
 #include "obs/trace_context.h"
 
 namespace gem {
+namespace {
 
-void CountLatch::CountDown() {
-  std::lock_guard lock(mutex_);
-  if (--remaining_ <= 0) done_.notify_all();
-}
+/// Completion latch of one ParallelForChunked call: armed with the
+/// number of queued chunks, counted down once by each, waited on by the
+/// caller.
+class CountLatch {
+ public:
+  explicit CountLatch(long count) : remaining_(count) {}
 
-void CountLatch::Wait() {
-  std::unique_lock lock(mutex_);
-  done_.wait(lock, [this] { return remaining_ <= 0; });
-}
+  void CountDown() {
+    std::lock_guard lock(mutex_);
+    if (--remaining_ <= 0) done_.notify_all();
+  }
+
+  void Wait() {
+    std::unique_lock lock(mutex_);
+    done_.wait(lock, [this] { return remaining_ <= 0; });
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable done_;
+  long remaining_;
+};
+
+}  // namespace
 
 Status ThreadPoolOptions::Validate() const {
   if (num_threads < 1) {
@@ -61,20 +77,13 @@ ThreadPool::ThreadPool(ThreadPoolOptions options) : options_(options) {
 
 ThreadPool::~ThreadPool() { Shutdown(); }
 
-StatusOr<std::unique_ptr<ThreadPool>> ThreadPool::Create(
-    ThreadPoolOptions options) {
-  const Status status = options.Validate();
-  if (!status.ok()) return status;
-  return std::make_unique<ThreadPool>(options);
-}
-
 std::function<void()> ThreadPool::WrapForTimeline(std::function<void()> fn) {
   if (!obs::Timeline::IsEnabled()) return fn;
-  // Carry the submitter's trace context across the queue hop and
-  // account the enqueue->dequeue gap as an async "pool.queue_wait"
-  // interval parented to the submitting span. The task body runs
-  // under a "pool.task" span so worker-side child spans (gradient
-  // shards etc.) attach to the right request/operation.
+  // Carry the caller's trace context across the queue hop and account
+  // the enqueue->dequeue gap as an async "pool.queue_wait" interval
+  // parented to the calling span. The task body runs under a
+  // "pool.task" span so worker-side child spans (gradient shards etc.)
+  // attach to the right request/operation.
   const obs::TraceContext submitter = obs::CurrentTraceContext();
   const auto enqueued_at = std::chrono::steady_clock::now();
   return [fn = std::move(fn), submitter, enqueued_at] {
@@ -94,46 +103,6 @@ std::function<void()> ThreadPool::WrapForTimeline(std::function<void()> fn) {
                               task_context.span_id, submitter.span_id,
                               /*depth=*/0);
   };
-}
-
-void ThreadPool::Submit(std::function<void()> fn) {
-  GEM_DCHECK(fn != nullptr);
-  {
-    std::lock_guard lock(mutex_);
-    if (!shutting_down_ && !workers_.empty()) {
-      queue_.push_back(WrapForTimeline(std::move(fn)));
-      work_available_.notify_one();
-      return;
-    }
-  }
-  // No workers (1-thread pool) or shutting down: run on the caller so
-  // submitted work is never silently dropped.
-  fn();
-}
-
-void ThreadPool::SubmitBatch(std::vector<std::function<void()>> fns) {
-  if (fns.empty()) return;
-  {
-    std::lock_guard lock(mutex_);
-    if (!shutting_down_ && !workers_.empty()) {
-      for (auto& fn : fns) {
-        GEM_DCHECK(fn != nullptr);
-        queue_.push_back(WrapForTimeline(std::move(fn)));
-      }
-      if (fns.size() > 1) {
-        work_available_.notify_all();
-      } else {
-        work_available_.notify_one();
-      }
-      return;
-    }
-  }
-  // No workers (1-thread pool) or shutting down: run on the caller, in
-  // submission order, so batched work is never silently dropped.
-  for (auto& fn : fns) {
-    GEM_DCHECK(fn != nullptr);
-    fn();
-  }
 }
 
 void ThreadPool::Shutdown() {
@@ -176,39 +145,42 @@ void ThreadPool::ParallelForChunked(
     const std::function<void(int chunk, long begin, long end)>& body) {
   if (n <= 0) return;
   num_chunks = std::clamp(num_chunks, 1L, n);
-  bool inline_only;
-  {
-    std::lock_guard lock(mutex_);
-    inline_only = workers_.empty() || shutting_down_;
-  }
-  if (num_chunks == 1 || inline_only) {
-    // Same chunk decomposition, executed in index order on the caller:
-    // body still sees the exact (chunk, begin, end) triples it would
-    // see on a larger pool.
-    for (long c = 0; c < num_chunks; ++c) {
-      const auto [begin, end] = StaticChunkRange(n, num_chunks, c);
-      body(static_cast<int>(c), begin, end);
-    }
-    return;
-  }
-
+  const auto run_chunk = [&body, n, num_chunks](long c) {
+    const auto [begin, end] = StaticChunkRange(n, num_chunks, c);
+    body(static_cast<int>(c), begin, end);
+  };
   // Per-call completion latch, so concurrent ParallelFor calls on one
   // pool never observe each other's chunks. Stack allocation is safe:
-  // Wait() returns only after every chunk ran CountDown(), and the
-  // SubmitBatch inline fallback runs chunks before returning.
+  // Wait() returns only after every queued chunk ran CountDown(), and
+  // Shutdown drains the queue before the workers exit.
   CountLatch latch(num_chunks - 1);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(static_cast<size_t>(num_chunks) - 1);
-  for (long c = 1; c < num_chunks; ++c) {
-    tasks.push_back([&latch, &body, n, num_chunks, c] {
-      const auto [begin, end] = StaticChunkRange(n, num_chunks, c);
-      body(static_cast<int>(c), begin, end);
-      latch.CountDown();
-    });
+  bool queued = false;
+  if (num_chunks > 1) {
+    std::lock_guard lock(mutex_);
+    if (!shutting_down_ && !workers_.empty()) {
+      for (long c = 1; c < num_chunks; ++c) {
+        queue_.push_back(WrapForTimeline([&run_chunk, &latch, c] {
+          run_chunk(c);
+          latch.CountDown();
+        }));
+      }
+      if (num_chunks > 2) {
+        work_available_.notify_all();
+      } else {
+        work_available_.notify_one();
+      }
+      queued = true;
+    }
   }
-  SubmitBatch(std::move(tasks));
-  const auto [begin, end] = StaticChunkRange(n, num_chunks, 0);
-  body(0, begin, end);
+  if (!queued) {
+    // A single chunk, no workers (1-thread pool) or shutting down: the
+    // same chunk decomposition, executed in index order on the caller,
+    // so body still sees the exact (chunk, begin, end) triples it would
+    // see on a larger pool.
+    for (long c = 0; c < num_chunks; ++c) run_chunk(c);
+    return;
+  }
+  run_chunk(0);
   latch.Wait();
 }
 

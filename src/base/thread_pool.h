@@ -4,13 +4,11 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "base/status.h"
-#include "base/statusor.h"
 
 namespace gem {
 
@@ -18,9 +16,9 @@ namespace gem {
 /// surface bad --threads values as kInvalidArgument instead of
 /// crashing).
 struct ThreadPoolOptions {
-  /// Fixed worker count. 1 means "no workers": every ParallelFor and
-  /// Submit runs inline on the calling thread, so a single code path
-  /// covers both the serial and the parallel build of an algorithm.
+  /// Fixed worker count. 1 means "no workers": every ParallelFor runs
+  /// inline on the calling thread, so a single code path covers both
+  /// the serial and the parallel build of an algorithm.
   int num_threads = 1;
 
   /// kInvalidArgument unless 1 <= num_threads <= kMaxThreads.
@@ -29,46 +27,22 @@ struct ThreadPoolOptions {
   static constexpr int kMaxThreads = 4096;
 };
 
-/// Counting completion latch for task waves submitted to a ThreadPool.
-/// Arm it with the number of outstanding tasks, have each task call
-/// CountDown() exactly once, and Wait() on the coordinating thread.
-/// Stack allocation is safe as long as Wait() returns before the latch
-/// goes out of scope: the pool runs tasks inline on Shutdown, so every
-/// armed CountDown() happens-before Wait() returns.
-class CountLatch {
- public:
-  explicit CountLatch(long count) : remaining_(count) {}
-  CountLatch(const CountLatch&) = delete;
-  CountLatch& operator=(const CountLatch&) = delete;
-
-  void CountDown();
-
-  /// Blocks until CountDown() was called `count` times; returns
-  /// immediately when armed with count <= 0.
-  void Wait();
-
- private:
-  std::mutex mutex_;
-  std::condition_variable done_;
-  long remaining_;
-};
-
 /// Fixed-size worker pool over an unbounded FIFO work queue, shared by
 /// BiSAGE training, batched inference, and dataset generation (the
 /// hot paths own one pool and reuse it across epochs / batches instead
 /// of spawning per-call threads).
 ///
 /// Threading contract:
-///  - Submit/ParallelFor may be called concurrently from any thread
-///    (each ParallelFor call tracks its own completion latch).
-///  - Tasks must not call ParallelFor on the SAME pool (a worker
-///    blocking on its own pool's latch can deadlock the queue).
-///  - Destruction (or Shutdown) drains already-submitted work, then
-///    joins the workers; work submitted after Shutdown runs inline.
+///  - ParallelFor may be called concurrently from any thread (each
+///    call tracks its own completion latch).
+///  - A chunk body must not call ParallelFor on the SAME pool (a
+///    worker blocking on its own pool's latch can deadlock the queue).
+///  - Destruction (or Shutdown) drains already-queued chunks, then
+///    joins the workers; a ParallelFor after Shutdown runs inline.
 class ThreadPool {
  public:
-  /// The options must be valid (GEM_CHECKed); use Create() to surface
-  /// user-supplied sizes softly.
+  /// The options must be valid (GEM_CHECKed); callers that take a
+  /// user-supplied size Validate() it first.
   explicit ThreadPool(ThreadPoolOptions options);
   explicit ThreadPool(int num_threads)
       : ThreadPool(ThreadPoolOptions{num_threads}) {}
@@ -76,29 +50,6 @@ class ThreadPool {
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Validates the options and builds the pool.
-  static StatusOr<std::unique_ptr<ThreadPool>> Create(
-      ThreadPoolOptions options);
-
-  /// Enqueues fn; runs it inline when the pool has no workers (a
-  /// 1-thread pool) or is shutting down.
-  ///
-  /// When the timeline profiler is enabled (obs::Timeline), the
-  /// submitter's TraceContext rides along with the task: the worker
-  /// records the enqueue->dequeue gap as a "pool.queue_wait" interval
-  /// and runs fn under a "pool.task" span parented to the submitting
-  /// span, so traces stay connected across the thread hop. Inline
-  /// execution keeps the caller's context and records no queue wait.
-  void Submit(std::function<void()> fn);
-
-  /// Enqueues every task in `fns` under a single lock acquisition and
-  /// wakes workers once — Submit pays one lock + one notify per task,
-  /// which dominates dispatch cost for waves of short tasks. Tasks keep
-  /// FIFO order. Runs the tasks inline, in order, when the pool has no
-  /// workers or is shutting down. The same timeline instrumentation as
-  /// Submit applies to every enqueued task.
-  void SubmitBatch(std::vector<std::function<void()>> fns);
 
   /// Stops intake, drains the queue, joins the workers. Idempotent.
   void Shutdown();
@@ -122,6 +73,16 @@ class ThreadPool {
   /// when the work wants other than one chunk per thread (BiSAGE
   /// training hands its four walk chunks and four shards per wave to
   /// at most four executors, one chunk each).
+  ///
+  /// Chunks 1..num_chunks-1 enter the queue under one lock acquisition
+  /// with one wake-up. When the timeline profiler is enabled
+  /// (obs::Timeline), the caller's TraceContext rides along with each
+  /// queued chunk: the worker records the enqueue->dequeue gap as a
+  /// "pool.queue_wait" interval and runs the chunk under a "pool.task"
+  /// span parented to the calling span, so traces stay connected
+  /// across the thread hop. Chunks run inline (a 1-thread pool, a
+  /// single chunk, or after Shutdown) keep the caller's context and
+  /// record no queue wait.
   void ParallelForChunked(long n, long num_chunks,
                           const std::function<void(int chunk, long begin,
                                                    long end)>& body);
@@ -131,7 +92,7 @@ class ThreadPool {
 
   /// Wraps fn with the queue_wait/task timeline instrumentation when
   /// the profiler is enabled; returns fn unchanged otherwise. Captures
-  /// the calling thread's TraceContext, so call it on the submitter.
+  /// the calling thread's TraceContext, so call it on the caller.
   static std::function<void()> WrapForTimeline(std::function<void()> fn);
 
   const ThreadPoolOptions options_;

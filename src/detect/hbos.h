@@ -182,10 +182,6 @@ class EnhancedHbosDetector : public HbosDetector {
   double hbar_tau_upper() const { return hbar_tau_upper_; }
   double hbar_tau_lower() const { return hbar_tau_lower_; }
 
-  const EnhancedHbosOptions& enhanced_options() const {
-    return enhanced_options_;
-  }
-
   /// Snapshot support (store/snapshot_v2.cc): everything Fit() derived,
   /// so a fitted detector round-trips without refitting.
   struct PersistedState {

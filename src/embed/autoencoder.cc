@@ -36,9 +36,7 @@ Status AutoencoderEmbedder::Fit(const std::vector<rf::ScanRecord>& train) {
   w3_->value.FillGlorot(rng);
   w4_->value.FillGlorot(rng);
 
-  math::AdamOptions adam_options;
-  adam_options.learning_rate = config_.learning_rate;
-  adam_ = std::make_unique<math::Adam>(adam_options);
+  adam_ = std::make_unique<math::Adam>(config_.learning_rate);
   adam_->Register(w1_.get());
   adam_->Register(w2_.get());
   adam_->Register(w3_.get());
@@ -54,6 +52,7 @@ Status AutoencoderEmbedder::Fit(const std::vector<rf::ScanRecord>& train) {
   std::iota(order.begin(), order.end(), 0);
 
   math::FlatTape tape;
+  math::ParamGradSink grads;
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
     rng.Shuffle(order);
     double epoch_loss = 0.0;  // sum of batch-mean losses
@@ -74,8 +73,9 @@ Status AutoencoderEmbedder::Fit(const std::vector<rf::ScanRecord>& train) {
         const math::VarId out = tape.MatVec(w4_.get(), h2);
         epoch_loss += tape.AddMseLoss(out, x, inv_batch);
       }
-      tape.Backward();
-      adam_->Step();
+      tape.Backward(grads);
+      adam_->Step(grads);
+      grads.ZeroAll();
     }
     final_loss_ = epoch_loss / batches;
   }
@@ -95,13 +95,6 @@ math::Vec AutoencoderEmbedder::Encode(const math::Vec& input) const {
   math::Vec z = w2_->value.MatVec(h1);
   for (double& v : z) v = std::tanh(v);
   return z;
-}
-
-math::Vec AutoencoderEmbedder::Reconstruct(const math::Vec& input) const {
-  math::Vec z = Encode(input);
-  math::Vec h2 = w3_->value.MatVec(z);
-  for (double& v : h2) v = v > 0.0 ? v : 0.0;
-  return w4_->value.MatVec(h2);
 }
 
 math::Vec AutoencoderEmbedder::TrainEmbedding(int i) const {

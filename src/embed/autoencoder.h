@@ -43,9 +43,6 @@ class AutoencoderEmbedder : public RecordEmbedder {
   /// Mean reconstruction loss of the final epoch (diagnostic).
   double final_loss() const { return final_loss_; }
 
-  /// Reconstruction of an input vector (diagnostic / tests).
-  math::Vec Reconstruct(const math::Vec& input) const;
-
  private:
   /// Bottleneck code of an input vector (encoder forward pass).
   math::Vec Encode(const math::Vec& input) const;

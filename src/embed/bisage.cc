@@ -195,9 +195,7 @@ BiSage::BiSage(BiSageConfig config)
   const int d = config_.dimension;
   h_table_ = math::Matrix(0, d);
   l_table_ = math::Matrix(0, d);
-  math::AdamOptions adam_options;
-  adam_options.learning_rate = config_.learning_rate;
-  adam_ = std::make_unique<math::Adam>(adam_options);
+  adam_ = std::make_unique<math::Adam>(config_.learning_rate);
 
   math::Rng weight_rng(config_.seed);
   for (int k = 0; k < config_.num_layers; ++k) {
@@ -345,7 +343,7 @@ void BiSage::RunGradShard(GradExecutor& executor, GradShard& shard,
                         executor.memo, shard.loss, shard.terms);
   }
   GEM_TRACE_SPAN("bisage.backward");
-  executor.tape.Backward(&shard.sink);
+  executor.tape.Backward(shard.sink);
 }
 
 Status BiSage::Train(const graph::BipartiteGraph& graph) {
@@ -455,8 +453,8 @@ Status BiSage::Train(const graph::BipartiteGraph& graph) {
   // and draws its neighborhood samples and negatives from stream
   // group_stream + s. Each executor builds its shards on its own tape,
   // each into the shard's private sink. The sinks then fold tree-wise
-  // (the shape fixed by the shard count), get flushed once, and the
-  // wave takes ONE Adam step. Which executor ran which shard cannot
+  // (the shape fixed by the shard count), and the wave takes ONE Adam
+  // step on the root sink. Which executor ran which shard cannot
   // reach the bits: a shard writes only its own sink and the fold
   // order depends on the shard count alone.
   std::vector<GradExecutor> executors(num_executors);
@@ -498,10 +496,9 @@ Status BiSage::Train(const graph::BipartiteGraph& graph) {
             shards[i].terms += shards[i + stride].terms;
           }
         }
-        shards[0].sink.FlushToParams();
         epoch_loss += shards[0].loss;
         loss_terms += shards[0].terms;
-        adam_->Step();
+        adam_->Step(shards[0].sink);
       }
       group_stream += static_cast<uint64_t>(num_shards);
       wave_start += std::min(remaining, static_cast<size_t>(num_shards) * full);
@@ -833,9 +830,7 @@ Status BiSage::RestoreTrained(TrainedState state,
   l_table_ = std::move(state.l_table);
   for (size_t k = 0; k < w_h_.size(); ++k) {
     w_h_[k]->value = std::move(state.w_h[k]);
-    w_h_[k]->ZeroGrad();
     w_l_[k]->value = std::move(state.w_l[k]);
-    w_l_[k]->ZeroGrad();
   }
   init_rng_.RestoreState(state.init_rng);
   trained_nodes_ = state.trained_nodes;

@@ -20,9 +20,7 @@ GraphSage::GraphSage(GraphSageConfig config)
   GEM_CHECK(config_.dimension > 0);
   GEM_CHECK(static_cast<int>(config_.fanouts.size()) == config_.num_layers);
   table_ = math::Matrix(0, config_.dimension);
-  math::AdamOptions adam_options;
-  adam_options.learning_rate = config_.learning_rate;
-  adam_ = std::make_unique<math::Adam>(adam_options);
+  adam_ = std::make_unique<math::Adam>(config_.learning_rate);
   math::Rng weight_rng(config_.seed);
   for (int k = 0; k < config_.num_layers; ++k) {
     weights_.push_back(std::make_unique<math::Parameter>(
@@ -134,6 +132,7 @@ Status GraphSage::Train(const graph::BipartiteGraph& graph) {
   }
 
   math::FlatTape tape;
+  math::ParamGradSink grads;
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
     rng.Shuffle(pairs);
     double epoch_loss = 0.0;
@@ -160,8 +159,9 @@ Status GraphSage::Train(const graph::BipartiteGraph& graph) {
           ++loss_terms;
         }
       }
-      tape.Backward();
-      adam_->Step();
+      tape.Backward(grads);
+      adam_->Step(grads);
+      grads.ZeroAll();
     }
     last_epoch_loss_ = epoch_loss / static_cast<double>(loss_terms);
   }

@@ -44,6 +44,14 @@ std::string CsvDirFromArgs(int argc, char** argv) {
   return "";
 }
 
+std::string FlagValueFromArgs(int argc, char** argv, const char* prefix) {
+  const size_t len = std::strlen(prefix);
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], prefix, len) == 0) return argv[i] + len;
+  }
+  return "";
+}
+
 bool FullScaleFromArgs(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--full") == 0) return true;

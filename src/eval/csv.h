@@ -35,6 +35,10 @@ class CsvWriter {
 /// absent.
 std::string CsvDirFromArgs(int argc, char** argv);
 
+/// The text after `prefix` (e.g. "--threads=") in the first argument
+/// that starts with it; an empty string when no argument does.
+std::string FlagValueFromArgs(int argc, char** argv, const char* prefix);
+
 /// True when "--full" was passed (paper-scale repeats instead of the
 /// fast defaults).
 bool FullScaleFromArgs(int argc, char** argv);

@@ -13,7 +13,6 @@ NodeId BipartiteGraph::AddRecord(const rf::ScanRecord& record) {
   const NodeId record_id = num_nodes();
   types_.push_back(NodeType::kRecord);
   adjacency_.emplace_back();
-  weight_sums_.push_back(0.0);
   samplers_.emplace_back();
   ++num_records_;
 
@@ -24,7 +23,6 @@ NodeId BipartiteGraph::AddRecord(const rf::ScanRecord& record) {
       mac_id = num_nodes();
       types_.push_back(NodeType::kMac);
       adjacency_.emplace_back();
-      weight_sums_.push_back(0.0);
       samplers_.emplace_back();
       mac_index_.emplace(reading.mac, mac_id);
       ++num_macs_;
@@ -34,8 +32,6 @@ NodeId BipartiteGraph::AddRecord(const rf::ScanRecord& record) {
     const double w = EdgeWeight(reading.rss_dbm, weight_config_);
     adjacency_[record_id].push_back(Neighbor{mac_id, w});
     adjacency_[mac_id].push_back(Neighbor{record_id, w});
-    weight_sums_[record_id] += w;
-    weight_sums_[mac_id] += w;
     InvalidateCaches(mac_id);
   }
   InvalidateCaches(record_id);
@@ -90,14 +86,6 @@ StatusOr<BipartiteGraph> BipartiteGraph::FromParts(
   graph.num_records_ = n - num_macs;
   graph.num_macs_ = num_macs;
   graph.samplers_.resize(graph.adjacency_.size());
-  // Recompute weight sums in adjacency order — the same accumulation
-  // order AddRecord used, so the doubles match bit for bit.
-  graph.weight_sums_.assign(graph.adjacency_.size(), 0.0);
-  for (size_t i = 0; i < graph.adjacency_.size(); ++i) {
-    for (const Neighbor& nb : graph.adjacency_[i]) {
-      graph.weight_sums_[i] += nb.weight;
-    }
-  }
   return graph;
 }
 
@@ -113,11 +101,6 @@ const std::vector<Neighbor>& BipartiteGraph::neighbors(NodeId id) const {
 
 int BipartiteGraph::degree(NodeId id) const {
   return static_cast<int>(neighbors(id).size());
-}
-
-double BipartiteGraph::weight_sum(NodeId id) const {
-  GEM_CHECK(id >= 0 && id < num_nodes());
-  return weight_sums_[id];
 }
 
 std::optional<NodeId> BipartiteGraph::FindMac(const std::string& mac) const {

@@ -50,8 +50,6 @@ class BipartiteGraph {
   NodeType type(NodeId id) const;
   const std::vector<Neighbor>& neighbors(NodeId id) const;
   int degree(NodeId id) const;
-  /// Sum of incident edge weights.
-  double weight_sum(NodeId id) const;
 
   /// NodeId of a MAC, if it has been seen.
   std::optional<NodeId> FindMac(const std::string& mac) const;
@@ -96,8 +94,8 @@ class BipartiteGraph {
 
   /// Rebuilds a graph from persisted structure (store/snapshot_v2.cc).
   /// `types` and `adjacency` are per-node and must be consistent with
-  /// the (mac string, node id) list; weight sums and samplers are
-  /// rederived. Returns InvalidArgument on any inconsistency.
+  /// the (mac string, node id) list; samplers are rebuilt lazily.
+  /// Returns InvalidArgument on any inconsistency.
   static StatusOr<BipartiteGraph> FromParts(
       EdgeWeightConfig weight_config, std::vector<NodeType> types,
       std::vector<std::vector<Neighbor>> adjacency,
@@ -111,7 +109,6 @@ class BipartiteGraph {
   EdgeWeightConfig weight_config_;
   std::vector<NodeType> types_;
   std::vector<std::vector<Neighbor>> adjacency_;
-  std::vector<double> weight_sums_;
   std::unordered_map<std::string, NodeId> mac_index_;
   int num_records_ = 0;
   int num_macs_ = 0;

@@ -27,7 +27,6 @@ NodeId GraphDelta::AddRecord(const BipartiteGraph& base,
   const NodeId record_id = base_nodes_ + num_new_nodes();
   new_types_.push_back(NodeType::kRecord);
   new_adjacency_.emplace_back();
-  ++new_records_;
 
   for (const rf::Reading& reading : record.readings) {
     NodeId mac_id;

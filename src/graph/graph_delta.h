@@ -38,8 +38,6 @@ class GraphDelta {
   /// Base size this delta was bound to (-1 until the first AddRecord).
   int base_nodes() const { return base_nodes_; }
   int num_new_nodes() const { return static_cast<int>(new_types_.size()); }
-  int num_new_records() const { return new_records_; }
-  int num_new_macs() const { return static_cast<int>(new_macs_.size()); }
 
   /// Delta-node state, indexed by (id - base_nodes()). Exposed for
   /// compaction back into a standalone graph.
@@ -70,7 +68,6 @@ class GraphDelta {
   std::vector<std::vector<Neighbor>> new_adjacency_;
   std::unordered_map<NodeId, std::vector<Neighbor>> touched_;
   std::unordered_map<std::string, NodeId> new_macs_;
-  int new_records_ = 0;
 };
 
 /// Read view over base + delta presenting the merged graph with the
@@ -84,10 +81,6 @@ class OverlayGraphView {
   int num_nodes() const {
     return base_.num_nodes() + delta_.num_new_nodes();
   }
-  int num_records() const {
-    return base_.num_records() + delta_.new_records_;
-  }
-  int num_macs() const { return base_.num_macs() + delta_.num_new_macs(); }
 
   NodeType type(NodeId id) const;
   const std::vector<Neighbor>& neighbors(NodeId id) const;

@@ -1,7 +1,5 @@
 #include "math/alias_sampler.h"
 
-#include <numeric>
-
 #include "base/check.h"
 
 namespace gem::math {
@@ -46,18 +44,6 @@ int AliasSampler::Sample(Rng& rng) const {
   GEM_DCHECK(!prob_.empty());
   const int i = rng.UniformInt(size());
   return rng.UniformUnit() < prob_[i] ? i : alias_[i];
-}
-
-int SampleProportional(const Vec& weights, Rng& rng) {
-  GEM_CHECK(!weights.empty());
-  const double total = std::accumulate(weights.begin(), weights.end(), 0.0);
-  GEM_CHECK_MSG(total > 0.0, "all weights are zero");
-  double target = rng.UniformUnit() * total;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    target -= weights[i];
-    if (target <= 0.0) return static_cast<int>(i);
-  }
-  return static_cast<int>(weights.size()) - 1;
 }
 
 }  // namespace gem::math

@@ -31,10 +31,6 @@ class AliasSampler {
   std::vector<int> alias_;
 };
 
-/// Samples an index proportional to weights without preprocessing
-/// (O(n) per draw). Preferable for one-shot draws on small supports.
-int SampleProportional(const Vec& weights, Rng& rng);
-
 }  // namespace gem::math
 
 #endif  // GEM_MATH_ALIAS_SAMPLER_H_

@@ -27,10 +27,11 @@ Matrix& ParamGradSink::GradFor(Parameter* param) {
   return grads_.back().grad;
 }
 
-void ParamGradSink::FlushToParams() const {
+const Matrix* ParamGradSink::Find(const Parameter* param) const {
   for (const Entry& entry : grads_) {
-    if (entry.touched) entry.param->grad.AddScaled(entry.grad, 1.0);
+    if (entry.param == param) return entry.touched ? &entry.grad : nullptr;
   }
+  return nullptr;
 }
 
 void ParamGradSink::MergeFrom(const ParamGradSink& other) {

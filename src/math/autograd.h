@@ -18,42 +18,35 @@ double LogSigmoid(double z);
 /// Numerically stable sigmoid(z), branch on sign to avoid overflow.
 double SigmoidScalar(double z);
 
-/// A trainable dense matrix with a gradient buffer. Shared across tapes;
-/// gradients accumulate until ZeroGrad() (typically via an optimizer
-/// step).
+/// A trainable dense matrix, shared across tapes. Its gradient lives in
+/// the ParamGradSink a FlatTape::Backward writes into.
 class Parameter {
  public:
-  Parameter(int rows, int cols) : value(rows, cols), grad(rows, cols) {}
-
-  void ZeroGrad() { grad.Fill(0.0); }
+  Parameter(int rows, int cols) : value(rows, cols) {}
 
   Matrix value;
-  Matrix grad;
 };
 
 /// Handle to a vector-valued node on a FlatTape.
 using VarId = int;
 
-/// Private gradient accumulator for Parameters. Backward(&sink) writes
-/// parameter gradients here instead of the shared Parameter::grad, so
-/// several threads can each run Backward on their own tape + sink with
-/// no write to shared state; the caller then folds the sinks into
-/// Parameter::grad serially, in a fixed order, via FlushToParams()
-/// (floating-point addition is not associative, so the fold order is
-/// what makes the parallel loss gradient deterministic).
+/// Gradient accumulator for Parameters, the one place parameter
+/// gradients live: FlatTape::Backward adds into a sink and Adam::Step
+/// reads one. Each thread runs Backward on its own tape + sink with no
+/// write to shared state; BiSAGE folds its shard sinks with MergeFrom
+/// in an order fixed by the shard count (floating-point addition is
+/// not associative, so the fold order is what makes the parallel loss
+/// gradient deterministic). A buffer starts at +0.0 and only
+/// accumulates, so it never holds -0.0.
 class ParamGradSink {
  public:
   /// This sink's buffer for param, zero-initialized to param's shape on
   /// first use (and re-zeroed by ZeroAll()).
   Matrix& GradFor(Parameter* param);
 
-  /// Adds every buffered gradient into its Parameter::grad, in the
-  /// order the parameters were first seen by this sink. Entries not
-  /// touched since the last ZeroAll() are skipped entirely — the flush
-  /// sequence of a reused sink is identical to a fresh sink's (adding
-  /// an all-zero matrix is not a no-op in IEEE arithmetic: it turns
-  /// -0.0 into +0.0).
-  void FlushToParams() const;
+  /// The buffer for param when it was touched since the last ZeroAll(),
+  /// else null: an untouched entry reads as a zero gradient.
+  const Matrix* Find(const Parameter* param) const;
 
   /// Folds another sink's touched gradients into this one (used for
   /// the tree-wise reduction of per-shard sinks). Buffer layout of

@@ -159,7 +159,7 @@ double FlatTape::AddMseLoss(VarId v, const Vec& target, double weight) {
   return term;
 }
 
-void FlatTape::Backward(ParamGradSink* sink) {
+void FlatTape::Backward(ParamGradSink& sink) {
   grads_.assign(values_.size(), 0.0);
 
   // Seed gradients from the loss terms: every log-sigmoid term, then
@@ -207,12 +207,12 @@ void FlatTape::Backward(ParamGradSink* sink) {
         break;
       case Op::kMatVec: {
         // y = W x:  dW += g outer x,  dx += W^T g. The outer product is
-        // row-wise add_scaled (same as Matrix::AddOuter) and the input
-        // gradient goes through a zeroed scratch + add_scaled: the
-        // summation order the committed goldens pin.
+        // row-wise add_scaled and the input gradient goes through a
+        // zeroed scratch + add_scaled: the summation order the committed
+        // goldens pin.
         const Node& xn = nodes_[n.a];
         const double* x = values_.data() + xn.off;
-        Matrix& dw = sink ? sink->GradFor(n.param) : n.param->grad;
+        Matrix& dw = sink.GradFor(n.param);
         const size_t cols = static_cast<size_t>(xn.len);
         for (int r = 0; r < n.len; ++r) {
           ops.add_scaled(dw.RowPtr(r), x, g[r], cols);

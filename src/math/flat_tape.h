@@ -93,13 +93,12 @@ class FlatTape {
   double loss() const { return loss_; }
 
   /// Reverse-mode accumulation from all attached loss terms. Parameter
-  /// gradients go to sink->GradFor(param) (or Parameter::grad when
-  /// sink is null). Node gradients exist only on grad-tracked nodes:
-  /// they land in the grad arena and stay valid until the next forward
-  /// op or Clear(). An untracked node's grad() reads zero, or just the
-  /// seed of a loss term attached to it directly.
-  void Backward(ParamGradSink* sink);
-  void Backward() { Backward(nullptr); }
+  /// gradients add into sink.GradFor(param). Node gradients exist only
+  /// on grad-tracked nodes: they land in the grad arena and stay valid
+  /// until the next forward op or Clear(). An untracked node's grad()
+  /// reads zero, or just the seed of a loss term attached to it
+  /// directly.
+  void Backward(ParamGradSink& sink);
 
   /// Borrowed pointers into the arenas (invalidated by further forward
   /// ops and by Clear; grad() additionally requires a prior Backward).

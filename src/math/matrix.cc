@@ -15,17 +15,6 @@ bool ViewAligned(const double* data) {
 
 }  // namespace
 
-StatusOr<VecView> VecView::Create(const double* data, size_t size) {
-  if (data == nullptr && size > 0) {
-    return Status::InvalidArgument("VecView: null data with size > 0");
-  }
-  if (data != nullptr && !ViewAligned(data)) {
-    return Status::InvalidArgument(
-        "VecView: data must be 32-byte aligned for kernel streaming");
-  }
-  return VecView(data, size);
-}
-
 Matrix::Matrix(int rows, int cols, double fill)
     : rows_(rows),
       cols_(cols),
@@ -92,23 +81,6 @@ Vec Matrix::MatVec(const Vec& x) const {
   return y;
 }
 
-Vec Matrix::MatTVec(const Vec& x) const {
-  GEM_CHECK(static_cast<int>(x.size()) == rows_);
-  Vec y(cols_, 0.0);
-  kernels::Active().mattvec(ptr(), rows_, cols_, x.data(), y.data());
-  return y;
-}
-
-void Matrix::AddOuter(const Vec& a, const Vec& b, double scale) {
-  GEM_CHECK(!borrowed());
-  GEM_CHECK(static_cast<int>(a.size()) == rows_);
-  GEM_CHECK(static_cast<int>(b.size()) == cols_);
-  const kernels::Ops& ops = kernels::Active();
-  for (int r = 0; r < rows_; ++r) {
-    ops.add_scaled(RowPtr(r), b.data(), scale * a[r], cols_);
-  }
-}
-
 void Matrix::AddScaled(const Matrix& other, double scale) {
   GEM_CHECK(!borrowed());
   GEM_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
@@ -121,21 +93,6 @@ void Matrix::AppendRow(const Vec& v) {
   GEM_CHECK(static_cast<int>(v.size()) == cols_);
   data_.insert(data_.end(), v.begin(), v.end());
   ++rows_;
-}
-
-Matrix MatMul(const Matrix& a, const Matrix& b) {
-  GEM_CHECK(a.cols() == b.rows());
-  Matrix c(a.rows(), b.cols(), 0.0);
-  for (int i = 0; i < a.rows(); ++i) {
-    for (int k = 0; k < a.cols(); ++k) {
-      const double aik = a.At(i, k);
-      if (aik == 0.0) continue;
-      const double* brow = b.RowPtr(k);
-      double* crow = c.RowPtr(i);
-      for (int j = 0; j < b.cols(); ++j) crow[j] += aik * brow[j];
-    }
-  }
-  return c;
 }
 
 }  // namespace gem::math

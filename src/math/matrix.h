@@ -21,32 +21,6 @@ class Rng;
 /// so views over the mapping satisfy the same contract.
 inline constexpr size_t kViewAlignment = 32;
 
-/// Non-owning, alignment-checked view over a contiguous f64 block
-/// (typically a v2 snapshot section inside an mmap). The backing
-/// storage must outlive the view; 32-byte alignment is validated at
-/// construction so kernels can stream it like owned AlignedVec storage.
-class VecView {
- public:
-  VecView() = default;
-
-  /// InvalidArgument when data is null with size > 0 or not 32-byte
-  /// aligned.
-  static StatusOr<VecView> Create(const double* data, size_t size);
-
-  const double* data() const { return data_; }
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  const double* begin() const { return data_; }
-  const double* end() const { return data_ + size_; }
-  double operator[](size_t i) const { return data_[i]; }
-
- private:
-  VecView(const double* data, size_t size) : data_(data), size_(size) {}
-
-  const double* data_ = nullptr;
-  size_t size_ = 0;
-};
-
 /// Dense row-major matrix of doubles. Storage is either an owned flat
 /// 32-byte-aligned buffer (kernels::AlignedVec) or a borrowed view over
 /// external 32-byte-aligned storage (View()); the products below route
@@ -117,12 +91,6 @@ class Matrix {
   /// y = M x  (x.size() == cols; returns size rows).
   Vec MatVec(const Vec& x) const;
 
-  /// y = M^T x  (x.size() == rows; returns size cols).
-  Vec MatTVec(const Vec& x) const;
-
-  /// M += scale * (a outer b), with a.size()==rows, b.size()==cols.
-  void AddOuter(const Vec& a, const Vec& b, double scale);
-
   /// M += scale * other (same shape).
   void AddScaled(const Matrix& other, double scale);
 
@@ -148,9 +116,6 @@ class Matrix {
   // Non-null iff borrowed; points at rows_*cols_ external doubles.
   const double* view_ = nullptr;
 };
-
-/// Returns C = A * B.
-Matrix MatMul(const Matrix& a, const Matrix& b);
 
 }  // namespace gem::math
 

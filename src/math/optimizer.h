@@ -1,7 +1,6 @@
 #ifndef GEM_MATH_OPTIMIZER_H_
 #define GEM_MATH_OPTIMIZER_H_
 
-#include <memory>
 #include <vector>
 
 #include "math/autograd.h"
@@ -9,29 +8,22 @@
 
 namespace gem::math {
 
-/// Adam hyperparameters (defaults follow the usual convention; the
-/// paper's learning rate of 0.003 is plumbed through model configs).
-struct AdamOptions {
-  double learning_rate = 0.003;
-  double beta1 = 0.9;
-  double beta2 = 0.999;
-  double epsilon = 1e-8;
-};
-
-/// Adam over dense Parameters. Register every Parameter once; Step()
-/// applies the update from accumulated gradients and zeroes them.
+/// Adam over dense Parameters (beta1 = 0.9, beta2 = 0.999, epsilon =
+/// 1e-8). Register every Parameter once; Step() applies one update from
+/// the gradients a sink accumulated.
 class Adam {
  public:
-  explicit Adam(AdamOptions options = {}) : options_(options) {}
+  /// The paper's learning rate of 0.003 is plumbed through model
+  /// configs.
+  explicit Adam(double learning_rate) : learning_rate_(learning_rate) {}
 
   /// Registers a parameter; the pointer must outlive the optimizer.
   void Register(Parameter* param);
 
-  /// Applies one Adam update to all registered parameters, then zeroes
-  /// their gradients.
-  void Step();
-
-  const AdamOptions& options() const { return options_; }
+  /// Applies one Adam update to all registered parameters, reading
+  /// each one's gradient from `grads` (zero for an untouched entry).
+  /// The caller zeroes the sink before it accumulates the next step.
+  void Step(const ParamGradSink& grads);
 
  private:
   struct Slot {
@@ -40,7 +32,7 @@ class Adam {
     Matrix v;
   };
 
-  AdamOptions options_;
+  double learning_rate_;
   std::vector<Slot> slots_;
   long step_ = 0;
 };

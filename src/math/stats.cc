@@ -49,18 +49,6 @@ double Percentile(const Vec& values, double p) {
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
-void MinMaxNormalize(Vec& values) {
-  if (values.empty()) return;
-  const double lo = Min(values);
-  const double hi = Max(values);
-  const double range = hi - lo;
-  if (range <= 0.0) {
-    std::fill(values.begin(), values.end(), 0.0);
-    return;
-  }
-  for (double& v : values) v = (v - lo) / range;
-}
-
 Summary Summarize(const Vec& values) {
   GEM_CHECK(!values.empty());
   return Summary{Mean(values), Min(values), Max(values)};

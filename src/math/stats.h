@@ -23,10 +23,6 @@ double Max(const Vec& values);
 /// non-empty (input copied and sorted internally).
 double Percentile(const Vec& values, double p);
 
-/// Min-max normalizes values into [0, 1] in place, using the range of
-/// the input itself. If all values are equal they all map to 0.
-void MinMaxNormalize(Vec& values);
-
 /// Summary used for mean (min, max) table cells.
 struct Summary {
   double mean = 0.0;

@@ -62,19 +62,4 @@ Vec Concat(const Vec& a, const Vec& b) {
   return out;
 }
 
-Vec Sub(const Vec& a, const Vec& b) {
-  GEM_DCHECK(a.size() == b.size());
-  Vec out(a.size());
-  for (size_t i = 0; i < a.size(); ++i) out[i] = a[i] - b[i];
-  return out;
-}
-
-Vec MeanRows(const std::vector<Vec>& rows) {
-  if (rows.empty()) return {};
-  Vec out(rows[0].size(), 0.0);
-  for (const Vec& row : rows) AddScaled(out, row, 1.0);
-  Scale(out, 1.0 / static_cast<double>(rows.size()));
-  return out;
-}
-
 }  // namespace gem::math

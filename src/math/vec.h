@@ -39,13 +39,6 @@ void NormalizeL2(Vec& a);
 /// Returns {a; b} concatenated.
 Vec Concat(const Vec& a, const Vec& b);
 
-/// Returns a - b.
-Vec Sub(const Vec& a, const Vec& b);
-
-/// Returns element-wise mean of rows; all rows must share a size.
-/// Returns an empty Vec when rows is empty.
-Vec MeanRows(const std::vector<Vec>& rows);
-
 }  // namespace gem::math
 
 #endif  // GEM_MATH_VEC_H_

@@ -16,8 +16,6 @@ struct Accum {
   int64_t exclusive_ns = 0;
 };
 
-using Key = std::pair<std::string, int>;  // (stage, tid)
-
 /// One span being swept: how much of its time is covered by direct
 /// children accumulates while it sits on the stack.
 struct OpenSpan {
@@ -26,8 +24,8 @@ struct OpenSpan {
   int64_t child_ns = 0;
 };
 
-void Close(const OpenSpan& open, int tid, std::map<Key, Accum>& accum) {
-  Accum& a = accum[{open.event->name, tid}];
+void Close(const OpenSpan& open, std::map<std::string, Accum>& accum) {
+  Accum& a = accum[open.event->name];
   a.count += 1;
   a.inclusive_ns += open.event->dur_ns;
   a.exclusive_ns += open.event->dur_ns - open.child_ns;
@@ -40,7 +38,7 @@ AttributionReport BuildAttribution(
     int64_t window_end_ns) {
   // Partition sync spans by thread; async spans accumulate directly.
   std::map<int, std::vector<const TimelineEvent*>> spans_by_tid;
-  std::map<Key, Accum> accum;
+  std::map<std::string, Accum> accum;
   for (const TimelineEventView& view : events) {
     const TimelineEvent& e = view.event;
     if (e.start_ns < window_begin_ns || e.start_ns >= window_end_ns) {
@@ -49,7 +47,7 @@ AttributionReport BuildAttribution(
     if (e.kind == TimelineEventKind::kSpan) {
       spans_by_tid[view.tid].push_back(&e);
     } else if (e.kind == TimelineEventKind::kAsyncSpan) {
-      Accum& a = accum[{e.name, view.tid}];
+      Accum& a = accum[e.name];
       a.count += 1;
       a.inclusive_ns += e.dur_ns;
       a.exclusive_ns += e.dur_ns;  // waits have no children
@@ -69,37 +67,22 @@ AttributionReport BuildAttribution(
     std::vector<OpenSpan> stack;
     for (const TimelineEvent* e : spans) {
       while (!stack.empty() && stack.back().end_ns <= e->start_ns) {
-        Close(stack.back(), tid, accum);
+        Close(stack.back(), accum);
         stack.pop_back();
       }
       if (!stack.empty()) stack.back().child_ns += e->dur_ns;
       stack.push_back({e, e->start_ns + e->dur_ns});
     }
     while (!stack.empty()) {
-      Close(stack.back(), tid, accum);
+      Close(stack.back(), accum);
       stack.pop_back();
     }
   }
 
   AttributionReport report;
-  std::map<std::string, Accum> totals;
-  for (const auto& [key, a] : accum) {
-    StageCost cost;
-    cost.stage = key.first;
-    cost.tid = key.second;
-    cost.count = a.count;
-    cost.inclusive_seconds = a.inclusive_ns * 1e-9;
-    cost.exclusive_seconds = a.exclusive_ns * 1e-9;
-    report.by_stage_thread.push_back(std::move(cost));
-    Accum& total = totals[key.first];
-    total.count += a.count;
-    total.inclusive_ns += a.inclusive_ns;
-    total.exclusive_ns += a.exclusive_ns;
-  }
-  for (const auto& [stage, a] : totals) {
+  for (const auto& [stage, a] : accum) {
     StageCost cost;
     cost.stage = stage;
-    cost.tid = StageCost::kAllThreads;
     cost.count = a.count;
     cost.inclusive_seconds = a.inclusive_ns * 1e-9;
     cost.exclusive_seconds = a.exclusive_ns * 1e-9;
@@ -108,14 +91,6 @@ AttributionReport BuildAttribution(
   std::sort(report.by_stage.begin(), report.by_stage.end(),
             [](const StageCost& a, const StageCost& b) {
               return a.exclusive_seconds > b.exclusive_seconds;
-            });
-  std::sort(report.by_stage_thread.begin(), report.by_stage_thread.end(),
-            [](const StageCost& a, const StageCost& b) {
-              if (a.exclusive_seconds != b.exclusive_seconds) {
-                return a.exclusive_seconds > b.exclusive_seconds;
-              }
-              if (a.stage != b.stage) return a.stage < b.stage;
-              return a.tid < b.tid;
             });
   return report;
 }

@@ -10,26 +10,22 @@
 
 namespace gem::obs {
 
-/// Wall-clock cost of one stage (span name), either aggregated across
-/// threads (tid == kAllThreads) or on one thread.
+/// Wall-clock cost of one stage (span name), summed over threads.
 struct StageCost {
-  static constexpr int kAllThreads = -1;
-
   std::string stage;
-  int tid = kAllThreads;
   uint64_t count = 0;
   /// Total time inside spans of this stage, children included.
   double inclusive_seconds = 0.0;
   /// Inclusive minus time spent in directly nested recorded spans —
-  /// the stage's own cost. Sums of exclusive_seconds over all stages
-  /// on one thread equal that thread's total instrumented time.
+  /// the stage's own cost. The sync stages' exclusive_seconds sum to
+  /// the total instrumented time of all threads.
   double exclusive_seconds = 0.0;
 };
 
 /// Stage-cost rollup of a timeline snapshot: where did the wall time
-/// go, per stage and per thread? Sync spans are attributed by a
-/// nesting sweep per thread (RAII spans on one thread are properly
-/// nested in time, so exclusive = inclusive - direct children).
+/// go, per stage? Sync spans are attributed by a nesting sweep per
+/// thread (RAII spans on one thread are properly nested in time, so
+/// exclusive = inclusive - direct children).
 /// Async spans (queue waits) cannot nest and are reported with
 /// exclusive == inclusive; they measure waiting, not execution, so
 /// they deliberately OVERLAP the executing stages' time rather than
@@ -37,8 +33,6 @@ struct StageCost {
 struct AttributionReport {
   /// Aggregated over threads, sorted by exclusive_seconds descending.
   std::vector<StageCost> by_stage;
-  /// Per (stage, tid), same order then by tid.
-  std::vector<StageCost> by_stage_thread;
 };
 
 /// Builds the rollup from Snapshot() output, keeping only spans whose
@@ -50,7 +44,7 @@ AttributionReport BuildAttribution(
     int64_t window_begin_ns = std::numeric_limits<int64_t>::min(),
     int64_t window_end_ns = std::numeric_limits<int64_t>::max());
 
-/// Human-readable per-stage table (stage, threads, count, inclusive,
+/// Human-readable per-stage table (stage, count, inclusive,
 /// exclusive, exclusive share).
 std::string AttributionTable(const AttributionReport& report);
 

@@ -91,16 +91,6 @@ std::vector<double> ExponentialBuckets(double start, double factor,
   return bounds;
 }
 
-std::vector<double> LinearBuckets(double start, double step, int count) {
-  GEM_CHECK(step > 0.0 && count >= 1);
-  std::vector<double> bounds;
-  bounds.reserve(count);
-  for (int i = 0; i < count; ++i) {
-    bounds.push_back(start + step * i);
-  }
-  return bounds;
-}
-
 namespace {
 
 /// Canonical map key for a label set ("k1=v1,k2=v2"). Label values in

@@ -98,8 +98,6 @@ std::vector<double> LatencyBuckets();
 /// `count` buckets: start, start*factor, start*factor^2, ...
 std::vector<double> ExponentialBuckets(double start, double factor,
                                        int count);
-/// `count` buckets: start, start+step, start+2*step, ...
-std::vector<double> LinearBuckets(double start, double step, int count);
 
 /// Point-in-time copy of one time series, consumed by the exporters.
 struct MetricSnapshot {

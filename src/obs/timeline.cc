@@ -183,15 +183,6 @@ void Timeline::RecordAsyncSpan(const char* name, Clock::time_point start,
   LocalBuffer().Push(event);
 }
 
-void Timeline::RecordInstant(const char* name) {
-  if (!IsEnabled()) return;
-  TimelineEvent event;
-  event.kind = TimelineEventKind::kInstant;
-  event.name = name;
-  event.start_ns = NowNs();
-  LocalBuffer().Push(event);
-}
-
 void Timeline::RecordCounter(const char* name, double value) {
   if (!IsEnabled()) return;
   TimelineEvent event;
@@ -264,7 +255,7 @@ struct ChromeRow {
   int tid = 0;
   /// Sort rank at equal timestamps: E(0) before B(1) so that
   /// back-to-back sibling spans close before the next one opens;
-  /// counters/instants/async (2) are unconstrained.
+  /// counters and async rows (2) are unconstrained.
   int rank = 2;
   /// Secondary tie-break: E rows close deepest-first, B rows open
   /// shallowest-first.
@@ -355,14 +346,6 @@ std::string ChromeTraceJson(const std::vector<TimelineEventView>& events) {
         end.json = Row(e.name, 'e', end.ts_ns, view.tid, end_extra);
         rows.push_back(std::move(begin));
         rows.push_back(std::move(end));
-        break;
-      }
-      case TimelineEventKind::kInstant: {
-        ChromeRow row;
-        row.ts_ns = e.start_ns;
-        row.tid = view.tid;
-        row.json = Row(e.name, 'i', e.start_ns, view.tid, "\"s\":\"t\"");
-        rows.push_back(std::move(row));
         break;
       }
       case TimelineEventKind::kCounter: {

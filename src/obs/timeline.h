@@ -37,15 +37,13 @@ enum class TimelineEventKind : uint8_t {
   /// thread to dequeue on another). Exported as Chrome ASYNC b/e
   /// events keyed by span_id, which carry no nesting constraint.
   kAsyncSpan,
-  /// Point event.
-  kInstant,
   /// Counter sample (value series, e.g. RSS from the resource
   /// sampler); exported as a Chrome "C" event.
   kCounter,
 };
 
 struct TimelineEvent {
-  TimelineEventKind kind = TimelineEventKind::kInstant;
+  TimelineEventKind kind = TimelineEventKind::kSpan;
   /// Static string (retained by pointer; string literals only).
   const char* name = nullptr;
   /// Nanoseconds since the timeline epoch (Enable time).
@@ -113,7 +111,6 @@ class Timeline {
                               std::chrono::steady_clock::time_point end,
                               uint64_t trace_id, uint64_t span_id,
                               uint64_t parent_span_id);
-  static void RecordInstant(const char* name);
   static void RecordCounter(const char* name, double value);
 
   /// Names the calling thread's track in the exported trace (e.g.

@@ -7,7 +7,7 @@
 namespace gem::obs {
 
 /// Request/operation-scoped trace identity, propagated EXPLICITLY
-/// across thread hops (gem::ThreadPool task submission, the serving
+/// across thread hops (gem::ThreadPool's queued chunks, the serving
 /// engine's request queue): the submitter captures its context, the
 /// worker installs it before running the task, so child spans on the
 /// worker attach to the right parent even though they run on a

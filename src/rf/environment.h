@@ -52,7 +52,6 @@ class Environment {
   int floors() const { return floors_; }
   const std::vector<Wall>& walls() const { return walls_; }
   const std::vector<AccessPoint>& access_points() const { return aps_; }
-  std::vector<AccessPoint>& mutable_access_points() { return aps_; }
 
   /// True when p (on any floor) lies within the geofenced rectangle.
   bool InsideFence(Point p) const;

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "base/check.h"
+#include "math/rng.h"
 
 namespace gem::rf {
 namespace {
@@ -84,13 +85,6 @@ double PropagationModel::MeanRssDbm(const AccessPoint& ap, Point rx,
   rss += SpatialShadowingDb(ap.mac, rx);
   rss += DriftDb(ap.mac, time_s);
   return rss;
-}
-
-double PropagationModel::SampleRssDbm(const AccessPoint& ap, Point rx,
-                                      int rx_floor, math::Rng& rng,
-                                      double time_s) const {
-  return MeanRssDbm(ap, rx, rx_floor, time_s) +
-         rng.Normal(0.0, config_.noise_sigma_db);
 }
 
 double PropagationModel::DetectionProbability(double mean_rss_dbm) const {

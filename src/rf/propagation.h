@@ -1,7 +1,6 @@
 #ifndef GEM_RF_PROPAGATION_H_
 #define GEM_RF_PROPAGATION_H_
 
-#include "math/rng.h"
 #include "rf/environment.h"
 #include "rf/types.h"
 
@@ -57,8 +56,8 @@ struct PropagationConfig {
 
 /// Deterministic-world propagation model. Mean RSS at a point is a pure
 /// function of the environment (so repeated visits to the same spot see
-/// the same spatial texture); measurement noise is drawn by the caller's
-/// Rng.
+/// the same spatial texture); the Scanner draws each measurement's
+/// temporal noise, with noise_sigma_db widened by its device profile.
 class PropagationModel {
  public:
   PropagationModel(const Environment* env, PropagationConfig config);
@@ -69,10 +68,6 @@ class PropagationModel {
   /// measurement noise.
   double MeanRssDbm(const AccessPoint& ap, Point rx, int rx_floor,
                     double time_s = 0.0) const;
-
-  /// One noisy measurement: MeanRss + Gaussian temporal noise.
-  double SampleRssDbm(const AccessPoint& ap, Point rx, int rx_floor,
-                      math::Rng& rng, double time_s = 0.0) const;
 
   /// Probability that a signal with this mean RSS is detected by a
   /// scan (soft threshold around the sensitivity floor).

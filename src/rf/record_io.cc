@@ -1,5 +1,6 @@
 #include "rf/record_io.h"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -39,7 +40,9 @@ void StripCr(std::string& s) {
 }
 
 /// Full-string numeric parses: trailing garbage ("12abc", "-50dBm") is
-/// a malformed row, not a silently truncated value.
+/// a malformed row, not a silently truncated value. A double must also
+/// be finite: strtod accepts "nan" and "inf", and one such reading
+/// turns every score of its record into NaN downstream.
 bool ParseLong(const std::string& s, long* out) {
   if (s.empty()) return false;
   char* end = nullptr;
@@ -54,7 +57,7 @@ bool ParseDouble(const std::string& s, double* out) {
   if (s.empty()) return false;
   char* end = nullptr;
   const double v = std::strtod(s.c_str(), &end);
-  if (end != s.c_str() + s.size()) return false;
+  if (end != s.c_str() + s.size() || !std::isfinite(v)) return false;
   *out = v;
   return true;
 }

@@ -86,16 +86,6 @@ Engine::Engine(FenceRegistry* registry, EngineOptions options)
 
 Engine::~Engine() { Shutdown(); }
 
-StatusOr<std::unique_ptr<Engine>> Engine::Create(FenceRegistry* registry,
-                                                 EngineOptions options) {
-  if (registry == nullptr) {
-    return Status::InvalidArgument("engine needs a fence registry");
-  }
-  const Status status = options.Validate();
-  if (!status.ok()) return status;
-  return std::make_unique<Engine>(registry, options);
-}
-
 Status Engine::Submit(ServeRequest request, Callback done) {
   EngineMetrics& metrics = EngineMetrics::Get();
   // Chaos schedules fire here to model admission failures the queue

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "base/status.h"
-#include "base/statusor.h"
 #include "base/thread_pool.h"
 #include "core/geofence.h"
 #include "obs/trace_context.h"
@@ -92,19 +91,14 @@ class Engine {
  public:
   using Callback = std::function<void(ServeResponse)>;
 
-  /// The options must be valid (GEM_CHECKed); use Create() to surface
-  /// user-supplied sizes softly.
+  /// The options must be valid (GEM_CHECKed); callers that take
+  /// user-supplied sizes Validate() them first.
   explicit Engine(FenceRegistry* registry, EngineOptions options = {});
   /// Drains the queue and joins the workers.
   ~Engine();
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
-
-  /// Validates the options and builds the engine (kInvalidArgument on
-  /// a bad --threads / queue-depth value instead of crashing).
-  static StatusOr<std::unique_ptr<Engine>> Create(FenceRegistry* registry,
-                                                  EngineOptions options);
 
   /// Enqueues the request; `done` runs on a worker thread. Returns
   /// kUnavailable when the queue is full and kFailedPrecondition after

@@ -165,29 +165,6 @@ Status FenceCache::Deregister(const std::string& fence_id) {
   return Status::Ok();
 }
 
-Status FenceCache::Flush(const std::string& fence_id) {
-  CacheMetrics& metrics = CacheMetrics::Get();
-  std::lock_guard lock(mutex_);
-  auto it = entries_.find(fence_id);
-  if (it == entries_.end()) {
-    return Status::NotFound("fence '" + fence_id +
-                            "' is not registered in the store");
-  }
-  Entry& entry = it->second;
-  if (!entry.fence) return Status::Ok();  // cold: nothing to flush
-  {
-    std::lock_guard fence_lock(entry.fence->mutex);
-    if (entry.fence->overlay.empty()) return Status::Ok();
-  }
-  const std::string path = entry.path;
-  std::shared_ptr<serve::Fence> dropped = DropResidentLocked(&entry);
-  const Status status = CompactAndSave(*dropped, path);
-  (status.ok() ? metrics.overlay_flushes : metrics.overlay_flush_failures)
-      .Increment();
-  RefreshPrivateDirtyGauge();
-  return status;
-}
-
 StatusOr<std::shared_ptr<serve::Fence>> FenceCache::Acquire(
     const std::string& fence_id) {
   CacheMetrics& metrics = CacheMetrics::Get();

@@ -135,15 +135,6 @@ class FenceCache {
   StatusOr<std::shared_ptr<serve::Fence>> Acquire(
       const std::string& fence_id);
 
-  /// Compacts `fence_id`'s resident overlay into its base, atomically
-  /// rewrites the snapshot file (v2 layout), and drops the resident
-  /// model so the next Acquire serves the flushed file. Ok and a no-op
-  /// when the id is registered but cold or its overlay is empty;
-  /// kNotFound when unknown. Pinned holders finish against the
-  /// pre-flush model; updates they make after the flush point are not
-  /// captured.
-  Status Flush(const std::string& fence_id);
-
   size_t resident() const;
   size_t registered() const;
   uint64_t resident_bytes() const;

@@ -50,7 +50,6 @@ class WireReader {
   Status GetString(std::string* out);
 
   size_t remaining() const { return bytes_.size() - pos_; }
-  bool exhausted() const { return pos_ == bytes_.size(); }
 
  private:
   Status Need(size_t n);

@@ -54,11 +54,6 @@ TEST(StatusOrTest, MoveOutValue) {
   EXPECT_EQ(moved, "payload");
 }
 
-TEST(StatusOrTest, ValueOrFallsBack) {
-  EXPECT_EQ(StatusOr<int>(7).value_or(-1), 7);
-  EXPECT_EQ(StatusOr<int>(Status::Internal("boom")).value_or(-1), -1);
-}
-
 TEST(StatusOrTest, ArrowReachesMembers) {
   StatusOr<std::string> result(std::string("abc"));
   EXPECT_EQ(result->size(), 3u);

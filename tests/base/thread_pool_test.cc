@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -56,14 +55,6 @@ TEST(ThreadPoolOptionsTest, Validate) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(ThreadPoolTest, CreateRejectsBadSizes) {
-  EXPECT_EQ(ThreadPool::Create(ThreadPoolOptions{0}).code(),
-            StatusCode::kInvalidArgument);
-  auto pool = ThreadPool::Create(ThreadPoolOptions{3});
-  ASSERT_TRUE(pool.ok());
-  EXPECT_EQ((*pool)->num_threads(), 3);
-}
-
 TEST(ThreadPoolTest, SingleThreadPoolRunsInline) {
   ThreadPool pool(1);
   const std::thread::id caller = std::this_thread::get_id();
@@ -77,12 +68,17 @@ TEST(ThreadPoolTest, SingleThreadPoolRunsInline) {
   });
   EXPECT_EQ(chunks_seen, 1);
 
-  bool ran = false;
-  pool.Submit([&] {
+  // An explicit chunk count still runs every chunk on the caller, in
+  // index order.
+  std::vector<int> order;
+  pool.ParallelForChunked(8, 8, [&](int chunk, long begin, long end) {
     EXPECT_EQ(std::this_thread::get_id(), caller);
-    ran = true;
+    EXPECT_EQ(begin, chunk);
+    EXPECT_EQ(end, chunk + 1);
+    order.push_back(chunk);
   });
-  EXPECT_TRUE(ran);
+  ASSERT_EQ(order.size(), 8u);
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(ThreadPoolTest, ParallelForCoversEveryElement) {
@@ -135,112 +131,38 @@ TEST(ThreadPoolTest, ConcurrentParallelForCallsAreIndependent) {
   for (int t = 0; t < kCallers; ++t) EXPECT_EQ(sums[t], base + t * kN);
 }
 
-TEST(ThreadPoolTest, ShutdownDrainsPendingWork) {
+TEST(ThreadPoolTest, ShutdownDrainsTheQueuedChunks) {
+  // Chunk 0 always runs on the caller, after chunks 1..63 are queued:
+  // a Shutdown from inside it must run every queued chunk before the
+  // workers exit, or the wave's latch would never open.
   std::atomic<int> completed{0};
+  int completed_at_shutdown = -1;
   {
     ThreadPool pool(2);
-    for (int i = 0; i < 64; ++i) {
-      pool.Submit([&completed] {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    pool.ParallelForChunked(64, 64, [&](int chunk, long, long) {
+      if (chunk == 0) {
+        pool.Shutdown();
+        completed_at_shutdown = completed.load();
+        pool.Shutdown();  // idempotent
+      } else {
         completed.fetch_add(1);
-      });
-    }
-    pool.Shutdown();  // must run all 64, not drop the queued tail
-    EXPECT_EQ(completed.load(), 64);
-    pool.Shutdown();  // idempotent
+      }
+    });
   }
-  EXPECT_EQ(completed.load(), 64);
+  EXPECT_EQ(completed_at_shutdown, 63);
+  EXPECT_EQ(completed.load(), 63);
 }
 
-TEST(ThreadPoolTest, SubmitAfterShutdownRunsInline) {
+TEST(ThreadPoolTest, ParallelForAfterShutdownRunsInline) {
   ThreadPool pool(2);
   pool.Shutdown();
   const std::thread::id caller = std::this_thread::get_id();
-  bool ran = false;
-  pool.Submit([&] {
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-    ran = true;
-  });
-  EXPECT_TRUE(ran);
-}
-
-TEST(ThreadPoolTest, DestructionWithQueuedWorkCompletesEverything) {
-  std::atomic<int> completed{0};
-  {
-    ThreadPool pool(3);
-    for (int i = 0; i < 128; ++i) {
-      pool.Submit([&completed] { completed.fetch_add(1); });
-    }
-  }  // ~ThreadPool drains then joins
-  EXPECT_EQ(completed.load(), 128);
-}
-
-TEST(ThreadPoolTest, SubmitBatchRunsEveryTask) {
-  ThreadPool pool(4);
-  std::atomic<int> completed{0};
-  CountLatch latch(64);
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 64; ++i) {
-    tasks.push_back([&] {
-      completed.fetch_add(1);
-      latch.CountDown();
-    });
-  }
-  pool.SubmitBatch(std::move(tasks));
-  latch.Wait();
-  EXPECT_EQ(completed.load(), 64);
-}
-
-TEST(ThreadPoolTest, SubmitBatchOnSingleThreadPoolRunsInlineInOrder) {
-  ThreadPool pool(1);
   std::vector<int> order;
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 8; ++i) {
-    tasks.push_back([&order, i] { order.push_back(i); });
-  }
-  pool.SubmitBatch(std::move(tasks));  // inline: complete on return
-  ASSERT_EQ(order.size(), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(ThreadPoolTest, SubmitBatchAfterShutdownRunsInline) {
-  ThreadPool pool(4);
-  pool.Shutdown();
-  std::atomic<int> completed{0};
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 4; ++i) {
-    tasks.push_back([&completed] { completed.fetch_add(1); });
-  }
-  pool.SubmitBatch(std::move(tasks));
-  EXPECT_EQ(completed.load(), 4);
-}
-
-TEST(ThreadPoolTest, SubmitBatchEmptyIsNoOp) {
-  ThreadPool pool(2);
-  pool.SubmitBatch({});  // must neither wake workers nor crash
-}
-
-TEST(CountLatchTest, ZeroCountWaitsReturnImmediately) {
-  CountLatch latch(0);
-  latch.Wait();  // must not block
-}
-
-TEST(CountLatchTest, WaitBlocksUntilAllCountDowns) {
-  CountLatch latch(3);
-  std::atomic<int> done{0};
-  std::thread waiter([&] {
-    latch.Wait();
-    done.store(1);
+  pool.ParallelForChunked(4, 4, [&](int chunk, long, long) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(chunk);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_EQ(done.load(), 0);
-  latch.CountDown();
-  latch.CountDown();
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_EQ(done.load(), 0);
-  latch.CountDown();
-  waiter.join();
-  EXPECT_EQ(done.load(), 1);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
 }  // namespace

@@ -107,16 +107,6 @@ TEST(ConfigValidateTest, TrainRefusesInvalidConfig) {
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ConfigValidateTest, EngineCreateRefusesInvalidOptions) {
-  serve::FenceRegistry registry;
-  serve::EngineOptions options;
-  options.num_threads = 0;
-  const auto engine = serve::Engine::Create(&registry, options);
-  EXPECT_EQ(engine.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(serve::Engine::Create(nullptr, serve::EngineOptions{}).code(),
-            StatusCode::kInvalidArgument);
-}
-
 // A zero-capacity cache would keep nothing resident and reload (under
 // a new generation) on every Acquire, so the constructor refuses it.
 TEST(ConfigValidateTest, FenceCacheRefusesInvalidOptions) {

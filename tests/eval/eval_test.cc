@@ -159,5 +159,17 @@ TEST(FlagsTest, ParsesCsvAndFullFlags) {
   EXPECT_FALSE(FullScaleFromArgs(1, const_cast<char**>(bare)));
 }
 
+TEST(FlagsTest, FlagValueFromArgsTakesTheFirstPrefixMatch) {
+  const char* argv[] = {"prog", "--threads", "--threads=1,4",
+                        "--bench_out=", "--threads=8"};
+  char** args = const_cast<char**>(argv);
+  EXPECT_EQ(FlagValueFromArgs(5, args, "--threads="), "1,4");
+  // A miss, including the flag's name without its '=': empty.
+  EXPECT_EQ(FlagValueFromArgs(5, args, "--trace_out="), "");
+  EXPECT_EQ(FlagValueFromArgs(2, args, "--threads="), "");
+  // An empty value reads the same as an absent flag.
+  EXPECT_EQ(FlagValueFromArgs(5, args, "--bench_out="), "");
+}
+
 }  // namespace
 }  // namespace gem::eval

@@ -206,11 +206,10 @@ TEST_F(FailpointTest, ThreadPoolDispatchIgnoresErrorPayloads) {
   ASSERT_TRUE(Configure("base.thread_pool.task=always/internal").ok());
   ThreadPool pool(3);
   std::atomic<int> ran{0};
-  for (int i = 0; i < 16; ++i) {
-    pool.Submit([&] { ran.fetch_add(1); });
-  }
-  pool.Shutdown();
+  pool.ParallelForChunked(16, 16, [&](int, long, long) { ran.fetch_add(1); });
   EXPECT_EQ(ran.load(), 16);
+  // Chunk 0 runs on the caller; the other 15 passed the failpoint.
+  EXPECT_EQ(HitCount("base.thread_pool.task"), 15u);
 }
 
 std::string WriteCsv(const std::string& name, int rows) {

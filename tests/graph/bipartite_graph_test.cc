@@ -42,7 +42,6 @@ TEST(BipartiteGraphTest, EdgeWeightsFollowRss) {
   ASSERT_EQ(adj.size(), 2u);
   EXPECT_DOUBLE_EQ(adj[0].weight, 70.0);
   EXPECT_DOUBLE_EQ(adj[1].weight, 40.0);
-  EXPECT_DOUBLE_EQ(graph.weight_sum(r), 110.0);
 }
 
 TEST(BipartiteGraphTest, FromPartsRejectsEdgesWithinOneSide) {

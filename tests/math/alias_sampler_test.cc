@@ -50,16 +50,5 @@ TEST(AliasSamplerTest, LargeSupport) {
   CheckFrequencies(weights, 500000, 0.003);
 }
 
-TEST(SampleProportionalTest, MatchesDistribution) {
-  const Vec weights{2.0, 6.0, 2.0};
-  Rng rng(77);
-  std::vector<int> counts(3, 0);
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) ++counts[SampleProportional(weights, rng)];
-  EXPECT_NEAR(counts[0] / static_cast<double>(n), 0.2, 0.01);
-  EXPECT_NEAR(counts[1] / static_cast<double>(n), 0.6, 0.01);
-  EXPECT_NEAR(counts[2] / static_cast<double>(n), 0.2, 0.01);
-}
-
 }  // namespace
 }  // namespace gem::math

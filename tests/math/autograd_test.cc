@@ -29,7 +29,8 @@ void CheckLeafGradients(const BuildFn& build, std::vector<Vec> leaf_values,
                         double eps = 1e-6, double tol = 1e-5) {
   FlatTape tape;
   const BuiltGraph g = build(tape, leaf_values);
-  tape.Backward();
+  ParamGradSink sink;
+  tape.Backward(sink);
   std::vector<Vec> analytic;
   analytic.reserve(g.leaves.size());
   for (VarId id : g.leaves) {
@@ -169,7 +170,10 @@ TEST(AutogradTest, GradMatVecParameter) {
   FlatTape tape;
   const VarId xi = tape.Leaf(x);
   tape.AddMseLoss(tape.MatVec(&w, xi), target);
-  tape.Backward();
+  ParamGradSink sink;
+  tape.Backward(sink);
+  const Matrix* dw = sink.Find(&w);
+  ASSERT_NE(dw, nullptr);
 
   const double eps = 1e-6;
   for (int r = 0; r < 2; ++r) {
@@ -179,7 +183,7 @@ TEST(AutogradTest, GradMatVecParameter) {
       Matrix wm = w.value;
       wm.At(r, c) -= eps;
       const double numeric = (loss_of(wp) - loss_of(wm)) / (2 * eps);
-      EXPECT_NEAR(w.grad.At(r, c), numeric, 1e-5);
+      EXPECT_NEAR(dw->At(r, c), numeric, 1e-5);
     }
   }
 }
@@ -244,7 +248,8 @@ TEST(AutogradTest, MseLossValueAndSeed) {
   // 0.5 * 4 * (0.25 + 9) and d/dy = 4 * (y - target).
   EXPECT_DOUBLE_EQ(term, 18.5);
   EXPECT_DOUBLE_EQ(tape.loss(), 18.5);
-  tape.Backward();
+  ParamGradSink sink;
+  tape.Backward(sink);
   EXPECT_DOUBLE_EQ(tape.grad(y)[0], 2.0);
   EXPECT_DOUBLE_EQ(tape.grad(y)[1], -12.0);
 }
@@ -266,31 +271,29 @@ TEST(AutogradTest, ZeroGradSkipsPropagation) {
   const VarId b = tape.Input({3.0, 4.0});
   tape.Relu(b);                 // dangling
   tape.AddMseLoss(a, {0.0, 0.0});
-  tape.Backward();
+  ParamGradSink sink;
+  tape.Backward(sink);
   EXPECT_DOUBLE_EQ(tape.grad(b)[0], 0.0);
   EXPECT_DOUBLE_EQ(tape.grad(b)[1], 0.0);
   EXPECT_NE(tape.grad(a)[0], 0.0);
 }
 
-TEST(ParamGradSinkTest, ZeroAllKeepsBuffersButSkipsUntouchedOnFlush) {
+TEST(ParamGradSinkTest, ZeroAllKeepsBuffersAndUntouchedEntriesReadNull) {
   Parameter p(1, 2);
   ParamGradSink sink;
-  sink.GradFor(&p).At(0, 0) = 3.0;
-  sink.FlushToParams();
-  EXPECT_DOUBLE_EQ(p.grad.At(0, 0), 3.0);
+  EXPECT_EQ(sink.Find(&p), nullptr);
+  Matrix& buffer = sink.GradFor(&p);
+  buffer.At(0, 0) = 3.0;
+  ASSERT_EQ(sink.Find(&p), &buffer);
+  EXPECT_DOUBLE_EQ(sink.Find(&p)->At(0, 0), 3.0);
 
-  // After ZeroAll the entry survives (no reallocation on next GradFor)
-  // but an untouched sink must flush nothing at all — not even zeros.
+  // After ZeroAll the entry survives (no reallocation on the next
+  // GradFor) but reads as untouched until something writes it again.
   sink.ZeroAll();
-  p.grad.At(0, 0) = -0.0;
-  sink.FlushToParams();
-  EXPECT_TRUE(std::signbit(p.grad.At(0, 0)))
-      << "flushing an untouched entry turned -0.0 into +0.0";
-
-  sink.GradFor(&p).At(0, 1) = 5.0;
-  sink.FlushToParams();
-  EXPECT_DOUBLE_EQ(p.grad.At(0, 1), 5.0);
-  EXPECT_DOUBLE_EQ(sink.GradFor(&p).At(0, 0), 0.0);  // re-zeroed buffer
+  EXPECT_EQ(sink.Find(&p), nullptr);
+  EXPECT_EQ(&sink.GradFor(&p), &buffer);
+  EXPECT_DOUBLE_EQ(buffer.At(0, 0), 0.0);  // re-zeroed
+  EXPECT_EQ(sink.Find(&p), &buffer);
 }
 
 TEST(ParamGradSinkTest, MergeFromFoldsTouchedEntries) {

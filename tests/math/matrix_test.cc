@@ -35,26 +35,6 @@ TEST(MatrixTest, MatVec) {
   EXPECT_DOUBLE_EQ(y[1], -1.0);
 }
 
-TEST(MatrixTest, MatTVec) {
-  Matrix m(2, 3);
-  m.SetRow(0, {1, 0, 2});
-  m.SetRow(1, {0, 1, -1});
-  const Vec y = m.MatTVec({2, 3});
-  ASSERT_EQ(y.size(), 3u);
-  EXPECT_DOUBLE_EQ(y[0], 2.0);
-  EXPECT_DOUBLE_EQ(y[1], 3.0);
-  EXPECT_DOUBLE_EQ(y[2], 1.0);
-}
-
-TEST(MatrixTest, AddOuter) {
-  Matrix m(2, 2, 0.0);
-  m.AddOuter({1, 2}, {3, 4}, 2.0);
-  EXPECT_DOUBLE_EQ(m.At(0, 0), 6.0);
-  EXPECT_DOUBLE_EQ(m.At(0, 1), 8.0);
-  EXPECT_DOUBLE_EQ(m.At(1, 0), 12.0);
-  EXPECT_DOUBLE_EQ(m.At(1, 1), 16.0);
-}
-
 TEST(MatrixTest, AppendRowGrows) {
   Matrix m;
   m.AppendRow({1, 2, 3});
@@ -62,21 +42,6 @@ TEST(MatrixTest, AppendRowGrows) {
   EXPECT_EQ(m.rows(), 2);
   EXPECT_EQ(m.cols(), 3);
   EXPECT_DOUBLE_EQ(m.At(1, 0), 4.0);
-}
-
-TEST(MatrixTest, MatMul) {
-  Matrix a(2, 3);
-  a.SetRow(0, {1, 2, 3});
-  a.SetRow(1, {4, 5, 6});
-  Matrix b(3, 2);
-  b.SetRow(0, {7, 8});
-  b.SetRow(1, {9, 10});
-  b.SetRow(2, {11, 12});
-  const Matrix c = MatMul(a, b);
-  EXPECT_DOUBLE_EQ(c.At(0, 0), 58.0);
-  EXPECT_DOUBLE_EQ(c.At(0, 1), 64.0);
-  EXPECT_DOUBLE_EQ(c.At(1, 0), 139.0);
-  EXPECT_DOUBLE_EQ(c.At(1, 1), 154.0);
 }
 
 TEST(MatrixTest, FillGlorotWithinBounds) {

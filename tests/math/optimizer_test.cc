@@ -15,10 +15,9 @@ TEST(AdamTest, MinimizesQuadratic) {
   Parameter w(2, 2);
   Rng rng(3);
   w.value.FillUniform(rng, 0.5);
-  AdamOptions opts;
-  opts.learning_rate = 0.05;
-  Adam adam(opts);
+  Adam adam(0.05);
   adam.Register(&w);
+  ParamGradSink grads;
 
   const Vec x{1.0, -0.5};
   const Vec target{0.3, 0.7};
@@ -28,19 +27,38 @@ TEST(AdamTest, MinimizesQuadratic) {
     const VarId xi = tape.Leaf(x);
     tape.AddMseLoss(tape.MatVec(&w, xi), target);
     last_loss = tape.loss();
-    tape.Backward();
-    adam.Step();
+    tape.Backward(grads);
+    adam.Step(grads);
+    grads.ZeroAll();
   }
   EXPECT_LT(last_loss, 1e-6);
 }
 
-TEST(AdamTest, StepZeroesGradients) {
-  Parameter w(1, 1);
-  w.grad.At(0, 0) = 5.0;
-  Adam adam;
-  adam.Register(&w);
-  adam.Step();
-  EXPECT_DOUBLE_EQ(w.grad.At(0, 0), 0.0);
+TEST(AdamTest, UntouchedSinkEntryIsAZeroGradient) {
+  // One step on a gradient of 1, then ZeroAll: the entry's buffer
+  // survives but is untouched, so the next step must see exactly the
+  // zero gradient an empty sink gives.
+  Parameter a(1, 2);
+  Parameter b(1, 2);
+  a.value.At(0, 0) = b.value.At(0, 0) = 0.5;
+  Adam adam_a(0.1);
+  Adam adam_b(0.1);
+  adam_a.Register(&a);
+  adam_b.Register(&b);
+  ParamGradSink grads_a;
+  ParamGradSink grads_b;
+  grads_a.GradFor(&a).At(0, 0) = 1.0;
+  grads_b.GradFor(&b).At(0, 0) = 1.0;
+  adam_a.Step(grads_a);
+  adam_b.Step(grads_b);
+  EXPECT_NE(a.value.At(0, 0), 0.5);
+  EXPECT_EQ(a.value.At(0, 1), 0.0);  // a zero gradient moves nothing
+
+  grads_a.ZeroAll();
+  adam_a.Step(grads_a);
+  adam_b.Step(ParamGradSink());
+  EXPECT_EQ(a.value.At(0, 0), b.value.At(0, 0));
+  EXPECT_EQ(a.value.At(0, 1), b.value.At(0, 1));
 }
 
 }  // namespace

@@ -32,20 +32,6 @@ TEST(StatsTest, PercentileInterpolates) {
   EXPECT_DOUBLE_EQ(Percentile({0, 10}, 25), 2.5);
 }
 
-TEST(StatsTest, MinMaxNormalize) {
-  Vec v{10, 20, 30};
-  MinMaxNormalize(v);
-  EXPECT_DOUBLE_EQ(v[0], 0.0);
-  EXPECT_DOUBLE_EQ(v[1], 0.5);
-  EXPECT_DOUBLE_EQ(v[2], 1.0);
-}
-
-TEST(StatsTest, MinMaxNormalizeConstantInput) {
-  Vec v{5, 5, 5};
-  MinMaxNormalize(v);
-  for (double x : v) EXPECT_DOUBLE_EQ(x, 0.0);
-}
-
 TEST(StatsTest, Summarize) {
   const Summary s = Summarize({1, 2, 6});
   EXPECT_DOUBLE_EQ(s.mean, 3.0);

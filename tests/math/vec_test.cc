@@ -63,19 +63,5 @@ TEST(VecTest, Concat) {
   EXPECT_DOUBLE_EQ(c[2], 3.0);
 }
 
-TEST(VecTest, Sub) {
-  const Vec d = Sub({5, 7}, {2, 3});
-  EXPECT_DOUBLE_EQ(d[0], 3.0);
-  EXPECT_DOUBLE_EQ(d[1], 4.0);
-}
-
-TEST(VecTest, MeanOfRows) {
-  const Vec m = MeanRows({{1, 2}, {3, 4}, {5, 6}});
-  ASSERT_EQ(m.size(), 2u);
-  EXPECT_DOUBLE_EQ(m[0], 3.0);
-  EXPECT_DOUBLE_EQ(m[1], 4.0);
-  EXPECT_TRUE(MeanRows(std::vector<Vec>{}).empty());
-}
-
 }  // namespace
 }  // namespace gem::math

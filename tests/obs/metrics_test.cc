@@ -57,14 +57,11 @@ TEST(HistogramTest, EmptyQuantileIsZero) {
   EXPECT_DOUBLE_EQ(hist.Quantile(0.5), 0.0);
 }
 
-TEST(BucketHelpersTest, ExponentialAndLinear) {
+TEST(BucketHelpersTest, Exponential) {
   const std::vector<double> exp = ExponentialBuckets(1.0, 2.0, 4);
   ASSERT_EQ(exp.size(), 4u);
   EXPECT_DOUBLE_EQ(exp[0], 1.0);
   EXPECT_DOUBLE_EQ(exp[3], 8.0);
-  const std::vector<double> lin = LinearBuckets(0.0, 0.5, 3);
-  ASSERT_EQ(lin.size(), 3u);
-  EXPECT_DOUBLE_EQ(lin[2], 1.0);
   EXPECT_FALSE(LatencyBuckets().empty());
 }
 

@@ -61,7 +61,6 @@ TEST(TimelineTest, DisabledRecordingIsANoOp) {
   ASSERT_FALSE(Timeline::IsEnabled());
   const auto now = steady_clock::now();
   Timeline::RecordSpan("timeline_test.noop", now, now, 1, 2, 0, 0);
-  Timeline::RecordInstant("timeline_test.noop");
   Timeline::RecordCounter("timeline_test.noop", 1.0);
   EXPECT_TRUE(EventsNamed(Timeline::Snapshot(), "timeline_test.noop")
                   .empty());
@@ -112,25 +111,25 @@ TEST(TimelineTest, ScopedSpanMintsContextAndRestoresParent) {
   EXPECT_EQ(inner[0].event.trace_id, outer_context.trace_id);
 }
 
-TEST(ThreadPoolTraceTest, ContextPropagatesAcrossSubmitHop) {
+TEST(ThreadPoolTraceTest, ContextPropagatesAcrossPoolHop) {
   ScopedTimeline timeline;
   ThreadPool pool(2);
 
+  // Two chunks: chunk 0 runs on the caller, chunk 1 crosses the queue.
   const TraceContext submitter{NewTraceId(), NewSpanId()};
+  TraceContext on_caller;
   TraceContext in_task;
-  std::promise<void> done;
   {
     TraceContextScope scope(submitter);
-    pool.Submit([&] {
-      in_task = CurrentTraceContext();
-      done.set_value();
+    pool.ParallelForChunked(2, 2, [&](int chunk, long, long) {
+      (chunk == 0 ? on_caller : in_task) = CurrentTraceContext();
     });
   }
-  done.get_future().wait();
   pool.Shutdown();
 
-  // The worker ran the task under the submitter's trace with a fresh
-  // task span id.
+  // The caller's chunk keeps its span; the worker ran the queued chunk
+  // under the caller's trace with a fresh task span id.
+  EXPECT_EQ(on_caller.span_id, submitter.span_id);
   EXPECT_EQ(in_task.trace_id, submitter.trace_id);
   EXPECT_NE(in_task.span_id, submitter.span_id);
   EXPECT_NE(in_task.span_id, 0u);
@@ -153,17 +152,22 @@ TEST(ThreadPoolTraceTest, ContextPropagatesAcrossSubmitHop) {
 
 TEST(ThreadPoolTraceTest, InlineExecutionKeepsContextNoQueueWait) {
   ScopedTimeline timeline;
-  ThreadPool pool(1);  // no workers: Submit runs inline
+  ThreadPool pool(1);  // no workers: every chunk runs inline
 
   const TraceContext submitter{NewTraceId(), NewSpanId()};
-  TraceContext in_task;
+  std::vector<TraceContext> in_chunks;
   {
     TraceContextScope scope(submitter);
-    pool.Submit([&] { in_task = CurrentTraceContext(); });
+    pool.ParallelForChunked(3, 3, [&](int, long, long) {
+      in_chunks.push_back(CurrentTraceContext());
+    });
   }
   // Inline execution IS the caller: same span, and no queue to wait in.
-  EXPECT_EQ(in_task.trace_id, submitter.trace_id);
-  EXPECT_EQ(in_task.span_id, submitter.span_id);
+  ASSERT_EQ(in_chunks.size(), 3u);
+  for (const TraceContext& in_chunk : in_chunks) {
+    EXPECT_EQ(in_chunk.trace_id, submitter.trace_id);
+    EXPECT_EQ(in_chunk.span_id, submitter.span_id);
+  }
   EXPECT_TRUE(
       EventsNamed(Timeline::Snapshot(), "pool.queue_wait").empty());
 }
@@ -236,6 +240,7 @@ TEST(TimelineTest, QueueWaitUnderEngineBackpressure) {
   serve::Engine engine(&registry, options);
 
   const TraceContext submitter{NewTraceId(), NewSpanId()};
+  std::promise<void> parked;
   std::promise<void> release;
   std::shared_future<void> released(release.get_future());
   std::atomic<int> responses{0};
@@ -246,6 +251,7 @@ TEST(TimelineTest, QueueWaitUnderEngineBackpressure) {
     ASSERT_TRUE(engine
                     .Submit({"missing", {}, {}},
                             [&](serve::ServeResponse) {
+                              parked.set_value();
                               released.wait();
                               responses.fetch_add(1);
                             })
@@ -259,7 +265,8 @@ TEST(TimelineTest, QueueWaitUnderEngineBackpressure) {
                       .ok());
     }
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  parked.get_future().wait();
+  const int64_t released_at_ns = Timeline::NowNs();
   release.set_value();
   engine.Shutdown();
   EXPECT_EQ(responses.load(), 3);
@@ -267,16 +274,19 @@ TEST(TimelineTest, QueueWaitUnderEngineBackpressure) {
   const auto waits =
       EventsNamed(Timeline::Snapshot(), "serve.queue_wait");
   ASSERT_EQ(waits.size(), 3u);
-  int64_t longest_wait_ns = 0;
+  int waited_out_the_parked_worker = 0;
   for (const TimelineEventView& wait : waits) {
     EXPECT_EQ(wait.event.kind, TimelineEventKind::kAsyncSpan);
     EXPECT_EQ(wait.event.trace_id, submitter.trace_id);
     EXPECT_EQ(wait.event.parent_span_id, submitter.span_id);
     EXPECT_EQ(wait.thread_name.rfind("serve-worker-", 0), 0u);
-    longest_wait_ns = std::max(longest_wait_ns, wait.event.dur_ns);
+    if (wait.event.start_ns + wait.event.dur_ns >= released_at_ns) {
+      ++waited_out_the_parked_worker;
+    }
   }
-  // The queued jobs measurably waited out the parked worker.
-  EXPECT_GE(longest_wait_ns, 20'000'000);
+  // The two queued jobs left the queue only after the release; the
+  // first was dequeued before its callback parked the worker.
+  EXPECT_EQ(waited_out_the_parked_worker, 2);
 }
 
 /// Minimal Chrome trace-event validator: walks the serialized rows in
@@ -306,7 +316,7 @@ void CheckMatchedPhases(const std::string& json) {
         ASSERT_GE(async_open, 0) << "async e before its b";
         break;
       default:
-        break;  // C / M / i rows carry no pairing constraint
+        break;  // C / M rows carry no pairing constraint
     }
   }
   EXPECT_EQ(sync_depth, 0) << "unclosed B span(s)";
@@ -468,7 +478,8 @@ TEST(ResourceSamplerTest, PublishesGaugesAndTraceCounters) {
     ResourceSampler::Options options;
     options.period_ms = 5;
     ResourceSampler sampler(options);
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    // The sampler publishes once before its first wait, and Stop()
+    // joins it, so that first sample is in by the time Stop returns.
     sampler.Stop();  // idempotent with the destructor's Stop
   }
   EXPECT_GT(registry.GetGauge("gem_process_rss_bytes").value(), 0.0);

@@ -138,32 +138,6 @@ TEST(PropagationTest, DetectionProbabilityEdges) {
   EXPECT_DOUBLE_EQ(model.DetectionProbability(-120.0), 0.0);
 }
 
-TEST(PropagationTest, SampleAddsNoise) {
-  Environment env;
-  env.SetFence(5.0, 5.0);
-  PropagationConfig config;
-  config.shadowing_sigma_db = 0.0;
-  config.noise_sigma_db = 2.0;
-  config.drift_amplitude_db = 0.0;
-  config.common_drift_amplitude_db = 0.0;
-  const PropagationModel model(&env, config);
-  AccessPoint ap;
-  ap.mac = "a";
-  ap.position = {0, 0};
-  math::Rng rng(3);
-  const double mean = model.MeanRssDbm(ap, {3, 0}, 0);
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    const double x = model.SampleRssDbm(ap, {3, 0}, 0, rng) - mean;
-    sum += x;
-    sum_sq += x * x;
-  }
-  EXPECT_NEAR(sum / n, 0.0, 0.05);
-  EXPECT_NEAR(std::sqrt(sum_sq / n), 2.0, 0.05);
-}
-
 TEST(PropagationTest, DriftIsDeterministicAndBounded) {
   Environment env;
   env.SetFence(10.0, 10.0);

@@ -114,6 +114,35 @@ TEST(RecordIoTest, NonNumericTimestampRejected) {
   EXPECT_FALSE(LoadRecordsCsv(path).ok());
 }
 
+TEST(RecordIoTest, NonFiniteRssRejectedNamingTheLine) {
+  for (const char* value : {"nan", "inf", "-inf"}) {
+    SCOPED_TRACE(value);
+    const std::string path = WriteFile(
+        "records_nonfinite_rss.csv",
+        std::string(kHeader) + "0,1.0,1,aa:01,-50,5\n0,1.0,1,aa:02," + value +
+            ",5\n");
+    const auto loaded = LoadRecordsCsv(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().ToString().find("line 3"), std::string::npos)
+        << loaded.status().ToString();
+  }
+}
+
+TEST(RecordIoTest, NonFiniteTimestampRejectedNamingTheLine) {
+  for (const char* value : {"nan", "inf", "-inf"}) {
+    SCOPED_TRACE(value);
+    const std::string path = WriteFile(
+        "records_nonfinite_ts.csv",
+        std::string(kHeader) + "0," + value + ",1,aa:01,-50,5\n");
+    const auto loaded = LoadRecordsCsv(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().ToString().find("line 2"), std::string::npos)
+        << loaded.status().ToString();
+  }
+}
+
 TEST(RecordIoTest, UnknownBandRejected) {
   const std::string path = WriteFile(
       "records_bad_band.csv", std::string(kHeader) + "0,1.0,1,aa:01,-50,6\n");

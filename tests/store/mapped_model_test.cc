@@ -228,32 +228,49 @@ TEST(FenceCacheMappedTest, FlushOnEvictPersistsOverlayBitExactly) {
   }
 }
 
-// Explicit Flush(): persists without waiting for eviction, and a
-// subsequent Acquire serves the compacted model.
-TEST(FenceCacheMappedTest, ExplicitFlushCompactsAndReloads) {
+// Deregister drops the cache's last reference, which writes the overlay
+// back without waiting for eviction; a fresh registration of the same
+// file serves the compacted model and continues the stream bit-exactly.
+TEST(FenceCacheMappedTest, DeregisterFlushesAndReregisterReloads) {
   const rf::Dataset data = SmallDataset();
   core::Gem trained = TrainedGem(data);
-  const std::string path = TempPath("mapped_explicit_flush.snap");
+  const std::string path = TempPath("mapped_deregister_flush.snap");
   ASSERT_TRUE(SaveSnapshotV2(path, trained).ok());
+
+  std::vector<core::InferenceResult> expected;
+  {
+    core::Gem reference = TrainedGem(data);
+    core::GemOverlay overlay;
+    for (const rf::ScanRecord& record : data.test) {
+      expected.push_back(reference.Infer(record, overlay));
+    }
+  }
 
   FenceCache cache;
   ASSERT_TRUE(cache.Register("home", path).ok());
-  EXPECT_EQ(cache.Flush("nope").code(), StatusCode::kNotFound);
-  EXPECT_TRUE(cache.Flush("home").ok());  // cold: no-op
-
+  const size_t split_at = data.test.size() / 2;
   {
     StatusOr<std::shared_ptr<serve::Fence>> fence = cache.Acquire("home");
     ASSERT_TRUE(fence.ok());
-    for (size_t i = 0; i < data.test.size() / 2; ++i) {
-      (void)(*fence)->gem.Infer(data.test[i], (*fence)->overlay);
+    for (size_t i = 0; i < split_at; ++i) {
+      const core::InferenceResult result =
+          (*fence)->gem.Infer(data.test[i], (*fence)->overlay);
+      ASSERT_EQ(result.score, expected[i].score) << "record " << i;
     }
   }
-  ASSERT_TRUE(cache.Flush("home").ok());
-  EXPECT_EQ(cache.resident(), 0u);  // flush drops residency
+  ASSERT_TRUE(cache.Deregister("home").ok());
+  EXPECT_EQ(cache.resident(), 0u);
 
+  ASSERT_TRUE(cache.Register("home", path).ok());
   StatusOr<std::shared_ptr<serve::Fence>> reloaded = cache.Acquire("home");
   ASSERT_TRUE(reloaded.ok());
   EXPECT_TRUE((*reloaded)->overlay.empty());
+  for (size_t i = split_at; i < data.test.size(); ++i) {
+    const core::InferenceResult result =
+        (*reloaded)->gem.Infer(data.test[i], (*reloaded)->overlay);
+    ASSERT_EQ(result.score, expected[i].score) << "record " << i;
+    ASSERT_EQ(result.decision, expected[i].decision) << "record " << i;
+  }
 }
 
 // overlay_limits: once the resident overlay outgrows the configured
