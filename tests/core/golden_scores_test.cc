@@ -17,7 +17,8 @@
 // its own bits. scores.scalar.golden is byte-identical to the
 // pre-kernel scores.golden — the scalar backend IS the seed numerics.
 // baselines.<backend>.golden pins the GraphSAGE and autoencoder
-// baselines (embeddings and final losses) the same way, and
+// baselines (embeddings and final losses) the same way,
+// ablation.<backend>.golden the scores under uniform sampling, and
 // snapshot.<backend>.golden the v2 snapshot of the golden model.
 #include <cstdio>
 #include <cstdlib>
@@ -116,6 +117,27 @@ std::string FormatResult(const InferenceResult& result) {
   return buf;
 }
 
+/// Trains `config` on the golden scenario's CSVs (never the in-memory
+/// dataset, so the verify and regen paths read identical inputs) and
+/// formats the Infer result of every test record.
+void ScoreLines(const GemConfig& config, std::vector<std::string>& lines) {
+  const auto train = rf::LoadRecordsCsv(GoldenDir() + "/train.csv");
+  ASSERT_TRUE(train.ok())
+      << train.status().ToString()
+      << " — run with GEM_REGEN_GOLDEN=1 to create the fixtures";
+  const auto test = rf::LoadRecordsCsv(GoldenDir() + "/test.csv");
+  ASSERT_TRUE(test.ok()) << test.status().ToString();
+  ASSERT_FALSE(test.value().empty());
+
+  Gem gem(config);
+  ASSERT_TRUE(gem.Train(train.value()).ok());
+  GemOverlay overlay;
+  lines.reserve(test.value().size());
+  for (const rf::ScanRecord& record : test.value()) {
+    lines.push_back(FormatResult(gem.Infer(record, overlay)));
+  }
+}
+
 TEST(GoldenScoresTest, InferResultsMatchCommittedGolden) {
   const std::string train_path = GoldenDir() + "/train.csv";
   const std::string test_path = GoldenDir() + "/test.csv";
@@ -135,25 +157,20 @@ TEST(GoldenScoresTest, InferResultsMatchCommittedGolden) {
     ASSERT_TRUE(rf::SaveRecordsCsv(test_path, data.test).ok());
   }
 
-  // Always retrain from the CSVs (not the in-memory dataset) so the
-  // verify path and the regen path exercise identical inputs.
-  const auto train = rf::LoadRecordsCsv(train_path);
-  ASSERT_TRUE(train.ok())
-      << train.status().ToString()
-      << " — run with GEM_REGEN_GOLDEN=1 to create the fixtures";
-  const auto test = rf::LoadRecordsCsv(test_path);
-  ASSERT_TRUE(test.ok()) << test.status().ToString();
-  ASSERT_FALSE(test.value().empty());
-
-  Gem gem(GoldenConfig());
-  ASSERT_TRUE(gem.Train(train.value()).ok());
-  GemOverlay overlay;
   std::vector<std::string> actual;
-  actual.reserve(test.value().size());
-  for (const rf::ScanRecord& record : test.value()) {
-    actual.push_back(FormatResult(gem.Infer(record, overlay)));
-  }
+  ScoreLines(GoldenConfig(), actual);
   CheckGolden(golden_path, actual);
+}
+
+// The same scenario under the ablation's uniform sampling
+// (bisage.use_edge_weights = false), so the uniform neighbor draws,
+// walks and coefficients are pinned as well as the alias sampler's.
+TEST(GoldenScoresTest, AblationScoresMatchCommittedGolden) {
+  GemConfig config = GoldenConfig();
+  config.bisage.use_edge_weights = false;
+  std::vector<std::string> actual;
+  ScoreLines(config, actual);
+  CheckGolden(GoldenPath("ablation"), actual);
 }
 
 /// "%a" of every coordinate, after a tag naming what the vector is.
