@@ -399,6 +399,30 @@ class CheckBenchTest(unittest.TestCase):
         self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
         self.assertIn("train_seconds@4/@1", result.stdout)
 
+    def test_scaling_at_8_equal_to_4_passes(self):
+        # Training runs at most four executors, so @8 can only match
+        # @4; a curve that flattens there passes on an 8-CPU host.
+        plateau = json.loads(json.dumps(SCALED_TRAIN))
+        for entry in plateau["results"]:
+            if entry["threads"] in (4, 8):
+                entry["train_seconds"] = 1.6  # ratio 0.40 at both
+        self.seed_train(plateau)
+        result = self.run_checker("BENCH_train.json")
+        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
+        self.assertIn("OK BENCH_train.json: train_seconds@8/@1 = 0.400",
+                      result.stdout)
+
+    def test_scaling_at_8_over_budget_within_host_cpus_fails(self):
+        slow = json.loads(json.dumps(SCALED_TRAIN))
+        for entry in slow["results"]:
+            if entry["threads"] == 8:
+                entry["train_seconds"] = 2.6  # ratio 0.65 > 0.60 budget
+        self.seed_train(slow)
+        result = self.run_checker("BENCH_train.json")
+        self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
+        self.assertIn("FAIL BENCH_train.json: train_seconds@8/@1 = 0.650",
+                      result.stdout)
+
     def test_scaling_missing_thread1_reference_fails(self):
         anchorless = json.loads(json.dumps(SCALED_TRAIN))
         anchorless["results"] = [e for e in anchorless["results"]
