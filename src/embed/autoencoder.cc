@@ -6,6 +6,7 @@
 
 #include "base/check.h"
 #include "math/flat_tape.h"
+#include "math/kernels.h"
 #include "math/rng.h"
 #include "math/vec.h"
 
@@ -91,7 +92,7 @@ Status AutoencoderEmbedder::Fit(const std::vector<rf::ScanRecord>& train) {
 math::Vec AutoencoderEmbedder::Encode(const math::Vec& input) const {
   GEM_CHECK(trained_);
   math::Vec h1 = w1_->value.MatVec(input);
-  for (double& v : h1) v = v > 0.0 ? v : 0.0;
+  math::kernels::Active().relu(h1.data(), h1.data(), h1.size());
   math::Vec z = w2_->value.MatVec(h1);
   for (double& v : z) v = std::tanh(v);
   return z;

@@ -35,8 +35,8 @@ long MemoKey(graph::NodeId node, int layer, int num_layers) {
 
 /// Normalized aggregation coefficients of a neighbor multiset
 /// (the paper's weighted aggregator; uniform under the ablation),
-/// written into a caller-owned buffer so the inference hot path can
-/// reuse its capacity.
+/// written into a caller-owned buffer so training and inference reuse
+/// its capacity.
 void AggregationCoeffsInto(const std::vector<graph::Neighbor>& sampled,
                            bool use_edge_weights, math::Vec& coeffs) {
   coeffs.assign(sampled.size(), 0.0);
@@ -58,13 +58,6 @@ void AggregationCoeffsInto(const std::vector<graph::Neighbor>& sampled,
   }
 }
 
-math::Vec AggregationCoeffs(const std::vector<graph::Neighbor>& sampled,
-                            bool use_edge_weights) {
-  math::Vec coeffs;
-  AggregationCoeffsInto(sampled, use_edge_weights, coeffs);
-  return coeffs;
-}
-
 /// In-place l2 normalization matching math::NormalizeL2's contract
 /// (zero vectors pass through) on a raw kernel buffer.
 void NormalizeInPlace(const math::kernels::Ops& ops, double* x, int n) {
@@ -72,19 +65,17 @@ void NormalizeInPlace(const math::kernels::Ops& ops, double* x, int n) {
   if (norm > 0.0) ops.scale(x, 1.0 / norm, n);
 }
 
-/// Uniform with-replacement neighbor draw (ablation of the
-/// weight-proportional sampling).
-std::vector<graph::Neighbor> SampleUniform(const graph::BipartiteGraph& graph,
-                                           graph::NodeId node, int count,
-                                           math::Rng& rng) {
-  std::vector<graph::Neighbor> sampled;
+/// Uniform with-replacement neighbor draw into `out` (ablation of the
+/// weight-proportional sampling; same contract as SampleNeighbors).
+void SampleUniform(const graph::BipartiteGraph& graph, graph::NodeId node,
+                   int count, math::Rng& rng,
+                   std::vector<graph::Neighbor>& out) {
+  out.clear();
   const auto& adj = graph.neighbors(node);
-  if (adj.empty()) return sampled;
-  sampled.reserve(count);
+  if (adj.empty()) return;
   for (int i = 0; i < count; ++i) {
-    sampled.push_back(adj[rng.UniformInt(static_cast<int>(adj.size()))]);
+    out.push_back(adj[rng.UniformInt(static_cast<int>(adj.size()))]);
   }
-  return sampled;
 }
 
 /// Grows the layer-0 tables (h, l), whose row 0 holds node `first`, to
@@ -221,8 +212,53 @@ void BiSage::EnsureCapacity(const graph::BipartiteGraph& graph) {
 // Each on its own cache lines: executors grow their tapes and memos,
 // and shards add up their losses, concurrently.
 struct alignas(64) BiSage::GradExecutor {
+  /// One (node, layer)'s vars, live while stamp is the executor's.
+  struct MemoEntry {
+    uint32_t stamp = 0;
+    NodeVars vars;
+  };
+  /// One layer's neighbor sample, its coefficients and its children's
+  /// vars. A build at layer k recurses only into layers below k, so one
+  /// set per layer is never in use twice.
+  struct LayerBuffers {
+    std::vector<graph::Neighbor> sampled;
+    math::Vec coeffs;
+    std::vector<math::VarId> neighbor_l;
+    std::vector<math::VarId> neighbor_h;
+  };
+
+  /// Sizes the memo for `graph` and the per-layer buffers.
+  void Reserve(const graph::BipartiteGraph& graph, const BiSageConfig& config) {
+    memo.resize(static_cast<size_t>(graph.num_nodes()) *
+                (config.num_layers + 1));
+    layers.resize(config.num_layers);
+    zeros.assign(config.dimension, 0.0);
+  }
+
+  /// Starts a shard: a new stamp empties the memo without touching it.
+  void StartShard() {
+    tape.Clear();
+    zero_leaf = -1;
+    if (++stamp == 0) {  // wrapped: entries may hold any older stamp
+      std::fill(memo.begin(), memo.end(), MemoEntry{});
+      stamp = 1;
+    }
+  }
+
+  /// The shard's one constant zero vector, built on first use.
+  math::VarId ZeroLeaf() {
+    if (zero_leaf < 0) zero_leaf = tape.Leaf(zeros);
+    return zero_leaf;
+  }
+
   math::FlatTape tape;
-  std::unordered_map<long, NodeVars> memo;
+  /// Indexed by MemoKey.
+  std::vector<MemoEntry> memo;
+  uint32_t stamp = 0;
+  /// Index layer - 1.
+  std::vector<LayerBuffers> layers;
+  math::Vec zeros;
+  math::VarId zero_leaf = -1;
 };
 
 struct alignas(64) BiSage::GradShard {
@@ -231,52 +267,59 @@ struct alignas(64) BiSage::GradShard {
   long terms = 0;
 };
 
-BiSage::NodeVars BiSage::BuildNodeVars(
-    math::FlatTape& tape, const graph::BipartiteGraph& graph,
-    graph::NodeId node, int layer, math::Rng& rng,
-    std::unordered_map<long, NodeVars>& memo) const {
-  const long key = MemoKey(node, layer, config_.num_layers);
-  const auto it = memo.find(key);
-  if (it != memo.end()) return it->second;
+BiSage::NodeVars BiSage::BuildNodeVars(GradExecutor& executor,
+                                       const graph::BipartiteGraph& graph,
+                                       graph::NodeId node, int layer,
+                                       math::Rng& rng) const {
+  // The memo never resizes during a shard, so the entry stays put while
+  // the children below are built.
+  GradExecutor::MemoEntry& entry =
+      executor.memo[MemoKey(node, layer, config_.num_layers)];
+  if (entry.stamp == executor.stamp) return entry.vars;
 
+  math::FlatTape& tape = executor.tape;
   NodeVars vars;
   if (layer == 0) {
     const size_t d = static_cast<size_t>(config_.dimension);
     vars.h = tape.Leaf(h_table_.RowPtr(node), d);
     vars.l = tape.Leaf(l_table_.RowPtr(node), d);
   } else {
-    const NodeVars self = BuildNodeVars(tape, graph, node, layer - 1, rng,
-                                        memo);
+    const NodeVars self = BuildNodeVars(executor, graph, node, layer - 1, rng);
     const int fanout = config_.fanouts[config_.num_layers - layer];
-    const std::vector<graph::Neighbor> sampled =
-        config_.use_edge_weights ? graph.SampleNeighbors(node, fanout, rng)
-                                 : SampleUniform(graph, node, fanout, rng);
+    GradExecutor::LayerBuffers& buffers = executor.layers[layer - 1];
+    if (config_.use_edge_weights) {
+      graph.SampleNeighbors(node, fanout, rng, buffers.sampled);
+    } else {
+      SampleUniform(graph, node, fanout, rng, buffers.sampled);
+    }
 
     math::VarId h_agg;
     math::VarId l_agg;
-    if (sampled.empty()) {
-      // Isolated node: aggregate nothing; the update still mixes the
-      // node's own lower-layer embedding through the weight matrix.
-      const math::Vec zeros(config_.dimension, 0.0);
-      h_agg = tape.Leaf(zeros);
-      l_agg = tape.Leaf(zeros);
+    if (buffers.sampled.empty() ||
+        (layer == 1 && graph.type(node) == graph::NodeType::kMac)) {
+      // An isolated node aggregates nothing; the update still mixes its
+      // own lower-layer embedding through the weight matrix. A MAC at
+      // layer 1 has drawn its sample (the RNG stream moves as if it
+      // were used), but its neighbors are records, whose layer-0 rows
+      // are zero: both aggregates are exactly +0.0, the value the
+      // inference layer-1 table rests on too, and as constants they
+      // would get no gradient.
+      h_agg = l_agg = executor.ZeroLeaf();
     } else {
-      const math::Vec coeffs =
-          AggregationCoeffs(sampled, config_.use_edge_weights);
-      std::vector<math::VarId> neighbor_l;
-      std::vector<math::VarId> neighbor_h;
-      neighbor_l.reserve(sampled.size());
-      neighbor_h.reserve(sampled.size());
-      for (const graph::Neighbor& nb : sampled) {
-        const NodeVars child = BuildNodeVars(tape, graph, nb.node, layer - 1,
-                                             rng, memo);
-        neighbor_l.push_back(child.l);
-        neighbor_h.push_back(child.h);
+      AggregationCoeffsInto(buffers.sampled, config_.use_edge_weights,
+                            buffers.coeffs);
+      buffers.neighbor_l.clear();
+      buffers.neighbor_h.clear();
+      for (const graph::Neighbor& nb : buffers.sampled) {
+        const NodeVars child =
+            BuildNodeVars(executor, graph, nb.node, layer - 1, rng);
+        buffers.neighbor_l.push_back(child.l);
+        buffers.neighbor_h.push_back(child.h);
       }
       // Equation (3): primary aggregates neighbors' auxiliaries.
-      h_agg = tape.WeightedSum(neighbor_l, coeffs);
+      h_agg = tape.WeightedSum(buffers.neighbor_l, buffers.coeffs);
       // Equation (5): auxiliary aggregates neighbors' primaries.
-      l_agg = tape.WeightedSum(neighbor_h, coeffs);
+      l_agg = tape.WeightedSum(buffers.neighbor_h, buffers.coeffs);
     }
     // Equations (4), (6), (7). The top layer is linear (no ReLU):
     // a ReLU there would confine embeddings to the positive orthant,
@@ -293,22 +336,23 @@ BiSage::NodeVars BiSage::BuildNodeVars(
       vars.l = tape.L2Normalize(tape.Relu(l_lin));
     }
   }
-  memo.emplace(key, vars);
+  entry.stamp = executor.stamp;
+  entry.vars = vars;
   return vars;
 }
 
-void BiSage::AccumulateShardLoss(math::FlatTape& tape,
+void BiSage::AccumulateShardLoss(GradExecutor& executor,
                                  const graph::BipartiteGraph& graph,
                                  const std::vector<TrainPair>& pairs,
                                  size_t begin, size_t end, math::Rng& rng,
-                                 std::unordered_map<long, NodeVars>& memo,
                                  double& loss, long& terms) const {
+  math::FlatTape& tape = executor.tape;
   for (size_t p = begin; p < end; ++p) {
     const auto [x, y] = pairs[p];
     const NodeVars vx =
-        BuildNodeVars(tape, graph, x, config_.num_layers, rng, memo);
+        BuildNodeVars(executor, graph, x, config_.num_layers, rng);
     const NodeVars vy =
-        BuildNodeVars(tape, graph, y, config_.num_layers, rng, memo);
+        BuildNodeVars(executor, graph, y, config_.num_layers, rng);
     // Positive part of Equation (8).
     loss += tape.AddLogSigmoidLoss(tape.Dot(vx.h, vy.l), +1.0);
     loss += tape.AddLogSigmoidLoss(tape.Dot(vx.l, vy.h), +1.0);
@@ -317,7 +361,7 @@ void BiSage::AccumulateShardLoss(math::FlatTape& tape,
     for (int n = 0; n < config_.num_negatives; ++n) {
       const graph::NodeId z = graph.SampleNegative(rng);
       const NodeVars vz =
-          BuildNodeVars(tape, graph, z, config_.num_layers, rng, memo);
+          BuildNodeVars(executor, graph, z, config_.num_layers, rng);
       loss += tape.AddLogSigmoidLoss(tape.Dot(vx.h, vz.l), -1.0);
       loss += tape.AddLogSigmoidLoss(tape.Dot(vx.l, vz.h), -1.0);
       terms += 2;
@@ -331,16 +375,15 @@ void BiSage::RunGradShard(GradExecutor& executor, GradShard& shard,
                           size_t end, uint64_t stream) const {
   GEM_TRACE_SPAN("bisage.gradient");
   shard.sink.ZeroAll();
-  executor.memo.clear();
+  executor.StartShard();
   shard.loss = 0.0;
   shard.terms = 0;
   math::Rng rng(
       math::Rng::StreamSeed(config_.seed ^ kGroupStreamSalt, stream));
-  executor.tape.Clear();
   {
     GEM_TRACE_SPAN("bisage.forward");
-    AccumulateShardLoss(executor.tape, graph, pairs, begin, end, rng,
-                        executor.memo, shard.loss, shard.terms);
+    AccumulateShardLoss(executor, graph, pairs, begin, end, rng, shard.loss,
+                        shard.terms);
   }
   GEM_TRACE_SPAN("bisage.backward");
   executor.tape.Backward(shard.sink);
@@ -458,6 +501,7 @@ Status BiSage::Train(const graph::BipartiteGraph& graph) {
   // reach the bits: a shard writes only its own sink and the fold
   // order depends on the shard count alone.
   std::vector<GradExecutor> executors(num_executors);
+  for (GradExecutor& executor : executors) executor.Reserve(graph, config_);
   std::vector<GradShard> shards(kWaveShards);
   const size_t full = static_cast<size_t>(config_.batch_pairs);
 
@@ -628,15 +672,12 @@ void BiSage::UpdateNode(const math::kernels::Ops& ops, int layer,
   std::copy_n(self_l, d, cat);
   std::copy_n(l_agg, d, cat + d);
   ops.matvec(w_l_[layer - 1]->value.ptr(), d, 2 * d, cat, out + d);
-  double* h = out;
-  double* l = out + d;
   if (layer != config_.num_layers) {  // linear top layer (see training)
-    for (int i = 0; i < d; ++i) h[i] = h[i] > 0.0 ? h[i] : 0.0;
-    for (int i = 0; i < d; ++i) l[i] = l[i] > 0.0 ? l[i] : 0.0;
+    ops.relu(out, out, 2 * static_cast<size_t>(d));
   }
   // Equation (7).
-  NormalizeInPlace(ops, h, d);
-  NormalizeInPlace(ops, l, d);
+  NormalizeInPlace(ops, out, d);
+  NormalizeInPlace(ops, out + d, d);
 }
 
 void BiSage::MacLayer1(const math::kernels::Ops& ops, const double* h0,

@@ -250,22 +250,22 @@ class BiSage {
   /// Only Train() grows the base tables.
   void EnsureCapacity(const graph::BipartiteGraph& graph);
 
-  /// Builds the (h^k, l^k) computation for `node` on the tape,
-  /// memoized per (node, layer) within the current gradient shard.
-  NodeVars BuildNodeVars(math::FlatTape& tape,
+  /// Builds the (h^k, l^k) computation for `node` on the executor's
+  /// tape, memoized per (node, layer) within the current gradient
+  /// shard.
+  NodeVars BuildNodeVars(GradExecutor& executor,
                          const graph::BipartiteGraph& graph,
-                         graph::NodeId node, int layer, math::Rng& rng,
-                         std::unordered_map<long, NodeVars>& memo) const;
+                         graph::NodeId node, int layer, math::Rng& rng) const;
 
-  /// Adds the Equation (8) loss terms of pairs[begin, end) to the tape
-  /// (positives plus num_negatives sampled negatives per pair), sharing
-  /// `memo` across the range. Accumulates the loss value and term count.
-  void AccumulateShardLoss(math::FlatTape& tape,
+  /// Adds the Equation (8) loss terms of pairs[begin, end) to the
+  /// executor's tape (positives plus num_negatives sampled negatives per
+  /// pair), sharing its memo across the range. Accumulates the loss
+  /// value and term count.
+  void AccumulateShardLoss(GradExecutor& executor,
                            const graph::BipartiteGraph& graph,
                            const std::vector<TrainPair>& pairs, size_t begin,
-                           size_t end, math::Rng& rng,
-                           std::unordered_map<long, NodeVars>& memo,
-                           double& loss, long& terms) const;
+                           size_t end, math::Rng& rng, double& loss,
+                           long& terms) const;
 
   /// One gradient shard on `executor`: resets the executor's tape and
   /// memo and the shard's sink, seeds the RNG from `stream`, builds and

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "base/check.h"
+#include "math/kernels.h"
 #include "math/vec.h"
 
 namespace gem::embed {
@@ -196,7 +197,7 @@ math::Vec GraphSage::InferNode(const graph::BipartiteGraph& graph,
     }
     out = weights_[layer - 1]->value.MatVec(math::Concat(self, agg));
     if (layer != config_.num_layers) {  // linear top layer
-      for (double& v : out) v = v > 0.0 ? v : 0.0;
+      math::kernels::Active().relu(out.data(), out.data(), out.size());
     }
     math::NormalizeL2(out);
   }

@@ -132,19 +132,15 @@ const math::AliasSampler& BipartiteGraph::NeighborSampler(NodeId id) const {
   return *samplers_[id];
 }
 
-std::vector<Neighbor> BipartiteGraph::SampleNeighbors(NodeId id, int count,
-                                                      math::Rng& rng) const {
+void BipartiteGraph::SampleNeighbors(NodeId id, int count, math::Rng& rng,
+                                     std::vector<Neighbor>& out) const {
   GEM_CHECK(id >= 0 && id < num_nodes());
   GEM_CHECK(count >= 0);
-  std::vector<Neighbor> sampled;
+  out.clear();
   const auto& adj = adjacency_[id];
-  if (adj.empty() || count == 0) return sampled;
+  if (adj.empty() || count == 0) return;
   const math::AliasSampler& sampler = NeighborSampler(id);
-  sampled.reserve(count);
-  for (int i = 0; i < count; ++i) {
-    sampled.push_back(adj[sampler.Sample(rng)]);
-  }
-  return sampled;
+  for (int i = 0; i < count; ++i) out.push_back(adj[sampler.Sample(rng)]);
 }
 
 std::vector<NodeId> BipartiteGraph::RandomWalk(NodeId start, int length,

@@ -59,12 +59,13 @@ class BipartiteGraph {
   /// (footnote 3 of the paper).
   int CountKnownMacs(const rf::ScanRecord& record) const;
 
-  /// Draws `count` neighbors of `id` with replacement, each with
-  /// probability proportional to its edge weight (the paper's
-  /// non-uniform neighborhood sampling). Returns an empty vector for an
-  /// isolated node.
-  std::vector<Neighbor> SampleNeighbors(NodeId id, int count,
-                                        math::Rng& rng) const;
+  /// Replaces `out` with `count` neighbors of `id` drawn with
+  /// replacement, each with probability proportional to its edge weight
+  /// (the paper's non-uniform neighborhood sampling); `out` ends empty
+  /// for an isolated node. A reused `out` keeps its capacity, so
+  /// training samples without allocating.
+  void SampleNeighbors(NodeId id, int count, math::Rng& rng,
+                       std::vector<Neighbor>& out) const;
 
   /// Weighted random walk of `length` steps starting at `start`
   /// (Section IV-B); the returned sequence includes the start node.

@@ -8,7 +8,7 @@ namespace gem::math {
 
 void FlatTape::Clear() {
   nodes_.clear();
-  values_.clear();
+  top_ = 0;
   inputs_pool_.clear();
   coeffs_pool_.clear();
   log_sigmoid_terms_.clear();
@@ -21,9 +21,12 @@ VarId FlatTape::Push(Op op, int len, bool tracked) {
   Node n;
   n.op = op;
   n.tracked = tracked;
-  n.off = values_.size();
+  n.off = top_;
   n.len = len;
-  values_.resize(values_.size() + static_cast<size_t>(len));
+  top_ += static_cast<size_t>(len);
+  // Past the high-water mark only: a cleared tape writes its next
+  // shard's values over the old ones without zero-filling them first.
+  if (top_ > values_.size()) values_.resize(top_);
   nodes_.push_back(n);
   return static_cast<VarId>(nodes_.size()) - 1;
 }
@@ -96,9 +99,7 @@ VarId FlatTape::Relu(VarId x) {
   const int len = nodes_[x].len;
   const VarId id = Push(Op::kRelu, len, nodes_[x].tracked);
   nodes_[id].a = x;
-  double* out = val(id);
-  const double* in = val(x);
-  for (int i = 0; i < len; ++i) out[i] = in[i] > 0.0 ? in[i] : 0.0;
+  kernels::Active().relu(val(id), val(x), static_cast<size_t>(len));
   return id;
 }
 
@@ -160,7 +161,7 @@ double FlatTape::AddMseLoss(VarId v, const Vec& target, double weight) {
 }
 
 void FlatTape::Backward(ParamGradSink& sink) {
-  grads_.assign(values_.size(), 0.0);
+  grads_.assign(top_, 0.0);
 
   // Seed gradients from the loss terms: every log-sigmoid term, then
   // every MSE term, each in the order attached.
@@ -206,18 +207,14 @@ void FlatTape::Backward(ParamGradSink& sink) {
       case Op::kLeaf:
         break;
       case Op::kMatVec: {
-        // y = W x:  dW += g outer x,  dx += W^T g. The outer product is
-        // row-wise add_scaled and the input gradient goes through a
-        // zeroed scratch + add_scaled: the summation order the committed
-        // goldens pin.
+        // y = W x:  dx += W^T g now, through a zeroed scratch +
+        // add_scaled (the summation order the committed goldens pin).
+        // dW += g x^T waits in the parameter's list: nothing in the
+        // sweep reads dW, and this node's g and x are final.
         const Node& xn = nodes_[n.a];
-        const double* x = values_.data() + xn.off;
-        Matrix& dw = sink.GradFor(n.param);
-        const size_t cols = static_cast<size_t>(xn.len);
-        for (int r = 0; r < n.len; ++r) {
-          ops.add_scaled(dw.RowPtr(r), x, g[r], cols);
-        }
+        DeferOuterProduct(n.param, g, values_.data() + xn.off);
         if (!xn.tracked) break;
+        const size_t cols = static_cast<size_t>(xn.len);
         mattvec_scratch_.assign(cols, 0.0);
         ops.mattvec(n.param->value.ptr(), n.len, xn.len, g,
                     mattvec_scratch_.data());
@@ -238,11 +235,8 @@ void FlatTape::Backward(ParamGradSink& sink) {
         break;
       case Op::kRelu: {
         const Node& xn = nodes_[n.a];
-        const double* x = values_.data() + xn.off;
-        double* gx = grads_.data() + xn.off;
-        for (int i = 0; i < n.len; ++i) {
-          if (x[i] > 0.0) gx[i] += g[i];
-        }
+        ops.relu_backward(grads_.data() + xn.off, values_.data() + xn.off, g,
+                          static_cast<size_t>(n.len));
         break;
       }
       case Op::kTanh: {
@@ -278,6 +272,32 @@ void FlatTape::Backward(ParamGradSink& sink) {
       }
     }
   }
+
+  // Each parameter's dW += sum_j g_j x_j^T in one rank-k update, j in
+  // sweep order: every dW element takes the terms add_scaled row by row
+  // would have given it, in the same order.
+  for (size_t i = 0; i < outer_lists_used_; ++i) {
+    OuterList& list = outer_lists_[i];
+    Matrix& dw = sink.GradFor(list.param);
+    ops.rank_k_update(dw.RowPtr(0), dw.rows(), dw.cols(), list.g.data(),
+                      list.x.data(), list.g.size());
+  }
+  outer_lists_used_ = 0;
+}
+
+void FlatTape::DeferOuterProduct(Parameter* param, const double* g,
+                                 const double* x) {
+  size_t i = 0;
+  while (i < outer_lists_used_ && outer_lists_[i].param != param) ++i;
+  if (i == outer_lists_used_) {
+    if (i == outer_lists_.size()) outer_lists_.emplace_back();
+    OuterList& list = outer_lists_[outer_lists_used_++];
+    list.param = param;
+    list.g.clear();
+    list.x.clear();
+  }
+  outer_lists_[i].g.push_back(g);
+  outer_lists_[i].x.push_back(x);
 }
 
 }  // namespace gem::math

@@ -31,9 +31,18 @@ namespace gem::math {
 /// no tracked node reads an untracked node's gradient, and the tracked
 /// nodes accumulate in the same order.
 ///
+/// A MatVec's dW += g x^T is deferred: the sweep appends (g, x) to its
+/// Parameter's list, and after the sweep each list is applied with one
+/// register-blocked rank-k kernel call. Nothing in the sweep reads dW,
+/// and the kernel gives every dW element the terms of row-by-row
+/// add_scaled calls in sweep order, so the bits are those of applying
+/// each term when its node is reached.
+///
 /// Every value and gradient lives in two reusable 32-byte-aligned
-/// arenas addressed by (offset, length), so a cleared tape rebuilds the
-/// next shard's graph with zero allocations in the steady state.
+/// arenas addressed by (offset, length). Clear() only resets the value
+/// arena's top, so a cleared tape rebuilds the next shard's graph over
+/// the old values with zero allocations (and no zero-fill) in the
+/// steady state; Backward zeroes the gradient arena up to that top.
 ///
 /// Numerics contract: each forward and backward step routes through the
 /// dispatched kernels (or fixed scalar expressions) in a fixed order,
@@ -146,15 +155,33 @@ class FlatTape {
     double weight;
   };
 
+  /// The (g, x) pairs of one Parameter's deferred dW += g x^T terms,
+  /// in sweep order.
+  struct OuterList {
+    Parameter* param = nullptr;
+    std::vector<const double*> g;
+    std::vector<const double*> x;
+  };
+
   /// Appends a node with len doubles of arena storage (value
   /// uninitialized; every op overwrites it in full).
   VarId Push(Op op, int len, bool tracked);
 
+  /// Appends (g, x) to param's list, opening the list on first use.
+  void DeferOuterProduct(Parameter* param, const double* g, const double* x);
+
   double* val(VarId id) { return values_.data() + nodes_[id].off; }
 
   std::vector<Node> nodes_;
+  /// Values of the current nodes fill [0, top_); values_ only grows, to
+  /// the largest top_ seen.
   kernels::AlignedVec values_;
+  size_t top_ = 0;
   kernels::AlignedVec grads_;
+  /// Backward's per-Parameter lists, first-touch order; the first
+  /// outer_lists_used_ are live. Kept across calls for their capacity.
+  std::vector<OuterList> outer_lists_;
+  size_t outer_lists_used_ = 0;
   std::vector<VarId> inputs_pool_;    // kWeightedSum inputs, by inputs_off
   std::vector<double> coeffs_pool_;   // parallel to inputs_pool_
   std::vector<const double*> ptr_scratch_;

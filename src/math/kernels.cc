@@ -78,9 +78,49 @@ void MatTVecScalar(const double* m, int rows, int cols, const double* x,
   }
 }
 
+void ReluScalar(double* out, const double* x, size_t n) {
+  for (size_t i = 0; i < n; ++i) out[i] = x[i] > 0.0 ? x[i] : 0.0;
+}
+
+void ReluBackwardScalar(double* gx, const double* x, const double* g,
+                        size_t n) {
+  for (size_t i = 0; i < n; ++i) gx[i] = x[i] > 0.0 ? gx[i] + g[i] : gx[i];
+}
+
+void RankKUpdateScalar(double* m, int rows, int cols, const double* const* a,
+                       const double* const* b, size_t k) {
+  // A block of a row stays in registers across all k terms; each term is
+  // AddScaledScalar's separately rounded multiply and add.
+  constexpr int kBlock = 8;
+  for (int r = 0; r < rows; ++r) {
+    double* row = m + static_cast<size_t>(r) * cols;
+    int c = 0;
+    for (; c + kBlock <= cols; c += kBlock) {
+      // Unrolled so the block lives in registers, not on the stack.
+      double sum[kBlock];
+#pragma GCC unroll 8
+      for (int i = 0; i < kBlock; ++i) sum[i] = row[c + i];
+      for (size_t j = 0; j < k; ++j) {
+        const double scale = a[j][r];
+        const double* bj = b[j] + c;
+#pragma GCC unroll 8
+        for (int i = 0; i < kBlock; ++i) sum[i] += scale * bj[i];
+      }
+#pragma GCC unroll 8
+      for (int i = 0; i < kBlock; ++i) row[c + i] = sum[i];
+    }
+    for (; c < cols; ++c) {
+      double sum = row[c];
+      for (size_t j = 0; j < k; ++j) sum += a[j][r] * b[j][c];
+      row[c] = sum;
+    }
+  }
+}
+
 constexpr Ops kScalarOps = {
     DotScalar,        SquaredDistanceScalar, AddScaledScalar, ScaleScalar,
-    WeightedSumScalar, MatVecScalar,         MatTVecScalar,
+    WeightedSumScalar, MatVecScalar,         MatTVecScalar,   ReluScalar,
+    ReluBackwardScalar, RankKUpdateScalar,
 };
 
 // ---------------------------------------------------------------------------
@@ -312,9 +352,105 @@ void MatTVecAvx2(const double* m, int rows, int cols, const double* x,
   }
 }
 
+__attribute__((target("avx2,fma")))
+void ReluAvx2(double* out, const double* x, size_t n) {
+  // max returns its second operand when x is NaN or either zero, so
+  // NaN and -0.0 give +0.0: the scalar loop's bits, with no branch.
+  const __m256d zero = _mm256_setzero_pd();
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    _mm256_storeu_pd(out + i, _mm256_max_pd(_mm256_loadu_pd(x + i), zero));
+  }
+  for (; i < n; ++i) out[i] = x[i] > 0.0 ? x[i] : 0.0;
+}
+
+__attribute__((target("avx2,fma")))
+void ReluBackwardAvx2(double* gx, const double* x, const double* g,
+                      size_t n) {
+  // A blend, not gx + (g & mask): a lane where x <= 0 keeps gx's bits.
+  const __m256d zero = _mm256_setzero_pd();
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d live =
+        _mm256_cmp_pd(_mm256_loadu_pd(x + i), zero, _CMP_GT_OQ);
+    const __m256d old = _mm256_loadu_pd(gx + i);
+    const __m256d sum = _mm256_add_pd(old, _mm256_loadu_pd(g + i));
+    _mm256_storeu_pd(gx + i, _mm256_blendv_pd(old, sum, live));
+  }
+  for (; i < n; ++i) gx[i] = x[i] > 0.0 ? gx[i] + g[i] : gx[i];
+}
+
+// Adds all k rank-1 terms into the R-row block of m at row r, columns
+// [c, c + 4V), held in R * V registers, so m is loaded and stored once
+// per block instead of once per term. Every element takes fma(a[j][r],
+// b[j][c], m) in ascending j: AddScaledAvx2's operation and order.
+template <int R, int V>
+__attribute__((target("avx2,fma"))) inline void RankKBlockAvx2(
+    double* m, size_t stride, const double* const* a, const double* const* b,
+    size_t k, int r, int c) {
+  __m256d acc[R][V];
+#pragma GCC unroll 4
+  for (int i = 0; i < R; ++i) {
+#pragma GCC unroll 4
+    for (int v = 0; v < V; ++v) {
+      acc[i][v] = _mm256_loadu_pd(m + (r + i) * stride + c + 4 * v);
+    }
+  }
+  for (size_t j = 0; j < k; ++j) {
+    __m256d bj[V];
+#pragma GCC unroll 4
+    for (int v = 0; v < V; ++v) bj[v] = _mm256_loadu_pd(b[j] + c + 4 * v);
+#pragma GCC unroll 4
+    for (int i = 0; i < R; ++i) {
+      const __m256d s = _mm256_broadcast_sd(a[j] + r + i);
+#pragma GCC unroll 4
+      for (int v = 0; v < V; ++v) {
+        acc[i][v] = _mm256_fmadd_pd(s, bj[v], acc[i][v]);
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (int i = 0; i < R; ++i) {
+#pragma GCC unroll 4
+    for (int v = 0; v < V; ++v) {
+      _mm256_storeu_pd(m + (r + i) * stride + c + 4 * v, acc[i][v]);
+    }
+  }
+}
+
+// Rows [r, r + R) of a rank-k update: 16-column blocks, then 4, then
+// single columns.
+template <int R>
+__attribute__((target("avx2,fma"))) inline void RankKRowsAvx2(
+    double* m, int cols, const double* const* a, const double* const* b,
+    size_t k, int r) {
+  const size_t stride = static_cast<size_t>(cols);
+  int c = 0;
+  for (; c + 16 <= cols; c += 16) RankKBlockAvx2<R, 4>(m, stride, a, b, k, r, c);
+  for (; c + 4 <= cols; c += 4) RankKBlockAvx2<R, 1>(m, stride, a, b, k, r, c);
+  for (; c < cols; ++c) {
+    for (int i = 0; i < R; ++i) {
+      double sum = m[(r + i) * stride + c];
+      for (size_t j = 0; j < k; ++j) sum = std::fma(a[j][r + i], b[j][c], sum);
+      m[(r + i) * stride + c] = sum;
+    }
+  }
+}
+
+__attribute__((target("avx2,fma")))
+void RankKUpdateAvx2(double* m, int rows, int cols, const double* const* a,
+                     const double* const* b, size_t k) {
+  // Two rows per block: 8 accumulators plus 4 loads of b[j] fit the 16
+  // registers, and each b[j] load feeds two fmas.
+  int r = 0;
+  for (; r + 2 <= rows; r += 2) RankKRowsAvx2<2>(m, cols, a, b, k, r);
+  for (; r < rows; ++r) RankKRowsAvx2<1>(m, cols, a, b, k, r);
+}
+
 constexpr Ops kAvx2Ops = {
     DotAvx2,        SquaredDistanceAvx2, AddScaledAvx2, ScaleAvx2,
-    WeightedSumAvx2, MatVecAvx2,         MatTVecAvx2,
+    WeightedSumAvx2, MatVecAvx2,         MatTVecAvx2,   ReluAvx2,
+    ReluBackwardAvx2, RankKUpdateAvx2,
 };
 
 #endif  // GEM_KERNELS_HAVE_AVX2

@@ -54,6 +54,21 @@ struct Ops {
   /// ACCUMULATING into y. y must not alias m or x.
   void (*mattvec)(const double* m, int rows, int cols, const double* x,
                   double* y);
+  /// out[i] = x[i] > 0 ? x[i] : +0.0, so NaN and -0.0 give +0.0. out
+  /// may be x itself; otherwise the two must not overlap.
+  void (*relu)(double* out, const double* x, size_t n);
+  /// ReLU's backward: gx[i] += g[i] where x[i] > 0. Elsewhere (NaN x
+  /// included) gx[i] keeps its bits, -0.0 too. gx must not overlap x;
+  /// it may be g itself.
+  void (*relu_backward)(double* gx, const double* x, const double* g,
+                        size_t n);
+  /// m[r*cols + c] += a[j][r] * b[j][c] for j = 0, 1, ..., k-1 in that
+  /// order — the bits of k successive add_scaled(m + r*cols, b[j],
+  /// a[j][r], cols) sweeps over every row r. a[j] holds rows doubles,
+  /// b[j] cols; neither may alias m.
+  void (*rank_k_update)(double* m, int rows, int cols,
+                        const double* const* a, const double* const* b,
+                        size_t k);
 };
 
 /// The dispatched table (resolved once; see Backend).

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 namespace gem::graph {
 namespace {
@@ -67,7 +68,10 @@ TEST(BipartiteGraphTest, EmptyRecordIsIsolated) {
   const NodeId r = graph.AddRecord(rf::ScanRecord{});
   EXPECT_EQ(graph.degree(r), 0);
   math::Rng rng(1);
-  EXPECT_TRUE(graph.SampleNeighbors(r, 5, rng).empty());
+  // A stale buffer is replaced, not appended to.
+  std::vector<Neighbor> sampled(3);
+  graph.SampleNeighbors(r, 5, rng, sampled);
+  EXPECT_TRUE(sampled.empty());
   EXPECT_EQ(graph.RandomWalk(r, 4, rng).size(), 1u);
 }
 
@@ -85,7 +89,10 @@ TEST(BipartiteGraphTest, SamplingProportionalToWeight) {
   math::Rng rng(5);
   std::map<NodeId, int> counts;
   const int n = 60000;
-  for (const Neighbor& nb : graph.SampleNeighbors(r, n, rng)) {
+  std::vector<Neighbor> sampled;
+  graph.SampleNeighbors(r, n, rng, sampled);
+  ASSERT_EQ(sampled.size(), static_cast<size_t>(n));
+  for (const Neighbor& nb : sampled) {
     counts[nb.node]++;
   }
   const NodeId a = *graph.FindMac("a");
@@ -101,11 +108,14 @@ TEST(BipartiteGraphTest, SamplingWorksAfterGraphGrowth) {
   graph.AddRecord(MakeRecord({{"a", -50.0}}));
   const NodeId a = *graph.FindMac("a");
   math::Rng rng(6);
-  (void)graph.SampleNeighbors(a, 3, rng);  // builds the cache (degree 1)
+  std::vector<Neighbor> sampled;
+  graph.SampleNeighbors(a, 3, rng, sampled);  // builds the cache (degree 1)
   graph.AddRecord(MakeRecord({{"a", -50.0}}));
   // Now degree 2: both record nodes must appear.
   std::map<NodeId, int> counts;
-  for (const Neighbor& nb : graph.SampleNeighbors(a, 2000, rng)) {
+  graph.SampleNeighbors(a, 2000, rng, sampled);
+  ASSERT_EQ(sampled.size(), 2000u);
+  for (const Neighbor& nb : sampled) {
     counts[nb.node]++;
   }
   EXPECT_EQ(counts.size(), 2u);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <utility>
@@ -202,13 +203,21 @@ TEST(FlatTapeOpsTest, PointerLeafMatchesVecLeaf) {
 /// A two-layer BiSAGE-shaped program (DESIGN.md §4) over a 7-node
 /// bipartite graph. Records 0-2 and MACs 4-6 share neighbors, so the
 /// memo hands several parents one child's vars; record 3 is isolated,
-/// so both of its layers aggregate a zero leaf. Built from constant
+/// so both of its layers aggregate a zero leaf. One top-layer MatVec
+/// feeds nothing, so its gradient is all zero. Built from constant
 /// Leafs, Backward prunes every layer-1 W^T g and everything below it;
 /// built from Inputs, it prunes nothing.
 class BiSageShapedProgram {
  public:
   static constexpr int kDim = 6;
   static constexpr int kLayers = 2;
+
+  /// A MatVec node, its Parameter and its input.
+  struct MatVecNode {
+    Parameter* param;
+    VarId node;
+    VarId input;
+  };
 
   BiSageShapedProgram() {
     Rng rng(31);
@@ -234,6 +243,7 @@ class BiSageShapedProgram {
     tape.Clear();
     memo_.clear();
     leaves_.clear();
+    matvecs_.clear();
     tracked_leaves_ = tracked_leaves;
     // (x, y, sign): positive walk pairs, then negatives.
     const int pairs[][3] = {{0, 4, +1}, {1, 5, +1}, {4, 2, +1}, {3, 6, +1},
@@ -243,9 +253,17 @@ class BiSageShapedProgram {
       const NodeVars vy = Node(tape, y, kLayers);
       tape.AddLogSigmoidLoss(tape.Dot(vx.h, vy.l), sign);
       tape.AddLogSigmoidLoss(tape.Dot(vx.l, vy.h), sign);
+      if (x == 1) {
+        // Mid-program, on a shared top-layer parameter: no loss reads
+        // this MatVec, so Backward must skip its all-zero gradient.
+        AddMatVec(tape, w_h_[kLayers - 1].get(), tape.Concat(vx.h, vy.l));
+      }
     }
     return leaves_;
   }
+
+  /// Every MatVec of the last Build, in creation order.
+  const std::vector<MatVecNode>& matvecs() const { return matvecs_; }
 
  private:
   static constexpr int kNodes = 7;
@@ -258,6 +276,12 @@ class BiSageShapedProgram {
   VarId Row(FlatTape& tape, const Vec& v) {
     const VarId id = tracked_leaves_ ? tape.Input(v) : tape.Leaf(v);
     leaves_.push_back(id);
+    return id;
+  }
+
+  VarId AddMatVec(FlatTape& tape, Parameter* param, VarId input) {
+    const VarId id = tape.MatVec(param, input);
+    matvecs_.push_back(MatVecNode{param, id, input});
     return id;
   }
 
@@ -294,10 +318,10 @@ class BiSageShapedProgram {
         h_agg = tape.WeightedSum(neighbor_l, coeffs);
         l_agg = tape.WeightedSum(neighbor_h, coeffs);
       }
-      const VarId h_lin =
-          tape.MatVec(w_h_[layer - 1].get(), tape.Concat(self.h, h_agg));
-      const VarId l_lin =
-          tape.MatVec(w_l_[layer - 1].get(), tape.Concat(self.l, l_agg));
+      const VarId h_lin = AddMatVec(tape, w_h_[layer - 1].get(),
+                                    tape.Concat(self.h, h_agg));
+      const VarId l_lin = AddMatVec(tape, w_l_[layer - 1].get(),
+                                    tape.Concat(self.l, l_agg));
       if (layer == kLayers) {
         vars.h = tape.L2Normalize(h_lin);
         vars.l = tape.L2Normalize(l_lin);
@@ -316,6 +340,7 @@ class BiSageShapedProgram {
   std::vector<std::unique_ptr<Parameter>> w_l_;
   std::map<std::pair<int, int>, NodeVars> memo_;
   std::vector<VarId> leaves_;
+  std::vector<MatVecNode> matvecs_;
   bool tracked_leaves_ = false;
 };
 
@@ -353,6 +378,57 @@ TEST(FlatTapePruningTest, BiSageShapedProgramMatchesUnprunedReference) {
       }
     }
     EXPECT_TRUE(any_input_grad);
+    kernels::ForceBackendForTest(previous);
+  }
+}
+
+// Backward defers each MatVec's dW += g x^T and applies a parameter's
+// terms with one rank-k update. The reference recursion applies them as
+// the sweep reaches each node: one add_scaled per row, the parameter's
+// MatVec nodes in reverse creation order, skipping a node whose
+// gradient is all zero. The sink must hold exactly those bits, on the
+// pruned (constant-leaf) and the full (Input-leaf) backward alike.
+TEST(FlatTapeDeferredOuterTest, DwMatchesRowByRowReferenceRecursion) {
+  std::vector<kernels::Backend> backends = {kernels::Backend::kScalar};
+  if (kernels::Avx2Available()) backends.push_back(kernels::Backend::kAvx2);
+  for (const kernels::Backend backend : backends) {
+    SCOPED_TRACE(kernels::BackendName(backend));
+    const kernels::Backend previous = kernels::ForceBackendForTest(backend);
+    const kernels::Ops& ops = kernels::Active();
+    BiSageShapedProgram program;
+    for (const bool tracked_leaves : {false, true}) {
+      SCOPED_TRACE(tracked_leaves ? "Input leaves" : "constant leaves");
+      FlatTape tape;
+      program.Build(tape, tracked_leaves);
+      ParamGradSink sink;
+      tape.Backward(sink);
+
+      int zero_nodes = 0;
+      for (Parameter* param : program.params()) {
+        const int rows = param->value.rows();
+        const size_t cols = static_cast<size_t>(param->value.cols());
+        Matrix want(rows, param->value.cols());
+        int terms = 0;
+        const auto& matvecs = program.matvecs();
+        for (auto it = matvecs.rbegin(); it != matvecs.rend(); ++it) {
+          if (it->param != param) continue;
+          const double* g = tape.grad(it->node);
+          if (std::all_of(g, g + rows, [](double v) { return v == 0.0; })) {
+            ++zero_nodes;
+            continue;
+          }
+          for (int r = 0; r < rows; ++r) {
+            ops.add_scaled(want.RowPtr(r), tape.value(it->input), g[r], cols);
+          }
+          ++terms;
+        }
+        // Several terms per element, so their order reaches the bits.
+        EXPECT_GE(terms, 3);
+        ExpectBitIdentical(sink.GradFor(param), want);
+      }
+      // The dangling MatVec at least (a ReLU can zero others).
+      EXPECT_GE(zero_nodes, 1);
+    }
     kernels::ForceBackendForTest(previous);
   }
 }

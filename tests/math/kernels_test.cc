@@ -9,9 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "math/rng.h"
@@ -76,6 +78,9 @@ TEST(KernelsTest, EmptyInputsAreWellDefined) {
     double y = 7.0;
     ops.matvec(nullptr, 0, 4, nullptr, &y);  // rows == 0: y untouched
     ops.mattvec(nullptr, 0, 0, nullptr, &y);
+    ops.relu(nullptr, nullptr, 0);
+    ops.relu_backward(nullptr, nullptr, nullptr, 0);
+    ops.rank_k_update(nullptr, 0, 0, nullptr, nullptr, 0);
     EXPECT_EQ(7.0, y);
   }
 }
@@ -275,6 +280,129 @@ TEST(KernelsTest, MatVecRowsAreDotsAndMatTVecIsRowOrderAddScaled) {
     ExpectBlockedKernelsKeepBits(ops, kRows, kCols, m.data() + 1,
                                  x.data() + 1, xt.data() + 1, y.data() + 1,
                                  yt.data() + 1);
+  }
+}
+
+// The rank-k update is k successive add_scaled sweeps over the rows,
+// bit for bit: every element takes the same terms in the same order.
+// Shapes straddle the 2-row and the 16-, 4- and 1-column blocks; m,
+// every a[j] and every b[j] sit one double off alignment.
+TEST(KernelsTest, RankKUpdateIsSuccessiveAddScaledSweeps) {
+  Rng rng(19);
+  for (const Backend backend : {Backend::kScalar, Backend::kAvx2}) {
+    if (backend == Backend::kAvx2 && !Avx2Available()) continue;
+    SCOPED_TRACE(BackendName(backend));
+    const Ops& ops = OpsFor(backend);
+    for (const int rows : {0, 1, 3, 4, 5, 16, 33}) {
+      for (const int cols : {0, 1, 3, 4, 5, 8, 17, 32, 64, 65}) {
+        for (const size_t k : {size_t{0}, size_t{1}, size_t{2}, size_t{7}}) {
+          SCOPED_TRACE(testing::Message()
+                       << rows << "x" << cols << " k=" << k);
+          const size_t size = static_cast<size_t>(rows) * cols;
+          AlignedVec got(size + 1);
+          AlignedVec a_buf(k * rows + 1);
+          AlignedVec b_buf(k * cols + 1);
+          for (AlignedVec* v : {&got, &a_buf, &b_buf}) {
+            for (double& e : *v) e = rng.Uniform(-2.0, 2.0);
+          }
+          ASSERT_NE(reinterpret_cast<uintptr_t>(got.data() + 1) % 32, 0u);
+          std::vector<const double*> a(k);
+          std::vector<const double*> b(k);
+          for (size_t j = 0; j < k; ++j) {
+            a[j] = a_buf.data() + 1 + j * rows;
+            b[j] = b_buf.data() + 1 + j * cols;
+          }
+          AlignedVec want = got;
+          for (size_t j = 0; j < k; ++j) {
+            for (int r = 0; r < rows; ++r) {
+              ops.add_scaled(want.data() + 1 + static_cast<size_t>(r) * cols,
+                             b[j], a[j][r], static_cast<size_t>(cols));
+            }
+          }
+          ops.rank_k_update(got.data() + 1, rows, cols, a.data(), b.data(),
+                            k);
+          for (size_t i = 0; i <= size; ++i) {
+            EXPECT_EQ(got[i], want[i]) << "element " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+// ReLU operands: the values whose handling a branch-free kernel could
+// get wrong (both zeros, NaN, both infinities, subnormals) half the
+// time, random signs otherwise.
+std::vector<double> ReluOperands(Rng& rng, size_t n) {
+  const double specials[] = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      1e-310,
+      -1e-310,
+  };
+  constexpr int kSpecials = sizeof(specials) / sizeof(specials[0]);
+  std::vector<double> v(n);
+  for (double& x : v) {
+    x = rng.UniformInt(2) == 0 ? specials[rng.UniformInt(kSpecials)]
+                               : rng.Uniform(-2.0, 2.0);
+  }
+  return v;
+}
+
+// relu and relu_backward give the bits of the loops they replaced, on
+// both backends, compared as bit patterns (NaN never equals itself,
+// and -0.0 == +0.0 would hide a sign). relu runs out of place and in
+// place; relu_backward accumulates into a separate gx and into g
+// itself.
+TEST(KernelsTest, ReluKernelsKeepTheScalarLoopsBits) {
+  Rng rng(20);
+  for (const Backend backend : {Backend::kScalar, Backend::kAvx2}) {
+    if (backend == Backend::kAvx2 && !Avx2Available()) continue;
+    SCOPED_TRACE(BackendName(backend));
+    const Ops& ops = OpsFor(backend);
+    for (const size_t n : kSizes) {
+      SCOPED_TRACE(n);
+      for (int trial = 0; trial < 8; ++trial) {
+        const std::vector<double> x = ReluOperands(rng, n);
+        const std::vector<double> g = ReluOperands(rng, n);
+        const std::vector<double> gx0 = ReluOperands(rng, n);
+
+        std::vector<double> relu_want(n);
+        std::vector<double> back_want = gx0;
+        std::vector<double> self_want = g;
+        for (size_t i = 0; i < n; ++i) {
+          relu_want[i] = x[i] > 0.0 ? x[i] : 0.0;
+          if (x[i] > 0.0) back_want[i] += g[i];
+          if (x[i] > 0.0) self_want[i] += self_want[i];
+        }
+
+        std::vector<double> out(n, 123.0);
+        ops.relu(out.data(), x.data(), n);
+        std::vector<double> in_place = x;
+        ops.relu(in_place.data(), in_place.data(), n);
+        std::vector<double> gx = gx0;
+        ops.relu_backward(gx.data(), x.data(), g.data(), n);
+        std::vector<double> self = g;
+        ops.relu_backward(self.data(), x.data(), self.data(), n);
+        for (size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(Bits(out[i]), Bits(relu_want[i])) << "relu x=" << x[i];
+          EXPECT_EQ(Bits(in_place[i]), Bits(relu_want[i]))
+              << "in-place relu x=" << x[i];
+          EXPECT_EQ(Bits(gx[i]), Bits(back_want[i]))
+              << "relu_backward x=" << x[i] << " g=" << g[i]
+              << " gx=" << gx0[i];
+          EXPECT_EQ(Bits(self[i]), Bits(self_want[i]))
+              << "relu_backward into g, x=" << x[i] << " g=" << g[i];
+        }
+      }
+    }
   }
 }
 
