@@ -228,7 +228,8 @@ struct alignas(64) BiSage::GradExecutor {
   };
 
   /// Sizes the memo for `graph` and the per-layer buffers.
-  void Reserve(const graph::BipartiteGraph& graph, const BiSageConfig& config) {
+  void SizeFor(const graph::BipartiteGraph& graph,
+               const BiSageConfig& config) {
     memo.resize(static_cast<size_t>(graph.num_nodes()) *
                 (config.num_layers + 1));
     layers.resize(config.num_layers);
@@ -501,7 +502,7 @@ Status BiSage::Train(const graph::BipartiteGraph& graph) {
   // reach the bits: a shard writes only its own sink and the fold
   // order depends on the shard count alone.
   std::vector<GradExecutor> executors(num_executors);
-  for (GradExecutor& executor : executors) executor.Reserve(graph, config_);
+  for (GradExecutor& executor : executors) executor.SizeFor(graph, config_);
   std::vector<GradShard> shards(kWaveShards);
   const size_t full = static_cast<size_t>(config_.batch_pairs);
 

@@ -418,7 +418,7 @@ __attribute__((target("avx2,fma"))) inline void RankKBlockAvx2(
   }
 }
 
-// Rows [r, r + R) of a rank-k update: 16-column blocks, then 4, then
+// Rows [r, r + R) of a rank-k update: 8-column blocks, then 4, then
 // single columns.
 template <int R>
 __attribute__((target("avx2,fma"))) inline void RankKRowsAvx2(
@@ -426,12 +426,18 @@ __attribute__((target("avx2,fma"))) inline void RankKRowsAvx2(
     size_t k, int r) {
   const size_t stride = static_cast<size_t>(cols);
   int c = 0;
-  for (; c + 16 <= cols; c += 16) RankKBlockAvx2<R, 4>(m, stride, a, b, k, r, c);
-  for (; c + 4 <= cols; c += 4) RankKBlockAvx2<R, 1>(m, stride, a, b, k, r, c);
+  for (; c + 8 <= cols; c += 8) {
+    RankKBlockAvx2<R, 2>(m, stride, a, b, k, r, c);
+  }
+  for (; c + 4 <= cols; c += 4) {
+    RankKBlockAvx2<R, 1>(m, stride, a, b, k, r, c);
+  }
   for (; c < cols; ++c) {
     for (int i = 0; i < R; ++i) {
       double sum = m[(r + i) * stride + c];
-      for (size_t j = 0; j < k; ++j) sum = std::fma(a[j][r + i], b[j][c], sum);
+      for (size_t j = 0; j < k; ++j) {
+        sum = std::fma(a[j][r + i], b[j][c], sum);
+      }
       m[(r + i) * stride + c] = sum;
     }
   }
@@ -440,10 +446,10 @@ __attribute__((target("avx2,fma"))) inline void RankKRowsAvx2(
 __attribute__((target("avx2,fma")))
 void RankKUpdateAvx2(double* m, int rows, int cols, const double* const* a,
                      const double* const* b, size_t k) {
-  // Two rows per block: 8 accumulators plus 4 loads of b[j] fit the 16
-  // registers, and each b[j] load feeds two fmas.
+  // 4 x 8 blocks: 8 accumulators, and per term two loads of b[j] and
+  // four broadcasts of a[j] feed eight fmas.
   int r = 0;
-  for (; r + 2 <= rows; r += 2) RankKRowsAvx2<2>(m, cols, a, b, k, r);
+  for (; r + 4 <= rows; r += 4) RankKRowsAvx2<4>(m, cols, a, b, k, r);
   for (; r < rows; ++r) RankKRowsAvx2<1>(m, cols, a, b, k, r);
 }
 
