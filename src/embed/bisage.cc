@@ -214,7 +214,7 @@ void BiSage::EnsureCapacity(const graph::BipartiteGraph& graph) {
 struct alignas(64) BiSage::GradExecutor {
   /// One (node, layer)'s vars, live while stamp is the executor's.
   struct MemoEntry {
-    uint32_t stamp = 0;
+    uint64_t stamp = 0;
     NodeVars vars;
   };
   /// One layer's neighbor sample, its coefficients and its children's
@@ -240,10 +240,7 @@ struct alignas(64) BiSage::GradExecutor {
   void StartShard() {
     tape.Clear();
     zero_leaf = -1;
-    if (++stamp == 0) {  // wrapped: entries may hold any older stamp
-      std::fill(memo.begin(), memo.end(), MemoEntry{});
-      stamp = 1;
-    }
+    ++stamp;
   }
 
   /// The shard's one constant zero vector, built on first use.
@@ -255,7 +252,7 @@ struct alignas(64) BiSage::GradExecutor {
   math::FlatTape tape;
   /// Indexed by MemoKey.
   std::vector<MemoEntry> memo;
-  uint32_t stamp = 0;
+  uint64_t stamp = 0;
   /// Index layer - 1.
   std::vector<LayerBuffers> layers;
   math::Vec zeros;

@@ -238,8 +238,8 @@ class BiSage {
   /// The gradient stage's reusable state, allocated once per Train()
   /// and reused across every wave of every epoch so the steady-state
   /// stage is allocation-free. An executor (the calling thread or a
-  /// pool task) owns a tape and a memo; a shard owns its private sink
-  /// and loss. Defined in bisage.cc.
+  /// pool task) owns a tape, a memo and per-layer sample buffers; a
+  /// shard owns its private sink and loss. Defined in bisage.cc.
   struct GradExecutor;
   struct GradShard;
 

@@ -89,30 +89,10 @@ void ReluBackwardScalar(double* gx, const double* x, const double* g,
 
 void RankKUpdateScalar(double* m, int rows, int cols, const double* const* a,
                        const double* const* b, size_t k) {
-  // A block of a row stays in registers across all k terms; each term is
-  // AddScaledScalar's separately rounded multiply and add.
-  constexpr int kBlock = 8;
-  for (int r = 0; r < rows; ++r) {
-    double* row = m + static_cast<size_t>(r) * cols;
-    int c = 0;
-    for (; c + kBlock <= cols; c += kBlock) {
-      // Unrolled so the block lives in registers, not on the stack.
-      double sum[kBlock];
-#pragma GCC unroll 8
-      for (int i = 0; i < kBlock; ++i) sum[i] = row[c + i];
-      for (size_t j = 0; j < k; ++j) {
-        const double scale = a[j][r];
-        const double* bj = b[j] + c;
-#pragma GCC unroll 8
-        for (int i = 0; i < kBlock; ++i) sum[i] += scale * bj[i];
-      }
-#pragma GCC unroll 8
-      for (int i = 0; i < kBlock; ++i) row[c + i] = sum[i];
-    }
-    for (; c < cols; ++c) {
-      double sum = row[c];
-      for (size_t j = 0; j < k; ++j) sum += a[j][r] * b[j][c];
-      row[c] = sum;
+  for (size_t j = 0; j < k; ++j) {
+    for (int r = 0; r < rows; ++r) {
+      AddScaledScalar(m + static_cast<size_t>(r) * cols, b[j], a[j][r],
+                      static_cast<size_t>(cols));
     }
   }
 }
