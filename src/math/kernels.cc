@@ -89,10 +89,31 @@ void ReluBackwardScalar(double* gx, const double* x, const double* g,
 
 void RankKUpdateScalar(double* m, int rows, int cols, const double* const* a,
                        const double* const* b, size_t k) {
-  for (size_t j = 0; j < k; ++j) {
-    for (int r = 0; r < rows; ++r) {
-      AddScaledScalar(m + static_cast<size_t>(r) * cols, b[j], a[j][r],
-                      static_cast<size_t>(cols));
+  // An 8-column block of a row stays in registers across all k terms
+  // (unrolled, or GCC keeps it on the stack); each term is
+  // AddScaledScalar's separately rounded multiply and add. Plain
+  // add_scaled sweeps after the backward pass, when g and x have left
+  // the cache, trained ~4% slower than the parent's in-sweep updates.
+  constexpr int kBlock = 8;
+  for (int r = 0; r < rows; ++r) {
+    double* row = m + static_cast<size_t>(r) * cols;
+    int c = 0;
+    for (; c + kBlock <= cols; c += kBlock) {
+      double sum[kBlock];
+#pragma GCC unroll 8
+      for (int i = 0; i < kBlock; ++i) sum[i] = row[c + i];
+      for (size_t j = 0; j < k; ++j) {
+        const double scale = a[j][r];
+#pragma GCC unroll 8
+        for (int i = 0; i < kBlock; ++i) sum[i] += scale * b[j][c + i];
+      }
+#pragma GCC unroll 8
+      for (int i = 0; i < kBlock; ++i) row[c + i] = sum[i];
+    }
+    for (; c < cols; ++c) {
+      double sum = row[c];
+      for (size_t j = 0; j < k; ++j) sum += a[j][r] * b[j][c];
+      row[c] = sum;
     }
   }
 }
