@@ -92,8 +92,9 @@ void RankKUpdateScalar(double* m, int rows, int cols, const double* const* a,
   // An 8-column block of a row stays in registers across all k terms
   // (unrolled, or GCC keeps it on the stack); each term is
   // AddScaledScalar's separately rounded multiply and add. Plain
-  // add_scaled sweeps after the backward pass, when g and x have left
-  // the cache, trained ~4% slower than the parent's in-sweep updates.
+  // add_scaled sweeps, run after FlatTape's backward pass when g and x
+  // have left the cache, train ~4% slower than updating dW row by row
+  // during the pass.
   constexpr int kBlock = 8;
   for (int r = 0; r < rows; ++r) {
     double* row = m + static_cast<size_t>(r) * cols;
