@@ -8,7 +8,10 @@
 // and (b) rank inside/outside at least as well as the frozen model,
 // i.e. label-free Update tracks the drift instead of fighting it. A
 // second case repeats the direction check over twelve BiSAGE seeds.
-// Regenerate fixtures after an intentional numerics change:
+// A third case pins the drift model's v2 snapshot (each section's
+// length and CRC-32, drift_snapshot.<backend>.golden): the score
+// streams are histogram lookups and cannot see a training change of a
+// few ULPs. Regenerate fixtures after an intentional numerics change:
 //
 //   GEM_REGEN_GOLDEN=1 GEM_KERNELS=scalar ./drift_golden_test
 //   GEM_REGEN_GOLDEN=1 GEM_KERNELS=avx2   ./drift_golden_test
@@ -28,6 +31,7 @@
 #include "math/metrics.h"
 #include "rf/dataset.h"
 #include "rf/record_io.h"
+#include "tests/common/golden.h"
 
 #ifndef GEM_TEST_DATA_DIR
 #error "drift_golden_test needs GEM_TEST_DATA_DIR (set in CMakeLists)"
@@ -177,6 +181,23 @@ TEST(DriftGoldenTest, SelfEnhancementTracksSecularDrift) {
         << "if the numerics change is intentional, regenerate with "
         << "GEM_REGEN_GOLDEN=1 and commit";
   }
+}
+
+// The drift model's trained bits: the v2 snapshot of the updating
+// pass's model straight after Train, before the soak stream moves its
+// detector.
+TEST(DriftGoldenTest, DriftSnapshotBytesMatchCommittedGolden) {
+  const auto train = rf::LoadRecordsCsv(GoldenDir() + "/drift_train.csv");
+  ASSERT_TRUE(train.ok()) << train.status().ToString();
+  Gem gem(DriftConfig(/*online_update=*/true));
+  ASSERT_TRUE(gem.Train(train.value()).ok());
+  std::vector<std::string> lines;
+  testing::SnapshotLines(gem, "drift_golden_snapshot.gem", lines);
+  testing::CheckGolden(
+      GoldenDir() + "/drift_snapshot." +
+          math::kernels::BackendName(math::kernels::ActiveBackend()) +
+          ".golden",
+      lines);
 }
 
 // The direction check above rests on one seed. Over BiSAGE seeds 1-12

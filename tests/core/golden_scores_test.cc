@@ -19,10 +19,10 @@
 // baselines.<backend>.golden pins the GraphSAGE and autoencoder
 // baselines (embeddings and final losses) the same way,
 // ablation.<backend>.golden the scores under uniform sampling, and
-// snapshot.<backend>.golden the v2 snapshot of the golden model.
+// snapshot.<backend>.golden and ablation_snapshot.<backend>.golden the
+// v2 snapshots of those two models.
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -34,8 +34,7 @@
 #include "math/kernels.h"
 #include "rf/dataset.h"
 #include "rf/record_io.h"
-#include "store/format.h"
-#include "store/snapshot_v2.h"
+#include "tests/common/golden.h"
 
 #ifndef GEM_TEST_DATA_DIR
 #error "golden_scores_test needs GEM_TEST_DATA_DIR (set in CMakeLists)"
@@ -55,38 +54,8 @@ std::string GoldenPath(const std::string& stem) {
          ".golden";
 }
 
-bool Regen() { return std::getenv("GEM_REGEN_GOLDEN") != nullptr; }
-
-/// Under GEM_REGEN_GOLDEN rewrites `golden_path` with `actual` and
-/// skips; otherwise compares `actual` line by line against it.
-void CheckGolden(const std::string& golden_path,
-                 const std::vector<std::string>& actual) {
-  if (Regen()) {
-    std::ofstream out(golden_path, std::ios::trunc);
-    ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
-    for (const std::string& line : actual) out << line << '\n';
-    ASSERT_TRUE(out.good());
-    GTEST_SKIP() << "regenerated " << golden_path << " ("
-                 << actual.size() << " lines) — commit the new fixtures";
-  }
-
-  std::ifstream in(golden_path);
-  ASSERT_TRUE(in.good())
-      << golden_path << " missing — run with GEM_REGEN_GOLDEN=1";
-  std::vector<std::string> expected;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty()) expected.push_back(line);
-  }
-
-  ASSERT_EQ(actual.size(), expected.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(actual[i], expected[i])
-        << "line " << i << " of " << golden_path << " drifted; "
-        << "if the numerics change is intentional, regenerate with "
-        << "GEM_REGEN_GOLDEN=1 and commit";
-  }
-}
+using testing::CheckGolden;
+using testing::RegenGolden;
 
 /// Bit-identical across machines and — by the training schedule's
 /// contract (DESIGN.md §8) — across thread counts, so the golden file
@@ -143,7 +112,7 @@ TEST(GoldenScoresTest, InferResultsMatchCommittedGolden) {
   const std::string test_path = GoldenDir() + "/test.csv";
   const std::string golden_path = GoldenPath("scores");
 
-  if (Regen()) {
+  if (RegenGolden()) {
     // The scenario itself is pinned by seed; rewriting the CSVs keeps
     // the fixtures reproducible from this file alone.
     rf::DatasetOptions options;
@@ -271,25 +240,24 @@ TEST(GoldenScoresTest, SnapshotBytesMatchCommittedGolden) {
   ASSERT_TRUE(train.ok()) << train.status().ToString();
   Gem gem(GoldenConfig());
   ASSERT_TRUE(gem.Train(train.value()).ok());
-  const std::string path =
-      std::string(::testing::TempDir()) + "/golden_scores_snapshot.gem";
-  ASSERT_TRUE(store::SaveSnapshotV2(path, gem).ok());
-  const StatusOr<store::SnapshotInfo> info = store::InspectSnapshot(path);
-  ASSERT_TRUE(info.ok()) << info.status().ToString();
-  ASSERT_TRUE(info->layout_ok) << info->layout_error;
-
-  std::vector<std::string> lines = {"file " +
-                                    std::to_string(info->file_size)};
-  char buf[96];
-  for (const store::SectionInfo& section : info->sections) {
-    ASSERT_TRUE(section.crc_ok) << section.name;
-    std::snprintf(buf, sizeof(buf), "%s %llu %08x", section.name.c_str(),
-                  static_cast<unsigned long long>(section.length),
-                  section.stored_crc);
-    lines.push_back(buf);
-  }
-  std::remove(path.c_str());
+  std::vector<std::string> lines;
+  testing::SnapshotLines(gem, "golden_scores_snapshot.gem", lines);
   CheckGolden(GoldenPath("snapshot"), lines);
+}
+
+// The same for the ablation's model (uniform sampling). HBOS scores
+// are histogram lookups, so ablation.<backend>.golden cannot see a
+// training change of a few ULPs; the trained weights' CRCs can.
+TEST(GoldenScoresTest, AblationSnapshotBytesMatchCommittedGolden) {
+  const auto train = rf::LoadRecordsCsv(GoldenDir() + "/train.csv");
+  ASSERT_TRUE(train.ok()) << train.status().ToString();
+  GemConfig config = GoldenConfig();
+  config.bisage.use_edge_weights = false;
+  Gem gem(config);
+  ASSERT_TRUE(gem.Train(train.value()).ok());
+  std::vector<std::string> lines;
+  testing::SnapshotLines(gem, "golden_ablation_snapshot.gem", lines);
+  CheckGolden(GoldenPath("ablation_snapshot"), lines);
 }
 
 }  // namespace
