@@ -17,6 +17,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/gem.h"
@@ -166,6 +167,65 @@ void ExpectBitIdenticalStreams(const core::Gem& original,
   // The streams only stay in lockstep if graph, embedder, detector AND
   // RNG state all round-tripped exactly — prove mutation ran.
   EXPECT_GT(absorbed, 0);
+}
+
+/// The byte-at-a-time table CRC-32 (reflected 0xEDB88320) that
+/// Crc32's slicing-by-8 must reproduce, value for value.
+uint32_t BytewiseCrc32(std::string_view bytes, uint32_t crc = 0) {
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  crc ^= 0xFFFFFFFFu;
+  for (const char ch : bytes) {
+    crc = table[(crc ^ static_cast<uint8_t>(ch)) & 0xFF] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, CheckValue) {
+  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(Crc32(""), 0u);
+}
+
+// Every length 0-4096 at every start offset mod 8, so each tail length
+// and each alignment of the eight-byte steps meets the byte-wise loop.
+TEST(Crc32Test, MatchesBytewiseLoopAtEveryLengthAndOffset) {
+  constexpr size_t kMaxLength = 4096;
+  std::string buffer(kMaxLength + 8, '\0');
+  uint64_t state = 0x9E3779B97F4A7C15ULL;
+  for (char& ch : buffer) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    ch = static_cast<char>(state >> 56);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= kMaxLength; ++length) {
+      const std::string_view bytes(buffer.data() + offset, length);
+      ASSERT_EQ(Crc32(bytes), BytewiseCrc32(bytes))
+          << "offset " << offset << ", length " << length;
+    }
+  }
+}
+
+// Chained calls over any split equal one call over the whole span.
+TEST(Crc32Test, SplitCallsMatchOneCall) {
+  std::string bytes(1000, '\0');
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<char>((i * 131 + 7) & 0xFF);
+  }
+  const uint32_t whole = Crc32(bytes);
+  ASSERT_EQ(whole, BytewiseCrc32(bytes));
+  const std::string_view view(bytes);
+  for (size_t split = 0; split <= bytes.size(); ++split) {
+    const uint32_t head = Crc32(view.substr(0, split));
+    ASSERT_EQ(Crc32(view.substr(split), head), whole) << "split " << split;
+  }
+  // Three pieces, with odd lengths on both sides of an eight-byte step.
+  EXPECT_EQ(Crc32(view.substr(11), Crc32(view.substr(3, 8),
+                                          Crc32(view.substr(0, 3)))),
+            whole);
 }
 
 // Across several randomized homes, save -> load yields a model whose
