@@ -37,6 +37,12 @@ struct ThreadPoolOptions {
 ///    call tracks its own completion latch).
 ///  - A chunk body must not call ParallelFor on the SAME pool (a
 ///    worker blocking on its own pool's latch can deadlock the queue).
+///  - A chunk may wait on its sibling chunks (e.g. at a barrier they
+///    all reach) only when num_chunks <= num_threads and nothing else
+///    runs on the pool: then every chunk has a thread of its own. A
+///    chunk queued behind other work, or run inline after its
+///    siblings, would deadlock them. BiSAGE training's per-epoch
+///    region relies on this on the model's private pool.
 ///  - Destruction (or Shutdown) drains already-queued chunks, then
 ///    joins the workers; a ParallelFor after Shutdown runs inline.
 class ThreadPool {
@@ -71,8 +77,8 @@ class ThreadPool {
 
   /// As above with an explicit chunk count (clamped to [1, n]); used
   /// when the work wants other than one chunk per thread (BiSAGE
-  /// training hands its four walk chunks and four shards per wave to
-  /// at most four executors, one chunk each).
+  /// training hands its four walk chunks, and each epoch's waves, to at
+  /// most four executors, one chunk each).
   ///
   /// Chunks 1..num_chunks-1 enter the queue under one lock acquisition
   /// with one wake-up. When the timeline profiler is enabled

@@ -1,11 +1,14 @@
 #include "embed/bisage.h"
 
 #include <algorithm>
+#include <barrier>
 #include <chrono>
 #include <cmath>
+#include <span>
 
 #include "base/check.h"
 #include "base/logging.h"
+#include "fault/failpoint.h"
 #include "math/vec.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -425,9 +428,12 @@ Status BiSage::Train(const graph::BipartiteGraph& graph) {
   }
 
   // Both stages split their work into kWaveShards items (walk chunks,
-  // gradient shards) and hand each EXECUTOR (the calling thread or a
-  // pool task) a contiguous run of items: at 4 threads one item each,
-  // at 1 thread all of them. An item's bits depend only on its index.
+  // a wave's gradient shards) and hand each EXECUTOR (the calling
+  // thread or a pool task) a contiguous run of items: at 4 threads one
+  // item each, at 1 thread all of them. An item's bits depend only on
+  // its index. There are never more executors than pool threads, and
+  // nothing else runs on the model's private pool during Train, so the
+  // executors of an epoch may wait on each other (the pool contract).
   const int num_executors = std::min(pool.num_threads(), kWaveShards);
 
   // Generate the training pairs from weighted random walks: every
@@ -490,20 +496,32 @@ Status BiSage::Train(const graph::BipartiteGraph& graph) {
   pair_count.Increment(pairs.size());
 
   // Gradient stage. A WAVE is up to kWaveShards SHARDS of batch_pairs
-  // pairs each: shard s covers pairs [wave_start + s*batch_pairs, ...)
-  // and draws its neighborhood samples and negatives from stream
-  // group_stream + s. Each executor builds its shards on its own tape,
-  // each into the shard's private sink. The sinks then fold tree-wise
-  // (the shape fixed by the shard count), and the wave takes ONE Adam
-  // step on the root sink. Which executor ran which shard cannot
-  // reach the bits: a shard writes only its own sink and the fold
-  // order depends on the shard count alone.
+  // pairs each: shard s of wave w is the epoch's shard k = w *
+  // kWaveShards + s, covers pairs [k*batch_pairs, ...) and draws its
+  // neighborhood samples and negatives from stream epoch_stream + k.
+  // Each epoch is one parallel region: every executor loops over the
+  // waves. It builds its run of the wave's shards on its own tape, each
+  // into the shard's private sink, then waits at a barrier. Then it
+  // takes its part of the wave's ONE Adam step, which folds the sinks
+  // tree-wise (the shape fixed by the shard count), and waits again
+  // before the next wave reads the weights. An executor stays on one
+  // thread for the whole epoch, so its tape and memo stay in one core's
+  // cache. Which executor ran which shard or which part cannot reach
+  // the bits: a shard writes only its own sink, and the fold order
+  // depends on the shard count alone.
   std::vector<GradExecutor> executors(num_executors);
   for (GradExecutor& executor : executors) executor.SizeFor(graph, config_);
   std::vector<GradShard> shards(kWaveShards);
+  std::vector<const math::ParamGradSink*> sinks;
+  for (const GradShard& shard : shards) sinks.push_back(&shard.sink);
   const size_t full = static_cast<size_t>(config_.batch_pairs);
+  const long epoch_shards =
+      static_cast<long>((pairs.size() + full - 1) / full);
+  const long num_waves = (epoch_shards + kWaveShards - 1) / kWaveShards;
+  const auto wave_shards = [&](long wave) {
+    return std::min<long>(kWaveShards, epoch_shards - wave * kWaveShards);
+  };
 
-  uint64_t group_stream = 0;
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
     const auto epoch_start = std::chrono::steady_clock::now();
     {
@@ -512,39 +530,52 @@ Status BiSage::Train(const graph::BipartiteGraph& graph) {
           config_.seed ^ kShuffleStreamSalt, static_cast<uint64_t>(epoch)));
       shuffle_rng.Shuffle(pairs);
     }
+    const uint64_t epoch_stream =
+        static_cast<uint64_t>(epoch) * static_cast<uint64_t>(epoch_shards);
     double epoch_loss = 0.0;
     long loss_terms = 0;
-
-    size_t wave_start = 0;
-    while (wave_start < pairs.size()) {
-      const size_t remaining = pairs.size() - wave_start;
-      const long num_shards = std::min<long>(
-          kWaveShards, static_cast<long>((remaining + full - 1) / full));
-      pool.ParallelForChunked(
-          num_shards, num_executors, [&](int executor, long first, long last) {
+    // The last executor to finish a wave's shards runs the completion
+    // before any executor leaves shards_done: it folds the shard losses
+    // in the sinks' tree order and starts the wave's Adam step.
+    long completed_waves = 0;
+    std::barrier shards_done(num_executors, [&]() noexcept {
+      const long num_shards = wave_shards(completed_waves++);
+      for (long stride = 1; stride < num_shards; stride *= 2) {
+        for (long i = 0; i + stride < num_shards; i += 2 * stride) {
+          shards[i].loss += shards[i + stride].loss;
+          shards[i].terms += shards[i + stride].terms;
+        }
+      }
+      epoch_loss += shards[0].loss;
+      loss_terms += shards[0].terms;
+      adam_->StartStep();
+    });
+    std::barrier step_done(num_executors);
+    pool.ParallelForChunked(
+        num_executors, num_executors, [&](int executor, long, long) {
+          for (long wave = 0; wave < num_waves; ++wave) {
+            GEM_FAILPOINT_EVAL("embed.bisage.wave");
+            const long num_shards = wave_shards(wave);
+            const auto [first, last] =
+                StaticChunkRange(num_shards, num_executors, executor);
             for (long s = first; s < last; ++s) {
-              const size_t begin = wave_start + static_cast<size_t>(s) * full;
+              const long shard = wave * kWaveShards + s;
+              const size_t begin = static_cast<size_t>(shard) * full;
               RunGradShard(executors[executor], shards[s], graph, pairs,
                            begin, std::min(begin + full, pairs.size()),
-                           group_stream + static_cast<uint64_t>(s));
+                           epoch_stream + static_cast<uint64_t>(shard));
             }
-          });
-      {
-        GEM_TRACE_SPAN("bisage.reduce");
-        for (long stride = 1; stride < num_shards; stride *= 2) {
-          for (long i = 0; i + stride < num_shards; i += 2 * stride) {
-            shards[i].sink.MergeFrom(shards[i + stride].sink);
-            shards[i].loss += shards[i + stride].loss;
-            shards[i].terms += shards[i + stride].terms;
+            shards_done.arrive_and_wait();
+            {
+              GEM_TRACE_SPAN("bisage.reduce");
+              adam_->StepPart(
+                  std::span(sinks.data(), static_cast<size_t>(num_shards)),
+                  executor, num_executors);
+            }
+            // The next wave's shards read the weights.
+            step_done.arrive_and_wait();
           }
-        }
-        epoch_loss += shards[0].loss;
-        loss_terms += shards[0].terms;
-        adam_->Step(shards[0].sink);
-      }
-      group_stream += static_cast<uint64_t>(num_shards);
-      wave_start += std::min(remaining, static_cast<size_t>(num_shards) * full);
-    }
+        });
     last_epoch_loss_ = epoch_loss / static_cast<double>(loss_terms);
     loss_gauge.Set(last_epoch_loss_);
     epoch_seconds.Observe(std::chrono::duration<double>(

@@ -23,6 +23,7 @@
 ///
 /// Point naming scheme: `<layer>.<component>.<operation>`, e.g.
 /// `store.mmap.open`, `serve.engine.admit`, `base.thread_pool.task`,
+/// `embed.bisage.wave` (every training executor, once per wave),
 /// `rf.record_io.row` (see DESIGN.md §9 for the full inventory).
 ///
 /// Policy grammar (Configure):

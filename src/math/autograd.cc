@@ -34,12 +34,6 @@ const Matrix* ParamGradSink::Find(const Parameter* param) const {
   return nullptr;
 }
 
-void ParamGradSink::MergeFrom(const ParamGradSink& other) {
-  for (const Entry& entry : other.grads_) {
-    if (entry.touched) GradFor(entry.param).AddScaled(entry.grad, 1.0);
-  }
-}
-
 void ParamGradSink::ZeroAll() {
   for (Entry& entry : grads_) {
     if (entry.touched) entry.grad.Fill(0.0);

@@ -31,13 +31,13 @@ class Parameter {
 using VarId = int;
 
 /// Gradient accumulator for Parameters, the one place parameter
-/// gradients live: FlatTape::Backward adds into a sink and Adam::Step
-/// reads one. Each thread runs Backward on its own tape + sink with no
-/// write to shared state; BiSAGE folds its shard sinks with MergeFrom
-/// in an order fixed by the shard count (floating-point addition is
-/// not associative, so the fold order is what makes the parallel loss
-/// gradient deterministic). A buffer starts at +0.0 and only
-/// accumulates, so it never holds -0.0.
+/// gradients live: FlatTape::Backward adds into a sink and Adam reads
+/// one, or folds BiSAGE's per-shard sinks in an order fixed by their
+/// count (floating-point addition is not associative, so the fold order
+/// is what makes the parallel loss gradient deterministic). Each thread
+/// runs Backward on its own tape + sink with no write to shared state.
+/// A buffer starts at +0.0 and only accumulates, so it never holds
+/// -0.0.
 class ParamGradSink {
  public:
   /// This sink's buffer for param, zero-initialized to param's shape on
@@ -47,11 +47,6 @@ class ParamGradSink {
   /// The buffer for param when it was touched since the last ZeroAll(),
   /// else null: an untouched entry reads as a zero gradient.
   const Matrix* Find(const Parameter* param) const;
-
-  /// Folds another sink's touched gradients into this one (used for
-  /// the tree-wise reduction of per-shard sinks). Buffer layout of
-  /// `other` is unchanged.
-  void MergeFrom(const ParamGradSink& other);
 
   /// Zeroes every buffer in place, keeping the allocations, so a sink
   /// can be reused across shards/batches without re-allocating.

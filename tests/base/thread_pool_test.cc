@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -163,6 +164,35 @@ TEST(ThreadPoolTest, ParallelForAfterShutdownRunsInline) {
     order.push_back(chunk);
   });
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+// The pool contract's sibling-wait case, which BiSAGE training's
+// per-epoch region relies on: with num_chunks <= num_threads and
+// nothing else on the pool, every chunk has a thread of its own, so the
+// chunks may meet at a barrier round after round. Each writes its
+// plain-int slot before it arrives, and after the wait every slot holds
+// the round; a second barrier keeps a fast chunk from writing the next
+// round before every chunk has checked this one. Nothing sleeps, and
+// under TSan a missing happens-before on the slots is a reported race.
+TEST(ThreadPoolTest, ChunksWithAThreadEachMayWaitOnEachOther) {
+  constexpr int kChunks = 4;
+  constexpr int kRounds = 200;
+  ThreadPool pool(kChunks);
+  std::barrier written(kChunks);
+  std::barrier checked(kChunks);
+  std::vector<int> slot(kChunks, -1);
+  std::atomic<int> mismatches{0};
+  pool.ParallelForChunked(kChunks, kChunks, [&](int chunk, long, long) {
+    for (int round = 0; round < kRounds; ++round) {
+      slot[chunk] = round;
+      written.arrive_and_wait();
+      for (const int value : slot) {
+        if (value != round) mismatches.fetch_add(1);
+      }
+      checked.arrive_and_wait();
+    }
+  });
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Mid-epoch failpoint injection against the training schedule: a slow
-// or preempted pool worker (base.thread_pool.task latency) must neither
-// fail training nor move the trained bits off a 1-thread run's — the
-// per-wave latch has to absorb arbitrary per-task delays, and the
-// order in which executors finish must not matter. Only built with
+// or preempted executor (embed.bisage.wave latency, evaluated by every
+// executor at the start of every wave) must neither fail training nor
+// move the trained bits off a 1-thread run's. The wave barriers have
+// to absorb arbitrary per-executor delays, and the order in which
+// executors reach them must not matter. Only built with
 // -DGEM_ENABLE_FAILPOINTS=ON (see tests/CMakeLists.txt).
 #include <gtest/gtest.h>
 
@@ -51,14 +52,14 @@ class PipelineChaosTest : public ::testing::Test {
 TEST_F(PipelineChaosTest, SlowWorkersDoNotFailTraining) {
   const auto data = MakeTwoClusters(8, 41);
   const auto graph = BuildGraph(data.records);
-  ASSERT_TRUE(fault::Configure("base.thread_pool.task=every=7/delay=2/ok").ok());
+  ASSERT_TRUE(fault::Configure("embed.bisage.wave=every=7/delay=2/ok").ok());
 
   BiSageConfig config = FastConfig();
   config.num_threads = 4;
   BiSage model(config);
   ASSERT_TRUE(model.Train(graph).ok());
   EXPECT_TRUE(model.trained());
-  EXPECT_GT(fault::HitCount("base.thread_pool.task"), 0u);
+  EXPECT_GT(fault::HitCount("embed.bisage.wave"), 0u);
 }
 
 TEST_F(PipelineChaosTest, InjectedLatencyKeepsSingleThreadBits) {
@@ -71,10 +72,10 @@ TEST_F(PipelineChaosTest, InjectedLatencyKeepsSingleThreadBits) {
   ASSERT_TRUE(clean.Train(graph).ok());
   const auto reference = clean.ExportTrained();
 
-  // Every third pool dispatch stalls 2 ms mid-epoch, so the stalled
+  // Every third executor-wave stalls 2 ms mid-epoch, so the stalled
   // executors finish their shards last. The 4-thread weights must
   // still be the 1-thread weights, bit for bit.
-  ASSERT_TRUE(fault::Configure("base.thread_pool.task=every=3/delay=2/ok").ok());
+  ASSERT_TRUE(fault::Configure("embed.bisage.wave=every=3/delay=2/ok").ok());
   config.num_threads = 4;
   BiSage chaotic(config);
   ASSERT_TRUE(chaotic.Train(graph).ok());

@@ -296,25 +296,5 @@ TEST(ParamGradSinkTest, ZeroAllKeepsBuffersAndUntouchedEntriesReadNull) {
   EXPECT_EQ(sink.Find(&p), &buffer);
 }
 
-TEST(ParamGradSinkTest, MergeFromFoldsTouchedEntries) {
-  Parameter p(1, 2);
-  Parameter q(1, 2);
-  ParamGradSink a;
-  ParamGradSink b;
-  a.GradFor(&p).At(0, 0) = 1.0;
-  b.GradFor(&p).At(0, 0) = 2.0;
-  b.GradFor(&q).At(0, 1) = 7.0;
-  a.MergeFrom(b);
-  EXPECT_DOUBLE_EQ(a.GradFor(&p).At(0, 0), 3.0);
-  EXPECT_DOUBLE_EQ(a.GradFor(&q).At(0, 1), 7.0);
-
-  // Zeroed source: merge adds nothing, and untouched source entries
-  // are skipped entirely.
-  b.ZeroAll();
-  a.MergeFrom(b);
-  EXPECT_DOUBLE_EQ(a.GradFor(&p).At(0, 0), 3.0);
-  EXPECT_DOUBLE_EQ(a.GradFor(&q).At(0, 1), 7.0);
-}
-
 }  // namespace
 }  // namespace gem::math

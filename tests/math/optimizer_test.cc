@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <memory>
+#include <vector>
+
 #include "math/autograd.h"
 #include "math/flat_tape.h"
+#include "math/kernels.h"
 #include "math/rng.h"
 
 namespace gem::math {
@@ -59,6 +64,127 @@ TEST(AdamTest, UntouchedSinkEntryIsAZeroGradient) {
   adam_b.Step(ParamGradSink());
   EXPECT_EQ(a.value.At(0, 0), b.value.At(0, 0));
   EXPECT_EQ(a.value.At(0, 1), b.value.At(0, 1));
+}
+
+/// Adam's state for one parameter, advanced by the reference update.
+struct ReferenceSlot {
+  std::vector<double> value;
+  std::vector<double> m;
+  std::vector<double> v;
+};
+
+/// The reference step: every element's gradient is the stride-doubling
+/// fold of plain adds over the sinks ((s0 + s1) + (s2 + s3)), an
+/// untouched entry reading +0.0, followed by the Adam update of
+/// step t.
+void ReferenceStep(const Parameter& param, const std::vector<ParamGradSink>& sinks,
+                   long t, double learning_rate, ReferenceSlot& slot) {
+  const double bc1 = 1.0 - std::pow(0.9, t);
+  const double bc2 = 1.0 - std::pow(0.999, t);
+  const size_t k = sinks.size();
+  for (size_t i = 0; i < slot.value.size(); ++i) {
+    double node[Adam::kMaxSinks];
+    for (size_t s = 0; s < k; ++s) {
+      const Matrix* g = sinks[s].Find(&param);
+      node[s] = g != nullptr ? g->ptr()[i] : 0.0;
+    }
+    for (size_t stride = 1; stride < k; stride *= 2) {
+      for (size_t j = 0; j + stride < k; j += 2 * stride) {
+        node[j] = node[j] + node[j + stride];
+      }
+    }
+    const double g = node[0];
+    slot.m[i] = 0.9 * slot.m[i] + (1.0 - 0.9) * g;
+    slot.v[i] = 0.999 * slot.v[i] + (1.0 - 0.999) * g * g;
+    const double mhat = slot.m[i] / bc1;
+    const double vhat = slot.v[i] / bc2;
+    slot.value[i] -= learning_rate * mhat / (std::sqrt(vhat) + 1e-8);
+  }
+}
+
+void ExpectSameBits(const std::vector<double>& expected, const Matrix& actual,
+                    const char* what) {
+  ASSERT_EQ(expected.size(), actual.size()) << what;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(expected[i], actual.ptr()[i]) << what << " element " << i;
+  }
+}
+
+/// Fills `grad` with values spanning six decades, so adding the same
+/// operands in another order changes the bits.
+void FillSpread(Matrix& grad, Rng& rng) {
+  for (int r = 0; r < grad.rows(); ++r) {
+    for (int c = 0; c < grad.cols(); ++c) {
+      grad.At(r, c) = rng.Normal(0.0, 1.0) * std::pow(10.0, rng.Uniform(-3, 3));
+    }
+  }
+}
+
+// StepPart over 1-4 sinks, split into 1-4 parts (3 does not divide the
+// 2048 elements of a BiSAGE-sized weight matrix), over several steps,
+// equals the reference fold and update bit for bit: weights, m and v,
+// under both kernel backends. Sink 1 is untouched (ZeroAll after
+// use), and the last of three or four sinks holds no entry for the
+// small parameter. The parts run in reverse order, so no part reads
+// what another wrote.
+TEST(AdamTest, StepPartFoldsSinksInTreeOrderAtEveryPartCount) {
+  std::vector<kernels::Backend> backends = {kernels::Backend::kScalar};
+  if (kernels::Avx2Available()) backends.push_back(kernels::Backend::kAvx2);
+  constexpr double kLearningRate = 0.003;
+  constexpr long kSteps = 3;
+  for (const kernels::Backend backend : backends) {
+    const kernels::Backend previous = kernels::ForceBackendForTest(backend);
+    for (int k = 1; k <= Adam::kMaxSinks; ++k) {
+      for (int parts = 1; parts <= 4; ++parts) {
+        SCOPED_TRACE(std::string(kernels::BackendName(backend)) + ", " +
+                     std::to_string(k) + " sinks, " + std::to_string(parts) +
+                     " parts");
+        Rng rng(static_cast<uint64_t>(100 * k + parts));
+        Parameter big(32, 64);
+        Parameter small(3, 5);
+        big.value.FillUniform(rng, 0.5);
+        small.value.FillUniform(rng, 0.5);
+        Adam adam(kLearningRate);
+        adam.Register(&big);
+        adam.Register(&small);
+        const auto reference_of = [](const Parameter& p) {
+          return ReferenceSlot{
+              std::vector<double>(p.value.ptr(), p.value.ptr() + p.value.size()),
+              std::vector<double>(p.value.size(), 0.0),
+              std::vector<double>(p.value.size(), 0.0)};
+        };
+        ReferenceSlot ref_big = reference_of(big);
+        ReferenceSlot ref_small = reference_of(small);
+
+        std::vector<ParamGradSink> sinks(k);
+        std::vector<const ParamGradSink*> sink_ptrs;
+        for (const ParamGradSink& sink : sinks) sink_ptrs.push_back(&sink);
+        for (long t = 1; t <= kSteps; ++t) {
+          for (int s = 0; s < k; ++s) {
+            sinks[s].ZeroAll();
+            FillSpread(sinks[s].GradFor(&big), rng);
+            if (k >= 3 && s == k - 1) continue;  // no entry for `small`
+            FillSpread(sinks[s].GradFor(&small), rng);
+          }
+          if (k >= 2) sinks[1].ZeroAll();  // untouched: reads +0.0
+
+          adam.StartStep();
+          for (int part = parts - 1; part >= 0; --part) {
+            adam.StepPart(sink_ptrs, part, parts);
+          }
+          ReferenceStep(big, sinks, t, kLearningRate, ref_big);
+          ReferenceStep(small, sinks, t, kLearningRate, ref_small);
+          ExpectSameBits(ref_big.value, big.value, "big value");
+          ExpectSameBits(ref_big.m, adam.first_moment(&big), "big m");
+          ExpectSameBits(ref_big.v, adam.second_moment(&big), "big v");
+          ExpectSameBits(ref_small.value, small.value, "small value");
+          ExpectSameBits(ref_small.m, adam.first_moment(&small), "small m");
+          ExpectSameBits(ref_small.v, adam.second_moment(&small), "small v");
+        }
+      }
+    }
+    kernels::ForceBackendForTest(previous);
+  }
 }
 
 }  // namespace
