@@ -7,6 +7,7 @@
 #include "base/check.h"
 #include "math/flat_tape.h"
 #include "math/kernels.h"
+#include "math/optimizer.h"
 #include "math/rng.h"
 #include "math/vec.h"
 
@@ -37,11 +38,11 @@ Status AutoencoderEmbedder::Fit(const std::vector<rf::ScanRecord>& train) {
   w3_->value.FillGlorot(rng);
   w4_->value.FillGlorot(rng);
 
-  adam_ = std::make_unique<math::Adam>(config_.learning_rate);
-  adam_->Register(w1_.get());
-  adam_->Register(w2_.get());
-  adam_->Register(w3_.get());
-  adam_->Register(w4_.get());
+  math::Adam adam(config_.learning_rate);
+  adam.Register(w1_.get());
+  adam.Register(w2_.get());
+  adam.Register(w3_.get());
+  adam.Register(w4_.get());
 
   std::vector<math::Vec> inputs;
   inputs.reserve(train.size());
@@ -75,7 +76,7 @@ Status AutoencoderEmbedder::Fit(const std::vector<rf::ScanRecord>& train) {
         epoch_loss += tape.AddMseLoss(out, x, inv_batch);
       }
       tape.Backward(grads);
-      adam_->Step(grads);
+      adam.Step(grads);
       grads.ZeroAll();
     }
     final_loss_ = epoch_loss / batches;

@@ -8,7 +8,6 @@
 #include "embed/embedder.h"
 #include "embed/matrix_rep.h"
 #include "math/autograd.h"
-#include "math/optimizer.h"
 
 namespace gem::embed {
 
@@ -54,7 +53,6 @@ class AutoencoderEmbedder : public RecordEmbedder {
   // inputs are normalized to [0, 1] so the model reconstructs well
   // without them.
   std::unique_ptr<math::Parameter> w1_, w2_, w3_, w4_;
-  std::unique_ptr<math::Adam> adam_;
   std::vector<math::Vec> train_codes_;
   int num_train_ = 0;
   double final_loss_ = 0.0;

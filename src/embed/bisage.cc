@@ -9,6 +9,7 @@
 #include "base/check.h"
 #include "base/logging.h"
 #include "fault/failpoint.h"
+#include "math/optimizer.h"
 #include "math/vec.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -66,19 +67,6 @@ void AggregationCoeffsInto(const std::vector<graph::Neighbor>& sampled,
 void NormalizeInPlace(const math::kernels::Ops& ops, double* x, int n) {
   const double norm = std::sqrt(ops.dot(x, x, n));
   if (norm > 0.0) ops.scale(x, 1.0 / norm, n);
-}
-
-/// Uniform with-replacement neighbor draw into `out` (ablation of the
-/// weight-proportional sampling; same contract as SampleNeighbors).
-void SampleUniform(const graph::BipartiteGraph& graph, graph::NodeId node,
-                   int count, math::Rng& rng,
-                   std::vector<graph::Neighbor>& out) {
-  out.clear();
-  const auto& adj = graph.neighbors(node);
-  if (adj.empty()) return;
-  for (int i = 0; i < count; ++i) {
-    out.push_back(adj[rng.UniformInt(static_cast<int>(adj.size()))]);
-  }
 }
 
 /// Grows the layer-0 tables (h, l), whose row 0 holds node `first`, to
@@ -189,7 +177,6 @@ BiSage::BiSage(BiSageConfig config)
   const int d = config_.dimension;
   h_table_ = math::Matrix(0, d);
   l_table_ = math::Matrix(0, d);
-  adam_ = std::make_unique<math::Adam>(config_.learning_rate);
 
   math::Rng weight_rng(config_.seed);
   for (int k = 0; k < config_.num_layers; ++k) {
@@ -197,8 +184,6 @@ BiSage::BiSage(BiSageConfig config)
     w_l_.push_back(std::make_unique<math::Parameter>(d, 2 * d));
     w_h_.back()->value.FillGlorot(weight_rng);
     w_l_.back()->value.FillGlorot(weight_rng);
-    adam_->Register(w_h_.back().get());
-    adam_->Register(w_l_.back().get());
   }
 }
 
@@ -269,7 +254,7 @@ struct alignas(64) BiSage::GradShard {
 };
 
 BiSage::NodeVars BiSage::BuildNodeVars(GradExecutor& executor,
-                                       const graph::BipartiteGraph& graph,
+                                       const graph::Sampler& sampler,
                                        graph::NodeId node, int layer,
                                        math::Rng& rng) const {
   // The memo never resizes during a shard, so the entry stays put while
@@ -285,19 +270,17 @@ BiSage::NodeVars BiSage::BuildNodeVars(GradExecutor& executor,
     vars.h = tape.Leaf(h_table_.RowPtr(node), d);
     vars.l = tape.Leaf(l_table_.RowPtr(node), d);
   } else {
-    const NodeVars self = BuildNodeVars(executor, graph, node, layer - 1, rng);
+    const NodeVars self =
+        BuildNodeVars(executor, sampler, node, layer - 1, rng);
     const int fanout = config_.fanouts[config_.num_layers - layer];
     GradExecutor::LayerBuffers& buffers = executor.layers[layer - 1];
-    if (config_.use_edge_weights) {
-      graph.SampleNeighbors(node, fanout, rng, buffers.sampled);
-    } else {
-      SampleUniform(graph, node, fanout, rng, buffers.sampled);
-    }
+    sampler.SampleNeighbors(node, fanout, rng, buffers.sampled);
 
     math::VarId h_agg;
     math::VarId l_agg;
     if (buffers.sampled.empty() ||
-        (layer == 1 && graph.type(node) == graph::NodeType::kMac)) {
+        (layer == 1 &&
+         sampler.graph().type(node) == graph::NodeType::kMac)) {
       // An isolated node aggregates nothing; the update still mixes its
       // own lower-layer embedding through the weight matrix. A MAC at
       // layer 1 has drawn its sample (the RNG stream moves as if it
@@ -313,7 +296,7 @@ BiSage::NodeVars BiSage::BuildNodeVars(GradExecutor& executor,
       buffers.neighbor_h.clear();
       for (const graph::Neighbor& nb : buffers.sampled) {
         const NodeVars child =
-            BuildNodeVars(executor, graph, nb.node, layer - 1, rng);
+            BuildNodeVars(executor, sampler, nb.node, layer - 1, rng);
         buffers.neighbor_l.push_back(child.l);
         buffers.neighbor_h.push_back(child.h);
       }
@@ -343,7 +326,7 @@ BiSage::NodeVars BiSage::BuildNodeVars(GradExecutor& executor,
 }
 
 void BiSage::AccumulateShardLoss(GradExecutor& executor,
-                                 const graph::BipartiteGraph& graph,
+                                 const graph::Sampler& sampler,
                                  const std::vector<TrainPair>& pairs,
                                  size_t begin, size_t end, math::Rng& rng,
                                  double& loss, long& terms) const {
@@ -351,18 +334,18 @@ void BiSage::AccumulateShardLoss(GradExecutor& executor,
   for (size_t p = begin; p < end; ++p) {
     const auto [x, y] = pairs[p];
     const NodeVars vx =
-        BuildNodeVars(executor, graph, x, config_.num_layers, rng);
+        BuildNodeVars(executor, sampler, x, config_.num_layers, rng);
     const NodeVars vy =
-        BuildNodeVars(executor, graph, y, config_.num_layers, rng);
+        BuildNodeVars(executor, sampler, y, config_.num_layers, rng);
     // Positive part of Equation (8).
     loss += tape.AddLogSigmoidLoss(tape.Dot(vx.h, vy.l), +1.0);
     loss += tape.AddLogSigmoidLoss(tape.Dot(vx.l, vy.h), +1.0);
     terms += 2;
     // Negative part: K_N nodes drawn ~ deg^{3/4}.
     for (int n = 0; n < config_.num_negatives; ++n) {
-      const graph::NodeId z = graph.SampleNegative(rng);
+      const graph::NodeId z = sampler.SampleNegative(rng);
       const NodeVars vz =
-          BuildNodeVars(executor, graph, z, config_.num_layers, rng);
+          BuildNodeVars(executor, sampler, z, config_.num_layers, rng);
       loss += tape.AddLogSigmoidLoss(tape.Dot(vx.h, vz.l), -1.0);
       loss += tape.AddLogSigmoidLoss(tape.Dot(vx.l, vz.h), -1.0);
       terms += 2;
@@ -371,7 +354,7 @@ void BiSage::AccumulateShardLoss(GradExecutor& executor,
 }
 
 void BiSage::RunGradShard(GradExecutor& executor, GradShard& shard,
-                          const graph::BipartiteGraph& graph,
+                          const graph::Sampler& sampler,
                           const std::vector<TrainPair>& pairs, size_t begin,
                           size_t end, uint64_t stream) const {
   GEM_TRACE_SPAN("bisage.gradient");
@@ -383,8 +366,8 @@ void BiSage::RunGradShard(GradExecutor& executor, GradShard& shard,
       math::Rng::StreamSeed(config_.seed ^ kGroupStreamSalt, stream));
   {
     GEM_TRACE_SPAN("bisage.forward");
-    AccumulateShardLoss(executor, graph, pairs, begin, end, rng, shard.loss,
-                        shard.terms);
+    AccumulateShardLoss(executor, sampler, pairs, begin, end, rng,
+                        shard.loss, shard.terms);
   }
   GEM_TRACE_SPAN("bisage.backward");
   executor.tape.Backward(shard.sink);
@@ -403,15 +386,25 @@ Status BiSage::Train(const graph::BipartiteGraph& graph) {
                                                obs::LatencyBuckets());
 
   if (!config_status_.ok()) return config_status_;
+  // A second run would fine-tune from the first's weights with a fresh
+  // optimizer, and over a grown graph it would grow the node tables.
+  if (trained_) {
+    return Status::FailedPrecondition(
+        "model is already trained; train a fresh model instead");
+  }
   if (graph.num_nodes() == 0) {
     return Status::FailedPrecondition("graph is empty");
   }
-  // Everything lazily built that the parallel sections read must exist
-  // before the first worker touches it: node tables (EnsureCapacity),
-  // per-node alias samplers and the negative-sampling table
-  // (WarmCaches). After this, workers only read the graph.
+  // Everything the parallel sections read exists before the first
+  // worker touches it: the node tables (EnsureCapacity) and the
+  // sampler's tables. After this, workers only read the graph.
   EnsureCapacity(graph);
-  graph.WarmCaches();
+  const graph::Sampler sampler(graph, config_.use_edge_weights);
+  math::Adam adam(config_.learning_rate);
+  for (size_t k = 0; k < w_h_.size(); ++k) {
+    adam.Register(w_h_[k].get());
+    adam.Register(w_l_[k].get());
+  }
   ThreadPool& pool = thread_pool();
 
   // Walks start from record nodes only — the loss of Equation (8) is
@@ -436,10 +429,11 @@ Status BiSage::Train(const graph::BipartiteGraph& graph) {
   // executors of an epoch may wait on each other (the pool contract).
   const int num_executors = std::min(pool.num_threads(), kWaveShards);
 
-  // Generate the training pairs from weighted random walks: every
-  // consecutive (x, y) in a walk is a positive pair. The starts split
-  // into kWaveShards chunks; chunk c draws from walk stream c and
-  // writes its own buffer, and the buffers concatenate in chunk order.
+  // Generate the training pairs from random walks, weighted unless the
+  // ablation turns edge weights off: every consecutive (x, y) in a walk
+  // is a positive pair. The starts split into kWaveShards chunks; chunk
+  // c draws from walk stream c and writes its own buffer, and the
+  // buffers concatenate in chunk order.
   std::vector<std::vector<TrainPair>> chunk_pairs(kWaveShards);
   {
   GEM_TRACE_SPAN("bisage.walks");
@@ -455,20 +449,8 @@ Status BiSage::Train(const graph::BipartiteGraph& graph) {
           for (long i = begin; i < end; ++i) {
             const graph::NodeId node = starts[i];
             for (int w = 0; w < config_.walks_per_node; ++w) {
-              std::vector<graph::NodeId> walk;
-              if (config_.use_edge_weights) {
-                walk = graph.RandomWalk(node, config_.walk_length, rng);
-              } else {
-                walk.push_back(node);
-                graph::NodeId current = node;
-                for (int step = 0; step < config_.walk_length; ++step) {
-                  const auto& adj = graph.neighbors(current);
-                  if (adj.empty()) break;
-                  current =
-                      adj[rng.UniformInt(static_cast<int>(adj.size()))].node;
-                  walk.push_back(current);
-                }
-              }
+              const std::vector<graph::NodeId> walk =
+                  sampler.RandomWalk(node, config_.walk_length, rng);
               for (size_t j = 0; j + 1 < walk.size(); ++j) {
                 out.emplace_back(walk[j], walk[j + 1]);
               }
@@ -548,7 +530,7 @@ Status BiSage::Train(const graph::BipartiteGraph& graph) {
       }
       epoch_loss += shards[0].loss;
       loss_terms += shards[0].terms;
-      adam_->StartStep();
+      adam.StartStep();
     });
     std::barrier step_done(num_executors);
     pool.ParallelForChunked(
@@ -561,14 +543,14 @@ Status BiSage::Train(const graph::BipartiteGraph& graph) {
             for (long s = first; s < last; ++s) {
               const long shard = wave * kWaveShards + s;
               const size_t begin = static_cast<size_t>(shard) * full;
-              RunGradShard(executors[executor], shards[s], graph, pairs,
+              RunGradShard(executors[executor], shards[s], sampler, pairs,
                            begin, std::min(begin + full, pairs.size()),
                            epoch_stream + static_cast<uint64_t>(shard));
             }
             shards_done.arrive_and_wait();
             {
               GEM_TRACE_SPAN("bisage.reduce");
-              adam_->StepPart(
+              adam.StepPart(
                   std::span(sinks.data(), static_cast<size_t>(num_shards)),
                   executor, num_executors);
             }
@@ -592,7 +574,6 @@ Status BiSage::Train(const graph::BipartiteGraph& graph) {
 
 void BiSage::InferScratch::Reset(int num_layers, int dimension) {
   arena_.clear();
-  memo_.clear();
   temps_.assign(static_cast<size_t>(num_layers) * 4 * dimension, 0.0);
   neighbors_.resize(num_layers);
   coeffs_.resize(num_layers);
@@ -600,10 +581,6 @@ void BiSage::InferScratch::Reset(int num_layers, int dimension) {
 
 size_t BiSage::ForwardNode(const OverlayCtx& ctx, graph::NodeId node,
                            int layer, InferScratch& scratch) const {
-  const long key = MemoKey(node, layer, config_.num_layers);
-  const auto it = scratch.memo_.find(key);
-  if (it != scratch.memo_.end()) return it->second;
-
   const graph::OverlayGraphView& view = ctx.view;
   const int d = config_.dimension;
   const math::kernels::Ops& ops = math::kernels::Active();
@@ -685,7 +662,6 @@ size_t BiSage::ForwardNode(const OverlayCtx& ctx, graph::NodeId node,
     UpdateNode(ops, layer, self, self + d, h_agg, l_agg, cat,
                scratch.arena_.data() + off);
   }
-  scratch.memo_.emplace(key, off);
   return off;
 }
 

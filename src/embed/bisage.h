@@ -2,7 +2,6 @@
 #define GEM_EMBED_BISAGE_H_
 
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -12,10 +11,10 @@
 #include "embed/embedder.h"
 #include "graph/bipartite_graph.h"
 #include "graph/graph_delta.h"
+#include "graph/sampler.h"
 #include "math/autograd.h"
 #include "math/flat_tape.h"
 #include "math/kernels.h"
-#include "math/optimizer.h"
 #include "math/rng.h"
 
 namespace gem::embed {
@@ -112,8 +111,9 @@ class BiSage {
   explicit BiSage(BiSageConfig config);
 
   /// Trains the weight matrices on the graph; the graph must contain
-  /// at least one edge. Can be called again after the graph grows to
-  /// fine-tune (not required for inference). Runs on
+  /// at least one edge. Trains once: kFailedPrecondition, changing
+  /// nothing, for a trained or restored model. The sampler and the
+  /// Adam state live only inside the call. Runs on
   /// config().num_threads workers; the learned bits do not depend on
   /// that count.
   Status Train(const graph::BipartiteGraph& graph);
@@ -139,11 +139,11 @@ class BiSage {
                                graph::NodeId node) const;
 
   /// Reusable workspace for the tape-free forward pass (EmbedForward).
-  /// Holds a 32-byte-aligned value arena addressed by (node, layer)
-  /// offsets, per-layer aggregation/concat temporaries, and neighbor
-  /// buffers. One instance per thread; after the first call on a graph
-  /// neighborhood of typical size, subsequent calls are allocation-free
-  /// (buffers are reset, not released).
+  /// Holds a 32-byte-aligned value arena of (h, l) slabs, per-layer
+  /// aggregation/concat temporaries, and neighbor buffers. One instance
+  /// per thread; after the first call on a graph neighborhood of
+  /// typical size, subsequent calls are allocation-free (buffers are
+  /// reset, not released).
   class InferScratch {
    public:
     InferScratch() = default;
@@ -152,10 +152,9 @@ class BiSage {
     friend class BiSage;
     void Reset(int num_layers, int dimension);
 
-    /// Computed (h, l) values, one 2*d slab per memoized (node, layer);
-    /// memo_ maps MemoKey(node, layer) to the slab's h offset (l at +d).
+    /// Computed (h, l) values, one 2*d slab per visited (node, layer),
+    /// addressed by the slab's h offset (l at +d).
     math::kernels::AlignedVec arena_;
-    std::unordered_map<long, size_t> memo_;
     /// Per layer: [h_agg d | l_agg d | concat 2d]. Stable storage, so
     /// aggregation can accumulate while child recursion grows arena_.
     math::kernels::AlignedVec temps_;
@@ -202,9 +201,9 @@ class BiSage {
 
   /// Snapshot support (store/snapshot_v2.cc): everything Train() learned
   /// plus the node tables and their init stream, so a restored model
-  /// embeds future nodes bit-identically to the original process.
-  /// Optimizer moments are NOT persisted: a fine-tuning Train() after
-  /// restore starts Adam fresh.
+  /// embeds future nodes bit-identically to the original process. No
+  /// optimizer state exists outside Train(), and a restored model is
+  /// never trained again.
   struct TrainedState {
     math::Matrix h_table;
     math::Matrix l_table;
@@ -252,17 +251,17 @@ class BiSage {
 
   /// Builds the (h^k, l^k) computation for `node` on the executor's
   /// tape, memoized per (node, layer) within the current gradient
-  /// shard.
+  /// shard, sampling neighborhoods from `sampler`.
   NodeVars BuildNodeVars(GradExecutor& executor,
-                         const graph::BipartiteGraph& graph,
-                         graph::NodeId node, int layer, math::Rng& rng) const;
+                         const graph::Sampler& sampler, graph::NodeId node,
+                         int layer, math::Rng& rng) const;
 
   /// Adds the Equation (8) loss terms of pairs[begin, end) to the
   /// executor's tape (positives plus num_negatives sampled negatives per
   /// pair), sharing its memo across the range. Accumulates the loss
   /// value and term count.
   void AccumulateShardLoss(GradExecutor& executor,
-                           const graph::BipartiteGraph& graph,
+                           const graph::Sampler& sampler,
                            const std::vector<TrainPair>& pairs, size_t begin,
                            size_t end, math::Rng& rng, double& loss,
                            long& terms) const;
@@ -272,7 +271,7 @@ class BiSage {
   /// backpropagates the loss of pairs[begin, end) into the shard's
   /// sink. Writes nothing but `executor` and `shard`.
   void RunGradShard(GradExecutor& executor, GradShard& shard,
-                    const graph::BipartiteGraph& graph,
+                    const graph::Sampler& sampler,
                     const std::vector<TrainPair>& pairs, size_t begin,
                     size_t end, uint64_t stream) const;
 
@@ -280,8 +279,11 @@ class BiSage {
   /// base and delta (defined in bisage.cc).
   struct OverlayCtx;
 
-  /// Recursive worker of EmbedForward: returns the arena offset of the
-  /// memoized (h^layer, l^layer) slab for `node`.
+  /// Recursive worker of EmbedForward: appends the (h^layer,
+  /// l^layer) slab of `node` to the arena and returns its offset. A
+  /// (node, layer) reached twice is computed twice, to the same bits:
+  /// with the layer-1 MAC table a record target at K = 2 reaches none
+  /// twice.
   size_t ForwardNode(const OverlayCtx& ctx, graph::NodeId node, int layer,
                      InferScratch& scratch) const;
 
@@ -336,7 +338,6 @@ class BiSage {
   Layer1Table layer1_;
   std::vector<std::unique_ptr<math::Parameter>> w_h_;
   std::vector<std::unique_ptr<math::Parameter>> w_l_;
-  std::unique_ptr<math::Adam> adam_;
   mutable std::unique_ptr<ThreadPool> pool_;
   double last_epoch_loss_ = 0.0;
   bool trained_ = false;

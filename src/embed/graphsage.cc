@@ -5,6 +5,7 @@
 
 #include "base/check.h"
 #include "math/kernels.h"
+#include "math/optimizer.h"
 #include "math/vec.h"
 
 namespace gem::embed {
@@ -21,13 +22,11 @@ GraphSage::GraphSage(GraphSageConfig config)
   GEM_CHECK(config_.dimension > 0);
   GEM_CHECK(static_cast<int>(config_.fanouts.size()) == config_.num_layers);
   table_ = math::Matrix(0, config_.dimension);
-  adam_ = std::make_unique<math::Adam>(config_.learning_rate);
   math::Rng weight_rng(config_.seed);
   for (int k = 0; k < config_.num_layers; ++k) {
     weights_.push_back(std::make_unique<math::Parameter>(
         config_.dimension, 2 * config_.dimension));
     weights_.back()->value.FillGlorot(weight_rng);
-    adam_->Register(weights_.back().get());
   }
 }
 
@@ -48,21 +47,8 @@ void GraphSage::EnsureCapacity(const graph::BipartiteGraph& graph) {
   }
 }
 
-std::vector<graph::NodeId> GraphSage::SampleUniformNeighbors(
-    const graph::BipartiteGraph& graph, graph::NodeId node, int count,
-    math::Rng& rng) const {
-  std::vector<graph::NodeId> sampled;
-  const auto& adj = graph.neighbors(node);
-  if (adj.empty()) return sampled;
-  sampled.reserve(count);
-  for (int i = 0; i < count; ++i) {
-    sampled.push_back(adj[rng.UniformInt(static_cast<int>(adj.size()))].node);
-  }
-  return sampled;
-}
-
 math::VarId GraphSage::BuildNodeVar(
-    math::FlatTape& tape, const graph::BipartiteGraph& graph,
+    math::FlatTape& tape, const graph::Sampler& sampler,
     graph::NodeId node, int layer, math::Rng& rng,
     std::unordered_map<long, math::VarId>& memo) const {
   const long key = MemoKey(node, layer, config_.num_layers);
@@ -75,19 +61,19 @@ math::VarId GraphSage::BuildNodeVar(
                     static_cast<size_t>(config_.dimension));
   } else {
     const math::VarId self =
-        BuildNodeVar(tape, graph, node, layer - 1, rng, memo);
+        BuildNodeVar(tape, sampler, node, layer - 1, rng, memo);
     const int fanout = config_.fanouts[config_.num_layers - layer];
-    const std::vector<graph::NodeId> sampled =
-        SampleUniformNeighbors(graph, node, fanout, rng);
+    std::vector<graph::Neighbor> sampled;
+    sampler.SampleNeighbors(node, fanout, rng, sampled);
     math::VarId agg;
     if (sampled.empty()) {
       agg = tape.Leaf(math::Vec(config_.dimension, 0.0));
     } else {
       std::vector<math::VarId> children;
       children.reserve(sampled.size());
-      for (const graph::NodeId nb : sampled) {
+      for (const graph::Neighbor& nb : sampled) {
         children.push_back(
-            BuildNodeVar(tape, graph, nb, layer - 1, rng, memo));
+            BuildNodeVar(tape, sampler, nb.node, layer - 1, rng, memo));
       }
       // MEAN aggregator.
       const math::Vec coeffs(children.size(),
@@ -106,25 +92,29 @@ math::VarId GraphSage::BuildNodeVar(
 }
 
 Status GraphSage::Train(const graph::BipartiteGraph& graph) {
+  if (trained_) {
+    return Status::FailedPrecondition(
+        "model is already trained; train a fresh model instead");
+  }
   if (graph.num_nodes() == 0) {
     return Status::FailedPrecondition("graph is empty");
   }
   EnsureCapacity(graph);
+  // Uniform sampling and walks (homogeneous treatment: GraphSAGE
+  // ignores edge weights).
+  const graph::Sampler sampler(graph, /*weighted=*/false);
+  math::Adam adam(config_.learning_rate);
+  for (const auto& w : weights_) adam.Register(w.get());
   math::Rng rng(config_.seed);
 
-  // Uniform random walks (homogeneous treatment).
   std::vector<std::pair<graph::NodeId, graph::NodeId>> pairs;
   for (graph::NodeId node = 0; node < graph.num_nodes(); ++node) {
     if (graph.degree(node) == 0) continue;
     for (int w = 0; w < config_.walks_per_node; ++w) {
-      graph::NodeId current = node;
-      for (int step = 0; step < config_.walk_length; ++step) {
-        const auto& adj = graph.neighbors(current);
-        if (adj.empty()) break;
-        const graph::NodeId next =
-            adj[rng.UniformInt(static_cast<int>(adj.size()))].node;
-        pairs.emplace_back(current, next);
-        current = next;
+      const std::vector<graph::NodeId> walk =
+          sampler.RandomWalk(node, config_.walk_length, rng);
+      for (size_t j = 0; j + 1 < walk.size(); ++j) {
+        pairs.emplace_back(walk[j], walk[j + 1]);
       }
     }
   }
@@ -147,21 +137,21 @@ Status GraphSage::Train(const graph::BipartiteGraph& graph) {
       for (; index < end; ++index) {
         const auto [x, y] = pairs[index];
         const math::VarId vx =
-            BuildNodeVar(tape, graph, x, config_.num_layers, rng, memo);
+            BuildNodeVar(tape, sampler, x, config_.num_layers, rng, memo);
         const math::VarId vy =
-            BuildNodeVar(tape, graph, y, config_.num_layers, rng, memo);
+            BuildNodeVar(tape, sampler, y, config_.num_layers, rng, memo);
         epoch_loss += tape.AddLogSigmoidLoss(tape.Dot(vx, vy), +1.0);
         ++loss_terms;
         for (int n = 0; n < config_.num_negatives; ++n) {
-          const graph::NodeId z = graph.SampleNegative(rng);
+          const graph::NodeId z = sampler.SampleNegative(rng);
           const math::VarId vz =
-              BuildNodeVar(tape, graph, z, config_.num_layers, rng, memo);
+              BuildNodeVar(tape, sampler, z, config_.num_layers, rng, memo);
           epoch_loss += tape.AddLogSigmoidLoss(tape.Dot(vx, vz), -1.0);
           ++loss_terms;
         }
       }
       tape.Backward(grads);
-      adam_->Step(grads);
+      adam.Step(grads);
       grads.ZeroAll();
     }
     last_epoch_loss_ = epoch_loss / static_cast<double>(loss_terms);

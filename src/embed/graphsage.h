@@ -8,9 +8,9 @@
 #include "base/status.h"
 #include "embed/embedder.h"
 #include "graph/bipartite_graph.h"
+#include "graph/sampler.h"
 #include "math/autograd.h"
 #include "math/flat_tape.h"
-#include "math/optimizer.h"
 #include "math/rng.h"
 
 namespace gem::embed {
@@ -41,6 +41,8 @@ class GraphSage {
  public:
   explicit GraphSage(GraphSageConfig config);
 
+  /// Trains once: kFailedPrecondition, changing nothing, for a trained
+  /// model. The sampler and the Adam state live only inside the call.
   Status Train(const graph::BipartiteGraph& graph);
 
   /// Grows the fixed initial-embedding table to cover every node of
@@ -59,7 +61,7 @@ class GraphSage {
 
  private:
   math::VarId BuildNodeVar(math::FlatTape& tape,
-                           const graph::BipartiteGraph& graph,
+                           const graph::Sampler& sampler,
                            graph::NodeId node, int layer, math::Rng& rng,
                            std::unordered_map<long, math::VarId>& memo) const;
 
@@ -67,16 +69,10 @@ class GraphSage {
                       graph::NodeId node, int layer,
                       std::unordered_map<long, math::Vec>& memo) const;
 
-  /// Uniform neighbor draw (GraphSAGE ignores edge weights).
-  std::vector<graph::NodeId> SampleUniformNeighbors(
-      const graph::BipartiteGraph& graph, graph::NodeId node, int count,
-      math::Rng& rng) const;
-
   GraphSageConfig config_;
   math::Matrix table_;
   math::Rng init_rng_;
   std::vector<std::unique_ptr<math::Parameter>> weights_;
-  std::unique_ptr<math::Adam> adam_;
   double last_epoch_loss_ = 0.0;
   bool trained_ = false;
 };

@@ -61,9 +61,6 @@ Status RetryOptions::Validate() const {
   if (initial_backoff.count() < 0) {
     return Status::InvalidArgument("retry initial_backoff must be >= 0");
   }
-  if (backoff_multiplier < 1.0) {
-    return Status::InvalidArgument("retry backoff_multiplier must be >= 1");
-  }
   return Status::Ok();
 }
 
@@ -84,7 +81,7 @@ StatusOr<MappedModel> OpenWithRetry(const std::string& path,
     if (backoff.count() > 0) {
       std::this_thread::sleep_for(backoff);
     }
-    backoff *= retry.backoff_multiplier;
+    backoff *= 2.0;
   }
 }
 

@@ -93,12 +93,10 @@ class MappedModel {
 struct RetryOptions {
   /// Total attempts, including the first (1 = no retry).
   int max_attempts = 3;
-  /// Sleep before attempt 2; doubles (backoff_multiplier) per attempt.
+  /// Sleep before attempt 2; doubles per attempt.
   std::chrono::milliseconds initial_backoff{5};
-  double backoff_multiplier = 2.0;
 
-  /// kInvalidArgument unless max_attempts >= 1, initial_backoff >= 0
-  /// and backoff_multiplier >= 1.
+  /// kInvalidArgument unless max_attempts >= 1 and initial_backoff >= 0.
   Status Validate() const;
 };
 

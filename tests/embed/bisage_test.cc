@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 
 #include "math/vec.h"
 #include "tests/common/test_records.h"
@@ -201,6 +203,51 @@ TEST(BiSageTest, SecondFitIsRefusedAndChangesNothing) {
   EXPECT_EQ(restored.Fit(data.records).code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(restored.graph().num_nodes(), nodes);
+}
+
+void ExpectSameMatrix(const math::Matrix& a, const math::Matrix& b) {
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.cols(), b.cols());
+  EXPECT_EQ(std::memcmp(a.ptr(), b.ptr(), a.size() * sizeof(double)), 0);
+}
+
+// Train runs once. A second call would fine-tune the first run's
+// weights with a fresh optimizer, and over a grown graph it would grow
+// the node tables. A restored model counts as trained.
+TEST(BiSageTest, SecondTrainIsRefusedAndChangesNothing) {
+  const auto data = MakeTwoClusters(10, 11);
+  graph::BipartiteGraph graph;
+  for (const auto& record : data.records) graph.AddRecord(record);
+  BiSage model(FastConfig());
+  ASSERT_TRUE(model.Train(graph).ok());
+  const BiSage::TrainedState before = model.ExportTrained();
+  const math::Vec embedding = model.PrimaryEmbedding(graph, 0);
+
+  // A record with an unseen MAC: a retrain would draw its rows.
+  rf::ScanRecord grown;
+  grown.readings.push_back(rf::Reading{"a0", -50.0, rf::Band::k2_4GHz});
+  grown.readings.push_back(rf::Reading{"unseen", -55.0, rf::Band::k2_4GHz});
+  graph.AddRecord(grown);
+  EXPECT_EQ(model.Train(graph).code(), StatusCode::kFailedPrecondition);
+  const BiSage::TrainedState after = model.ExportTrained();
+  ExpectSameMatrix(after.h_table, before.h_table);
+  ExpectSameMatrix(after.l_table, before.l_table);
+  ASSERT_EQ(after.w_h.size(), before.w_h.size());
+  for (size_t k = 0; k < before.w_h.size(); ++k) {
+    ExpectSameMatrix(after.w_h[k], before.w_h[k]);
+    ExpectSameMatrix(after.w_l[k], before.w_l[k]);
+  }
+  EXPECT_TRUE(std::equal(std::begin(after.init_rng.words),
+                         std::end(after.init_rng.words),
+                         std::begin(before.init_rng.words)));
+  EXPECT_EQ(after.trained_nodes, before.trained_nodes);
+  EXPECT_EQ(after.last_epoch_loss, before.last_epoch_loss);
+  EXPECT_EQ(model.PrimaryEmbedding(graph, 0), embedding);
+
+  BiSage restored(FastConfig());
+  ASSERT_TRUE(restored.RestoreTrained(model.ExportTrained(), graph).ok());
+  EXPECT_EQ(restored.Train(graph).code(), StatusCode::kFailedPrecondition);
+  ExpectSameMatrix(restored.ExportTrained().h_table, before.h_table);
 }
 
 TEST(BiSageTest, AuxiliaryDiffersFromPrimary) {

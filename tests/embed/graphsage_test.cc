@@ -88,6 +88,27 @@ TEST(GraphSageTest, SecondFitIsRefusedAndChangesNothing) {
   EXPECT_EQ(embedder.TrainEmbedding(0), before);
 }
 
+// Train runs once: a second call would fine-tune the first run's
+// weights with a fresh optimizer.
+TEST(GraphSageTest, SecondTrainIsRefusedAndChangesNothing) {
+  const auto data = MakeTwoClusters(12, 7);
+  graph::BipartiteGraph graph;
+  for (const auto& record : data.records) graph.AddRecord(record);
+  GraphSage model(FastConfig());
+  ASSERT_TRUE(model.Train(graph).ok());
+  const double loss = model.last_epoch_loss();
+  std::vector<math::Vec> before;
+  for (graph::NodeId node = 0; node < graph.num_nodes(); ++node) {
+    before.push_back(model.Embedding(graph, node));
+  }
+  EXPECT_EQ(model.Train(graph).code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(model.trained());
+  EXPECT_EQ(model.last_epoch_loss(), loss);
+  for (graph::NodeId node = 0; node < graph.num_nodes(); ++node) {
+    EXPECT_EQ(model.Embedding(graph, node), before[node]) << "node " << node;
+  }
+}
+
 TEST(GraphSageTest, UnknownOnlyRecordUnembeddable) {
   const auto data = MakeTwoClusters(12, 5);
   GraphSageEmbedder embedder(FastConfig());
